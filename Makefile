@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-sharded vet lint allowlist race cover bench bench-smoke figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test test-sharded vet lint allowlist race cover bench bench-smoke bench-test figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -63,6 +63,13 @@ cover:
 # Full benchmark pass: one benchmark per paper table/figure + ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark's own tests (bench/ is a separate module, so
+# `go test ./...` at the root does not reach it): quantile, profile-decoder,
+# span and BENCHMARK.json-consistency unit tests plus a ~9 s smoke of all
+# four workloads, each held to its golden-digest correctness gates.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Single-iteration smoke over the root figure benchmarks, leaving a
 # machine-readable artifact (cmd/benchjson parses the text output) and

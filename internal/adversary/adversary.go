@@ -58,7 +58,7 @@ func NewGlobalObserver(med *medium.Medium) *Observer {
 }
 
 func (o *Observer) covers(p geo.Point) bool {
-	return o.Everywhere || o.Center.Dist(p) <= o.Radius
+	return o.Everywhere || o.Center.Within(p, o.Radius)
 }
 
 // DistinctSenders returns how many different nodes the observer saw

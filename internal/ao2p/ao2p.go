@@ -103,7 +103,7 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source
 			}
 			// Destination contention: if D can hear this relay, D
 			// wins the next contention round and claims the packet.
-			if p.net.Med.PositionNow(id).Dist(p.net.Med.PositionNow(m.dst)) <= rangeM &&
+			if p.net.Med.PositionNow(id).Within(p.net.Med.PositionNow(m.dst), rangeM) &&
 				pkt.HopBudget > 0 {
 				pkt.HopBudget--
 				p.charge(func() {

@@ -157,7 +157,7 @@ func (p *Protocol) coverHolders(at medium.NodeID, env *Envelope,
 			}
 			cover := 0
 			for m := range uncovered {
-				if pos[id].Dist(pos[m]) <= rangeM {
+				if pos[id].Within(pos[m], rangeM) {
 					cover++
 				}
 			}
@@ -171,7 +171,7 @@ func (p *Protocol) coverHolders(at medium.NodeID, env *Envelope,
 		h := candidates[best]
 		holders = append(holders, h)
 		for m := range uncovered {
-			if pos[h].Dist(pos[m]) <= rangeM {
+			if pos[h].Within(pos[m], rangeM) {
 				delete(uncovered, m)
 			}
 		}

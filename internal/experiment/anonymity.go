@@ -154,7 +154,7 @@ func TimingAttackScore(seed int64, proto ProtocolName, packets int) float64 {
 	sPos := w.Med.PositionNow(s)
 	rangeM := w.Med.Params().Range
 	w.Med.TapSend(func(tx medium.Transmission) {
-		if tx.From == s && tx.FromPos.Dist(sPos) <= rangeM {
+		if tx.From == s && tx.FromPos.Within(sPos, rangeM) {
 			corr.AddSend(tx.At)
 		}
 	})

@@ -26,6 +26,31 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// withinBand is the relative half-width of the band around r² inside which
+// Within defers to Dist. Dist2 and r*r each carry a few ulp (~1e-16) of
+// rounding error and math.Hypot is accurate to a few ulp, so outside this
+// band the squared comparison cannot disagree with Dist(q) <= r.
+const withinBand = 1e-9
+
+// Within reports whether q lies within distance r of p, with exactly the
+// answer of p.Dist(q) <= r but without the math.Hypot call away from the
+// boundary. Radii outside [2^-500, 2^500], negative and NaN included, take
+// the Dist path, because r*r could underflow or overflow there. Inside it a
+// Dist2 that overflows to +Inf still answers false correctly, and a NaN
+// Dist2 fails both comparisons and falls through to Dist.
+func (p Point) Within(q Point, r float64) bool {
+	if r >= 0x1p-500 && r <= 0x1p500 {
+		d2, r2 := p.Dist2(q), r*r
+		if d2 < r2*(1-withinBand) {
+			return true
+		}
+		if d2 > r2*(1+withinBand) {
+			return false
+		}
+	}
+	return p.Dist(q) <= r
+}
+
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
 

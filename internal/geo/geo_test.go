@@ -21,6 +21,98 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
+// TestWithinMatchesDist holds Within to its contract, bit for bit:
+// p.Within(q, r) == (p.Dist(q) <= r) for every input, the boundary
+// included. The radii are the paper's 250 m range and GPSR's safe greedy
+// range (SafeRangeFactor 0.9 of it, computed the way gpsr.Step does).
+func TestWithinMatchesDist(t *testing.T) {
+	rangeM, safeFactor := 250.0, 0.9
+	radii := []float64{rangeM, rangeM * safeFactor}
+	check := func(p, q Point, r float64) {
+		t.Helper()
+		if got, want := p.Within(q, r), p.Dist(q) <= r; got != want {
+			t.Fatalf("%v.Within(%v, %v) = %v, Dist = %v (<= r is %v)",
+				p, q, r, got, p.Dist(q), want)
+		}
+	}
+
+	src := rng.New(7)
+	for i := 0; i < 20000; i++ {
+		p := Point{src.Uniform(0, 1000), src.Uniform(0, 1000)}
+		q := Point{src.Uniform(0, 1000), src.Uniform(0, 1000)}
+		check(p, q, radii[i%2])
+		check(p, q, src.Uniform(0, 1500))
+	}
+
+	// Pairs placed on the circle of radius r around p, then nudged a few
+	// representable values inward and outward along each axis: the only
+	// region where Dist2 against r*r could disagree with Dist against r.
+	// Besides the two radio radii, circles whose r*r is subnormal or
+	// overflows, where the squared comparison cannot be trusted at all.
+	circles := append([]float64{2e-162, 1e-160, 1.3407807929942597e154, 1.5e154}, radii...)
+	for _, r := range circles {
+		for i := 0; i < 2000; i++ {
+			p := Point{src.Uniform(0, 4*r), src.Uniform(0, 4*r)}
+			theta := src.Uniform(0, 2*math.Pi)
+			q := Point{p.X + r*math.Cos(theta), p.Y + r*math.Sin(theta)}
+			for _, axis := range []int{0, 1} {
+				for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+					nudged := q
+					for step := 0; step < 8; step++ {
+						check(p, nudged, r)
+						if axis == 0 {
+							nudged.X = math.Nextafter(nudged.X, dir)
+						} else {
+							nudged.Y = math.Nextafter(nudged.Y, dir)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, r := range radii {
+		// Axis-aligned pairs at exactly r and a few steps either side.
+		for _, o := range []Point{{}, {X: 123.25, Y: 987.5}} {
+			for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+				x := o.X + r
+				for step := 0; step < 8; step++ {
+					check(o, Point{x, o.Y}, r)
+					check(o, Point{o.X, o.Y + (x - o.X)}, r)
+					x = math.Nextafter(x, dir)
+				}
+			}
+		}
+	}
+
+	// Degenerate radii: zero (coincident and distinct points), negative,
+	// infinite and NaN.
+	p := Point{10, 20}
+	for _, q := range []Point{p, {10, 20.5}, {math.Nextafter(10, 11), 20}} {
+		check(p, q, 0)
+		check(p, q, -1)
+		check(p, q, -rangeM)
+		check(p, q, math.Inf(1))
+		check(p, q, math.NaN())
+	}
+
+	// Non-finite coordinates.
+	nan, inf := math.NaN(), math.Inf(1)
+	odd := []Point{
+		{nan, 0}, {0, nan}, {nan, nan},
+		{inf, 0}, {-inf, 0}, {0, inf}, {0, -inf},
+		{inf, inf}, {inf, -inf}, {inf, nan}, {nan, -inf},
+		{1e200, 0}, {1e200, 1e200}, {-1e200, 1e-200},
+	}
+	for _, a := range odd {
+		for _, b := range append([]Point{{}, {250, 0}}, odd...) {
+			for _, r := range []float64{0, rangeM, -rangeM, inf, 1e201} {
+				check(a, b, r)
+				check(b, a, r)
+			}
+		}
+	}
+}
+
 func TestPointLerp(t *testing.T) {
 	p := Point{0, 0}
 	q := Point{10, 20}

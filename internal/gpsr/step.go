@@ -78,7 +78,7 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 		best := NoDeliverTo
 		bestDist := selfDist
 		for _, nb := range nbrs {
-			if selfPos.Dist(nb.Pos) > safe {
+			if !selfPos.Within(nb.Pos, safe) {
 				continue
 			}
 			if d := nb.Pos.Dist(dest); d < bestDist {

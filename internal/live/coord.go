@@ -216,7 +216,7 @@ func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) err
 	for i, h := range c.nodes {
 		top := Topology{T: t, Self: pos[i]}
 		for j, other := range c.nodes {
-			if i == j || pos[i].Dist(pos[j]) > rangeM {
+			if i == j || !pos[i].Within(pos[j], rangeM) {
 				continue
 			}
 			top.Nbrs = append(top.Nbrs, Neighbor{

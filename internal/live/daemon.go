@@ -467,8 +467,9 @@ func (d *Daemon) handleDatagram(buf []byte) {
 	// Emulated physics: the frame carries the sender's position; a
 	// receiver beyond the emulated radio range never saw it. Silence —
 	// not a NAK — so the sender's ARQ retries and eventually charges the
-	// loss, exactly like the simulator's arqSend.
-	if d.self.Dist(f.SrcPos) > d.cfg.Medium.Range {
+	// loss, exactly like the simulator's arqSend. A claimed position that
+	// is not a number is within no range, so such a frame is dropped too.
+	if !d.self.Within(f.SrcPos, d.cfg.Medium.Range) {
 		d.counts.DroppedRange++
 		return
 	}

@@ -650,7 +650,7 @@ func (s *arqSend) arrive() {
 	now := m.eng.Now()
 	pf := m.mob.Position(int(s.from), now)
 	pt := m.mob.Position(int(s.to), now)
-	if pf.Dist(pt) > m.par.Range {
+	if !pf.Within(pt, m.par.Range) {
 		m.counters.DroppedRange++
 		if m.tap != nil {
 			m.tap.FrameLost(now, int(s.from), int(s.to), telemetry.TraceOf(s.payload), "range")
@@ -724,7 +724,7 @@ func (s *arqSend) ackArrive() {
 	now := m.eng.Now()
 	pt := m.mob.Position(int(s.to), now)
 	pf := m.mob.Position(int(s.from), now)
-	if pt.Dist(pf) > m.par.Range || m.src.Bernoulli(m.par.LossRate) {
+	if !pt.Within(pf, m.par.Range) || m.src.Bernoulli(m.par.LossRate) {
 		m.counters.AcksLost++
 		if m.tap != nil {
 			m.tap.AckLost(now, int(s.to), int(s.from), telemetry.TraceOf(s.payload))
@@ -829,7 +829,7 @@ func (b *bcastSend) RunEvent() {
 		}
 		w.For(n, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
-				in[id] = pf.Dist(m.mob.Position(id, now)) <= m.par.Range
+				in[id] = pf.Within(m.mob.Position(id, now), m.par.Range)
 			}
 		})
 	}
@@ -841,7 +841,7 @@ func (b *bcastSend) RunEvent() {
 		if in != nil {
 			inRange = in[id]
 		} else {
-			inRange = pf.Dist(m.mob.Position(id, now)) <= m.par.Range
+			inRange = pf.Within(m.mob.Position(id, now), m.par.Range)
 		}
 		if !inRange {
 			// Out-of-range receivers of a broadcast are physics, not
@@ -937,7 +937,7 @@ func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
 					continue
 				}
 				p := m.beacons.pos[other]
-				if self.Dist(p) <= m.par.Range {
+				if self.Within(p, m.par.Range) {
 					out = append(out, Neighbor{ID: other, Pos: p})
 				}
 			}

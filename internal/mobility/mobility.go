@@ -9,6 +9,7 @@
 package mobility
 
 import (
+	"math"
 	"sort"
 
 	"alertmanet/internal/geo"
@@ -52,6 +53,7 @@ type leg struct {
 	t0       float64
 	from, to geo.Point
 	speed    float64
+	d        float64 // |to - from|, the divisor of at's travelled fraction
 	arrive   float64 // time the node reaches 'to'
 	pauseEnd float64 // end of post-arrival pause; next leg starts here
 }
@@ -65,10 +67,27 @@ type walker struct {
 	pause    float64
 	start    geo.Point
 	legs     []leg
+	// memo is the owning node's last Position answer. Only the per-node
+	// walkers (RandomWaypoint's, GroupMobility's local ones) use it: a
+	// parallel position sweep touches each of those from one goroutine,
+	// while GroupMobility's reference walkers are read by all of them.
+	memo memo
+}
+
+// memo caches one node's last Position answer, keyed by the exact query
+// time: a broadcast sweep, the zone handlers it triggers and the ARQ
+// arrivals of one event instant all ask for the same (id, t). The key
+// starts as NaN, which equals no query time, so an empty memo never
+// answers (a zero key would answer a first query at t = 0 with the zero
+// point).
+type memo struct {
+	t float64
+	p geo.Point
 }
 
 func newWalker(src *rng.Source, box geo.Rect, minSpeed, maxSpeed, pause float64) *walker {
-	w := &walker{src: src, box: box, minSpeed: minSpeed, maxSpeed: maxSpeed, pause: pause}
+	w := &walker{src: src, box: box, minSpeed: minSpeed, maxSpeed: maxSpeed, pause: pause,
+		memo: memo{t: math.NaN()}}
 	w.start = geo.RandomPoint(box, src)
 	return w
 }
@@ -101,7 +120,7 @@ func (w *walker) extend(t float64) {
 			return
 		}
 		arrive = t0 + d/speed
-		w.legs = append(w.legs, leg{t0: t0, from: cur, to: to, speed: speed,
+		w.legs = append(w.legs, leg{t0: t0, from: cur, to: to, speed: speed, d: d,
 			arrive: arrive, pauseEnd: arrive + w.pause})
 	}
 }
@@ -121,7 +140,7 @@ func (w *walker) at(t float64) geo.Point {
 	if l.speed == 0 || t >= l.arrive {
 		return l.to
 	}
-	frac := (t - l.t0) * l.speed / l.from.Dist(l.to)
+	frac := (t - l.t0) * l.speed / l.d
 	if frac > 1 {
 		frac = 1
 	}
@@ -187,7 +206,11 @@ func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *Rand
 
 // Position implements Model.
 func (m *RandomWaypoint) Position(id int, t float64) geo.Point {
-	return m.walkers[id].at(t + m.warmup)
+	w := m.walkers[id]
+	if t != w.memo.t {
+		w.memo = memo{t: t, p: w.at(t + m.warmup)}
+	}
+	return w.memo.p
 }
 
 // N implements Model.
@@ -302,11 +325,16 @@ func (g *GroupMobility) Prepare(t float64) {
 }
 
 // Position implements Model: reference point plus bounded local offset,
-// clamped to the field.
+// clamped to the field. The answer is memoised on the node's own local
+// walker, never on the shared reference walker.
 func (g *GroupMobility) Position(id int, t float64) geo.Point {
-	ref := g.refs[g.groupOf[id]].at(t)
-	off := g.local[id].at(t)
-	return g.field.Clamp(geo.Point{X: ref.X + off.X, Y: ref.Y + off.Y})
+	l := g.local[id]
+	if t != l.memo.t {
+		ref := g.refs[g.groupOf[id]].at(t)
+		off := l.at(t)
+		l.memo = memo{t: t, p: g.field.Clamp(geo.Point{X: ref.X + off.X, Y: ref.Y + off.Y})}
+	}
+	return l.memo.p
 }
 
 // N implements Model.

@@ -380,3 +380,92 @@ func TestWarmupPreservesContinuity(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionQueryOrderFree pins Position as a pure function of (id, t)
+// whatever order the queries come in, so the per-node memo can never
+// answer for a different instant: every (id, t) must match, bit for bit, a
+// fresh model queried once per id in ascending time. A memo key initialised
+// to zero instead of NaN fails the t=0-first order.
+func TestPositionQueryOrderFree(t *testing.T) {
+	const n = 12
+	cfg := Config{MinSpeed: 1, MaxSpeed: 6, Pause: 2, Warmup: 40}
+	models := map[string]func() Model{
+		"rwp":   func() Model { return NewRandomWaypoint(field, n, cfg, rng.New(31)) },
+		"group": func() Model { return NewGroupMobility(field, n, 3, 150, cfg, rng.New(32)) },
+	}
+	times := []float64{-3, -0.5, 0, 0.25, 1, 7.5, 7.5000001, 60, 333}
+	type query struct {
+		id int
+		t  float64
+	}
+	var forward, backward, byTime, repeated, zeroFirst, negativeFirst []query
+	for id := 0; id < n; id++ {
+		for _, tm := range times {
+			forward = append(forward, query{id, tm})
+			repeated = append(repeated, query{id, tm}, query{id, tm})
+		}
+		for i := len(times) - 1; i >= 0; i-- {
+			backward = append(backward, query{id, times[i]})
+		}
+	}
+	for _, tm := range times {
+		for id := n - 1; id >= 0; id-- {
+			byTime = append(byTime, query{id, tm})
+		}
+	}
+	for id := 0; id < n; id++ {
+		zeroFirst = append(zeroFirst, query{id, 0})
+		negativeFirst = append(negativeFirst, query{id, -1}, query{id, 0})
+	}
+	zeroFirst = append(zeroFirst, backward...)
+	negativeFirst = append(negativeFirst, byTime...)
+	orders := map[string][]query{
+		"repeated":       repeated,
+		"backward":       backward,
+		"interleaved-id": byTime,
+		"t0-first":       zeroFirst,
+		"negative-first": negativeFirst,
+	}
+	same := func(a, b geo.Point) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+			math.Float64bits(a.Y) == math.Float64bits(b.Y)
+	}
+	for name, build := range models {
+		// The reference answers each id from its own fresh model, in
+		// ascending time, so no other query can have touched its state.
+		want := map[query]geo.Point{}
+		for id := 0; id < n; id++ {
+			ref := build()
+			for _, tm := range append([]float64{-1}, times...) {
+				want[query{id, tm}] = ref.Position(id, tm)
+			}
+		}
+		for order, qs := range orders {
+			m := build()
+			for _, q := range qs {
+				if got := m.Position(q.id, q.t); !same(got, want[q]) {
+					t.Fatalf("%s, %s order: Position(%d, %v) = %v, want %v",
+						name, order, q.id, q.t, got, want[q])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPosition times one Position query per op in a forward sweep:
+// every id of a 200-node paper-default random-waypoint field at one
+// instant, then every id again 10 ms later. No (id, t) repeats, so each
+// query misses the memo and evaluates the trajectory.
+func BenchmarkPosition(b *testing.B) {
+	const n = 200
+	m := NewRandomWaypoint(field, n, Fixed(2), rng.New(1))
+	var sink geo.Point
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = m.Position(i%n, float64(i/n)*0.01)
+	}
+	benchSink = sink
+}
+
+var benchSink geo.Point
