@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-sharded vet lint allowlist race cover bench bench-smoke bench-test figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test vet lint allowlist race cover bench bench-smoke bench-test figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -26,19 +26,13 @@ allowlist:
 test:
 	$(GO) test ./...
 
-# The same tier-1 suite with every simulation forced onto 2 engine shards
-# (golden corpus included): the cheap continuous proof that sharding is
-# behaviour-invariant, not just proven by the dedicated invariance tests.
-test-sharded:
-	ALERT_SHARDS=2 $(GO) test ./...
-
 # Race detection over the concurrency-bearing packages (the dynamic
 # backstop for the sharedstate analyzer): the harness worker pools, the
-# sharded event engine, the distributed campaign server (lease queue,
-# HTTP handlers, worker executor pools), the packages the fork-join
-# workers fan out over (medium position sweeps, node construction,
-# mobility walkers), and the live UDP daemons (pump goroutines, control
-# plane, coordinator).
+# distributed campaign server (lease queue, HTTP handlers, worker executor
+# pools), the sim fork-join and the packages it fans out over on large
+# fields (medium position sweeps, node construction, mobility walkers;
+# experiment's TestParallelSweepsIdentical forces a real fork), and the
+# live UDP daemons (pump goroutines, control plane, coordinator).
 race:
 	$(GO) test -race ./internal/experiment ./internal/campaign \
 		./internal/campaign/server ./internal/sim \
@@ -85,9 +79,9 @@ bench-test:
 # of allocs/op — here). ns/op at one iteration is jitter; the 400%
 # tolerance only catches order-of-magnitude blowups.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run NONE . | $(GO) run ./cmd/benchjson > BENCH_pr10.json
-	@echo "wrote BENCH_pr10.json"
-	$(GO) run ./cmd/benchjson -compare -tolerance 400 -allocslack 16 -allocslackpct 0.25 BENCH_pr9.json BENCH_pr10.json
+	$(GO) test -bench=. -benchtime=1x -benchmem -run NONE . | $(GO) run ./cmd/benchjson > BENCH_pr13.json
+	@echo "wrote BENCH_pr13.json"
+	$(GO) run ./cmd/benchjson -compare -tolerance 400 -allocslack 16 -allocslackpct 0.25 BENCH_pr12.json BENCH_pr13.json
 
 # Regenerate every evaluation figure at paper fidelity (30 seeds) as one
 # parallel, resumable campaign: results stream to out/figures-campaign, so a
@@ -166,10 +160,10 @@ fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 
-# BENCH_pr3/pr4/pr6/pr8/pr9/pr10.json are committed comparison baselines,
-# not build outputs — clean only removes the transient artifacts.
-# (bench-smoke regenerates BENCH_pr10.json in place; the committed copy is
-# the blessed baseline for the next generation.)
+# BENCH_pr3/pr4/pr6/pr8/pr9/pr10/pr12.json are committed comparison
+# baselines, not build outputs — clean only removes the transient
+# artifacts. (bench-smoke regenerates BENCH_pr13.json in place; the
+# committed copy is the blessed baseline for the next generation.)
 clean:
 	rm -f test_output.txt bench_output.txt BENCH_pr5.json
 	rm -rf out

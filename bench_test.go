@@ -466,41 +466,31 @@ func BenchmarkEnergyPerDelivered(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput measures the sharded event engine on the
-// 10k-node field it exists for: GPSR (the pure-geographic hot path) on a
-// 7000 m square with light CBR traffic, at 1, 2, 4 and 8 shards. Every
-// shard count simulates the byte-identical run — the determinism contract —
-// so the events/s column is a clean strong-scaling measurement of the
-// fork-join construction and position-sweep phases. On a single-CPU runner
-// the worker degree clamps to 1 and all rows read alike; the scaling claim
-// needs a multi-core machine (see EXPERIMENTS.md, "Sharded engine scaling").
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		// "=" rather than "-": benchjson strips a trailing -N as the
-		// GOMAXPROCS suffix, which would collapse the four rows to one name.
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				sc := experiment.DefaultScenario()
-				sc.Protocol = experiment.GPSR
-				sc.N = 10000
-				sc.Field = geo.Rect{Max: geo.Point{X: 7000, Y: 7000}}
-				sc.Pairs = 40
-				sc.Duration = 5
-				sc.DrainTime = 2
-				sc.Seed = int64(i + 1)
-				sc.Shards = shards
-				res, w, err := experiment.RunWorld(sc, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += w.Eng.Processed()
-				sink = res
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
+// BenchmarkLargeFieldThroughput measures the engine on a 10k-node field:
+// GPSR (the pure-geographic hot path) on a 7000 m square with light CBR
+// traffic. The field is far above the fork floor, so world construction and
+// the position sweeps run on every CPU (sim.For); on a single-CPU runner they
+// stay serial. The run is byte-identical either way, so events/s is a clean
+// measure of the parallel sweeps (see EXPERIMENTS.md, "Parallel sweeps").
+func BenchmarkLargeFieldThroughput(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		sc := experiment.DefaultScenario()
+		sc.Protocol = experiment.GPSR
+		sc.N = 10000
+		sc.Field = geo.Rect{Max: geo.Point{X: 7000, Y: 7000}}
+		sc.Pairs = 40
+		sc.Duration = 5
+		sc.DrainTime = 2
+		sc.Seed = int64(i + 1)
+		res, w, err := experiment.RunWorld(sc, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += w.Eng.Processed()
+		sink = res
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkCampaignThroughput measures the campaign engine's end-to-end

@@ -59,7 +59,6 @@ func main() {
 		pprofFile  = flag.String("pprof", "", "write a CPU profile to this file")
 		traceOut   = flag.String("trace", "", "write a Go execution trace to this file")
 		progress   = flag.Bool("progress", false, "with -seeds > 1, print a line as each seed finishes")
-		shards     = flag.Int("shards", 0, "event-engine shards, power of two (0 = unsharded); results are identical for any value")
 	)
 	flag.Parse()
 
@@ -104,7 +103,6 @@ func main() {
 	sc.Alert.Confirm = *confirm
 	sc.Alert.NAKs = *naks
 	sc.Workload = experiment.WorkloadName(*workload)
-	sc.Shards = *shards
 
 	if err := sc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

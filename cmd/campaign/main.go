@@ -93,7 +93,6 @@ run flags:
   -jobs N       parallel simulation workers (0 = GOMAXPROCS)
   -retries N    execution attempts per cell (default 2)
   -max-events N per-cell event budget, 0 = unlimited (runaway guard)
-  -shards N     event-engine shards per cell, power of two (0 = unsharded)
   -cache-dir D  content-addressed cell cache shared across campaigns
   -o DIR        also render each figure to DIR/<name>.{txt,csv}
   -format F     rendered figure format: text or csv
@@ -143,12 +142,11 @@ func selectFigures(args []string) ([]experiment.Figure, error) {
 
 // engineFlags are the engine-shaping flags run and serve share.
 type engineFlags struct {
-	dir, cacheDir  *string
-	seeds, retries *int
-	jobs, shards   *int
-	maxEvents      *uint64
-	outDir, format *string
-	quiet          *bool
+	dir, cacheDir        *string
+	seeds, retries, jobs *int
+	maxEvents            *uint64
+	outDir, format       *string
+	quiet                *bool
 }
 
 func addEngineFlags(fs *flag.FlagSet) engineFlags {
@@ -158,7 +156,6 @@ func addEngineFlags(fs *flag.FlagSet) engineFlags {
 		jobs:      fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)"),
 		retries:   fs.Int("retries", 2, "execution attempts per cell"),
 		maxEvents: fs.Uint64("max-events", 0, "per-cell event budget (0 = unlimited)"),
-		shards:    fs.Int("shards", 0, "event-engine shards per cell, power of two (0 = unsharded)"),
 		cacheDir:  fs.String("cache-dir", "", "content-addressed cell cache shared across campaigns"),
 		outDir:    fs.String("o", "", "also render each figure to <dir>/<name>.{txt,csv}"),
 		format:    fs.String("format", "text", "rendered figure format: text or csv"),
@@ -181,7 +178,6 @@ func (ef engineFlags) buildEngine() (*campaign.Engine, *campaign.Store, error) {
 		Jobs:      *ef.jobs,
 		Retries:   *ef.retries,
 		MaxEvents: *ef.maxEvents,
-		Shards:    *ef.shards,
 		Store:     store,
 	}
 	if *ef.cacheDir != "" {
@@ -218,9 +214,6 @@ func driveFigures(eng *campaign.Engine, store *campaign.Store, figures []experim
 		for _, sc := range plan.Runs {
 			if eng.MaxEvents != 0 && sc.MaxEvents == 0 {
 				sc.MaxEvents = eng.MaxEvents
-			}
-			if eng.Shards != 0 && sc.Shards == 0 {
-				sc.Shards = eng.Shards
 			}
 			distinct[sc.Hash()] = true
 		}

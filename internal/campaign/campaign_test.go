@@ -196,112 +196,6 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeShardedByteIdentical repeats the kill/resume contract with the
-// engine-level shard stamp active: a sharded campaign killed mid-run must
-// resume to a results.jsonl byte-identical to an uninterrupted sharded run,
-// and — by the sharded engine's determinism contract — every Result must
-// equal the unsharded direct execution of the same cells. The stamp is part
-// of cell identity, so sharded and unsharded campaigns never share cells.
-func TestResumeShardedByteIdentical(t *testing.T) {
-	cells := smallCells(6)
-	const kill = 2
-
-	unsharded, err := experiment.DirectRunner{}.RunBatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamped := cells[0]
-	stamped.Shards = 2
-	if stamped.Hash() == cells[0].Hash() {
-		t.Fatal("Shards must be part of the cell hash once stamped")
-	}
-
-	// Reference: one uninterrupted sharded campaign.
-	fullDir := t.TempDir()
-	fullStore, err := OpenStore(fullDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := &Engine{Store: fullStore, Jobs: 2, Shards: 2}
-	fullRes, err := full.RunBatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fullStore.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(unsharded, fullRes) {
-		t.Fatal("sharded campaign results differ from unsharded direct execution")
-	}
-
-	// Kill a second sharded campaign after the kill-th executed cell.
-	resDir := t.TempDir()
-	store1, err := OpenStore(resDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killed := &Engine{Store: store1, Jobs: 2, Shards: 2}
-	killed.OnCell = func(ev CellEvent) {
-		if ev.Source == "run" && ev.Err == nil && ev.Done >= kill {
-			cancel()
-		}
-	}
-	killed.WithContext(ctx)
-	if _, err := killed.RunBatch(cells); !errors.Is(err, context.Canceled) {
-		t.Fatalf("killed run: want context.Canceled, got %v", err)
-	}
-	if err := store1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fullBytes, err := os.ReadFile(filepath.Join(fullDir, resultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial, err := os.ReadFile(filepath.Join(resDir, resultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial) == 0 || len(partial) >= len(fullBytes) {
-		t.Fatalf("killed store should hold a proper prefix: %d of %d bytes",
-			len(partial), len(fullBytes))
-	}
-	if string(fullBytes[:len(partial)]) != string(partial) {
-		t.Fatal("killed sharded store is not a prefix of the full store")
-	}
-
-	// Resume with the same shard stamp: only the suffix executes, and the
-	// merged file is byte-identical to the uninterrupted sharded run.
-	store2, err := OpenStore(resDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := &Engine{Store: store2, Jobs: 2, Shards: 2}
-	res, err := resumed.RunBatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := resumed.Snapshot()
-	if st.StoreHits != store1.Len() || st.Executed != len(cells)-store1.Len() {
-		t.Fatalf("resume should reuse %d cells and execute the rest, got %+v",
-			store1.Len(), st)
-	}
-	merged, err := os.ReadFile(filepath.Join(resDir, resultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(merged) != string(fullBytes) {
-		t.Fatal("resumed sharded store is not byte-identical to the uninterrupted run")
-	}
-	if !reflect.DeepEqual(fullRes, res) {
-		t.Fatal("resumed sharded results differ from the uninterrupted run")
-	}
-}
-
 // TestStoreRecoversTruncatedLine: a store whose file ends mid-record (the
 // other way a kill can land) reopens cleanly, keeps every complete record,
 // and appends from the cut point.

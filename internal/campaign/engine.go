@@ -75,13 +75,6 @@ type Engine struct {
 	// run whose event count exceeds it). Stamping happens before keying,
 	// so the bound is part of the cell's identity.
 	MaxEvents uint64
-	// Shards, when non-zero, is stamped onto every run cell that does not
-	// set its own: each simulation partitions its field into this many
-	// event-engine shards (experiment.Scenario.Shards). Like MaxEvents it
-	// is stamped before keying, so a sharded campaign and an unsharded one
-	// occupy distinct cache cells even though their results are
-	// byte-identical by the engine's determinism contract.
-	Shards int
 	// Store, when set, receives every resolved cell in request order.
 	Store *Store
 	// Cache, when set, memoizes results across campaigns.
@@ -129,9 +122,6 @@ func (e *Engine) RunBatch(cells []experiment.Scenario) ([]experiment.Result, err
 	for i, sc := range cells {
 		if e.MaxEvents != 0 && sc.MaxEvents == 0 {
 			sc.MaxEvents = e.MaxEvents
-		}
-		if e.Shards != 0 && sc.Shards == 0 {
-			sc.Shards = e.Shards
 		}
 		wrapped[i] = RunCell(sc)
 	}

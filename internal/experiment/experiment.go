@@ -14,7 +14,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 
 	"alertmanet/internal/alarm"
@@ -109,14 +108,6 @@ type Scenario struct {
 	// whose event count exceeds it fails with sim.ErrMaxEvents instead of
 	// hanging — the guard rail for fuzzed or adversarial scenarios.
 	MaxEvents uint64
-	// Shards partitions the event engine into this many spatial shards by
-	// recursive bisection of the field (must be a power of two; same seed
-	// produces byte-identical results for any value). 0, the default,
-	// means single-shard and is omitted from the scenario hash, so
-	// pre-shard result stores and caches stay valid; the ALERT_SHARDS
-	// environment variable supplies a run-time default for scenarios that
-	// leave it 0 without perturbing their hash.
-	Shards int `json:",omitempty"`
 	// NoARQ disables the medium's link-layer ACK/retransmission (sets
 	// medium.Params.Retries to 0), reproducing the fire-and-forget
 	// channel of the pre-ARQ harness for before/after comparisons.
@@ -223,9 +214,6 @@ func (sc Scenario) Validate() error {
 	if sc.LossRate < 0 || sc.LossRate > 1 {
 		return fmt.Errorf("experiment: loss rate must be in [0,1], got %v", sc.LossRate)
 	}
-	if sc.Shards < 0 || (sc.Shards > 0 && sc.Shards&(sc.Shards-1) != 0) {
-		return fmt.Errorf("experiment: shard count must be a power of two, got %d", sc.Shards)
-	}
 	return nil
 }
 
@@ -300,25 +288,6 @@ func Build(sc Scenario) (*World, error) {
 	return buildArena(sc, nil)
 }
 
-// effectiveShards resolves the shard count for a run: an explicit
-// Scenario.Shards wins; otherwise the ALERT_SHARDS environment variable
-// applies (letting CI re-run an unmodified suite sharded without touching
-// any scenario hash); unset means a single shard.
-func effectiveShards(sc Scenario) (int, error) {
-	if sc.Shards > 0 {
-		return sc.Shards, nil
-	}
-	env := os.Getenv("ALERT_SHARDS")
-	if env == "" {
-		return 1, nil
-	}
-	k, err := strconv.Atoi(env)
-	if err != nil || k < 1 || k&(k-1) != 0 {
-		return 0, fmt.Errorf("experiment: ALERT_SHARDS must be a power of two, got %q", env)
-	}
-	return k, nil
-}
-
 // buildArena is Build with optional substrate reuse: a non-nil arena
 // supplies a recycled engine and backs the collector's packet records with
 // its slab.
@@ -335,20 +304,11 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	}
 	eng.SetMaxEvents(sc.MaxEvents)
 
-	shards, err := effectiveShards(sc)
-	if err != nil {
-		return nil, err
-	}
-	eng.SetShards(shards)
-	if deg := min(shards, runtime.GOMAXPROCS(0)); deg > 1 {
-		eng.SetWorkers(sim.NewWorkers(deg))
-	}
-
 	mobCfg := mobility.Fixed(sc.Speed)
-	// Only a genuinely parallel pool goes in as the Forker: the mobility
+	// Only a field large enough to fork gets the Forker: the mobility
 	// constructors keep their allocation-free serial loops on nil.
-	if w := eng.Workers(); w.Degree() > 1 {
-		mobCfg.Fork = w
+	if sim.Forks(sc.N) {
+		mobCfg.Fork = sim.For
 	}
 
 	var mob mobility.Model
@@ -388,16 +348,6 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	med, err := medium.New(eng, mob, par, src)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	if shards > 1 {
-		plan, err := geo.NewShardPlan(sc.Field, shards)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		// The minimum cross-shard event delay is one frame's minimum time
-		// on air: the conservative lookahead of the shard window protocol.
-		eng.SetLookahead(med.MinFrameLatency())
-		med.SetShardPlan(plan)
 	}
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), sc.Costs,
 		node.DefaultConfig(), src)

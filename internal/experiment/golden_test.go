@@ -49,16 +49,9 @@ func resultDigest(r Result) string {
 // goldenRun executes one paper-default run with a full telemetry tap
 // writing straight into a hash, returning the entry that pins it.
 func goldenRun(t *testing.T, proto ProtocolName) goldenEntry {
-	return goldenRunShards(t, proto, 0)
-}
-
-// goldenRunShards is goldenRun on a field partitioned into the given number
-// of event-engine shards (0 = the unsharded default).
-func goldenRunShards(t *testing.T, proto ProtocolName, shards int) goldenEntry {
 	t.Helper()
 	sc := DefaultScenario()
 	sc.Protocol = proto
-	sc.Shards = shards
 
 	h := sha256.New()
 	tap := telemetry.New(h, telemetry.LayerAll)
@@ -130,40 +123,6 @@ func TestGoldenRuns(t *testing.T) {
 		if g.StreamDigest != w.StreamDigest {
 			t.Errorf("%s: telemetry stream digest %s, golden %s — event stream changed",
 				name, g.StreamDigest, w.StreamDigest)
-		}
-	}
-}
-
-// TestGoldenShardInvariance is the sharded engine's determinism contract,
-// enforced against the committed corpus rather than a fresh baseline: every
-// protocol at paper defaults must produce the SAME Result digest and the
-// SAME telemetry stream digest for 2, 4 and 8 shards as the unsharded
-// golden entries. The corpus is deliberately NOT re-blessed for sharding —
-// partitioning the field is an execution strategy, not a behaviour change.
-func TestGoldenShardInvariance(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden corpus: %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
-	for _, proto := range goldenProtocols {
-		w, ok := want[string(proto)]
-		if !ok {
-			t.Fatalf("%s: missing from golden corpus", proto)
-		}
-		for _, shards := range []int{2, 4, 8} {
-			g := goldenRunShards(t, proto, shards)
-			if g.ResultDigest != w.ResultDigest {
-				t.Errorf("%s @ %d shards: Result digest %s, golden %s — sharding changed behaviour",
-					proto, shards, g.ResultDigest, w.ResultDigest)
-			}
-			if g.StreamDigest != w.StreamDigest {
-				t.Errorf("%s @ %d shards: stream digest %s, golden %s — sharding changed the event stream",
-					proto, shards, g.StreamDigest, w.StreamDigest)
-			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // Analyzers returns the full suite in a fresh slice, one analyzer per
 // contract: five determinism/error-discipline analyzers (PR 2) and four
 // memory/goroutine-discipline analyzers guarding the pooled hot path and
-// the coming sharded engine.
+// the fork-join sweeps.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		norawrand.Analyzer,

@@ -1,14 +1,13 @@
 // Package sharedstate defines a goroutine-discipline analyzer for the
-// simulator's single-goroutine substrate types, preparing the ground for the
-// sharded parallel event engine on the roadmap. sim.Engine is a
+// simulator's single-goroutine substrate types. sim.Engine is a
 // single-threaded heap, experiment.Arena is strictly worker-local
 // (engine + record slab reused across one worker's cell stream), and
 // metrics.RecordSlab hands out records that die on Reset — none of them
 // tolerate concurrent access, and none carry locks, by design: the
 // determinism contract wants one goroutine per simulation. Moving any of
 // them onto a new goroutine or across a channel is therefore either a bug
-// today or a synchronization site that must be designed and annotated
-// deliberately (the shard boundaries of the coming engine).
+// or a synchronization site that must be designed and annotated
+// deliberately (the fork-join sweeps of sim.For).
 package sharedstate
 
 import (
@@ -23,8 +22,8 @@ import (
 )
 
 // Marker is the escape-hatch comment: //lint:allowsharedstate <reason>. A
-// reviewed annotation is how a deliberate cross-goroutine hand-off (a future
-// shard boundary with conservative-lookahead synchronization) signs itself.
+// reviewed annotation is how a deliberate cross-goroutine hand-off (a
+// fork-join worker or a harness worker pool) signs itself.
 const Marker = "allowsharedstate"
 
 // guarded lists the single-goroutine substrate types: type name -> owning
@@ -38,12 +37,12 @@ var guarded = []struct {
 	{"RecordSlab", []string{"internal/metrics"}},
 }
 
-// substratePkgs lists the packages forming the sharded engine's concurrency
-// surface: the engine itself, the medium that homes events onto shards, and
-// the two harness layers that fan simulations out over workers. Inside them
-// EVERY go statement and channel send — not just ones moving a guarded
-// type — is a synchronization site of the determinism contract and must
-// carry a reviewed //lint:allowsharedstate annotation stating why the
+// substratePkgs lists the packages forming the simulator's concurrency
+// surface: the engine and its fork-join, the medium that schedules on it,
+// and the two harness layers that fan simulations out over workers. Inside
+// them EVERY go statement and channel send — not just ones moving a
+// guarded type — is a synchronization site of the determinism contract and
+// must carry a reviewed //lint:allowsharedstate annotation stating why the
 // hand-off cannot reorder observable events.
 var substratePkgs = []string{
 	"internal/sim",

@@ -60,10 +60,10 @@ func goodPlainGoroutine(results []float64, i int) {
 	}()
 }
 
-// annotated marks a reviewed synchronization site — the shape a future
-// shard boundary will use — and is accepted.
+// annotated marks a reviewed synchronization site — a hand-off the author
+// has designed deliberately — and is accepted.
 func annotated(eng *sim.Engine, done chan float64) {
-	//lint:allowsharedstate fixture: shard hand-off point, engine quiesced before the send
+	//lint:allowsharedstate fixture: reviewed hand-off point, engine quiesced before the send
 	go func() {
 		done <- eng.Now()
 	}()

@@ -18,8 +18,8 @@ func badPlainSend(next chan int, i int) {
 	next <- i // want `channel send in engine substrate package medium`
 }
 
-// goodAnnotatedWorker is the fork-join shape the sharded engine uses:
-// reviewed, annotated, accepted.
+// goodAnnotatedWorker is the fork-join shape sim.For uses: reviewed,
+// annotated, accepted.
 func goodAnnotatedWorker(results []float64, done chan int) {
 	//lint:allowsharedstate fixture: fork-join worker writes disjoint ranges, joined before return
 	go func() {

@@ -133,11 +133,6 @@ type Counters struct {
 	// successful reception (the retransmission raced a lost ACK); the
 	// handler does not re-fire for them.
 	Duplicates uint64
-	// BorderFrames counts frames (data and ACK) whose sender and receiver
-	// live on different shards of the engine's spatial partition — the
-	// inter-shard traffic the sharded scheduler exchanges through
-	// mailboxes. Zero without a shard plan.
-	BorderFrames uint64
 	// TxBytes and RxBytes accumulate payload bytes transmitted and
 	// received (energy accounting).
 	TxBytes uint64
@@ -194,15 +189,6 @@ type Medium struct {
 	// unicast or broadcast allocates nothing.
 	arqFree   []*arqSend
 	bcastFree []*bcastSend
-	// plan and homes, when set, map each node to the engine shard owning
-	// its events (static: positions at t=0); frame events are homed on the
-	// shard of the node they happen at, so a frame between nodes of
-	// different shards becomes an inter-shard message.
-	plan  *geo.ShardPlan
-	homes []int
-	// bcastIn is the reusable in-range mask for the broadcast sweep's
-	// parallel distance-filter phase.
-	bcastIn []bool
 	// txByNode counts transmissions per node (load-balance metrics).
 	txByNode []uint64
 	// tap, when non-nil, observes every frame/ACK transmission, reception
@@ -227,7 +213,7 @@ type posGrid struct {
 	lo, hi [2]int
 }
 
-func (g *posGrid) rebuild(mob mobility.Model, at, cell float64, w *sim.Workers) {
+func (g *posGrid) rebuild(mob mobility.Model, at, cell float64) {
 	n := mob.N()
 	if g.pos == nil {
 		g.pos = make([]geo.Point, n)
@@ -240,16 +226,12 @@ func (g *posGrid) rebuild(mob mobility.Model, at, cell float64, w *sim.Workers) 
 	}
 	g.live = g.live[:0]
 	g.cell = cell
-	// Phase 1: evaluate every position. Each walker's trajectory extension
-	// draws only from its own rng stream and depends only on the query
-	// time, so disjoint id ranges can sweep concurrently (after Prepare
-	// extends any shared reference trajectories) without changing a single
-	// drawn value.
-	evalPositions(mob, at, g.pos[:n], w)
-	// Phase 2: bucket ids 0..n-1 in order, so bucket contents stay in
-	// ascending id order — the determinism the query paths rely on.
+	// Bucket ids 0..n-1 in order, so bucket contents stay in ascending id
+	// order — the determinism the query paths rely on.
 	for id := 0; id < n; id++ {
-		key := g.key(g.pos[id])
+		p := mob.Position(id, at)
+		g.pos[id] = p
+		key := g.key(p)
 		bucket := g.grid[key]
 		if len(bucket) == 0 {
 			g.live = append(g.live, key)
@@ -270,27 +252,6 @@ func (g *posGrid) key(p geo.Point) [2]int {
 	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
 }
 
-// evalPositions fills dst[id] = mob.Position(id, at) for every id, forking
-// across the worker pool when it has parallel degree. Writes are disjoint
-// per id; Prepare (when the model has shared lazy state) runs first so the
-// concurrent sweep only reads it.
-func evalPositions(mob mobility.Model, at float64, dst []geo.Point, w *sim.Workers) {
-	if w != nil && w.Degree() > 1 {
-		if p, ok := mob.(mobility.Preparer); ok {
-			p.Prepare(at)
-		}
-		w.For(len(dst), func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				dst[id] = mob.Position(id, at)
-			}
-		})
-		return
-	}
-	for id := range dst {
-		dst[id] = mob.Position(id, at)
-	}
-}
-
 // beaconCache is one hello tick's position snapshot bucketed into cells of
 // side Range. The tick is the integer beacon index, so cache-hit detection
 // is an exact integer compare rather than a float one.
@@ -303,7 +264,7 @@ type beaconCache struct {
 func (b *beaconCache) build(m *Medium, tick int) {
 	b.tick = tick
 	b.valid = true
-	b.rebuild(m.mob, float64(tick)*m.par.HelloInterval, m.par.Range, m.eng.Workers())
+	b.rebuild(m.mob, float64(tick)*m.par.HelloInterval, m.par.Range)
 }
 
 // New creates a medium over the given mobility model. Non-positive radio
@@ -341,46 +302,6 @@ func MustNew(eng *sim.Engine, mob mobility.Model, par Params, src *rng.Source) *
 
 // Params returns the channel configuration.
 func (m *Medium) Params() Params { return m.par }
-
-// MinFrameLatency returns the minimum delay any frame spends on air — the
-// transmission time of a one-byte frame at the channel bitrate, with zero
-// contention jitter. Every cross-shard event the medium schedules (frame
-// arrivals, ACKs, retry backoffs) carries at least this delay, so it is the
-// conservative lookahead bound for the sharded engine's window protocol.
-func (m *Medium) MinFrameLatency() float64 { return 8 / m.par.Bitrate }
-
-// SetShardPlan assigns every node a home shard from the partition plan by
-// its position at time 0 and homes all subsequent frame events accordingly:
-// a data frame's arrival runs on the receiver's shard, the ACK and any
-// retransmission on the sender's, a broadcast sweep on the sender's. The
-// plan's shard count must match the engine's. Call before any traffic;
-// a nil plan restores single-shard homing.
-func (m *Medium) SetShardPlan(plan *geo.ShardPlan) {
-	if plan == nil {
-		m.plan = nil
-		m.homes = nil
-		return
-	}
-	if plan.Shards() != m.eng.Shards() {
-		//lint:allowpanic a plan/engine shard-count mismatch is always a harness wiring bug; frames would be homed onto shards that do not exist
-		panic(fmt.Sprintf("medium: plan has %d shards, engine %d", plan.Shards(), m.eng.Shards()))
-	}
-	m.plan = plan
-	if m.homes == nil {
-		m.homes = make([]int, m.mob.N())
-	}
-	for id := range m.homes {
-		m.homes[id] = plan.ShardOf(m.mob.Position(id, 0))
-	}
-}
-
-// homeOf returns the engine shard owning a node's events (0 without a plan).
-func (m *Medium) homeOf(id NodeID) int {
-	if m.homes == nil {
-		return 0
-	}
-	return m.homes[id]
-}
 
 // SetLossRate changes the random-loss probability mid-run; experiments use
 // it to inject failure windows (e.g. jamming intervals).
@@ -634,13 +555,7 @@ func (s *arqSend) attempt() float64 {
 	}
 	at := m.eng.Now() + m.txDelay(s.size)
 	s.phase = arqPhaseArrive
-	// The arrival happens at the receiver, so its event runs on the
-	// receiver's shard; a border frame crosses there through the engine's
-	// mailbox (txDelay >= MinFrameLatency keeps the lookahead contract).
-	if m.homeOf(s.from) != m.homeOf(s.to) {
-		m.counters.BorderFrames++
-	}
-	m.eng.AtRunnerOn(m.homeOf(s.to), at, s)
+	m.eng.AtRunner(at, s)
 	return at
 }
 
@@ -711,11 +626,7 @@ func (s *arqSend) sendAck() {
 		m.tap.AckTx(m.eng.Now(), int(s.to), int(s.from), telemetry.TraceOf(s.payload))
 	}
 	s.phase = arqPhaseAck
-	// The ACK arrives back at the original sender: home its event there.
-	if m.homeOf(s.from) != m.homeOf(s.to) {
-		m.counters.BorderFrames++
-	}
-	m.eng.AtRunnerOn(m.homeOf(s.from), m.eng.Now()+m.txDelay(m.par.AckSize), s)
+	m.eng.ScheduleRunner(m.txDelay(m.par.AckSize), s)
 }
 
 // ackArrive is the ACK frame reaching (or missing) the original sender.
@@ -753,11 +664,7 @@ func (s *arqSend) retryOrFail() {
 	}
 	backoff := m.par.RetryBackoff * math.Pow(2, float64(s.attempts-1))
 	s.phase = arqPhaseRetry
-	// The retransmission happens at the sender. When retryOrFail runs in a
-	// data-frame arrival (receiver's shard), this crosses back; the backoff
-	// (>= RetryBackoff >= MinFrameLatency at any sane bitrate) keeps the
-	// lookahead contract.
-	m.eng.ScheduleRunnerOn(m.homeOf(s.from), backoff, s)
+	m.eng.ScheduleRunner(backoff, s)
 }
 
 // Broadcast transmits payload to every node within Range of the sender at
@@ -787,9 +694,7 @@ func (m *Medium) Broadcast(from NodeID, payload any, size int) float64 {
 		b = new(bcastSend)
 	}
 	*b = bcastSend{m: m, from: from, payload: payload, size: size}
-	// The delivery sweep reads every receiver's position at once, so it
-	// runs on the sender's shard regardless of who is in range.
-	m.eng.AtRunnerOn(m.homeOf(from), at, b)
+	m.eng.AtRunner(at, b)
 	return at
 }
 
@@ -803,47 +708,20 @@ type bcastSend struct {
 	size    int
 }
 
-// RunEvent implements sim.Runner: the frame reaches every node in range.
-// The range filter — every receiver's position against the sender's — is
-// pure per-node geometry, so it forks across the worker pool; deliveries
-// then run sequentially in ascending id order, which keeps the loss-coin
-// draw sequence (one draw per in-range receiver) byte-identical to the
-// serial sweep.
+// RunEvent implements sim.Runner: the frame reaches every node in range,
+// in ascending id order. The sweep stays serial even on large fields:
+// forking its ~25 ns of work per node costs more than it saves (see
+// EXPERIMENTS.md, "Parallel sweeps").
 func (b *bcastSend) RunEvent() {
 	m := b.m
 	from, payload, size := b.from, b.payload, b.size
 	now := m.eng.Now()
 	pf := m.mob.Position(int(from), now)
-	n := len(m.handlers)
-	// The in-range mask exists only for the parallel sweep; the serial
-	// path checks distance inline during delivery (and so allocates
-	// nothing, mask included).
-	var in []bool
-	if w := m.eng.Workers(); w.Degree() > 1 {
-		if cap(m.bcastIn) < n {
-			m.bcastIn = make([]bool, n)
-		}
-		in = m.bcastIn[:n]
-		if p, ok := m.mob.(mobility.Preparer); ok {
-			p.Prepare(now)
-		}
-		w.For(n, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				in[id] = pf.Within(m.mob.Position(id, now), m.par.Range)
-			}
-		})
-	}
 	for id := range m.handlers {
 		if NodeID(id) == from {
 			continue
 		}
-		inRange := false
-		if in != nil {
-			inRange = in[id]
-		} else {
-			inRange = pf.Within(m.mob.Position(id, now), m.par.Range)
-		}
-		if !inRange {
+		if !pf.Within(m.mob.Position(id, now), m.par.Range) {
 			// Out-of-range receivers of a broadcast are physics, not
 			// loss: emitting one event per distant node would add
 			// ~N lines per broadcast with no diagnostic value, so
@@ -961,7 +839,7 @@ func (m *Medium) nowGrid() *posGrid {
 	now := m.eng.Now()
 	//lint:allowfloatcompare the cache key is the exact engine clock instant; any clock advance must invalidate
 	if !m.nowValid || m.nowAt != now {
-		m.nowPos.rebuild(m.mob, now, m.par.Range, m.eng.Workers())
+		m.nowPos.rebuild(m.mob, now, m.par.Range)
 		m.nowAt = now
 		m.nowValid = true
 	}

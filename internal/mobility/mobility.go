@@ -28,24 +28,13 @@ type Model interface {
 }
 
 // Forker runs fn over a disjoint partition of [0, n) and returns when every
-// call has — satisfied by *sim.Workers without importing it. Construction
-// loops whose per-index work is independent (per-node walkers with private
-// split rng streams) use it to build large fields on all cores; a nil
-// Forker means serial. Constructors branch on nil rather than funnel
-// through a helper so the serial path allocates no closures.
-type Forker interface {
-	For(n int, fn func(lo, hi int))
-}
-
-// Preparer is implemented by models whose Position reads shared lazily
-// extended state (GroupMobility's group reference trajectories). Prepare
-// extends that state through time t, so subsequent Position calls at times
-// <= t mutate only per-id state and may safely run concurrently over
-// disjoint id ranges. Models without shared state (RandomWaypoint's and
-// Static's per-node state is already disjoint) do not implement it.
-type Preparer interface {
-	Prepare(t float64)
-}
+// call has — sim.For has this shape, and the func type lets the harness
+// pass it in without this package importing sim. Construction loops whose
+// per-index work is independent (per-node walkers with private split rng
+// streams) use it to build large fields on all cores; a nil Forker means
+// serial. Constructors branch on nil rather than funnel through a helper so
+// the serial path allocates no closures.
+type Forker func(n int, fn func(lo, hi int))
 
 // leg is one straight movement segment: travel from 'from' toward 'to'
 // starting at t0, then pause until pauseEnd.
@@ -68,9 +57,9 @@ type walker struct {
 	start    geo.Point
 	legs     []leg
 	// memo is the owning node's last Position answer. Only the per-node
-	// walkers (RandomWaypoint's, GroupMobility's local ones) use it: a
-	// parallel position sweep touches each of those from one goroutine,
-	// while GroupMobility's reference walkers are read by all of them.
+	// walkers (RandomWaypoint's, GroupMobility's local ones) use it;
+	// GroupMobility's reference walkers serve a whole group, and their
+	// answer is folded into each member's memo instead.
 	memo memo
 }
 
@@ -195,7 +184,7 @@ func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *Rand
 		}
 		return m
 	}
-	cfg.Fork.For(n, func(lo, hi int) {
+	cfg.Fork(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field,
 				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
@@ -299,13 +288,13 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
 		}
 		return g
 	}
-	cfg.Fork.For(numGroups, func(lo, hi int) {
+	cfg.Fork(numGroups, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField,
 				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
 		}
 	})
-	cfg.Fork.For(n, func(lo, hi int) {
+	cfg.Fork(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g.groupOf[i] = i * numGroups / n
 			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox,
@@ -313,15 +302,6 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
 		}
 	})
 	return g
-}
-
-// Prepare implements Preparer: it extends every group's shared reference
-// trajectory through time t, after which Position calls at times <= t only
-// read the reference legs and mutate the caller's own local walker.
-func (g *GroupMobility) Prepare(t float64) {
-	for _, r := range g.refs {
-		r.extend(t)
-	}
 }
 
 // Position implements Model: reference point plus bounded local offset,

@@ -93,13 +93,13 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite crypt.Suite,
 	}
 	n := med.N()
 	net.Nodes = make([]*Node, n)
-	// Per-node creation forks across the engine's worker pool: each node's
-	// rng stream, key pair and initial pseudonym derive only from
-	// index-split sources (SplitIndex reads the immutable parent seed), so
-	// the built world is byte-identical for any worker degree. The serial
-	// degree keeps its own loop so an unsharded build allocates no closure.
-	if w := eng.Workers(); w.Degree() > 1 {
-		w.For(n, func(lo, hi int) {
+	// Per-node creation forks on large fields: each node's rng stream, key
+	// pair and initial pseudonym derive only from index-split sources
+	// (SplitIndex reads the immutable parent seed), so the built world is
+	// byte-identical for any degree. The serial path keeps its own loop so
+	// a small build allocates no closure.
+	if sim.Forks(n) {
+		sim.For(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				nd := &Node{
 					ID:  medium.NodeID(i),

@@ -145,62 +145,27 @@ func TestEngineTap(t *testing.T) {
 	}
 }
 
-// checkInvariants asserts the structural contract between the shard heaps,
-// the mailboxes and the byID index: same membership, correct back-pointers,
-// no dead entries outside mailboxes.
+// checkInvariants asserts the structural contract between the heap and the
+// byID index: same membership and correct back-pointers.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
-	total := 0
-	for s := range e.heaps {
-		total += len(e.heaps[s])
-		for i, ev := range e.heaps[s] {
-			if ev.idx != i {
-				t.Fatalf("event %d stores idx %d at heap position %d", ev.id, ev.idx, i)
-			}
-			if ev.home != s {
-				t.Fatalf("event %d homed on shard %d found in heap %d", ev.id, ev.home, s)
-			}
-			if ev.dead {
-				t.Fatalf("dead event %d still in heap", ev.id)
-			}
-			if e.byID[ev.id] != ev {
-				t.Fatalf("event %d in heap but not indexed", ev.id)
-			}
+	for i, ev := range e.queue {
+		if ev.idx != i {
+			t.Fatalf("event %d stores idx %d at heap position %d", ev.id, ev.idx, i)
+		}
+		if e.byID[ev.id] != ev {
+			t.Fatalf("event %d in heap but not indexed", ev.id)
 		}
 	}
-	mailed := 0
-	for s := range e.mail {
-		for _, ev := range e.mail[s] {
-			mailed++
-			if ev.idx >= 0 {
-				t.Fatalf("mailboxed event %d claims heap index %d", ev.id, ev.idx)
-			}
-			if !ev.dead {
-				if ev.home != s {
-					t.Fatalf("event %d homed on shard %d found in mailbox %d", ev.id, ev.home, s)
-				}
-				if e.byID[ev.id] != ev {
-					t.Fatalf("live event %d in mailbox but not indexed", ev.id)
-				}
-				total++
-			}
-		}
-	}
-	if mailed != e.mailCount {
-		t.Fatalf("mailboxes hold %d entries, mailCount says %d", mailed, e.mailCount)
-	}
-	if total != len(e.byID) {
-		t.Fatalf("queues hold %d live events, byID has %d", total, len(e.byID))
+	if len(e.queue) != len(e.byID) {
+		t.Fatalf("heap holds %d events, byID has %d", len(e.queue), len(e.byID))
 	}
 }
 
 // FuzzSchedule drives the engine with an arbitrary interleaving of
 // Schedule, Cancel and TickerUntil operations, then checks that the heap
 // and the byID index stay consistent, cancelled events never fire, and all
-// events fire in nondecreasing time order with FIFO tie-breaking. The same
-// program is then replayed differentially on sharded engines (2 and 4
-// shards, with cross-shard chains and in-flight cancels layered on): the
-// fire log must be byte-identical to the single-shard interpretation.
+// events fire in nondecreasing time order with FIFO tie-breaking.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 1, 0, 2, 9})
 	f.Add([]byte{2, 3, 2, 7, 1, 1, 0, 0, 0, 0})
@@ -294,14 +259,6 @@ func FuzzSchedule(f *testing.F) {
 				t.Fatalf("event %d fired %d times, want %d (cancelled=%v)",
 					id, firedSet[id], want, cancelled[id])
 			}
-		}
-
-		// Differential: the same program, reinterpreted with round-robin
-		// shard homes and cross-shard chains, must fire identically for
-		// every shard count.
-		ref := runShardProgram(t, 1, program)
-		for _, k := range []int{2, 4} {
-			compareFireLogs(t, k, ref, runShardProgram(t, k, program))
 		}
 	})
 }

@@ -5,11 +5,9 @@
 // evaluation scenario executes in milliseconds of wall time and is exactly
 // reproducible from its seed.
 //
-// The engine can be partitioned into K spatial shards (SetShards), each with
-// its own event heap and cross-shard mailbox, synchronized by a conservative
-// lookahead window (SetLookahead). See the "Sharded engine" section of
-// DESIGN.md for the barrier protocol and why the determinism contract — same
-// seed, byte-identical results for any shard count — survives it.
+// The event loop is sequential. The only parallelism is For, a fork-join
+// over pure per-index loops that the world build uses on large fields; see
+// the "Parallel sweeps" section of DESIGN.md.
 package sim
 
 import (
@@ -36,14 +34,12 @@ type Runner interface {
 }
 
 type event struct {
-	at   Time
-	seq  uint64 // FIFO tie-break for simultaneous events
-	id   EventID
-	fn   func()
-	run  Runner // non-nil takes precedence over fn
-	dead bool
-	home int // owning shard: index into Engine.heaps
-	idx  int // index in the shard heap; -1 while parked in a mailbox
+	at  Time
+	seq uint64 // FIFO tie-break for simultaneous events
+	id  EventID
+	fn  func()
+	run Runner // non-nil takes precedence over fn
+	idx int    // index in the heap
 }
 
 type eventHeap []*event
@@ -76,47 +72,14 @@ func (h *eventHeap) Pop() any {
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable;
-// construct with NewEngine (one shard) or NewShardedEngine.
-//
-// Events always execute one at a time in global (time, seq) order — the
-// determinism contract fixes that order regardless of shard count — but the
-// pending queue is partitioned into per-shard heaps joined by a K-way merge,
-// and cross-shard schedules made during event execution are exchanged
-// through per-shard mailboxes at conservative-lookahead window boundaries.
+// construct with NewEngine. Events execute one at a time in (time, seq)
+// order off a single binary heap.
 type Engine struct {
 	now    Time
 	seq    uint64
 	nextID EventID
-	// heaps holds one event heap per shard; len(heaps) >= 1 always. The
-	// single-shard engine is the K=1 case of the same machinery.
-	heaps []eventHeap
-	// mail parks events scheduled across shards during execution until the
-	// current lookahead window closes; mailCount counts parked events.
-	mail      [][]*event
-	mailCount int
-	// heap0 and mail0 back heaps/mail inline for the single-shard
-	// configuration, so an unsharded engine pays no slice-header
-	// allocations over the pre-sharding scheduler; SetShards(k > 1)
-	// switches to heap-allocated arrays.
-	heap0 [1]eventHeap
-	mail0 [1][]*event
-	// windowEnd is the exclusive end of the current lookahead window:
-	// head-of-merge time + lookahead, refreshed whenever the merge head
-	// crosses it (after draining mailboxes).
-	windowEnd Time
-	// lookahead is the conservative bound: no cross-shard schedule may land
-	// sooner than lookahead after the scheduling instant. Derived by the
-	// caller from the minimum cross-shard propagation delay (medium's
-	// minimum frame latency).
-	lookahead Time
-	// executing is true while an event body runs; curShard is that event's
-	// shard, inherited by any event it schedules without an explicit home.
-	executing bool
-	curShard  int
-	// crossShard counts cross-shard (mailboxed) schedules — the border
-	// traffic the shard partition exchanges.
-	crossShard uint64
-	byID       map[EventID]*event
+	queue  eventHeap
+	byID   map[EventID]*event
 	// Processed counts events executed; useful for progress accounting
 	// and loop-protection in tests.
 	processed uint64
@@ -129,69 +92,26 @@ type Engine struct {
 	// free recycles fired and cancelled event structs; steady-state
 	// scheduling allocates nothing once the pool has warmed up.
 	free []*event
-	// workers is the fork-join helper for golden-safe parallel phases
-	// (world build, grid rebuilds); never nil after NewEngine.
-	workers *Workers
 }
 
-// ShardedEngine is an Engine whose event queue is partitioned into K spatial
-// shards. It is an alias, not a separate scheduler: sharding cannot change
-// the execution order (the golden corpus pins it byte-for-byte), so the
-// sharded engine is the same K-way machinery Engine always runs, configured
-// with K > 1 heaps, a lookahead window, and a worker pool for the parallel
-// phases.
-type ShardedEngine = Engine
-
-// NewEngine returns a single-shard engine with the clock at 0.
+// NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
-	e := &Engine{
-		byID:    make(map[EventID]*event),
-		workers: serialWorkers,
-	}
-	e.heaps = e.heap0[:1]
-	e.mail = e.mail0[:1]
-	return e
-}
-
-// NewShardedEngine returns an engine partitioned into k shard heaps with the
-// given conservative lookahead. Equivalent to NewEngine followed by
-// SetShards and SetLookahead.
-func NewShardedEngine(k int, lookahead Time) *ShardedEngine {
-	e := NewEngine()
-	e.SetShards(k)
-	e.SetLookahead(lookahead)
-	return e
+	return &Engine{byID: make(map[EventID]*event)}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Reset returns the engine to the NewEngine state — clock at 0, one shard,
-// no pending events, no tap, no budget — while keeping its allocated
-// capacity (heap backing arrays, id map, event free pool). Campaign workers
-// reuse one engine across seeds so successive runs stop paying the warm-up
+// Reset returns the engine to the NewEngine state — clock at 0, no pending
+// events, no tap, no budget — while keeping its allocated capacity (heap
+// backing array, id map, event free pool). Campaign workers reuse one
+// engine across seeds so successive runs stop paying the warm-up
 // allocations of a fresh engine.
 func (e *Engine) Reset() {
-	for i := range e.heaps {
-		for _, ev := range e.heaps[i] {
-			e.recycle(ev)
-		}
-		e.heaps[i] = e.heaps[i][:0]
+	for _, ev := range e.queue {
+		e.recycle(ev)
 	}
-	for i := range e.mail {
-		for _, ev := range e.mail[i] {
-			e.recycle(ev)
-		}
-		e.mail[i] = e.mail[i][:0]
-	}
-	e.heaps = e.heaps[:1]
-	e.mail = e.mail[:1]
-	e.mailCount = 0
-	e.windowEnd = 0
-	e.lookahead = 0
-	e.executing = false
-	e.curShard = 0
-	e.crossShard = 0
+	e.queue = e.queue[:0]
 	clear(e.byID)
 	e.now = 0
 	e.seq = 0
@@ -199,68 +119,7 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.maxEvents = 0
 	e.tap = nil
-	e.workers = serialWorkers
 }
-
-// SetShards partitions the pending queue into k per-shard heaps (k >= 1).
-// Must be called with no events pending — reconfiguring a live queue would
-// orphan events' shard homes.
-func (e *Engine) SetShards(k int) {
-	if k < 1 {
-		//lint:allowpanic a non-positive shard count is always a construction bug; no run can proceed without a queue
-		panic(fmt.Sprintf("sim: shard count %d < 1", k))
-	}
-	if len(e.byID) != 0 || e.executing {
-		//lint:allowpanic resharding a live queue would orphan events' shard homes; always a harness sequencing bug
-		panic("sim: SetShards with events pending")
-	}
-	for k > cap(e.heaps) {
-		e.heaps = append(e.heaps[:cap(e.heaps)], nil)
-	}
-	e.heaps = e.heaps[:k]
-	for k > cap(e.mail) {
-		e.mail = append(e.mail[:cap(e.mail)], nil)
-	}
-	e.mail = e.mail[:k]
-}
-
-// Shards returns the number of shard heaps (>= 1).
-func (e *Engine) Shards() int { return len(e.heaps) }
-
-// SetLookahead sets the conservative synchronization bound: the minimum
-// delay any cross-shard schedule is guaranteed to carry. Cross-shard events
-// scheduled during execution are parked in the target shard's mailbox and
-// drained when the merge head reaches the current window end (window start +
-// lookahead); the bound guarantees no parked event can land inside the
-// window being executed. Zero (the default) degrades to draining at every
-// merge step, which is still correct, just without batching.
-func (e *Engine) SetLookahead(l Time) {
-	if l < 0 || math.IsNaN(l) {
-		//lint:allowpanic a negative lookahead would unsound the window protocol; always a construction bug
-		panic(fmt.Sprintf("sim: invalid lookahead %v", l))
-	}
-	e.lookahead = l
-}
-
-// Lookahead returns the configured cross-shard synchronization bound.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// CrossShardScheduled returns how many schedules crossed a shard boundary
-// (were exchanged through a mailbox) — the border traffic of the partition.
-func (e *Engine) CrossShardScheduled() uint64 { return e.crossShard }
-
-// SetWorkers attaches the fork-join worker pool the engine's substrate
-// (world build, medium grid rebuilds) uses for golden-safe parallel phases.
-// A nil pool restores the serial default.
-func (e *Engine) SetWorkers(w *Workers) {
-	if w == nil {
-		w = serialWorkers
-	}
-	e.workers = w
-}
-
-// Workers returns the engine's fork-join pool; never nil.
-func (e *Engine) Workers() *Workers { return e.workers }
 
 // Pending returns the number of scheduled, uncancelled events.
 func (e *Engine) Pending() int { return len(e.byID) }
@@ -310,11 +169,9 @@ func (e *Engine) Schedule(delay Time, fn func()) EventID {
 	return e.At(e.now+delay, fn)
 }
 
-// At runs fn at the absolute time t (>= Now). The event lives on the shard
-// of the event currently executing (shard 0 outside execution); use AtOn to
-// home it elsewhere.
+// At runs fn at the absolute time t (>= Now).
 func (e *Engine) At(t Time, fn func()) EventID {
-	return e.schedule(t, fn, nil, e.curShard)
+	return e.schedule(t, fn, nil)
 }
 
 // ScheduleRunner runs r after the given delay (>= 0), like Schedule but
@@ -329,43 +186,13 @@ func (e *Engine) ScheduleRunner(delay Time, r Runner) EventID {
 // AtRunner runs r at the absolute time t (>= Now); the Runner counterpart
 // of At.
 func (e *Engine) AtRunner(t Time, r Runner) EventID {
-	return e.schedule(t, nil, r, e.curShard)
+	return e.schedule(t, nil, r)
 }
 
-// ScheduleOn runs fn after delay on the given shard; the homed counterpart
-// of Schedule. Callers (the medium) home a frame's arrival on the receiving
-// node's shard; when that crosses a shard boundary during execution, the
-// delay must be at least the engine's lookahead.
-func (e *Engine) ScheduleOn(home int, delay Time, fn func()) EventID {
-	e.checkDelay(delay)
-	return e.schedule(e.now+delay, fn, nil, home)
-}
-
-// AtOn runs fn at absolute time t on the given shard.
-func (e *Engine) AtOn(home int, t Time, fn func()) EventID {
-	return e.schedule(t, fn, nil, home)
-}
-
-// ScheduleRunnerOn runs r after delay on the given shard; the homed,
-// allocation-free form the medium's ARQ uses for border frames.
-func (e *Engine) ScheduleRunnerOn(home int, delay Time, r Runner) EventID {
-	e.checkDelay(delay)
-	return e.schedule(e.now+delay, nil, r, home)
-}
-
-// AtRunnerOn runs r at absolute time t on the given shard.
-func (e *Engine) AtRunnerOn(home int, t Time, r Runner) EventID {
-	return e.schedule(t, nil, r, home)
-}
-
-func (e *Engine) schedule(t Time, fn func(), r Runner, home int) EventID {
+func (e *Engine) schedule(t Time, fn func(), r Runner) EventID {
 	if t < e.now {
 		//lint:allowpanic scheduling into the past is always a protocol-logic bug; no caller can meaningfully recover mid-event
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	if home < 0 || home >= len(e.heaps) {
-		//lint:allowpanic a shard home outside the partition is always a wiring bug between the planner and the medium
-		panic(fmt.Sprintf("sim: schedule on shard %d of %d", home, len(e.heaps)))
 	}
 	e.seq++
 	e.nextID++
@@ -374,26 +201,11 @@ func (e *Engine) schedule(t Time, fn func(), r Runner, home int) EventID {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r, home: home}
+		*ev = event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r}
 	} else {
-		ev = &event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r, home: home}
+		ev = &event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r}
 	}
-	if e.executing && home != e.curShard {
-		// Cross-shard hand-off: the conservative-lookahead contract says
-		// this event cannot land inside the window being executed. Enforce
-		// it here — a violation would silently corrupt the merge order.
-		if t < e.windowEnd {
-			//lint:allowpanic a cross-shard schedule inside the open window violates the lookahead bound the caller declared; executing it would corrupt the global event order
-			panic(fmt.Sprintf("sim: cross-shard schedule at %v inside window ending %v (lookahead %v)",
-				t, e.windowEnd, e.lookahead))
-		}
-		ev.idx = -1
-		e.mail[home] = append(e.mail[home], ev)
-		e.mailCount++
-		e.crossShard++
-	} else {
-		heap.Push(&e.heaps[home], ev)
-	}
+	heap.Push(&e.queue, ev)
 	e.byID[ev.id] = ev
 	if e.tap != nil {
 		e.tap.SimScheduled(e.now, t, uint64(ev.id))
@@ -421,101 +233,27 @@ func (e *Engine) Cancel(id EventID) {
 		return
 	}
 	delete(e.byID, id)
-	ev.dead = true
-	if ev.idx >= 0 {
-		heap.Remove(&e.heaps[ev.home], ev.idx)
-		e.recycle(ev)
-	}
-	// A mailboxed event (idx < 0) stays parked and is recycled when its
-	// mailbox drains; recycling it here would let the pool hand the same
-	// struct out twice.
+	heap.Remove(&e.queue, ev.idx)
+	e.recycle(ev)
 	if e.tap != nil {
 		e.tap.SimCancelled(e.now, uint64(id))
 	}
 }
 
-// drainMail moves every parked cross-shard event into its shard heap,
-// recycling the ones cancelled while parked. Called only at window
-// boundaries (merge head past windowEnd) or when every heap is empty; the
-// lookahead contract enforced at schedule time guarantees no drained event
-// predates the window just executed.
-func (e *Engine) drainMail() {
-	for i := range e.mail {
-		for j, ev := range e.mail[i] {
-			e.mail[i][j] = nil
-			if ev.dead {
-				e.recycle(ev)
-				continue
-			}
-			heap.Push(&e.heaps[i], ev)
-		}
-		e.mail[i] = e.mail[i][:0]
-	}
-	e.mailCount = 0
-}
-
-// peek returns the shard whose heap head is the next event in global
-// (time, seq) order, draining mailboxes at window boundaries and refreshing
-// the window. Returns -1 when no events remain anywhere.
-func (e *Engine) peek() int {
-	for {
-		best := -1
-		var bestEv *event
-		for i := range e.heaps {
-			if len(e.heaps[i]) == 0 {
-				continue
-			}
-			ev := e.heaps[i][0]
-			//lint:allowfloatcompare K-way merge on stored timestamps: same copied-value ordering as the heap's Less, ties fall through to the FIFO seq tie-break exactly
-			if best < 0 || ev.at < bestEv.at || (ev.at == bestEv.at && ev.seq < bestEv.seq) {
-				best, bestEv = i, ev
-			}
-		}
-		if best < 0 {
-			if e.mailCount == 0 {
-				return -1
-			}
-			e.drainMail()
-			continue
-		}
-		if bestEv.dead {
-			// Defensive: Cancel removes heap events eagerly, so a dead head
-			// should be unreachable — but if one ever appears, recycle it
-			// instead of leaking it from the pool.
-			heap.Pop(&e.heaps[best])
-			e.recycle(bestEv)
-			continue
-		}
-		if bestEv.at >= e.windowEnd {
-			if e.mailCount > 0 {
-				// Window boundary: exchange parked border events before
-				// opening the next window — one may precede this head.
-				e.drainMail()
-				continue
-			}
-			e.windowEnd = bestEv.at + e.lookahead
-		}
-		return best
-	}
-}
-
-// execute pops the head of shard s and runs its body.
-func (e *Engine) execute(s int) {
-	ev := heap.Pop(&e.heaps[s]).(*event)
+// execute pops the head of the queue and runs its body.
+func (e *Engine) execute() {
+	ev := heap.Pop(&e.queue).(*event)
 	delete(e.byID, ev.id)
 	e.now = ev.at
 	e.processed++
 	if e.tap != nil {
 		e.tap.SimFired(e.now, uint64(ev.id))
 	}
-	prevExec, prevShard := e.executing, e.curShard
-	e.executing, e.curShard = true, ev.home
 	if ev.run != nil {
 		ev.run.RunEvent()
 	} else {
 		ev.fn()
 	}
-	e.executing, e.curShard = prevExec, prevShard
 	// The event is out of the heap and the id map, and its body has
 	// returned; nothing can reference it anymore.
 	e.recycle(ev)
@@ -524,11 +262,10 @@ func (e *Engine) execute(s int) {
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports false when no events remain.
 func (e *Engine) Step() bool {
-	s := e.peek()
-	if s < 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	e.execute(s)
+	e.execute()
 	return true
 }
 
@@ -536,16 +273,13 @@ func (e *Engine) Step() bool {
 // (if any) is exhausted with events still pending, in which case it stops
 // and returns ErrMaxEvents.
 func (e *Engine) Run() error {
-	for {
-		s := e.peek()
-		if s < 0 {
-			return nil
-		}
+	for len(e.queue) > 0 {
 		if err := e.budgetErr(); err != nil {
 			return err
 		}
-		e.execute(s)
+		e.execute()
 	}
+	return nil
 }
 
 // RunUntil executes events with timestamps <= t and then advances the clock
@@ -553,18 +287,11 @@ func (e *Engine) Run() error {
 // with ErrMaxEvents when the SetMaxEvents budget runs out before the
 // horizon is reached.
 func (e *Engine) RunUntil(t Time) error {
-	for {
-		s := e.peek()
-		if s < 0 {
-			break
-		}
-		if e.heaps[s][0].at > t {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= t {
 		if err := e.budgetErr(); err != nil {
 			return err
 		}
-		e.execute(s)
+		e.execute()
 	}
 	if t > e.now {
 		e.now = t

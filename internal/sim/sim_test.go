@@ -356,6 +356,77 @@ func TestQuickCancelSubset(t *testing.T) {
 	}
 }
 
+// Reset must return a used engine to the NewEngine state — clock, counters,
+// budget and pending events cleared — and recycle every pending event.
+func TestReset(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() {
+		e.Schedule(5, func() {})
+	})
+	e.Schedule(3, func() {})
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	e.SetMaxEvents(1)
+	free := e.FreeEvents()
+	e.Reset()
+	if e.Pending() != 0 || e.Now() != 0 || e.Processed() != 0 {
+		t.Fatalf("Reset left pending=%d now=%v processed=%d", e.Pending(), e.Now(), e.Processed())
+	}
+	if got := e.FreeEvents(); got != free+2 {
+		t.Fatalf("Reset recycled %d pending events, want 2", got-free)
+	}
+	// The engine is usable afterwards, with the budget gone.
+	ran := 0
+	e.Schedule(1, func() { ran++ })
+	e.Schedule(2, func() { ran++ })
+	if err := e.Run(); err != nil || ran != 2 {
+		t.Fatalf("post-Reset run: err=%v ran=%d", err, ran)
+	}
+}
+
+// The free-pool conservation contract: schedule/cancel/run cycles —
+// including children scheduled inside an event and cancelled before they
+// fire — return every event struct to the pool, so steady-state cycles
+// neither grow the pool nor allocate.
+func TestPoolConservation(t *testing.T) {
+	e := NewEngine()
+	ids := make([]EventID, 0, 128)
+	cycle := func() {
+		ids = ids[:0]
+		for i := 0; i < 96; i++ {
+			delay := float64(i%11) / 8
+			id := e.Schedule(delay, func() {
+				child := e.Schedule(0.25+delay, func() {})
+				if i%3 == 0 {
+					e.Cancel(child)
+				}
+			})
+			ids = append(ids, id)
+		}
+		for i := 0; i < len(ids); i += 4 {
+			e.Cancel(ids[i])
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%d events pending after cycle", e.Pending())
+		}
+	}
+	cycle()
+	base := e.FreeEvents()
+	if base == 0 {
+		t.Fatal("warm-up cycle left an empty pool")
+	}
+	for i := 0; i < 50; i++ {
+		cycle()
+		if got := e.FreeEvents(); got != base {
+			t.Fatalf("cycle %d: free pool %d, want steady-state %d", i, got, base)
+		}
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
