@@ -155,7 +155,6 @@ experiments:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 fuzz:
-	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
 	$(GO) test ./internal/mobility -fuzz FuzzParseNS2 -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s

@@ -1,7 +1,7 @@
-// alertd runs one ALERT (or comparator-protocol) node as a real UDP
-// daemon: the full router stack from internal/live behind a loopback-bound
-// data socket, plus a tiny HTTP control plane a coordinator uses to push
-// emulated topology, start flows and scrape reports. Spawn N of these,
+// alertd runs one ALERT (or GPSR) node as a real UDP daemon: the full
+// router stack from internal/live behind a loopback-bound data socket,
+// plus a tiny HTTP control plane a coordinator uses to push emulated
+// topology, start flows and scrape reports. Spawn N of these,
 // point cmd/alertload at their control addresses, and you have the paper's
 // scenario running as actual datagrams instead of simulator events.
 //
@@ -42,7 +42,7 @@ func run() error {
 	udp := fs.String("udp", "127.0.0.1:0", "UDP data-plane bind address")
 	control := fs.String("control", "127.0.0.1:0", "HTTP control-plane bind address")
 	addrFile := fs.String("addr-file", "", "write '<control> <udp>' here once bound")
-	protocol := fs.String("protocol", "alert", "routing protocol: alert|gpsr|alarm|ao2p|zap")
+	protocol := fs.String("protocol", "alert", "routing protocol: alert|gpsr")
 	seed := fs.Int64("seed", 1, "fleet-wide scenario seed (must match every other node)")
 	n := fs.Int("n", experiment.DefaultScenario().N, "fleet size (sets the default partition depth)")
 	field := fs.String("field", "1000x1000", "field dimensions WxH in metres")

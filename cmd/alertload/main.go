@@ -55,7 +55,7 @@ func parseField(s string) (geo.Rect, error) {
 
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("alertload", flag.ExitOnError)
-	protocol := fs.String("protocol", "alert", "routing protocol: alert|gpsr|alarm|ao2p|zap")
+	protocol := fs.String("protocol", "alert", "routing protocol: alert|gpsr|alarm|ao2p|zap (live runs alert and gpsr)")
 	seed := fs.Int64("seed", 1, "scenario seed")
 	n := fs.Int("n", 50, "fleet size")
 	field := fs.String("field", "1000x1000", "field dimensions WxH in metres")
@@ -109,6 +109,9 @@ func parseFlags(args []string) (config, error) {
 	case "sim", "live", "both":
 	default:
 		return config{}, fmt.Errorf("alertload: -mode wants sim|live|both, got %q", *mode)
+	}
+	if *mode != "sim" && sc.Protocol != experiment.ALERT && sc.Protocol != experiment.GPSR {
+		return config{}, fmt.Errorf("alertload: -protocol %s runs only in -mode sim; live runs alert and gpsr", *protocol)
 	}
 	if *nodes != "" && *mode == "sim" {
 		return config{}, fmt.Errorf("alertload: -nodes is meaningless in -mode sim")

@@ -372,13 +372,15 @@ func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, 
 	sess.dReceived[env.Seq] = true
 	if p.cfg.Confirm && !sess.dZS.Empty() {
 		ack := &Envelope{
-			Kind:   KindAck,
-			PS:     p.net.Node(at).Pseudonym,
-			PD:     env.PS,
-			LZD:    sess.dZS,
-			Dir:    p.randomDir(),
-			Hmax:   p.hDef,
-			Zone:   p.field,
+			Kind: KindAck,
+			PS:   p.net.Node(at).Pseudonym,
+			PD:   env.PS,
+			Partition: Partition{
+				LZD:  sess.dZS,
+				Dir:  p.randomDir(),
+				Hmax: p.hDef,
+				Zone: p.field,
+			},
 			Seq:    env.Seq,
 			ackFor: f,
 		}
@@ -394,13 +396,15 @@ func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, 
 		}
 		if len(missing) > 0 {
 			nak := &Envelope{
-				Kind:    KindNAK,
-				PS:      p.net.Node(at).Pseudonym,
-				PD:      env.PS,
-				LZD:     sess.dZS,
-				Dir:     p.randomDir(),
-				Hmax:    p.hDef,
-				Zone:    p.field,
+				Kind: KindNAK,
+				PS:   p.net.Node(at).Pseudonym,
+				PD:   env.PS,
+				Partition: Partition{
+					LZD:  sess.dZS,
+					Dir:  p.randomDir(),
+					Hmax: p.hDef,
+					Zone: p.field,
+				},
 				Seq:     env.Seq,
 				ackFor:  f,
 				nakSeqs: missing,

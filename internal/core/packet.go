@@ -4,6 +4,9 @@
 // destination, the partition-direction bit, the division counters h and H,
 // the encrypted session key, the encrypted TTL (source-anonymity cover
 // discrimination), and the encrypted Bitmap (intersection-attack defence).
+// The simulator hands *Envelope values to the medium directly; the bytes
+// that go on air are internal/live's frame codec, whose envelope section
+// carries these fields.
 
 package core
 
@@ -42,27 +45,18 @@ func (k Kind) String() string {
 	}
 }
 
-// Envelope is an ALERT packet as it travels between random forwarders.
-//
-// Fields prefixed Enc hold real ciphertext: a forwarder relaying the
-// envelope cannot read the source zone, the session key, the TTL or the
-// bitmap — tests assert this. The cleartext fields (L_{Z_D}, TD, h, H, the
-// direction bit) are exactly the ones the paper sends in the clear, because
-// forwarders need them to route.
+// Partition is the cleartext routing state of an ALERT packet: exactly the
+// fields the paper sends in the clear (L_{Z_D}, TD, the direction bit, h
+// and H), because every random forwarder needs them to route. Step reads
+// and advances it.
 //
 // Zone mirrors the current partition zone. On the wire the paper encodes it
 // implicitly — it is recoverable from the division history — but carrying
 // the rectangle explicitly keeps each forwarder's partition step
 // self-contained.
-type Envelope struct {
-	Kind Kind
-	// PS and PD are the source and destination pseudonyms.
-	PS, PD crypt.Pseudonym
+type Partition struct {
 	// LZD is the position of the H-th partitioned destination zone.
 	LZD geo.Rect
-	// EncLZS is the source zone position encrypted under the
-	// destination's public key (only D can learn where to send replies).
-	EncLZS []byte
 	// TD is the currently selected temporary destination.
 	TD geo.Point
 	// Dir is the partition direction bit, flipped by each RF.
@@ -71,6 +65,26 @@ type Envelope struct {
 	Hdiv, Hmax int
 	// Zone is the current partition zone (see type comment).
 	Zone geo.Rect
+	// FinalLeg marks the last GPSR leg into Z_D itself (set once h
+	// reaches H or the partition can no longer separate). The paper
+	// implies it by h == H; live frames carry it as a flag.
+	FinalLeg bool
+}
+
+// Envelope is an ALERT packet as it travels between random forwarders.
+//
+// Fields prefixed Enc hold real ciphertext: a forwarder relaying the
+// envelope cannot read the source zone, the session key, the TTL or the
+// bitmap — tests assert this. The embedded Partition is the cleartext
+// routing state.
+type Envelope struct {
+	Kind Kind
+	// PS and PD are the source and destination pseudonyms.
+	PS, PD crypt.Pseudonym
+	Partition
+	// EncLZS is the source zone position encrypted under the
+	// destination's public key (only D can learn where to send replies).
+	EncLZS []byte
 	// DPub is the destination's public key, carried so the last random
 	// forwarder can encrypt the Bitmap under K_pub^D (Section 3.3). A
 	// public key is pseudonymous: it reveals neither identity nor
@@ -91,10 +105,6 @@ type Envelope struct {
 	Payload []byte
 	// Seq is the session sequence number.
 	Seq int
-	// finalLeg marks the last GPSR leg into Z_D itself (set once h
-	// reaches H or the partition can no longer separate); on the wire
-	// this is implied by h == H.
-	finalLeg bool
 	// relayed tracks which zone nodes already re-broadcast this envelope
 	// during the Z_D zone broadcast, so the one-round in-zone relay
 	// terminates (sim bookkeeping; real nodes dedup by packet id).

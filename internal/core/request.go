@@ -52,13 +52,15 @@ func (p *Protocol) respond(at medium.NodeID, env *Envelope, sess *session, query
 		return
 	}
 	reply := &Envelope{
-		Kind:     KindData,
-		PS:       p.net.Node(at).Pseudonym,
-		PD:       env.PS, // the requester's pseudonym
-		LZD:      sess.dZS,
-		Dir:      p.randomDir(),
-		Hmax:     p.hDef,
-		Zone:     p.field,
+		Kind: KindData,
+		PS:   p.net.Node(at).Pseudonym,
+		PD:   env.PS, // the requester's pseudonym
+		Partition: Partition{
+			LZD:  sess.dZS,
+			Dir:  p.randomDir(), // drawn before the seal below: rng order
+			Hmax: p.hDef,
+			Zone: p.field,
+		},
 		Seq:      env.Seq,
 		Payload:  crypt.SymSeal(sess.dKey, response, p.rnd),
 		isReply:  true,

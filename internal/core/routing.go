@@ -12,6 +12,7 @@ import (
 	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
 	"alertmanet/internal/metrics"
+	"alertmanet/internal/rng"
 )
 
 // Send routes one application packet from src to dst and returns its
@@ -36,20 +37,13 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	sess := p.session(src, dst)
 	setupCharges := 0
 	if !sess.estCharge {
-		// Establish the session: draw K_s, encrypt it and the source
-		// zone under K_pub^D (two public-key operations, charged to
+		// Establish the session (two public-key operations, charged to
 		// the first packet).
-		key := crypt.NewSymKey(p.rnd)
-		encKey, err := p.net.Suite.EncryptPub(entry.Pub, key[:])
-		if err != nil {
-			p.col.Complete(rec, 0, false)
-			return rec, fmt.Errorf("core: session key encryption: %w", err)
-		}
 		zs := geo.DestZone(p.field, p.net.Med.PositionNow(src), p.hDef, geo.Vertical)
-		encLZS, err := p.net.Suite.EncryptPub(entry.Pub, encodeRect(zs))
+		key, encKey, encLZS, err := NewSession(p.net.Suite, entry.Pub, zs, p.rnd)
 		if err != nil {
 			p.col.Complete(rec, 0, false)
-			return rec, fmt.Errorf("core: source zone encryption: %w", err)
+			return rec, err
 		}
 		sess.estCharge = true
 		sess.key, sess.encKey, sess.zs, sess.encLZS = key, encKey, zs, encLZS
@@ -62,15 +56,17 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 
 	zd := geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)
 	env := &Envelope{
-		Kind:      KindData,
-		PS:        p.net.Node(src).Pseudonym,
-		PD:        entry.Pseudonym,
-		LZD:       zd,
+		Kind: KindData,
+		PS:   p.net.Node(src).Pseudonym,
+		PD:   entry.Pseudonym,
+		Partition: Partition{
+			LZD:  zd,
+			Dir:  p.randomDir(), // drawn before the seal below: rng order
+			Hdiv: 0,
+			Hmax: p.hDef,
+			Zone: p.field,
+		},
 		EncLZS:    sess.encLZS,
-		Dir:       p.randomDir(),
-		Hdiv:      0,
-		Hmax:      p.hDef,
-		Zone:      p.field,
 		DPub:      entry.Pub,
 		EncSymKey: sess.encKey,
 		Payload:   crypt.SymSeal(sess.key, data, p.rnd),
@@ -109,6 +105,21 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	return rec, nil
 }
 
+// NewSession establishes an S-D session's cryptographic material: it
+// draws the session key K_s from rnd and encrypts it and the source zone
+// zs under the destination's public key — the two public-key operations a
+// source performs on a session's first packet (Section 2.5).
+func NewSession(suite crypt.Suite, destPub crypt.PubKey, zs geo.Rect, rnd *rng.Source) (key crypt.SymKey, encKey, encLZS []byte, err error) {
+	key = crypt.NewSymKey(rnd)
+	if encKey, err = suite.EncryptPub(destPub, key[:]); err != nil {
+		return key, nil, nil, fmt.Errorf("core: session key encryption: %w", err)
+	}
+	if encLZS, err = suite.EncryptPub(destPub, encodeRect(zs)); err != nil {
+		return key, nil, nil, fmt.Errorf("core: source zone encryption: %w", err)
+	}
+	return key, encKey, encLZS, nil
+}
+
 func (p *Protocol) randomDir() geo.Direction {
 	if p.rnd.Bernoulli(0.5) {
 		return geo.Horizontal
@@ -137,36 +148,49 @@ func (p *Protocol) notifyAndGo(src medium.NodeID, extraDelay float64, launch fun
 	p.net.Eng.Schedule(extraDelay+wait, launch)
 }
 
-// route executes one forwarder's step at node `at` (Section 2.3): if the
-// holder is in (or cannot be separated from) Z_D, start zone delivery;
-// otherwise partition until separated, pick a random TD in the half holding
-// Z_D, and ride GPSR to the node closest to the TD — the next RF.
-func (p *Protocol) route(at medium.NodeID, env *Envelope) {
-	pos := p.net.Med.PositionNow(at)
-	if env.LZD.Contains(pos) || env.finalLeg {
-		p.zoneDeliver(at, env)
-		return
+// Step is one random forwarder's partition decision (Section 2.3) for a
+// packet held at pos: it reports true when the holder is in Z_D (or the
+// packet rode its final leg there) and must start the zone delivery.
+// Otherwise it partitions until the holder and Z_D are separated, draws a
+// random TD in the half holding Z_D from rnd, and advances st; the caller
+// rides GPSR to the node closest to st.TD — the next RF. alternate selects
+// the paper's alternating cut order (false is the fixed-axis ablation).
+// Step is pure apart from rnd: the simulator and the live daemon both call
+// it, each supplying its own holder position and random stream.
+func Step(st *Partition, pos geo.Point, field geo.Rect, alternate bool, rnd *rng.Source) (zoneDeliver bool) {
+	if st.LZD.Contains(pos) || st.FinalLeg {
+		return true
 	}
-	zone := env.Zone
+	zone := st.Zone
 	if !zone.Contains(pos) {
 		// GPSR overshoot: the closest node to the TD sat outside the
 		// aimed zone. Re-derive the partition from the whole field.
-		zone = p.field
+		zone = field
 	}
-	res := geo.SeparateWithPolicy(zone, pos, env.LZD, env.Dir,
-		env.Hmax-env.Hdiv, !p.cfg.FixedAxisPartition)
+	res := geo.SeparateWithPolicy(zone, pos, st.LZD, st.Dir, st.Hmax-st.Hdiv, alternate)
 	if !res.Separated {
 		// All H divisions are spent (or the zone cannot shrink
 		// further) but the holder is still outside Z_D: ride one
 		// final leg to a random position inside Z_D, whose closest
 		// node performs the zone broadcast.
-		env.finalLeg = true
-		env.TD = geo.RandomPoint(env.LZD, p.rnd)
+		st.FinalLeg = true
+		st.TD = geo.RandomPoint(st.LZD, rnd)
 	} else {
-		env.Zone = res.OtherZone
-		env.Hdiv += res.Cuts
-		env.Dir = res.NextDir // the direction bit each RF flips (Section 2.5)
-		env.TD = geo.RandomPoint(res.OtherZone, p.rnd)
+		st.Zone = res.OtherZone
+		st.Hdiv += res.Cuts
+		st.Dir = res.NextDir // the direction bit each RF flips (Section 2.5)
+		st.TD = geo.RandomPoint(res.OtherZone, rnd)
+	}
+	return false
+}
+
+// route executes one forwarder's step at node `at`: Step decides between
+// zone delivery and the next leg, which rides GPSR to the node closest to
+// the TD — the next RF.
+func (p *Protocol) route(at medium.NodeID, env *Envelope) {
+	if Step(&env.Partition, p.net.Med.PositionNow(at), p.field, !p.cfg.FixedAxisPartition, p.rnd) {
+		p.zoneDeliver(at, env)
+		return
 	}
 
 	// When notify-and-go is active, the source encrypts the TTL to its
@@ -297,7 +321,7 @@ func (p *Protocol) resend(f *flight) {
 	env.Hdiv = 0
 	env.Zone = p.field
 	env.Dir = p.randomDir()
-	env.finalLeg = false
+	env.FinalLeg = false
 	// Refresh Z_D from the location service (positions may have moved).
 	if entry, ok := p.loc.Lookup(f.dst); ok {
 		env.LZD = geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)

@@ -52,15 +52,27 @@ func TestSimVsLiveComparison(t *testing.T) {
 	}
 }
 
-// TestFiveNodeExactPath freezes a 5-node static GPSR topology (seed 15,
-// 600x600 — chosen so the sim delivers 10/10 with a 4-hop longest path)
-// and requires the live fleet to reproduce every packet's path hop for
-// hop. With no loss, static positions and deterministic greedy/perimeter
+// TestFiveNodeExactPath freezes a 5-node static topology (seed 15,
+// 600x600 — chosen so the sim delivers 10/10 with a 4-hop longest GPSR
+// path) and requires the live fleet to reproduce every packet's path and
+// hop count exactly. With no loss, static positions and deterministic
 // forwarding there is no transport noise to absorb: any divergence means
 // the live router and the sim router disagree on routing semantics.
+//
+// ALERT runs at the topology's derived depth: with N = 5 and k = 6, H = 0,
+// so Z_D is the whole field and every packet zone-delivers from its
+// source. Deeper H cannot be compared exactly, because the sim draws
+// temporary destinations from one protocol-wide rng stream while each
+// daemon draws from its own.
 func TestFiveNodeExactPath(t *testing.T) {
+	for _, p := range []experiment.ProtocolName{experiment.GPSR, experiment.ALERT} {
+		t.Run(string(p), func(t *testing.T) { exactPath(t, p) })
+	}
+}
+
+func exactPath(t *testing.T, protocol experiment.ProtocolName) {
 	sc := experiment.DefaultScenario()
-	sc.Protocol = experiment.GPSR
+	sc.Protocol = protocol
 	sc.Seed = 15
 	sc.N = 5
 	sc.Field = geo.Rect{Max: geo.Point{X: 600, Y: 600}}
@@ -79,12 +91,16 @@ func TestFiveNodeExactPath(t *testing.T) {
 		t.Fatalf("frozen topology regressed: sim delivery rate %.2f, want 1.00", simRes.DeliveryRate)
 	}
 
-	// Index sim paths by (src, dst, k-th packet of that pair in send order);
-	// live keys deliveries by (flow, seq) where flow is the pair index, and
-	// DeriveFlows replays the same ChoosePairs draw, so the k-th live seq of
-	// a pair is the k-th sim record of the same (src, dst).
+	// Index sim routes by (src, dst, k-th packet of that pair in send
+	// order); live keys deliveries by (flow, seq) where flow is the pair
+	// index, and DeriveFlows replays the same ChoosePairs draw, so the k-th
+	// live seq of a pair is the k-th sim record of the same (src, dst).
 	type pairKey struct{ src, dst int }
-	simPaths := map[pairKey][][]int{}
+	type route struct {
+		path []int
+		hops int
+	}
+	simRoutes := map[pairKey][]route{}
 	recs := w.Proto.Collector().Records()
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].SentAt < recs[j].SentAt })
 	for _, r := range recs {
@@ -96,7 +112,7 @@ func TestFiveNodeExactPath(t *testing.T) {
 		for i, id := range r.Path {
 			path[i] = int(id)
 		}
-		simPaths[k] = append(simPaths[k], path)
+		simRoutes[k] = append(simRoutes[k], route{path, r.Hops})
 	}
 
 	liveSum, err := RunFleet(sc, 0.01)
@@ -111,24 +127,26 @@ func TestFiveNodeExactPath(t *testing.T) {
 	}
 
 	// Deliveries are sorted by (flow, seq) in collect, so per-pair order is
-	// send order — walk each pair's queue of sim paths in step.
+	// send order — walk each pair's queue of sim routes in step.
 	next := map[pairKey]int{}
 	for _, dv := range liveSum.Deliveries {
 		k := pairKey{dv.Src, dv.Dst}
 		i := next[k]
-		if i >= len(simPaths[k]) {
+		if i >= len(simRoutes[k]) {
 			t.Fatalf("live pair %d->%d delivered more packets than sim recorded", dv.Src, dv.Dst)
 		}
 		next[k] = i + 1
-		if fmt.Sprint(dv.Path) != fmt.Sprint(simPaths[k][i]) {
-			t.Errorf("pair %d->%d packet %d path diverged:\n  sim:  %v\n  live: %v",
-				dv.Src, dv.Dst, i, simPaths[k][i], dv.Path)
+		sim := simRoutes[k][i]
+		if fmt.Sprint(dv.Path) != fmt.Sprint(sim.path) || dv.Hops != sim.hops {
+			t.Errorf("pair %d->%d packet %d route diverged:\n  sim:  %v (%d hops)\n  live: %v (%d hops)",
+				dv.Src, dv.Dst, i, sim.path, sim.hops, dv.Path, dv.Hops)
 		}
 	}
-	for k, paths := range simPaths {
-		if next[k] != len(paths) {
-			t.Errorf("pair %d->%d: live delivered %d packets, sim %d", k.src, k.dst, next[k], len(paths))
+	for k, routes := range simRoutes {
+		if next[k] != len(routes) {
+			t.Errorf("pair %d->%d: live delivered %d packets, sim %d", k.src, k.dst, next[k], len(routes))
 		}
 	}
-	t.Logf("exact path: %d packets, every path identical (range %.0f m)", liveSum.Delivered, medium.DefaultParams().Range)
+	t.Logf("exact path: %d packets, every path and hop count identical (range %.0f m)",
+		liveSum.Delivered, medium.DefaultParams().Range)
 }

@@ -46,10 +46,9 @@ import (
 type Config struct {
 	// ID is the node's fleet-wide id (also its key-pair owner id).
 	ID int
-	// Protocol selects the router stack: "alert", "gpsr", "ao2p",
-	// "alarm" or "zap". ALERT runs the full zone-bisection pipeline; the
-	// comparators route direct geographic flows (see DESIGN.md for what
-	// live-mode parity covers per protocol).
+	// Protocol selects the router stack: "alert" runs the full
+	// zone-bisection pipeline, "gpsr" direct geographic flows. NewDaemon
+	// rejects any other value: the comparators do not run live.
 	Protocol string
 	// Field is the simulation field the fleet plays on.
 	Field geo.Rect
@@ -240,11 +239,8 @@ type Daemon struct {
 // NewDaemon binds a UDP socket on addr ("127.0.0.1:0" for tests) and
 // builds the daemon. Start must be called before traffic flows.
 func NewDaemon(cfg Config, addr string) (*Daemon, error) {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 512
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 25 * time.Millisecond
+	if cfg.Protocol != "alert" && cfg.Protocol != "gpsr" {
+		return nil, fmt.Errorf("live: protocol %q does not run live (alert or gpsr)", cfg.Protocol)
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -254,6 +250,20 @@ func NewDaemon(cfg Config, addr string) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %q: %w", addr, err)
 	}
+	d := newDaemon(cfg)
+	d.conn = conn
+	return d, nil
+}
+
+// newDaemon builds the daemon's state without a socket: keys, streams,
+// queues and the loop-owned tables.
+func newDaemon(cfg Config) *Daemon {
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 512
+	}
+	if cfg.AckTimeout <= 0 {
+		cfg.AckTimeout = 25 * time.Millisecond
+	}
 	// Every daemon derives the same suite from the fleet seed, so owner
 	// ids resolve to the same key pairs fleet-wide — the predistributed
 	// key material the paper's location service assumes.
@@ -262,7 +272,6 @@ func NewDaemon(cfg Config, addr string) (*Daemon, error) {
 	nodeRnd := rng.New(cfg.Seed).Split("live").SplitIndex("node", cfg.ID)
 	d := &Daemon{
 		cfg:      cfg,
-		conn:     conn,
 		suite:    suite,
 		pub:      pub,
 		priv:     priv,
@@ -282,7 +291,7 @@ func NewDaemon(cfg Config, addr string) (*Daemon, error) {
 		dsess:    make(map[uint32]*destState),
 	}
 	d.pool.New = func() any { b := make([]byte, MaxFrame); return &b }
-	return d, nil
+	return d
 }
 
 // SetTap attaches a telemetry tap. Call before Start; the tap is owned by

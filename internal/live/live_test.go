@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"alertmanet/internal/core"
+	"alertmanet/internal/crypt"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
+	"alertmanet/internal/rng"
 )
 
 // smokeScenario is a small, fast, fully connected field for data-plane
@@ -90,5 +93,61 @@ func TestDaemonCloseIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung")
+	}
+}
+
+// TestNewDaemonRejectsComparators pins the live protocol set: only ALERT
+// and GPSR run live, so NewDaemon refuses anything else before it binds a
+// socket rather than running it as a plain GPSR flow.
+func TestNewDaemonRejectsComparators(t *testing.T) {
+	field := geo.Rect{Max: geo.Point{X: 100, Y: 100}}
+	for _, p := range []experiment.ProtocolName{experiment.AO2P, experiment.ALARM, experiment.ZAP, ""} {
+		cfg := DefaultDaemonConfig(0, field, 1)
+		cfg.Protocol = string(p)
+		if d, err := NewDaemon(cfg, "127.0.0.1:0"); err == nil {
+			d.Close()
+			t.Errorf("NewDaemon accepted protocol %q", p)
+		}
+	}
+}
+
+// TestZoneDeliverAtAddresseeCountsBroadcast drives one daemon without
+// sockets: a frame whose last random forwarder is its own addressee D
+// zone-delivers there, and the delivery must count the zone broadcast as
+// a hop, as the simulator's record does.
+func TestZoneDeliverAtAddresseeCountsBroadcast(t *testing.T) {
+	field := geo.Rect{Max: geo.Point{X: 600, Y: 600}}
+	cfg := DefaultDaemonConfig(4, field, 15)
+	cfg.Protocol = string(experiment.ALERT)
+	d := newDaemon(cfg)
+	d.self = geo.Point{X: 500, Y: 500}
+
+	zone := geo.DestZone(field, d.self, cfg.Hmax, geo.Vertical)
+	src := rng.New(1)
+	key, encKey, encLZS, err := core.NewSession(d.suite, d.pub, zone, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Frame{
+		Kind: KindData, Flow: 1, Flags: FlagEnvelope, Hops: 4,
+		Path: []int32{2, 1, 0, 3, 4},
+		Env: &Envelope{
+			Kind: core.KindData, PD: d.pseud, LZD: zone, Hmax: cfg.Hmax,
+			Zone: field, DPubOwner: None,
+			EncLZS: encLZS, EncSymKey: encKey,
+			Payload: crypt.SymSeal(key, []byte("payload"), src),
+		},
+	}
+	if d.routeEntry(f) {
+		t.Fatal("holder inside Z_D did not zone-deliver")
+	}
+	if len(d.delivs) != 1 {
+		t.Fatalf("%d deliveries, want 1", len(d.delivs))
+	}
+	if got := d.delivs[0].Hops; got != 5 {
+		t.Errorf("delivery hops %d, want 5 (4 leg hops + the zone broadcast)", got)
+	}
+	if d.counts.ZoneBroadcasts != 1 {
+		t.Errorf("%d zone broadcasts, want 1", d.counts.ZoneBroadcasts)
 	}
 }

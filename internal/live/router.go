@@ -1,16 +1,13 @@
 // The daemon's protocol logic: everything that runs once a data frame (or
 // a locally launched packet) is in the loop goroutine's hands. The routing
-// decisions are the simulator's own — every leg hop calls gpsr.Step, and
-// the ALERT partition step replays core.(*Protocol).route on the envelope
-// the frame carries — so sim and live diverge only where the transport
-// does (real sockets, wall-clock ARQ timeouts).
+// decisions are the simulator's own — every leg hop calls gpsr.Step, every
+// random forwarder calls core.Step on the envelope the frame carries, and
+// sessions are set up by core.NewSession — so sim and live diverge only
+// where the transport does (real sockets, wall-clock ARQ timeouts).
 
 package live
 
 import (
-	"encoding/binary"
-	"math"
-
 	"alertmanet/internal/core"
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
@@ -94,21 +91,13 @@ func (d *Daemon) StartFlow(spec FlowSpec) error {
 		fl := &flowState{spec: spec}
 		if d.cfg.Protocol == "alert" {
 			// Establish the session once, like core.Send's first
-			// packet: draw K_s, encrypt it and the source zone under
-			// the destination's key.
+			// packet.
 			destPub, _ := d.suite.GenerateKeyPair(spec.Dest.ID)
-			fl.key = crypt.NewSymKey(d.rnd)
-			encKey, err := d.suite.EncryptPub(destPub, fl.key[:])
-			if err != nil {
-				return
-			}
-			fl.encKey = encKey
 			zs := geo.DestZone(d.cfg.Field, d.self, d.cfg.Hmax, geo.Vertical)
-			encLZS, err := d.suite.EncryptPub(destPub, encodeRect(zs))
-			if err != nil {
+			var err error
+			if fl.key, fl.encKey, fl.encLZS, err = core.NewSession(d.suite, destPub, zs, d.rnd); err != nil {
 				return
 			}
-			fl.encLZS = encLZS
 		}
 		d.flows[spec.Flow] = fl
 		fl.timer = d.after(d.real(spec.Offset), func() { d.flowTick(spec.Flow) })
@@ -209,35 +198,23 @@ func (d *Daemon) launch(fl *flowState, seq uint32) {
 	d.stepLoop(f)
 }
 
-// routeEntry replays core.route's entry decision at this holder: inside
-// Z_D (or riding the final leg) the packet zone-delivers here — report
-// false, routing is over. Otherwise run the partition step and aim the
-// next leg; report true so the caller steps it.
+// routeEntry is core's route at this holder: core.Step on the frame's
+// partition state. Inside Z_D (or at the end of the final leg) the packet
+// zone-delivers here — report false, routing is over. Otherwise aim the
+// next leg at the drawn TD and report true so the caller steps it.
 func (d *Daemon) routeEntry(f *Frame) bool {
 	env := f.Env
-	if env.LZD.Contains(d.self) || f.Flags&FlagFinalLeg != 0 {
+	st := core.Partition{LZD: env.LZD, TD: env.TD, Dir: env.Dir, Hdiv: env.Hdiv,
+		Hmax: env.Hmax, Zone: env.Zone, FinalLeg: f.Flags&FlagFinalLeg != 0}
+	if core.Step(&st, d.self, d.cfg.Field, !d.cfg.FixedAxisPartition, d.rnd) {
 		d.zoneDeliver(f)
 		return false
 	}
-	zone := env.Zone
-	if !zone.Contains(d.self) {
-		// GPSR overshoot: the closest node to the TD sat outside the
-		// aimed zone. Re-derive the partition from the whole field.
-		zone = d.cfg.Field
-	}
-	res := geo.SeparateWithPolicy(zone, d.self, env.LZD, env.Dir,
-		env.Hmax-env.Hdiv, !d.cfg.FixedAxisPartition)
-	if !res.Separated {
-		// Divisions spent but still outside Z_D: one final leg to a
-		// random point inside it.
+	env.Zone, env.Hdiv, env.Dir = st.Zone, st.Hdiv, st.Dir
+	if st.FinalLeg {
 		f.Flags |= FlagFinalLeg
-		f.Dest = geo.RandomPoint(env.LZD, d.rnd)
-	} else {
-		env.Zone = res.OtherZone
-		env.Hdiv += res.Cuts
-		env.Dir = res.NextDir
-		f.Dest = geo.RandomPoint(res.OtherZone, d.rnd)
 	}
+	f.Dest = st.TD
 	f.DeliverTo = None
 	f.HopBudget = uint16(d.cfg.LegHopBudget)
 	f.SetForwardState(gpsr.NewForwardState())
@@ -346,14 +323,15 @@ func (d *Daemon) stepLoop(f *Frame) {
 	d.counts.LegDropDeadEnd++
 }
 
-// zoneDeliver runs at the last random forwarder: recognize locally (the
-// holder itself may be the addressee), then put one emulated broadcast on
-// the air.
+// zoneDeliver runs at the last random forwarder: count the broadcast hop,
+// recognize locally (the holder itself may be the addressee, and like
+// core's its delivery counts the broadcast), then put one emulated
+// broadcast on the air.
 func (d *Daemon) zoneDeliver(f *Frame) {
+	f.Hops++
 	d.recognize(f)
 	d.relayed.add(pairKey(f.Flow, f.Seq)) // the origin never re-relays
 	d.counts.ZoneBroadcasts++
-	f.Hops++
 	if d.tap != nil {
 		d.tap.ZoneBroadcast(f.VTime, d.trace(f), d.cfg.ID, 1)
 	}
@@ -476,15 +454,4 @@ func (d *Daemon) recordDelivery(f *Frame, vtime float64) {
 	if d.tap != nil {
 		d.tap.PacketDone(vtime, d.trace(f), true, int(f.Hops), vtime)
 	}
-}
-
-// encodeRect mirrors core's wire encoding of a zone rectangle (it is
-// unexported there): four big-endian float64s.
-func encodeRect(r geo.Rect) []byte {
-	var b [32]byte
-	binary.BigEndian.PutUint64(b[0:], math.Float64bits(r.Min.X))
-	binary.BigEndian.PutUint64(b[8:], math.Float64bits(r.Min.Y))
-	binary.BigEndian.PutUint64(b[16:], math.Float64bits(r.Max.X))
-	binary.BigEndian.PutUint64(b[24:], math.Float64bits(r.Max.Y))
-	return b[:]
 }

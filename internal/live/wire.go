@@ -1,9 +1,11 @@
 // The live wire codec: a deterministic, versioned binary layout for the
-// frames that exist as in-memory Go structs inside the simulator. One
-// datagram carries one frame. Everything is big-endian; floats travel as
-// IEEE-754 bits (math.Float64bits), byte fields are u16-length-prefixed and
-// the whole frame is bounded by MaxFrame — a decoder can never be made to
-// allocate more than one datagram's worth of memory.
+// frames that exist as in-memory Go structs inside the simulator, and the
+// only codec for ALERT's packet format (Fig. 4) — its envelope section is
+// what goes on air. One datagram carries one frame. Everything is
+// big-endian; floats travel as IEEE-754 bits (math.Float64bits), byte
+// fields are u16-length-prefixed and the whole frame is bounded by
+// MaxFrame — a decoder can never be made to allocate more than one
+// datagram's worth of memory.
 //
 // Layout (all integers big-endian):
 //
@@ -20,11 +22,12 @@
 //	hdiv[2] hmax[2] zone[32] dpubOwner[4] eseq[4]
 //	encLZS encSymKey encTTL encBitmap payload            — 2-byte len each
 //
-// The codec is strict both ways: unknown kinds, truncated fields, oversize
-// lengths and trailing garbage are all decode errors (FuzzWireCodec pins
-// this), and a decoded frame re-encodes to the identical byte string.
+// The codec is strict both ways: unknown frame or envelope kinds, a
+// direction byte above 1, truncated fields, oversize lengths and trailing
+// garbage are all decode errors (FuzzWireCodec pins this), and a decoded
+// frame re-encodes to the identical byte string.
 
-// Package live runs ALERT and its comparators as real node processes: a
+// Package live runs ALERT and GPSR as real node processes: a
 // deterministic wire codec, the alertd daemon (one node's router stack over
 // a UDP socket with an HTTP control plane), a coordinator that replays
 // internal/mobility trajectories onto a daemon fleet while emulating the
@@ -83,19 +86,20 @@ const (
 	// Broadcast path.
 	FlagNoAck = 1 << 1
 	// FlagFinalLeg marks an ALERT packet riding its last leg into Z_D
-	// (core.Envelope keeps this unexported; live must carry it on air so
-	// the next random forwarder skips straight to the zone broadcast).
+	// (core.Partition.FinalLeg, carried on air so the next random
+	// forwarder skips straight to the zone broadcast).
 	FlagFinalLeg = 1 << 2
 )
 
 // None marks an absent node id on the wire (gpsr.NoDeliverTo's encoding).
 const None int32 = -1
 
-// Envelope mirrors the wire-visible fields of core.Envelope — the exact
-// set a simulator forwarder reads plus the opaque ciphertext fields it
-// relays. DPubOwner replaces the in-memory crypt.PubKey: public keys are
-// resolved from the owner id by the receiving daemon's suite (the location
-// service hands out keys; the wire only names them).
+// Envelope mirrors the wire-visible fields of core.Envelope — the
+// core.Partition a forwarder reads (FinalLeg rides in the frame flags) plus
+// the opaque ciphertext fields it relays. DPubOwner names the destination
+// key in place of the in-memory crypt.PubKey (the location service hands
+// out keys; the wire only names them). It is carried but unused: live runs
+// without the intersection guard, the one reader of K_pub^D in transit.
 type Envelope struct {
 	Kind      core.Kind
 	PS, PD    crypt.Pseudonym
@@ -160,6 +164,7 @@ var (
 	ErrBadMagic   = errors.New("live: bad frame magic")
 	ErrBadVersion = errors.New("live: unsupported wire version")
 	ErrBadKind    = errors.New("live: unknown frame kind")
+	ErrBadField   = errors.New("live: field value out of range")
 	ErrTruncated  = errors.New("live: truncated frame")
 	ErrOversize   = errors.New("live: field exceeds wire bounds")
 	ErrTrailing   = errors.New("live: trailing bytes after frame")
@@ -417,12 +422,16 @@ func DecodeFrame(data []byte, f *Frame) error {
 		encLZS, encSymKey := env.EncLZS, env.EncSymKey
 		encTTL, encBitmap, payload := env.EncTTL, env.EncBitmap, env.Payload
 		*env = Envelope{}
-		env.Kind = core.Kind(r.u8())
+		if env.Kind = core.Kind(r.u8()); env.Kind > core.KindNAK {
+			return fmt.Errorf("%w: envelope kind %d", ErrBadField, env.Kind)
+		}
 		copy(env.PS[:], r.take(len(env.PS)))
 		copy(env.PD[:], r.take(len(env.PD)))
 		env.LZD = r.rect()
 		env.TD = r.point()
-		env.Dir = geo.Direction(r.u8())
+		if env.Dir = geo.Direction(r.u8()); env.Dir > geo.Horizontal {
+			return fmt.Errorf("%w: direction %d", ErrBadField, env.Dir)
+		}
 		env.Hdiv = int(r.u16())
 		env.Hmax = int(r.u16())
 		env.Zone = r.rect()
@@ -443,11 +452,6 @@ func DecodeFrame(data []byte, f *Frame) error {
 	}
 	return nil
 }
-
-// KeyResolver maps a public-key owner id back to the key (a daemon's suite
-// derives it; the wire carries only the owner id). A nil resolver leaves
-// DPub nil on conversion.
-type KeyResolver func(owner int) crypt.PubKey
 
 // EnvelopeFromCore fills dst from a simulator envelope's wire-visible
 // fields. Ciphertext slices are copied, not aliased — the simulator reuses
@@ -474,60 +478,6 @@ func EnvelopeFromCore(dst *Envelope, env *core.Envelope) {
 		EncTTL:    append([]byte(nil), env.EncTTL...),
 		EncBitmap: append([]byte(nil), env.EncBitmap...),
 		Payload:   append([]byte(nil), env.Payload...),
-	}
-}
-
-// ToCore converts a wire envelope back to the simulator's in-memory form,
-// resolving DPub through the given resolver (nil leaves the key nil).
-func (e *Envelope) ToCore(resolve KeyResolver) *core.Envelope {
-	env := &core.Envelope{
-		Kind:      e.Kind,
-		PS:        e.PS,
-		PD:        e.PD,
-		LZD:       e.LZD,
-		TD:        e.TD,
-		Dir:       e.Dir,
-		Hdiv:      e.Hdiv,
-		Hmax:      e.Hmax,
-		Zone:      e.Zone,
-		Seq:       e.Seq,
-		EncLZS:    append([]byte(nil), e.EncLZS...),
-		EncSymKey: append([]byte(nil), e.EncSymKey...),
-		EncTTL:    append([]byte(nil), e.EncTTL...),
-		EncBitmap: append([]byte(nil), e.EncBitmap...),
-		Payload:   append([]byte(nil), e.Payload...),
-	}
-	if e.DPubOwner != None && resolve != nil {
-		env.DPub = resolve(int(e.DPubOwner))
-	}
-	return env
-}
-
-// FrameFromGPSR fills f's leg-state fields from a simulator packet's
-// exported fields (the payload, a protocol concern, does not cross).
-func FrameFromGPSR(f *Frame, pkt *gpsr.Packet) {
-	f.Dest = pkt.Dest
-	f.DeliverTo = int32(pkt.DeliverTo)
-	f.Size = uint32(pkt.Size)
-	f.HopBudget = uint16(pkt.HopBudget)
-	f.Hops = uint16(pkt.Hops)
-	f.Path = f.Path[:0]
-	for _, id := range pkt.Path {
-		f.Path = append(f.Path, int32(id))
-	}
-}
-
-// ToGPSR copies f's leg state onto a simulator packet (the inverse of
-// FrameFromGPSR). Path is appended into pkt's storage, never aliased.
-func (f *Frame) ToGPSR(pkt *gpsr.Packet) {
-	pkt.Dest = f.Dest
-	pkt.DeliverTo = medium.NodeID(f.DeliverTo)
-	pkt.Size = int(f.Size)
-	pkt.HopBudget = int(f.HopBudget)
-	pkt.Hops = int(f.Hops)
-	pkt.Path = pkt.Path[:0]
-	for _, id := range f.Path {
-		pkt.Path = append(pkt.Path, medium.NodeID(id))
 	}
 }
 

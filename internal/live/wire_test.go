@@ -2,16 +2,16 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"alertmanet/internal/core"
-	"alertmanet/internal/crypt"
+	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
-	"alertmanet/internal/rng"
 )
 
 func mustEncode(t *testing.T, f *Frame) []byte {
@@ -52,7 +52,7 @@ func sampleEnvelope() *Envelope {
 	e := &Envelope{
 		Kind:      core.KindData,
 		LZD:       geo.Rect{Min: geo.Point{X: 1, Y: 2}, Max: geo.Point{X: 3, Y: 4}},
-		TD:        geo.Point{X: 5, Y: 6},
+		TD:        geo.Point{X: math.Pi * 100, Y: math.Sqrt2 * 300}, // full-precision floats
 		Dir:       geo.Horizontal,
 		Hdiv:      2,
 		Hmax:      5,
@@ -160,79 +160,90 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := AppendFrame(nil, noEnv); err == nil {
 		t.Error("AppendFrame accepted FlagEnvelope without Env")
 	}
+
+	// The envelope section: every truncation errors (never panics), and
+	// an envelope kind above KindNAK or a direction byte above 1 is
+	// rejected while the largest valid values decode.
+	envf := sampleDataFrame()
+	envf.Flags |= FlagEnvelope
+	envf.Env = sampleEnvelope()
+	wire := mustEncode(t, envf)
+	for n := 0; n < len(wire); n++ {
+		if err := DecodeFrame(wire[:n], &f); err == nil {
+			t.Fatalf("envelope frame truncated at %d of %d bytes accepted", n, len(wire))
+		}
+	}
+	kindAt := len(mustEncode(t, sampleDataFrame()))
+	for _, c := range []struct {
+		name    string
+		at      int
+		largest byte
+	}{
+		{"envelope kind", kindAt, byte(core.KindNAK)},
+		{"direction", kindAt + 1 + 20 + 20 + 32 + 16, byte(geo.Horizontal)},
+	} {
+		b := append([]byte(nil), wire...)
+		b[c.at] = c.largest
+		if err := DecodeFrame(b, &f); err != nil {
+			t.Errorf("%s byte %d rejected: %v", c.name, c.largest, err)
+		}
+		b[c.at] = c.largest + 1
+		if err := DecodeFrame(b, &f); !errors.Is(err, ErrBadField) {
+			t.Errorf("%s byte %d: decode error %v, want ErrBadField", c.name, c.largest+1, err)
+		}
+	}
 }
 
-// TestEnvelopeCoreRoundTrip round-trips a simulator core.Envelope through
-// the wire format and back, including public-key resolution through a
-// shared suite — the codec's fidelity contract against the core payload
-// type.
-func TestEnvelopeCoreRoundTrip(t *testing.T) {
-	src := rng.New(7)
-	suite := crypt.NewFastSuite(src)
-	pub, _ := suite.GenerateKeyPair(4)
-	orig := &core.Envelope{
-		Kind:      core.KindNAK,
-		LZD:       geo.Rect{Min: geo.Point{X: 10, Y: 20}, Max: geo.Point{X: 30, Y: 40}},
-		TD:        geo.Point{X: 1.5, Y: 2.5},
-		Dir:       geo.Vertical,
-		Hdiv:      1,
-		Hmax:      6,
-		Zone:      geo.Rect{Max: geo.Point{X: 500, Y: 500}},
-		DPub:      pub,
-		Seq:       3,
-		EncLZS:    []byte{9, 9, 9},
-		EncSymKey: []byte{8},
-		EncTTL:    []byte{7, 7},
-		EncBitmap: []byte{6},
-		Payload:   []byte("data"),
-	}
-	orig.PS = crypt.NewPseudonym(1, 0, src)
-	orig.PD = crypt.NewPseudonym(2, 0, src)
-
-	var w Envelope
-	EnvelopeFromCore(&w, orig)
-	f := &Frame{Kind: KindData, Flags: FlagEnvelope, Env: &w}
-	var got Frame
-	if err := DecodeFrame(mustEncode(t, f), &got); err != nil {
+// TestSimEnvelopesFitWire encodes every ALERT envelope a paper-default
+// simulator run puts on the air: each must round-trip through the frame
+// codec and, framed alone, fit the scenario's packet size (512 bytes).
+func TestSimEnvelopesFitWire(t *testing.T) {
+	sc := experiment.DefaultScenario()
+	w, err := experiment.Build(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back := got.Env.ToCore(func(owner int) crypt.PubKey {
-		p, _ := suite.GenerateKeyPair(owner)
-		return p
+	var we Envelope
+	var got Frame
+	var buf []byte
+	checked, largest := 0, 0
+	w.Med.TapSend(func(tx medium.Transmission) {
+		var env *core.Envelope
+		switch v := tx.Payload.(type) {
+		case *core.ZoneDelivery:
+			env = v.Env
+		case *gpsr.Packet:
+			env, _ = v.Payload.(*core.Envelope)
+		}
+		if env == nil {
+			return
+		}
+		checked++
+		EnvelopeFromCore(&we, env)
+		b, err := AppendFrame(buf[:0], &Frame{Kind: KindData, Flags: FlagEnvelope, Env: &we})
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		buf = b
+		largest = max(largest, len(b))
+		if len(b) > sc.PacketSize {
+			t.Fatalf("on-air envelope frames to %d bytes > %d", len(b), sc.PacketSize)
+		}
+		if err := DecodeFrame(b, &got); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(got.Env, &we) {
+			t.Fatalf("round-trip lost fields:\n got %+v\nwant %+v", got.Env, we)
+		}
 	})
-	if !reflect.DeepEqual(back, orig) {
-		t.Errorf("core round-trip mismatch:\n got %+v\nwant %+v", back, orig)
-	}
-	if back.DPub.Owner() != 4 {
-		t.Errorf("DPub owner = %d, want 4", back.DPub.Owner())
-	}
-}
-
-// TestGPSRRoundTrip round-trips a gpsr.Packet's exported leg state through
-// the frame format.
-func TestGPSRRoundTrip(t *testing.T) {
-	pkt := &gpsr.Packet{
-		Dest:      geo.Point{X: 123, Y: 456},
-		DeliverTo: 17,
-		Size:      512,
-		HopBudget: 9,
-		Hops:      4,
-		Path:      []medium.NodeID{0, 3, 5, 17},
-	}
-	var f Frame
-	f.Kind = KindData
-	FrameFromGPSR(&f, pkt)
-	var got Frame
-	if err := DecodeFrame(mustEncode(t, &f), &got); err != nil {
+	w.StartWorkload(w.ChoosePairs())
+	if err := w.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	var back gpsr.Packet
-	got.ToGPSR(&back)
-	if back.Dest != pkt.Dest || back.DeliverTo != pkt.DeliverTo ||
-		back.Size != pkt.Size || back.HopBudget != pkt.HopBudget ||
-		back.Hops != pkt.Hops || !reflect.DeepEqual(back.Path, pkt.Path) {
-		t.Errorf("gpsr round-trip mismatch:\n got %+v\nwant %+v", back, *pkt)
+	if checked == 0 {
+		t.Fatal("no envelopes observed")
 	}
+	t.Logf("%d on-air envelopes encoded, largest frame %d bytes", checked, largest)
 }
 
 // TestForwardStateRoundTrip round-trips the GPSR decision state the frame
