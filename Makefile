@@ -157,6 +157,7 @@ experiments:
 fuzz:
 	$(GO) test ./internal/mobility -fuzz FuzzParseNS2 -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 
 # BENCH_pr3/pr4/pr6/pr8/pr9/pr10/pr12.json are committed comparison
