@@ -2,7 +2,7 @@
 // evaluation, plus ablations for the design choices called out in
 // DESIGN.md. Each benchmark iteration regenerates the experiment behind its
 // figure with a reduced seed count (shapes, not confidence intervals);
-// cmd/figures produces the full-seeds output.
+// `campaign run` produces the full-seeds output.
 //
 //	go test -bench=. -benchmem
 package alert

@@ -1,14 +1,17 @@
-// Command campaign runs the paper's evaluation as one declarative sweep: it
-// expands the selected figures into their full cell grids, executes them
-// across a worker pool, and streams every result to an append-only store
-// keyed by cell content hash. Killing a run loses nothing — `resume` (or
-// simply re-running) re-executes only the missing cells — and a shared
-// -cache-dir makes cells free across campaign directories too.
+// Command campaign runs and renders the paper's evaluation as one
+// declarative sweep: it expands the selected outputs into their full cell
+// grids, executes them across a worker pool, and streams every result to an
+// append-only store keyed by cell content hash. Killing a run loses nothing
+// — `resume` (or simply re-running) re-executes only the missing cells — and
+// a shared -cache-dir makes cells free across campaign directories too.
+// Without -dir, `run` resolves cells in memory and writes no store.
 //
 //	campaign run -dir out/figures-campaign -seeds 5 all
 //	campaign resume -dir out/figures-campaign
 //	campaign status -dir out/figures-campaign
 //	campaign export -dir out/figures-campaign > results.jsonl
+//	campaign run -seeds 2 fig14a table1 intersection
+//	campaign run -seeds 30 -format md all > report.md
 //
 // The same sweep distributes across processes — and machines — without
 // changing its output byte: `serve` drives the campaign while leasing
@@ -21,8 +24,10 @@
 //	campaign work  -server http://host:7077        # on each worker machine
 //	campaign status -server http://host:7077
 //
-// Figure names are the registry's: fig10a ... fig17 and energy; `all`
-// (default) selects every one.
+// Output names are the registry's (experiment.Figures): the closed forms
+// fig7a fig7b fig9a fig9b overhead, the simulations fig10a ... fig17 energy
+// compare, table1, and the attacks intersection source timing interception
+// dos; `all` (default) selects every one.
 package main
 
 import (
@@ -81,9 +86,9 @@ func dispatch(cmd string, args []string) error {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  campaign run    -dir <campaign-dir> [flags] [figures...]   execute (or continue) a campaign
-  campaign resume -dir <campaign-dir> [flags] [figures...]   alias of run
-  campaign serve  -dir <campaign-dir> [flags] [figures...]   drive a campaign, leasing cells to workers over HTTP
+  campaign run    [-dir <campaign-dir>] [flags] [outputs...] execute (or continue) a campaign; in memory without -dir
+  campaign resume [-dir <campaign-dir>] [flags] [outputs...] alias of run
+  campaign serve  -dir <campaign-dir> [flags] [outputs...]   drive a campaign, leasing cells to workers over HTTP
   campaign work   -server <url> [flags]                      claim and execute cells from a campaign server
   campaign status -dir <campaign-dir> | -server <url>        print progress and provenance
   campaign export -dir <campaign-dir> | -server <url> [-o f] dump the result store as JSONL
@@ -94,8 +99,8 @@ run flags:
   -retries N    execution attempts per cell (default 2)
   -max-events N per-cell event budget, 0 = unlimited (runaway guard)
   -cache-dir D  content-addressed cell cache shared across campaigns
-  -o DIR        also render each figure to DIR/<name>.{txt,csv}
-  -format F     rendered figure format: text or csv
+  -o DIR        render each output to DIR/<name>.{txt,csv,md} instead of stdout
+  -format F     rendered output format: text, csv or md
   -quiet        suppress per-cell progress lines
 
 serve flags: the run flags, plus
@@ -115,7 +120,7 @@ work flags:
 `)
 }
 
-// selectFigures resolves figure-name arguments against the registry.
+// selectFigures resolves output-name arguments against the registry.
 func selectFigures(args []string) ([]experiment.Figure, error) {
 	all := experiment.Figures()
 	if len(args) == 0 {
@@ -127,7 +132,7 @@ func selectFigures(args []string) ([]experiment.Figure, error) {
 			return all, nil
 		}
 		if _, ok := experiment.FindFigure(a); !ok {
-			return nil, fmt.Errorf("unknown figure %q", a)
+			return nil, fmt.Errorf("unknown output %q", a)
 		}
 		want[a] = true
 	}
@@ -151,42 +156,48 @@ type engineFlags struct {
 
 func addEngineFlags(fs *flag.FlagSet) engineFlags {
 	return engineFlags{
-		dir:       fs.String("dir", "", "campaign directory (result store + manifest)"),
+		dir:       fs.String("dir", "", "campaign directory (result store + manifest); run without it resolves cells in memory"),
 		seeds:     fs.Int("seeds", 5, "independent runs per data point (paper: 30)"),
 		jobs:      fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)"),
 		retries:   fs.Int("retries", 2, "execution attempts per cell"),
 		maxEvents: fs.Uint64("max-events", 0, "per-cell event budget (0 = unlimited)"),
 		cacheDir:  fs.String("cache-dir", "", "content-addressed cell cache shared across campaigns"),
-		outDir:    fs.String("o", "", "also render each figure to <dir>/<name>.{txt,csv}"),
-		format:    fs.String("format", "text", "rendered figure format: text or csv"),
+		outDir:    fs.String("o", "", "render each output to <dir>/<name>.{txt,csv,md} instead of stdout"),
+		format:    fs.String("format", "text", "rendered output format: text, csv or md"),
 		quiet:     fs.Bool("quiet", false, "suppress per-cell progress lines"),
 	}
 }
 
-// buildEngine opens the store and assembles the engine the flags describe.
-// The caller owns closing the returned store.
+// buildEngine checks the flags and assembles the engine they describe, with
+// the store under -dir when one is given. The caller owns closing a
+// returned store.
 func (ef engineFlags) buildEngine() (*campaign.Engine, *campaign.Store, error) {
-	if *ef.dir == "" {
-		return nil, nil, fmt.Errorf("need -dir")
+	if *ef.seeds < 1 {
+		return nil, nil, fmt.Errorf("-seeds must be at least 1, got %d", *ef.seeds)
 	}
-	store, err := campaign.OpenStore(*ef.dir)
-	if err != nil {
-		return nil, nil, err
+	if _, ok := experiment.FormatExt(*ef.format); !ok {
+		return nil, nil, fmt.Errorf("unknown -format %q (text, csv or md)", *ef.format)
 	}
 	eng := &campaign.Engine{
 		Name:      "figures",
 		Jobs:      *ef.jobs,
 		Retries:   *ef.retries,
 		MaxEvents: *ef.maxEvents,
-		Store:     store,
 	}
 	if *ef.cacheDir != "" {
 		cache, err := campaign.OpenCache(*ef.cacheDir)
 		if err != nil {
-			store.Close()
 			return nil, nil, err
 		}
 		eng.Cache = cache
+	}
+	var store *campaign.Store
+	if *ef.dir != "" {
+		var err error
+		if store, err = campaign.OpenStore(*ef.dir); err != nil {
+			return nil, nil, err
+		}
+		eng.Store = store
 	}
 	if !*ef.quiet {
 		eng.OnCell = func(ev campaign.CellEvent) {
@@ -200,7 +211,7 @@ func (ef engineFlags) buildEngine() (*campaign.Engine, *campaign.Store, error) {
 	return eng, store, nil
 }
 
-// driveFigures executes and renders the selected figures through the engine —
+// driveFigures executes and renders the selected outputs through the engine —
 // the campaign's "driver" role, identical whether the engine resolves cells
 // in-process (run) or through leased remote workers (serve). Identical is the
 // point: the store's byte layout depends only on this drive order.
@@ -209,32 +220,40 @@ func driveFigures(eng *campaign.Engine, store *campaign.Store, figures []experim
 	// grid, deduplicated by content key (adaptive figures plan zero cells
 	// and add theirs at render time).
 	distinct := map[string]bool{}
-	for _, f := range figures {
-		plan := f.Plan(*ef.seeds)
-		for _, sc := range plan.Runs {
+	plans := make([]experiment.FigurePlan, len(figures))
+	for i, f := range figures {
+		if f.Plan == nil {
+			continue
+		}
+		plans[i] = f.Plan(*ef.seeds)
+		for _, sc := range plans[i].Runs {
 			if eng.MaxEvents != 0 && sc.MaxEvents == 0 {
 				sc.MaxEvents = eng.MaxEvents
 			}
 			distinct[sc.Hash()] = true
 		}
-		for _, spec := range plan.Remaining {
+		for _, spec := range plans[i].Remaining {
 			distinct[spec.Hash()] = true
 		}
 	}
 	eng.Expect(len(distinct))
-	fmt.Fprintf(os.Stderr, "campaign: %d planned cells across %d figures (%d already stored)\n",
-		len(distinct), len(figures), store.Len())
-
-	baseRender := experiment.RenderSeries
-	ext := ".txt"
-	if *ef.format == "csv" {
-		baseRender = experiment.RenderCSV
-		ext = ".csv"
+	stored := "in memory"
+	if store != nil {
+		stored = fmt.Sprintf("%d already stored", store.Len())
 	}
-	for _, f := range figures {
-		// Execute the figure's planned grid, then render through the same
+	fmt.Fprintf(os.Stderr, "campaign: %d planned cells across %d outputs (%s)\n",
+		len(distinct), len(figures), stored)
+
+	ext, _ := experiment.FormatExt(*ef.format)
+	if *ef.outDir != "" {
+		if err := os.MkdirAll(*ef.outDir, 0o755); err != nil {
+			return err
+		}
+	}
+	for i, f := range figures {
+		// Execute the entry's planned grid, then render through the same
 		// engine — the render's cell requests all memo-hit.
-		plan := f.Plan(*ef.seeds)
+		plan := plans[i]
 		if len(plan.Runs) > 0 {
 			if _, err := eng.RunBatch(plan.Runs); err != nil {
 				return fmt.Errorf("%s: %w", f.Name, err)
@@ -245,27 +264,20 @@ func driveFigures(eng *campaign.Engine, store *campaign.Store, figures []experim
 				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 		}
-		series, err := f.Render(eng, *ef.seeds)
+		out, err := f.Output(*ef.format, eng, *ef.seeds)
 		if err != nil {
 			return fmt.Errorf("%s: %w", f.Name, err)
 		}
-		if *ef.outDir != "" {
-			if err := os.MkdirAll(*ef.outDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(*ef.outDir, f.Name+ext)
-			out, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			baseRender(out, f.Title, series)
-			if err := out.Close(); err != nil {
-				return err
-			}
-			fmt.Println("wrote", path)
+		if *ef.outDir == "" {
+			_, err = os.Stdout.Write(append(out, '\n'))
 		} else {
-			baseRender(os.Stdout, f.Title, series)
-			fmt.Println()
+			path := filepath.Join(*ef.outDir, f.Name+ext)
+			if err = os.WriteFile(path, out, 0o644); err == nil {
+				_, err = fmt.Println("wrote", path)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 	}
 	st := eng.Snapshot()
@@ -286,7 +298,9 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	if store != nil {
+		defer store.Close()
+	}
 
 	// A killed run (SIGINT/SIGTERM) stops scheduling, finishes in-flight
 	// cells, stores the completed prefix, and exits nonzero; resume picks
@@ -309,6 +323,9 @@ func cmdServe(args []string) error {
 	lease := fs.Duration("lease", server.DefaultLease, "claimed-cell lease before another worker may reclaim it")
 	localWorkers := fs.Int("local-workers", 0, "in-process workers executing alongside remote ones")
 	fs.Parse(args)
+	if *ef.dir == "" {
+		return fmt.Errorf("serve needs -dir")
+	}
 	figures, err := selectFigures(fs.Args())
 	if err != nil {
 		return err

@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,11 +71,13 @@ func readResults(t *testing.T, dir string) []byte {
 	return data
 }
 
-// cmdReference is the byte-exact single-process `run` output for the cheap
-// fig12 grid every subcommand test compares against, computed once.
+// cmdReference is the byte-exact single-process `run` store for the cheap
+// fig12 grid every subcommand test compares against, computed once, and
+// cmdRefFig12 the figure that run rendered.
 var (
 	cmdRefOnce  sync.Once
 	cmdRefBytes []byte
+	cmdRefFig12 []byte
 	cmdRefErr   error
 )
 
@@ -90,6 +93,9 @@ func cmdReference(t *testing.T) []byte {
 		if err := dispatch("run", []string{"-dir", dir, "-seeds", "1", "-quiet",
 			"-o", filepath.Join(dir, "figs"), "fig12"}); err != nil {
 			cmdRefErr = err
+			return
+		}
+		if cmdRefFig12, cmdRefErr = os.ReadFile(filepath.Join(dir, "figs", "fig12.txt")); cmdRefErr != nil {
 			return
 		}
 		cmdRefBytes, cmdRefErr = os.ReadFile(filepath.Join(dir, "results.jsonl"))
@@ -135,6 +141,104 @@ func TestRunStatusExport(t *testing.T) {
 	}
 	if err := dispatch("export", nil); err == nil {
 		t.Fatal("export without -dir or -server must error")
+	}
+}
+
+// TestRunInMemory: `run` without -dir renders the same figure bytes as a
+// stored run, and renders text entries and markdown too.
+func TestRunInMemory(t *testing.T) {
+	cmdReference(t)
+	out := t.TempDir()
+	if err := dispatch("run", []string{"-seeds", "1", "-quiet", "-o", out, "fig12", "table1"}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(out, "fig12.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, cmdRefFig12) {
+		t.Fatal("in-memory fig12 differs from the stored run's")
+	}
+	table, err := os.ReadFile(filepath.Join(out, "table1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(table, []byte("== Table 1")) || !bytes.Contains(table, []byte("ANODR")) {
+		t.Fatalf("table1.txt:\n%s", table)
+	}
+
+	md := t.TempDir()
+	if err := dispatch("run", []string{"-seeds", "1", "-quiet", "-format", "md", "-o", md, "fig7a", "table1"}); err != nil {
+		t.Fatalf("run -format md: %v", err)
+	}
+	for name, want := range map[string]string{
+		"fig7a.md":  "## Fig. 7a (analysis): possible participating nodes vs partitions\n\n| x | N=100 |",
+		"table1.md": "## Table 1: anonymous routing protocol taxonomy\n\n```\nCategory",
+	} {
+		got, err := os.ReadFile(filepath.Join(md, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(got), want) {
+			t.Errorf("%s starts %q, want %q", name, got[:min(len(got), len(want))], want)
+		}
+	}
+}
+
+// TestRejectsBadFlags: a seed count below 1 or an unknown format fails
+// before anything runs or is stored, naming the flag; serve needs -dir.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, cmd string
+		args      []string
+		flag      string
+	}{
+		{"run-seeds-0", "run", []string{"-seeds", "0"}, "-seeds"},
+		{"run-seeds-negative", "run", []string{"-seeds", "-3"}, "-seeds"},
+		{"run-format-xml", "run", []string{"-format", "xml"}, "-format"},
+		{"serve-seeds-0", "serve", []string{"-seeds", "0"}, "-seeds"},
+		{"serve-format-xml", "serve", []string{"-format", "xml"}, "-format"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "campaign")
+			args := append([]string{"-dir", dir, "-quiet"}, tc.args...)
+			err := dispatch(tc.cmd, append(args, "fig11", "energy"))
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.flag)
+			}
+			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+				t.Fatalf("rejected %s still created the campaign directory", tc.cmd)
+			}
+		})
+	}
+	if err := dispatch("serve", []string{"-quiet", "table1"}); err == nil || !strings.Contains(err.Error(), "-dir") {
+		t.Fatalf("serve without -dir: err = %v", err)
+	}
+}
+
+// TestRunWriteErrorFails: a failed write of a rendered output, on stdout or
+// to an -o file, fails the command.
+func TestRunWriteErrorFails(t *testing.T) {
+	closed, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	stdout := os.Stdout
+	os.Stdout = closed
+	err = dispatch("run", []string{"-seeds", "1", "-quiet", "table1"})
+	os.Stdout = stdout
+	if err == nil {
+		t.Fatal("write error on stdout swallowed")
+	}
+
+	out := t.TempDir()
+	// A directory where the output file should go makes the write fail.
+	if err := os.Mkdir(filepath.Join(out, "table1.txt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := dispatch("run", []string{"-seeds", "1", "-quiet", "-o", out, "table1"}); err == nil {
+		t.Fatal("write error on an -o file swallowed")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -670,7 +669,8 @@ type Aggregate struct {
 // they are fully independent — and returns the results in seed order, which
 // keeps all downstream aggregation deterministic. The scenario is validated
 // once up front; with a valid scenario the only per-run failure mode left
-// is an unreadable NS-2 trace, and the first such error is returned.
+// is an unreadable NS-2 trace, and the failed seeds' errors are returned
+// joined in seed order.
 func RunParallel(sc Scenario, seeds int) ([]Result, error) {
 	return RunParallelProgress(sc, seeds, nil)
 }
@@ -685,41 +685,24 @@ func RunParallelProgress(sc Scenario, seeds int, progress func(seed int, r Resul
 		return nil, err
 	}
 	results := make([]Result, seeds)
-	errs := make([]error, seeds)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > seeds {
-		workers = seeds
-	}
-	var wg sync.WaitGroup
 	var progressMu sync.Mutex
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allowsharedstate seed-fan-out worker: each seed builds its own world and engine and writes only results[i]/errs[i]; the progress callback is serialized under progressMu
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run := sc
-				run.Seed = int64(i + 1)
-				results[i], errs[i] = Run(run)
-				if progress != nil && errs[i] == nil {
-					progressMu.Lock()
-					progress(i+1, results[i])
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < seeds; i++ {
-		//lint:allowsharedstate work-distribution token: a bare seed index, claimed by exactly one worker
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+	err := forEachCell(seeds, 0, func(i int) error {
+		run := sc
+		run.Seed = int64(i + 1)
+		r, err := Run(run)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		results[i] = r
+		if progress != nil {
+			progressMu.Lock()
+			progress(i+1, r)
+			progressMu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

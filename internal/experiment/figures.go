@@ -573,7 +573,7 @@ func energyCells(seeds int) []Scenario {
 }
 
 // EnergySummary returns each protocol's mean energy per delivered packet
-// (joules) over seeds as one-point series — the `figures energy` table.
+// (joules) over seeds as one-point series — the `energy` registry entry.
 func EnergySummary(r Runner, seeds int) ([]analysis.Series, error) {
 	results, err := r.RunBatch(energyCells(seeds))
 	if err != nil {
@@ -622,7 +622,7 @@ func compareCells(protocols []ProtocolName, seeds int, duration float64) []Scena
 
 // CompareProtocols runs every protocol `seeds` times on the default
 // scenario and tests each pair's difference on the named metrics. It backs
-// the `figures compare` command: the paper's orderings stated with
+// the `compare` registry entry: the paper's orderings stated with
 // statistical confidence rather than eyeballed means.
 func CompareProtocols(r Runner, protocols []ProtocolName, seeds int, duration float64) ([]Comparison, error) {
 	metrics := []struct {

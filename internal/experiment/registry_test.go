@@ -1,0 +1,204 @@
+package experiment
+
+// The registry contract: every entry of Figures() renders, in every output
+// format, and an entry's Plan names exactly the cells its render asks the
+// runner for — so a campaign that executes the planned grids leaves every
+// render a memo hit, and a Plan that drifts from its figure's grid fails
+// here. The attack entries' values are pinned in
+// testdata/attacks_golden.json.
+
+import (
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+)
+
+// memoRunner executes each distinct cell once through DirectRunner and
+// records the key of every cell a render requests.
+type memoRunner struct {
+	runs  map[string]Result
+	rems  map[string]RemainingResult
+	asked map[string]bool
+}
+
+func newMemoRunner() *memoRunner {
+	return &memoRunner{runs: map[string]Result{}, rems: map[string]RemainingResult{}}
+}
+
+func (m *memoRunner) RunBatch(cells []Scenario) ([]Result, error) {
+	var todo []Scenario
+	for _, sc := range cells {
+		k := sc.Hash()
+		m.asked[k] = true
+		if _, ok := m.runs[k]; !ok {
+			m.runs[k] = Result{}
+			todo = append(todo, sc)
+		}
+	}
+	res, err := DirectRunner{}.RunBatch(todo)
+	if err != nil {
+		return nil, err
+	}
+	for i, sc := range todo {
+		m.runs[sc.Hash()] = res[i]
+	}
+	out := make([]Result, len(cells))
+	for i, sc := range cells {
+		out[i] = m.runs[sc.Hash()]
+	}
+	return out, nil
+}
+
+func (m *memoRunner) RemainingBatch(cells []RemainingSpec) ([]RemainingResult, error) {
+	var todo []RemainingSpec
+	for _, spec := range cells {
+		k := spec.Hash()
+		m.asked[k] = true
+		if _, ok := m.rems[k]; !ok {
+			m.rems[k] = RemainingResult{}
+			todo = append(todo, spec)
+		}
+	}
+	res, err := DirectRunner{}.RemainingBatch(todo)
+	if err != nil {
+		return nil, err
+	}
+	for i, spec := range todo {
+		m.rems[spec.Hash()] = res[i]
+	}
+	out := make([]RemainingResult, len(cells))
+	for i, spec := range cells {
+		out[i] = m.rems[spec.Hash()]
+	}
+	return out, nil
+}
+
+func planKeys(p FigurePlan) map[string]bool {
+	keys := map[string]bool{}
+	for _, sc := range p.Runs {
+		keys[sc.Hash()] = true
+	}
+	for _, spec := range p.Remaining {
+		keys[spec.Hash()] = true
+	}
+	return keys
+}
+
+func TestRegistry(t *testing.T) {
+	const seeds = 1
+	r := newMemoRunner()
+	names := map[string]bool{}
+	for _, f := range Figures() {
+		if names[f.Name] {
+			t.Errorf("%s: duplicate name", f.Name)
+		}
+		names[f.Name] = true
+		if (f.Render == nil) == (f.Text == nil) {
+			t.Errorf("%s: want exactly one of Render and Text set", f.Name)
+			continue
+		}
+		if got, ok := FindFigure(f.Name); !ok || got.Title != f.Title {
+			t.Errorf("%s: FindFigure does not return the entry", f.Name)
+		}
+
+		r.asked = map[string]bool{}
+		for _, format := range []string{"text", "csv", "md"} {
+			out, err := f.Output(format, r, seeds)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", f.Name, format, err)
+			}
+			if !strings.Contains(string(out), f.Title) {
+				t.Errorf("%s (%s): output lacks the title %q", f.Name, format, f.Title)
+			}
+			if strings.Contains(string(out), "(no data)") {
+				t.Errorf("%s (%s): no data", f.Name, format)
+			}
+		}
+		if f.Plan == nil {
+			if len(r.asked) != 0 {
+				t.Errorf("%s: has no Plan but its render requests %d cells", f.Name, len(r.asked))
+			}
+			continue
+		}
+		plan := planKeys(f.Plan(seeds))
+		if len(plan) == 0 {
+			continue // adaptive: its cells are only known at render time
+		}
+		unplanned, unrequested := 0, 0
+		for k := range r.asked {
+			if !plan[k] {
+				unplanned++
+			}
+		}
+		for k := range plan {
+			if !r.asked[k] {
+				unrequested++
+			}
+		}
+		if unplanned != 0 || unrequested != 0 {
+			t.Errorf("%s: render requests %d cells its Plan lacks, and Plan has %d cells the render never requests",
+				f.Name, unplanned, unrequested)
+		}
+	}
+	if _, ok := FindFigure("nonesuch"); ok {
+		t.Error("FindFigure found an unknown name")
+	}
+	if _, err := Figures()[0].Output("xml", r, seeds); err == nil {
+		t.Error("Output accepted an unknown format")
+	}
+	if _, ok := FormatExt("xml"); ok {
+		t.Error("FormatExt accepted an unknown format")
+	}
+}
+
+const attacksGoldenPath = "testdata/attacks_golden.json"
+
+// attackEntries are the Section 3 attack entries of the registry.
+var attackEntries = []string{"intersection", "source", "timing", "interception", "dos"}
+
+// TestAttackGoldenSeries pins the attack entries' series at two seeds.
+// Re-bless with -update only for an intended behaviour change.
+func TestAttackGoldenSeries(t *testing.T) {
+	got := map[string]string{}
+	for _, name := range attackEntries {
+		f, ok := FindFigure(name)
+		if !ok {
+			t.Fatalf("%s: not in the registry", name)
+		}
+		series, err := f.Render(DirectRunner{}, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = seriesDigest(series)
+	}
+
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(attacksGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("re-blessed %s", attacksGoldenPath)
+		return
+	}
+
+	data, err := os.ReadFile(attacksGoldenPath)
+	if err != nil {
+		t.Fatalf("read attack golden corpus (run with -update to create): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parse %s: %v", attacksGoldenPath, err)
+	}
+	for _, name := range attackEntries {
+		if got[name] != want[name] {
+			t.Errorf("%s: series digest %s, golden %s — attack output changed", name, got[name], want[name])
+		}
+	}
+	if len(want) != len(attackEntries) {
+		t.Errorf("golden corpus has %d entries, want %d; re-bless with -update", len(want), len(attackEntries))
+	}
+}

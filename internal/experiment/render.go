@@ -1,14 +1,67 @@
-// Text rendering of figure series for cmd/figures and EXPERIMENTS.md.
+// Rendering of registry entries as aligned text, CSV or markdown.
 
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 
 	"alertmanet/internal/analysis"
 )
+
+// outputFormat is one output format: the extension of the file it is
+// written to, its series renderer, and the layout of a Text entry's title
+// and body (the heading each series renderer prints, fenced in markdown).
+type outputFormat struct {
+	ext    string
+	series func(w io.Writer, title string, series []analysis.Series)
+	text   string
+}
+
+func formatNamed(name string) (outputFormat, bool) {
+	switch name {
+	case "text":
+		return outputFormat{".txt", RenderSeries, "== %s ==\n%s"}, true
+	case "csv":
+		return outputFormat{".csv", RenderCSV, "# %s\n%s"}, true
+	case "md":
+		return outputFormat{".md", RenderMarkdown, "## %s\n\n```\n%s```\n"}, true
+	}
+	return outputFormat{}, false
+}
+
+// FormatExt returns the file extension of an output format ("text", "csv"
+// or "md"), and false for any other format.
+func FormatExt(format string) (string, bool) {
+	f, ok := formatNamed(format)
+	return f.ext, ok
+}
+
+// Output executes the entry through r at the given seed count and renders
+// it in the given format.
+func (f Figure) Output(format string, r Runner, seeds int) ([]byte, error) {
+	fm, ok := formatNamed(format)
+	if !ok {
+		return nil, fmt.Errorf("experiment: unknown output format %q", format)
+	}
+	var b bytes.Buffer
+	if f.Text != nil {
+		text, err := f.Text(r, seeds)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(&b, fm.text, f.Title, text)
+		return b.Bytes(), nil
+	}
+	series, err := f.Render(r, seeds)
+	if err != nil {
+		return nil, err
+	}
+	fm.series(&b, f.Title, series)
+	return b.Bytes(), nil
+}
 
 // RenderSeries prints labeled series as an aligned table: one row per x
 // value, one column per series. Series whose x grids differ are printed
@@ -133,6 +186,40 @@ func RenderCSV(w io.Writer, title string, series []analysis.Series) {
 					e = s.Err[i]
 				}
 				fmt.Fprintf(w, ",%g", e)
+			}
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// RenderMarkdown prints a set of same-grid series as a markdown table under
+// a level-two heading.
+func RenderMarkdown(w io.Writer, title string, series []analysis.Series) {
+	fmt.Fprintf(w, "## %s\n\n", title)
+	if len(series) == 0 {
+		fmt.Fprintln(w, "(no data)")
+		return
+	}
+	fmt.Fprint(w, "| x |")
+	for _, s := range series {
+		fmt.Fprintf(w, " %s |", strings.ReplaceAll(s.Label, "|", "\\|"))
+	}
+	fmt.Fprint(w, "\n|---|")
+	for range series {
+		fmt.Fprint(w, "---|")
+	}
+	fmt.Fprintln(w)
+	for i := range series[0].X {
+		fmt.Fprintf(w, "| %g |", series[0].X[i])
+		for _, s := range series {
+			if i >= len(s.Y) {
+				fmt.Fprint(w, " |")
+				continue
+			}
+			if s.Err != nil && i < len(s.Err) && s.Err[i] > 0 {
+				fmt.Fprintf(w, " %.4f ± %.4f |", s.Y[i], s.Err[i])
+			} else {
+				fmt.Fprintf(w, " %.4f |", s.Y[i])
 			}
 		}
 		fmt.Fprintln(w)

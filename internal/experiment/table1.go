@@ -1,6 +1,6 @@
 // Table 1 of the paper: the taxonomy of existing anonymous routing
 // protocols and the anonymity protections each provides. Static data, kept
-// executable so `cmd/figures table1` regenerates the exact table.
+// executable so `campaign run table1` regenerates the exact table.
 
 package experiment
 

@@ -40,7 +40,7 @@ func PackageMatchesAny(pkgPath string, patterns []string) bool {
 }
 
 // HasPathElement reports whether elem appears as a complete element of the
-// slash-separated import path (e.g. "cmd" in "alertmanet/cmd/figures").
+// slash-separated import path (e.g. "cmd" in "alertmanet/cmd/campaign").
 func HasPathElement(pkgPath, elem string) bool {
 	for _, e := range strings.Split(pkgPath, "/") {
 		if e == elem {
