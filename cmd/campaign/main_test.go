@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -183,6 +184,80 @@ func TestRunInMemory(t *testing.T) {
 			t.Errorf("%s starts %q, want %q", name, got[:min(len(got), len(want))], want)
 		}
 	}
+}
+
+// checkMarkdown runs `run -seeds 1 -format md -o DIR` in memory over the
+// outputs that want names, and checks that exactly those files are written
+// and that each contains every string want lists for it.
+func checkMarkdown(t *testing.T, want map[string][]string) {
+	t.Helper()
+	var names []string
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := t.TempDir()
+	if err := dispatch("run", append([]string{"-seeds", "1", "-quiet", "-format", "md", "-o", out}, names...)); err != nil {
+		t.Fatalf("run -format md: %v", err)
+	}
+	entries, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("wrote %d files, want %d", len(entries), len(want))
+	}
+	for name, subs := range want {
+		got, err := os.ReadFile(filepath.Join(out, name+".md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range subs {
+			if !strings.Contains(string(got), sub) {
+				t.Errorf("%s.md lacks %q:\n%s", name, sub, got)
+			}
+		}
+	}
+}
+
+// TestRunMarkdownAnalytical: the Section 4 closed forms render as markdown
+// tables, and naming them renders nothing else.
+func TestRunMarkdownAnalytical(t *testing.T) {
+	checkMarkdown(t, map[string][]string{
+		"fig7a": {"## Fig. 7a", "| x | N=100 | N=200 | N=400 |"},
+		"fig7b": {"## Fig. 7b", "| x | E[RFs] |"},
+		"fig9a": {"## Fig. 9a", "| x | N=100 | N=200 | N=400 |"},
+		"fig9b": {"## Fig. 9b", "| x | v=1 m/s | v=2 m/s | v=4 m/s |"},
+	})
+}
+
+// TestRunMarkdownAttacksAndEnergy: the Section 3 attacks, energy and
+// Table 1 render as markdown, Table 1 in a fenced block.
+func TestRunMarkdownAttacksAndEnergy(t *testing.T) {
+	checkMarkdown(t, map[string][]string{
+		"intersection": {"## Section 3.3: intersection attack", "| broadcast: D still a candidate |"},
+		"source":       {"## Section 2.6", "| transmitters seen, notify-and-go |"},
+		"timing":       {"## Section 3.2: timing attack", "| x | gpsr | alert |"},
+		"interception": {"## Section 3.1: share of session packets captured", "| x | gpsr | alert |"},
+		"dos":          {"## Section 3.1: delivery before and after", "| alert under attack |"},
+		"energy":       {"## Energy per delivered packet", "| x | alert | gpsr | alarm | ao2p |"},
+		"table1":       {"## Table 1", "```\nCategory", "ANODR"},
+	})
+}
+
+// TestRunMarkdownFigures: every Section 5 simulation figure runs at one
+// seed and renders as a markdown table.
+func TestRunMarkdownFigures(t *testing.T) {
+	want := map[string][]string{}
+	for _, f := range experiment.Figures() {
+		if strings.HasPrefix(f.Name, "fig") && f.Plan != nil {
+			want[f.Name] = []string{"## " + f.Title + "\n\n| x |"}
+		}
+	}
+	if len(want) != 13 {
+		t.Fatalf("%d simulation figures in the registry, want fig10a through fig17 (13)", len(want))
+	}
+	checkMarkdown(t, want)
 }
 
 // TestRejectsBadFlags: a seed count below 1 or an unknown format fails
