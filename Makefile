@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint allowlist race cover bench bench-smoke bench-test figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test vet lint allowlist race cover bench bench-test figures campaign-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -27,15 +27,13 @@ test:
 	$(GO) test ./...
 
 # Race detection over the concurrency-bearing packages (the dynamic
-# backstop for the sharedstate analyzer): the harness worker pools, the
-# distributed campaign server (lease queue, HTTP handlers, worker executor
-# pools), the sim fork-join and the packages it fans out over on large
-# fields (medium position sweeps, node construction, mobility walkers;
-# experiment's TestParallelSweepsIdentical forces a real fork), and the
-# live UDP daemons (pump goroutines, control plane, coordinator).
+# backstop for the sharedstate analyzer): the harness worker pools, the sim
+# fork-join and the packages it fans out over on large fields (medium
+# position sweeps, node construction, mobility walkers; experiment's
+# TestParallelSweepsIdentical forces a real fork), and the live UDP daemons
+# (pump goroutines, control plane, coordinator).
 race:
-	$(GO) test -race ./internal/experiment ./internal/campaign \
-		./internal/campaign/server ./internal/sim \
+	$(GO) test -race ./internal/experiment ./internal/campaign ./internal/sim \
 		./internal/medium ./internal/node ./internal/mobility
 	$(GO) test -race -short ./internal/live
 
@@ -45,8 +43,7 @@ race:
 COVER_PKGS = ./internal/telemetry ./internal/sim ./internal/medium \
 	./internal/gpsr ./internal/core ./internal/metrics ./internal/node \
 	./internal/experiment ./internal/ao2p ./internal/alarm ./internal/zap \
-	./internal/campaign ./internal/campaign/server ./internal/live \
-	./cmd/campaign
+	./internal/campaign ./internal/live ./cmd/campaign
 COVER_FLOOR = 75.0
 
 cover:
@@ -67,24 +64,6 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Single-iteration smoke over the root figure benchmarks, leaving a
-# machine-readable artifact (cmd/benchjson parses the text output) and
-# gating allocs/op against the committed baseline: allocation counts are
-# deterministic at -benchtime=1x for serial benchmarks, but the
-# multi-goroutine ones (parallel figure sweeps, campaign engine) jitter
-# by a few allocs/op of scheduler noise between identical-code runs —
-# -allocslack 16 absorbs that. Across binaries (committed baseline vs new
-# code) GC pacing shifts too, and each extra GC cycle re-fills the worker
-# pools, so drift scales with the benchmark's size (~0.03% of allocs/op);
-# -allocslackpct 0.25 absorbs that proportionally. Both bounds still flag
-# any real per-event or per-frame leak (those cost percents — thousands
-# of allocs/op — here). ns/op at one iteration is jitter; the 400%
-# tolerance only catches order-of-magnitude blowups.
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run NONE . | $(GO) run ./cmd/benchjson > BENCH_pr13.json
-	@echo "wrote BENCH_pr13.json"
-	$(GO) run ./cmd/benchjson -compare -tolerance 400 -allocslack 16 -allocslackpct 0.25 BENCH_pr12.json BENCH_pr13.json
-
 # Regenerate every evaluation output (closed forms, figures, tables,
 # attacks) at paper fidelity (30 seeds) as one parallel, resumable campaign:
 # results stream to out/figures-campaign, so a killed run continues where it
@@ -99,29 +78,6 @@ campaign-smoke:
 	$(GO) run ./cmd/campaign run -dir out/campaign-smoke -cache-dir out/campaign-smoke-cache \
 		-seeds 2 -quiet -o out/campaign-smoke-figures fig11 fig12 energy
 	$(GO) run ./cmd/campaign status -dir out/campaign-smoke
-
-# Distributed campaign smoke: the same 2-seed grid, once single-process and
-# once through one `serve` process plus two `work` processes over HTTP, then
-# a byte-for-byte comparison of the two result stores — the CI gate on the
-# distributed engine's byte-identity contract (DESIGN.md, "Distributed
-# campaign").
-campaign-distributed-smoke:
-	rm -rf out/dist-smoke
-	mkdir -p out/dist-smoke
-	$(GO) build -o out/dist-smoke/campaign ./cmd/campaign
-	out/dist-smoke/campaign run -dir out/dist-smoke/ref -seeds 2 -quiet \
-		-o out/dist-smoke/ref-figures fig11 fig12 energy
-	out/dist-smoke/campaign serve -dir out/dist-smoke/dist -seeds 2 -quiet \
-		-addr 127.0.0.1:0 -addr-file out/dist-smoke/addr \
-		-o out/dist-smoke/dist-figures fig11 fig12 energy & SERVE=$$!; \
-	i=0; while [ ! -f out/dist-smoke/addr ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	if [ ! -f out/dist-smoke/addr ]; then echo "serve never bound" >&2; kill $$SERVE; exit 1; fi; \
-	ADDR=$$(cat out/dist-smoke/addr); \
-	out/dist-smoke/campaign work -server http://$$ADDR -name smoke-1 -quiet & W1=$$!; \
-	out/dist-smoke/campaign work -server http://$$ADDR -name smoke-2 -quiet & W2=$$!; \
-	RC=0; wait $$SERVE || RC=1; wait $$W1 || RC=1; wait $$W2 || RC=1; exit $$RC
-	cmp out/dist-smoke/ref/results.jsonl out/dist-smoke/dist/results.jsonl
-	@echo "distributed campaign is byte-identical to the single-process run"
 
 # Live-mode smoke across real process boundaries: five alertd daemons on
 # loopback (the frozen 5-node GPSR topology of TestFiveNodeExactPath), then
@@ -162,10 +118,9 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 
-# BENCH_pr3/pr4/pr6/pr8/pr9/pr10/pr12.json are committed comparison
-# baselines, not build outputs — clean only removes the transient
-# artifacts. (bench-smoke regenerates BENCH_pr13.json in place; the
-# committed copy is the blessed baseline for the next generation.)
+# BENCH_pr*.json are committed history from the retired one-iteration
+# bench gate, not build outputs; nothing regenerates them, and clean only
+# removes the transient artifacts.
 clean:
 	rm -f test_output.txt bench_output.txt BENCH_pr5.json
 	rm -rf out

@@ -8,18 +8,12 @@
 package alert
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"alertmanet/internal/analysis"
 	"alertmanet/internal/campaign"
-	campaignserver "alertmanet/internal/campaign/server"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/live"
@@ -514,57 +508,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink = res
-	}
-	b.ReportMetric(float64(b.N*len(cells))/b.Elapsed().Minutes(), "cells/min")
-}
-
-// BenchmarkCampaignThroughputDistributed is BenchmarkCampaignThroughput with
-// the distribution tax included: the same 8-cell batch flows through the
-// campaign server's lease queue and real HTTP claim/submit round trips to
-// two in-process workers. The cells/min delta against the local benchmark is
-// the protocol's overhead — it should be noise, since cell execution
-// dominates JSON framing by orders of magnitude.
-func BenchmarkCampaignThroughputDistributed(b *testing.B) {
-	cells := make([]experiment.Scenario, 8)
-	for i := range cells {
-		sc := experiment.DefaultScenario()
-		sc.N = 100
-		sc.Duration = 20
-		sc.Seed = int64(i + 1)
-		cells[i] = sc
-	}
-	jobs := runtime.NumCPU()/2 + 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := &campaignserver.Queue{Lease: time.Minute}
-		ts := httptest.NewServer((&campaignserver.Server{Queue: q}).Handler())
-		eng := &campaign.Engine{Exec: q}
-		var wg sync.WaitGroup
-		werrs := make([]error, 2)
-		for wi := range werrs {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w := &campaignserver.Worker{
-					Name: fmt.Sprintf("bench-%d", wi), BaseURL: ts.URL,
-					Jobs: jobs, Poll: time.Millisecond,
-				}
-				werrs[wi] = w.Run(context.Background())
-			}(wi)
-		}
-		res, err := eng.RunBatch(cells)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q.Finish()
-		wg.Wait()
-		for _, werr := range werrs {
-			if werr != nil {
-				b.Fatal(werr)
-			}
-		}
-		ts.Close()
 		sink = res
 	}
 	b.ReportMetric(float64(b.N*len(cells))/b.Elapsed().Minutes(), "cells/min")

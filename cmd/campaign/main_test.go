@@ -1,9 +1,7 @@
-// cmd/campaign tests, in three tiers: direct subcommand round trips
-// (run/status/export and serve with in-process workers), a serve+work
-// round trip over real HTTP inside one process, and exec-based e2e — real
-// worker child processes against an in-process campaign server, one of them
-// SIGKILLed mid-lease, with the final store checked byte-for-byte against a
-// single-process run and the figure digests against the golden corpus.
+// cmd/campaign tests, in two tiers: direct subcommand round trips
+// (run/status/export), and exec-based e2e — a real `run` child process
+// interrupted or SIGKILLed mid-campaign, its store checked to be a prefix of
+// an uninterrupted run's and a resume checked to complete it byte-for-byte.
 //
 // The test binary doubles as the campaign binary: when CAMPAIGN_E2E_ARGS is
 // set, TestMain routes straight into dispatch() — the standard
@@ -13,25 +11,19 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
-	"alertmanet/internal/analysis"
-	"alertmanet/internal/campaign"
-	"alertmanet/internal/campaign/server"
 	"alertmanet/internal/experiment"
 )
 
@@ -138,10 +130,10 @@ func TestRunStatusExport(t *testing.T) {
 		t.Fatal("export is not byte-identical to results.jsonl")
 	}
 	if err := dispatch("status", nil); err == nil {
-		t.Fatal("status without -dir or -server must error")
+		t.Fatal("status without -dir must error")
 	}
 	if err := dispatch("export", nil); err == nil {
-		t.Fatal("export without -dir or -server must error")
+		t.Fatal("export without -dir must error")
 	}
 }
 
@@ -261,7 +253,7 @@ func TestRunMarkdownFigures(t *testing.T) {
 }
 
 // TestRejectsBadFlags: a seed count below 1 or an unknown format fails
-// before anything runs or is stored, naming the flag; serve needs -dir.
+// before anything runs or is stored, naming the flag.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name, cmd string
@@ -271,8 +263,6 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"run-seeds-0", "run", []string{"-seeds", "0"}, "-seeds"},
 		{"run-seeds-negative", "run", []string{"-seeds", "-3"}, "-seeds"},
 		{"run-format-xml", "run", []string{"-format", "xml"}, "-format"},
-		{"serve-seeds-0", "serve", []string{"-seeds", "0"}, "-seeds"},
-		{"serve-format-xml", "serve", []string{"-format", "xml"}, "-format"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "campaign")
@@ -285,9 +275,6 @@ func TestRejectsBadFlags(t *testing.T) {
 				t.Fatalf("rejected %s still created the campaign directory", tc.cmd)
 			}
 		})
-	}
-	if err := dispatch("serve", []string{"-quiet", "table1"}); err == nil || !strings.Contains(err.Error(), "-dir") {
-		t.Fatalf("serve without -dir: err = %v", err)
 	}
 }
 
@@ -317,315 +304,120 @@ func TestRunWriteErrorFails(t *testing.T) {
 	}
 }
 
-// TestServeLocalWorkers: `serve -local-workers 2` completes a campaign with
-// no remote workers at all, byte-identical to plain `run`.
-func TestServeLocalWorkers(t *testing.T) {
-	ref := cmdReference(t)
-	dir := t.TempDir()
-	err := dispatch("serve", []string{
-		"-dir", dir, "-seeds", "1", "-quiet", "-local-workers", "2",
-		"-o", filepath.Join(dir, "figs"), "fig12",
-	})
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	if got := readResults(t, dir); !bytes.Equal(got, ref) {
-		t.Fatal("serve with local workers differs from single-process run")
-	}
-}
-
-// TestServeWorkRoundTrip: `serve` and two `work` subcommands in one process,
-// talking over real HTTP via the serveReady hook.
-func TestServeWorkRoundTrip(t *testing.T) {
-	ref := cmdReference(t)
-	dir := t.TempDir()
-	addrCh := make(chan string, 1)
-	serveReady = func(addr string) { addrCh <- addr }
-	defer func() { serveReady = nil }()
-
-	serveDone := make(chan error, 1)
-	go func() {
-		serveDone <- dispatch("serve", []string{"-dir", dir, "-seeds", "1", "-quiet",
-			"-o", filepath.Join(dir, "figs"), "fig12"})
-	}()
-	addr := <-addrCh
-	var wg sync.WaitGroup
-	werrs := make([]error, 2)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			werrs[i] = dispatch("work", []string{
-				"-server", "http://" + addr, "-name", fmt.Sprintf("w%d", i+1), "-quiet",
-			})
-		}(i)
-	}
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	wg.Wait()
-	for i, werr := range werrs {
-		if werr != nil {
-			t.Fatalf("work %d: %v", i+1, werr)
-		}
-	}
-	if got := readResults(t, dir); !bytes.Equal(got, ref) {
-		t.Fatal("serve+work differs from single-process run")
-	}
-}
-
 // --- exec-based e2e ---
 
-const goldenPath = "../../internal/experiment/testdata/figures_golden.json"
-
-func seriesDigest(series []analysis.Series) string {
-	h := sha256.New()
-	for _, s := range series {
-		fmt.Fprintf(h, "%s|%v|%v|%v\n", s.Label, s.X, s.Y, s.Err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// killArgs is the campaign the kill tests interrupt: fig11 at one seed is 7
+// cells (~0.5 s on one worker), so a signal sent once the first record is
+// stored lands mid-campaign.
+func killArgs(dir string) []string {
+	return []string{"-dir", dir, "-seeds", "1", "-jobs", "1", "-quiet",
+		"-o", filepath.Join(dir, "figs"), "fig11"}
 }
 
-// e2eDrive renders the golden-pinned figure subset through a runner.
-func e2eDrive(r experiment.Runner) (map[string]string, error) {
-	d := map[string]string{}
-	s, err := experiment.Fig11(r, 3, 2)
-	if err != nil {
-		return nil, fmt.Errorf("fig11: %w", err)
+// killReference is the byte-exact store of an uninterrupted killArgs run,
+// computed once.
+var (
+	killRefOnce  sync.Once
+	killRefBytes []byte
+	killRefErr   error
+)
+
+func killReference(t *testing.T) []byte {
+	t.Helper()
+	killRefOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "campaign-kill-ref")
+		if err != nil {
+			killRefErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		if killRefErr = dispatch("run", killArgs(dir)); killRefErr != nil {
+			return
+		}
+		killRefBytes, killRefErr = os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	})
+	if killRefErr != nil {
+		t.Fatalf("reference run: %v", killRefErr)
 	}
-	d["fig11"] = seriesDigest([]analysis.Series{s})
-	many, err := experiment.Fig12(r, []float64{0, 5, 10}, 2)
-	if err != nil {
-		return nil, fmt.Errorf("fig12: %w", err)
-	}
-	d["fig12"] = seriesDigest(many)
-	many, err = experiment.EnergySummary(r, 2)
-	if err != nil {
-		return nil, fmt.Errorf("energy: %w", err)
-	}
-	d["energy"] = seriesDigest(many)
-	return d, nil
+	return killRefBytes
 }
 
-// TestExecE2EWorkerSIGKILL: a real worker child process is SIGKILLed while
-// holding leases; the lease expires on the wall clock, a second child
-// process reclaims and finishes, and the final store is byte-identical to a
-// single-process run with digests matching the blessed golden corpus.
-func TestExecE2EWorkerSIGKILL(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes and drives the figure subset twice")
-	}
-
-	// Single-process reference for this figure subset.
-	refDir := t.TempDir()
-	refStore, err := campaign.OpenStore(refDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDigests, err := e2eDrive(&campaign.Engine{Store: refStore, Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refStore.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ref := readResults(t, refDir)
-
-	// The distributed campaign under test.
+// killRun starts a real `run` child over killArgs, sends it sig as soon as
+// its store holds a record, and checks the three halves of the kill
+// contract: the child was interrupted (its store is strictly shorter than
+// the reference), what it stored is a prefix of the reference, and a
+// resumed run completes it byte-identically. It returns the child's exit
+// error.
+func killRun(t *testing.T, sig os.Signal) error {
+	t.Helper()
+	ref := killReference(t)
 	dir := t.TempDir()
-	store, err := campaign.OpenStore(dir)
-	if err != nil {
+	child := helperCommand(t, append([]string{"run"}, killArgs(dir)...)...)
+	if err := child.Start(); err != nil {
 		t.Fatal(err)
 	}
-	q := &server.Queue{Lease: 500 * time.Millisecond}
-
-	// The victim dies by SIGKILL inside its first claim — before the HTTP
-	// response reaches it — so its leased cells are guaranteed to go
-	// unexecuted until the lease expires. The kill hook is wired before the
-	// HTTP server exists, so no handler ever races the assignment.
-	var victim *exec.Cmd
-	victimKilled := make(chan struct{})
-	var killOnce sync.Once
-	q.OnEvent = func(ev server.Event) {
-		if ev.Kind == server.EventClaim && ev.Worker == "victim" {
-			killOnce.Do(func() {
-				if err := victim.Process.Kill(); err != nil {
-					t.Errorf("kill victim: %v", err)
-				}
-				close(victimKilled)
-			})
-		}
-	}
-	ts := httptest.NewServer((&server.Server{Queue: q, Store: store, Name: "e2e"}).Handler())
-	victim = helperCommand(t, "work", "-server", ts.URL, "-name", "victim", "-batch", "3", "-quiet")
-
-	driverDone := make(chan error, 1)
-	digestCh := make(chan map[string]string, 1)
-	go func() {
-		eng := &campaign.Engine{Store: store, Exec: q}
-		d, err := e2eDrive(eng)
-		digestCh <- d
-		q.Finish()
-		driverDone <- err
-	}()
-
-	if err := victim.Start(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-victimKilled:
-	case <-time.After(30 * time.Second):
-		t.Fatal("victim never claimed cells")
-	}
-	if err := victim.Wait(); err == nil {
-		t.Fatal("SIGKILLed victim reported clean exit")
-	}
-
-	survivor := helperCommand(t, "work", "-server", ts.URL, "-name", "survivor", "-jobs", "2", "-quiet")
-	survivor.Stderr = os.Stderr
-	if err := survivor.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if derr := <-driverDone; derr != nil {
-		t.Fatalf("driver: %v", derr)
-	}
-	if err := survivor.Wait(); err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
-
-	// The status and export subcommands against the live server.
-	if err := dispatch("status", []string{"-server", ts.URL}); err != nil {
-		t.Fatalf("status -server: %v", err)
-	}
-	exportPath := filepath.Join(t.TempDir(), "export.jsonl")
-	if err := dispatch("export", []string{"-server", ts.URL, "-o", exportPath}); err != nil {
-		t.Fatalf("export -server: %v", err)
-	}
-	exported, err := os.ReadFile(exportPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stats, pending, leased, _ := q.Snapshot()
-	ts.Close()
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if stats.Expired == 0 {
-		t.Fatalf("the victim's leases never expired: %+v", stats)
-	}
-	if pending != 0 || leased != 0 {
-		t.Fatalf("queue not drained: pending=%d leased=%d", pending, leased)
-	}
-	got := readResults(t, dir)
-	if !bytes.Equal(got, ref) {
-		t.Fatalf("distributed store differs from single-process run (%d vs %d bytes)", len(got), len(ref))
-	}
-	if !bytes.Equal(exported, ref) {
-		t.Fatal("export -server is not byte-identical to the reference store")
-	}
-
-	// And the figures those bytes produce are the paper's: golden digests.
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]string
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
-	digests := <-digestCh
-	for name, want := range map[string]string{
-		"fig11": golden["fig11"], "fig12": golden["fig12"], "energy": golden["energy"],
-	} {
-		if digests[name] != want {
-			t.Errorf("digest %s: distributed %s, golden %s", name, digests[name], want)
-		}
-		if refDigests[name] != want {
-			t.Errorf("digest %s: reference %s, golden %s", name, refDigests[name], want)
-		}
-	}
-}
-
-// TestExecE2EServeSIGINT: a real `serve -local-workers 1` child process is
-// interrupted mid-campaign; whatever prefix it stored, a plain `run` resume
-// completes it to bytes identical to a never-interrupted run.
-func TestExecE2EServeSIGINT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a server process and drives the figure subset")
-	}
-	ref := cmdReference(t)
-
-	dir := t.TempDir()
-	addrFile := filepath.Join(t.TempDir(), "addr")
-	serve := helperCommand(t, "serve",
-		"-dir", dir, "-seeds", "1", "-quiet", "-local-workers", "1",
-		"-addr-file", addrFile, "-o", filepath.Join(dir, "figs"), "fig12")
-	if err := serve.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Watch for the first stored record, then interrupt. The fig12 grid is
-	// tiny, so the child may finish the whole campaign before the signal
-	// lands — exit code 0 (completed) and 1 (interrupted) are both
-	// legitimate, and the prefix + resume assertions below hold either way.
 	exited := make(chan error, 1)
-	go func() { exited <- serve.Wait() }()
-	deadline := time.Now().Add(30 * time.Second)
-	running := true
-	for running && time.Now().Before(deadline) {
+	go func() { exited <- child.Wait() }()
+
+	results := filepath.Join(dir, "results.jsonl")
+	deadline := time.After(30 * time.Second)
+	for {
 		select {
 		case err := <-exited:
-			running = false
-			if err != nil {
-				t.Fatalf("serve exited uninterrupted with: %v", err)
-			}
-		default:
-			addrData, err := os.ReadFile(addrFile)
-			if err != nil {
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			addr := "http://" + string(bytes.TrimSpace(addrData))
-			resp, herr := http.Get(addr + server.PathStatus)
-			if herr == nil {
-				var st server.StatusResponse
-				jerr := json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if jerr == nil && st.Stored > 0 {
-					// Racing a just-finished child is fine: the signal then
-					// errors harmlessly and the wait below sees exit 0.
-					serve.Process.Signal(os.Interrupt)
-					if werr := <-exited; werr != nil {
-						var exitErr *exec.ExitError
-						if !errors.As(werr, &exitErr) || exitErr.ExitCode() != 1 {
-							t.Fatalf("interrupted serve exit: %v", werr)
-						}
-					}
-					running = false
-				}
-			}
-			if running {
-				time.Sleep(2 * time.Millisecond)
-			}
+			t.Fatalf("run exited (%v) before it stored a record", err)
+		case <-deadline:
+			child.Process.Kill()
+			<-exited
+			t.Fatal("run stored no record within 30s")
+		case <-time.After(time.Millisecond):
+		}
+		if fi, err := os.Stat(results); err == nil && fi.Size() > 0 {
+			break
 		}
 	}
-	if running {
-		t.Fatal("serve neither stored a record nor exited within 30s")
+	if err := child.Process.Signal(sig); err != nil {
+		t.Fatalf("signal run: %v", err)
 	}
+	werr := <-exited
 
 	partial := readResults(t, dir)
-	if !bytes.HasPrefix(ref, partial) {
-		t.Fatal("interrupted serve left bytes that are not a prefix of the reference run")
+	if len(partial) >= len(ref) {
+		t.Fatalf("run got %q too late: it stored %d of the reference's %d bytes", sig, len(partial), len(ref))
 	}
-	// Resume single-process: the distributed prefix and the local suffix
-	// must fuse into the byte-identical whole.
-	if err := dispatch("run", []string{"-dir", dir, "-seeds", "1", "-quiet",
-		"-o", filepath.Join(dir, "figs"), "fig12"}); err != nil {
+	if !bytes.HasPrefix(ref, partial) {
+		t.Fatalf("run got %q and left a store that is not a prefix of the reference run", sig)
+	}
+	if err := dispatch("run", killArgs(dir)); err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
 	if got := readResults(t, dir); !bytes.Equal(got, ref) {
-		t.Fatal("resume after interrupted serve is not byte-identical")
+		t.Fatalf("resume after %q is not byte-identical to an uninterrupted run", sig)
+	}
+	return werr
+}
+
+// TestExecE2ERunSIGINT: an interrupted `run` finishes its in-flight cell,
+// keeps the stored prefix, and exits 1; resuming completes the store.
+func TestExecE2ERunSIGINT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a campaign process")
+	}
+	werr := killRun(t, os.Interrupt)
+	var exitErr *exec.ExitError
+	if !errors.As(werr, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("interrupted run exit: %v, want exit status 1", werr)
+	}
+}
+
+// TestExecE2ERunSIGKILL: a SIGKILLed `run` gets no chance to clean up, and
+// its store is still a prefix that a resume completes byte-identically.
+func TestExecE2ERunSIGKILL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a campaign process")
+	}
+	werr := killRun(t, syscall.SIGKILL)
+	var exitErr *exec.ExitError
+	if !errors.As(werr, &exitErr) || exitErr.ExitCode() != -1 {
+		t.Fatalf("killed run exit: %v, want death by signal", werr)
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -196,6 +197,36 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStoreStreamsAsCellsFinish: the store grows as cells finish, not at
+// batch end — after the k-th executed cell's progress event, results.jsonl
+// holds exactly k records, so a process killed mid-batch keeps every cell
+// it reported.
+func TestStoreStreamsAsCellsFinish(t *testing.T) {
+	cells := smallCells(4)
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var lines []int
+	eng := &Engine{Store: store, Jobs: 1}
+	eng.OnCell = func(ev CellEvent) {
+		data, err := os.ReadFile(filepath.Join(dir, resultsFile))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		lines = append(lines, bytes.Count(data, []byte("\n")))
+	}
+	if _, err := eng.RunBatch(cells); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(lines, want) {
+		t.Fatalf("records stored at each progress event: %v, want %v", lines, want)
+	}
+}
+
 // TestStoreRecoversTruncatedLine: a store whose file ends mid-record (the
 // other way a kill can land) reopens cleanly, keeps every complete record,
 // and appends from the cut point.
@@ -257,9 +288,9 @@ func TestStoreRecoversTruncatedLine(t *testing.T) {
 	}
 }
 
-// TestFailedCellReported: a cell that exhausts its event budget surfaces as
-// a campaign error naming the cell, with the configured number of attempts,
-// and blocks nothing before it in the store.
+// TestFailedCellReported: a cell that exhausts its event budget runs once,
+// surfaces as a campaign error naming the cell, and blocks nothing before
+// it in the store.
 func TestFailedCellReported(t *testing.T) {
 	cells := smallCells(2)
 	cells[1].MaxEvents = 1 // guaranteed sim.ErrMaxEvents
@@ -268,11 +299,11 @@ func TestFailedCellReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	var failed CellEvent
-	eng := &Engine{Store: store, Retries: 2, Jobs: 1}
+	var failed []CellEvent
+	eng := &Engine{Store: store, Jobs: 1}
 	eng.OnCell = func(ev CellEvent) {
 		if ev.Err != nil {
-			failed = ev
+			failed = append(failed, ev)
 		}
 	}
 	_, err = eng.RunBatch(cells)
@@ -282,11 +313,14 @@ func TestFailedCellReported(t *testing.T) {
 	if !errors.Is(err, sim.ErrMaxEvents) {
 		t.Fatalf("error should wrap sim.ErrMaxEvents, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "2 attempts") {
-		t.Fatalf("error should count attempts, got %v", err)
+	if !strings.Contains(err.Error(), cells[1].Hash()[:12]) {
+		t.Fatalf("error should name the failed cell's key, got %v", err)
 	}
-	if failed.Attempts != 2 {
-		t.Fatalf("failed cell event should report 2 attempts, got %+v", failed)
+	if len(failed) != 1 || failed[0].Key != cells[1].Hash() {
+		t.Fatalf("want one failure event for the budgeted cell, got %+v", failed)
+	}
+	if st := eng.Snapshot(); st.Executed != 1 || st.Failed != 1 {
+		t.Fatalf("want the healthy cell executed and the budgeted one failed once, got %+v", st)
 	}
 	// The healthy cell before the failure still made it to the store.
 	if store.Len() != 1 {

@@ -73,10 +73,9 @@ func (c Cell) Label() string {
 		c.Rem.N, c.Rem.H, c.Rem.Speed, c.Rem.Seed)
 }
 
-// Execute runs the cell to completion and returns its storable record — the
-// surface remote campaign workers (internal/campaign/server) execute claimed
-// cells through. The arena (may be nil) supplies recycled simulation
-// substrate and must not be shared with a concurrent Execute.
+// Execute runs the cell to completion and returns its storable record. The
+// arena (may be nil) supplies recycled simulation substrate and must not be
+// shared with a concurrent Execute.
 func (c Cell) Execute(arena *experiment.Arena) (*Record, error) {
 	return c.execute(c.Key(), arena)
 }

@@ -1,12 +1,13 @@
 // The campaign engine: an experiment.Runner that resolves each requested
 // cell from the cheapest source that has it — in-memory memo, the
 // campaign's own store, the shared content-addressed cache — and executes
-// only what is left, across a bounded worker pool with per-cell retries.
-// Executed and cache-resolved results are appended to the store strictly
-// in request order through a reorder cursor, so the results.jsonl a
-// campaign produces is a deterministic function of its cell list: a run
-// killed partway leaves a prefix, and resuming appends exactly the missing
-// suffix, byte-identical to a never-interrupted run.
+// only what is left, across a bounded worker pool. Executed and
+// cache-resolved results are appended to the store strictly in request
+// order through a reorder cursor that advances as cells finish, so the
+// results.jsonl a campaign produces is a deterministic function of its cell
+// list: a run killed partway leaves a prefix, and resuming appends exactly
+// the missing suffix, byte-identical to a never-interrupted run. Cells are
+// deterministic functions of their keys, so a failed cell is not retried.
 
 package campaign
 
@@ -33,7 +34,7 @@ type Stats struct {
 	StoreHits int
 	// CacheHits came from the shared content-addressed cache.
 	CacheHits int
-	// Failed cells exhausted their retries.
+	// Failed cells returned an error or were cancelled.
 	Failed int
 }
 
@@ -49,12 +50,9 @@ type CellEvent struct {
 	// Source is where the result came from: "run", "memo", "store", or
 	// "cache".
 	Source string
-	// Attempts is how many executions the cell took (0 unless Source is
-	// "run").
-	Attempts int
 	// Seconds is the execution wall time (0 unless Source is "run").
 	Seconds float64
-	// Err is non-nil when the cell exhausted its retries.
+	// Err is non-nil when the cell failed or was cancelled.
 	Err error
 }
 
@@ -67,9 +65,6 @@ type Engine struct {
 	Name string
 	// Jobs bounds the worker pool; 0 means GOMAXPROCS.
 	Jobs int
-	// Retries is the maximum number of execution attempts per cell; 0
-	// means 1 (no retry).
-	Retries int
 	// MaxEvents, when non-zero, is stamped onto every run cell that does
 	// not set its own — the per-cell runaway guard (the simulator aborts a
 	// run whose event count exceeds it). Stamping happens before keying,
@@ -79,11 +74,6 @@ type Engine struct {
 	Store *Store
 	// Cache, when set, memoizes results across campaigns.
 	Cache *Cache
-	// Exec, when set, executes the cells a batch could not resolve from
-	// memo, store, or cache — the seam the distributed campaign server
-	// plugs remote workers into. Nil means a LocalExecutor built from
-	// Jobs and Retries.
-	Exec Executor
 	// OnCell, when set, observes each cell resolution.
 	OnCell func(CellEvent)
 
@@ -166,7 +156,6 @@ type pending struct {
 	rec        *Record
 	err        error
 	source     string
-	attempts   int
 	seconds    float64
 	needsExec  bool
 	needsStore bool
@@ -238,25 +227,25 @@ func (e *Engine) resolve(cells []Cell) ([]*Record, error) {
 		}
 	}
 
-	// Execute what is left. The flush below appends resolved cells to the
-	// store in uniq order: a cell is written only once every earlier
+	// Execute what is left. Workers append resolved cells to the store in
+	// uniq order as they finish: a cell is written only once every earlier
 	// store-bound cell is done, so a kill leaves an order-exact prefix. A
-	// failed (or skipped) cell blocks the flush from there on — later
+	// failed (or skipped) cell blocks the store from there on — later
 	// successes reach only the cache, and a resumed campaign re-resolves
 	// them from it.
 	var execErr error
 	if len(toRun) > 0 {
-		execErr = e.executeAll(toRun)
+		execErr = e.execute(uniq, toRun)
 	}
 
-	// Flush store appends and join errors in deterministic uniq order.
+	// Flush what the workers could not append and join errors in
+	// deterministic uniq order; Append skips records already stored.
 	var errs []error
 	e.mu.Lock()
 	blocked := false
 	for _, p := range uniq {
 		if p.err != nil {
-			errs = append(errs, fmt.Errorf("cell %s (key %.12s, %d attempts): %w",
-				p.cell.Label(), p.key, p.attempts, p.err))
+			errs = append(errs, fmt.Errorf("cell %s (key %.12s): %w", p.cell.Label(), p.key, p.err))
 			blocked = true
 		}
 		if p.done && p.rec != nil {
@@ -287,52 +276,86 @@ func (e *Engine) resolve(cells []Cell) ([]*Record, error) {
 	return out, nil
 }
 
-// executeAll hands the pending cells to the engine's Executor (the local
-// worker pool unless a distributed one is wired) and folds each Outcome back
-// into its pending entry, streaming successful results into the cache. It
-// returns non-nil only for context cancellation; per-cell failures land in
-// pending.err.
-func (e *Engine) executeAll(toRun []*pending) error {
+// execute runs the pending cells across a pool of Jobs workers. Each
+// worker recycles its simulation substrate (engine event storage,
+// packet-record slab) across the cells it executes; the arena is strictly
+// worker-local. It returns non-nil only for context cancellation; per-cell
+// failures land in pending.err.
+func (e *Engine) execute(uniq, toRun []*pending) error {
 	ctx := e.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	exec := e.Exec
-	if exec == nil {
-		exec = &LocalExecutor{Jobs: e.Jobs, Retries: e.Retries}
+	jobs := e.Jobs
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
-	cells := make([]Cell, len(toRun))
-	byKey := make(map[string]*pending, len(toRun))
-	for i, p := range toRun {
-		cells[i] = p.cell
-		byKey[p.key] = p
-	}
-	// The report callback may run concurrently from executor workers; it
-	// writes only its own pending entry, and e.note serializes the stats
-	// and progress callback under the engine lock. The Executor contract
-	// (one report per cell, all reports done before return) is what makes
-	// the post-return flush safe.
-	return exec.ExecuteCells(ctx, cells, func(o Outcome) {
-		p := byKey[o.Key]
-		if p == nil {
-			// An outcome for a cell not in this batch (a buggy executor);
-			// dropping it is the only safe move.
-			return
-		}
-		p.attempts, p.seconds = o.Attempts, o.Seconds
-		switch {
-		case o.Err != nil:
-			p.err = o.Err
-		default:
-			p.rec, p.source, p.done = o.Rec, "run", true
-			if e.Cache != nil {
-				if cerr := e.Cache.Put(o.Rec); cerr != nil {
-					p.err = cerr
+	jobs = min(jobs, len(toRun))
+
+	// cursor indexes uniq: every store-bound record before it is stored.
+	cursor := 0
+	next := make(chan *pending)
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		//lint:allowsharedstate campaign worker: the arena (engine + record slab) is created inside the goroutine and never crosses it; results leave only through publish, which holds the engine lock
+		go func() {
+			defer wg.Done()
+			arena := experiment.NewArena()
+			for p := range next {
+				if err := ctx.Err(); err != nil {
+					e.publish(uniq, &cursor, p, nil, err, 0)
+					continue
 				}
+				//lint:allowwallclock per-cell wall time feeds progress display and throughput reporting only
+				start := time.Now()
+				rec, err := p.cell.execute(p.key, arena)
+				//lint:allowwallclock per-cell wall time feeds progress display and throughput reporting only
+				seconds := time.Since(start).Seconds()
+				if err == nil && e.Cache != nil {
+					err = e.Cache.Put(rec)
+				}
+				e.publish(uniq, &cursor, p, rec, err, seconds)
+			}
+		}()
+	}
+	for _, p := range toRun {
+		// Stop handing out new cells once cancelled; in-flight cells
+		// finish and are stored.
+		if err := ctx.Err(); err != nil {
+			e.publish(uniq, &cursor, p, nil, err, 0)
+			continue
+		}
+		//lint:allowsharedstate work-distribution hand-off: the cell is owned by exactly one worker from this send until it publishes the result under the engine lock
+		next <- p
+	}
+	close(next)
+	wg.Wait()
+	return ctx.Err()
+}
+
+// publish records one executed (or cancelled) cell's outcome, appends to
+// the store every record the batch's finished prefix now allows, and
+// reports the cell. A record whose cache put failed is kept (rec and err
+// both set) but blocks the store like any failure.
+func (e *Engine) publish(uniq []*pending, cursor *int, p *pending, rec *Record, err error, seconds float64) {
+	e.mu.Lock()
+	p.seconds, p.err = seconds, err
+	if rec != nil {
+		p.rec, p.source, p.done = rec, "run", true
+	}
+	if e.Store != nil {
+		// Stop at the first cell still running or failed. A failed append
+		// stops the cursor too; the batch-end flush retries and reports it.
+		for ; *cursor < len(uniq); *cursor++ {
+			q := uniq[*cursor]
+			if !q.done || q.err != nil || (q.needsStore && e.Store.Append(q.rec) != nil) {
+				break
 			}
 		}
-		e.note(p)
-	})
+	}
+	e.mu.Unlock()
+	e.note(p)
 }
 
 // note accounts one cell's resolution and fires the progress callback.
@@ -357,7 +380,7 @@ func (e *Engine) note(p *pending) {
 	ev := CellEvent{
 		Done: e.stats.Cells, Total: e.total,
 		Label: p.cell.Label(), Key: p.key, Source: p.source,
-		Attempts: p.attempts, Seconds: p.seconds, Err: p.err,
+		Seconds: p.seconds, Err: p.err,
 	}
 	cb := e.OnCell
 	e.mu.Unlock()

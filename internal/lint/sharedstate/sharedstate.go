@@ -49,7 +49,6 @@ var substratePkgs = []string{
 	"internal/medium",
 	"internal/experiment",
 	"internal/campaign",
-	"internal/campaign/server",
 }
 
 var Analyzer = &analysis.Analyzer{

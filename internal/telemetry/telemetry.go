@@ -14,8 +14,9 @@
 // The tap is nil when telemetry is disabled. Every instrumented call site
 // guards with `if tap != nil { ... }`, so the disabled path is one
 // predictable branch with no allocation and no call — the overhead contract
-// the bench-smoke gate measures. All emit methods are additionally safe on
-// a nil receiver, so un-guarded cold paths cannot crash.
+// TestNilTapZeroAlloc and the root allocation gate hold. All emit methods
+// are additionally safe on a nil receiver, so un-guarded cold paths cannot
+// crash.
 package telemetry
 
 import (
