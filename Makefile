@@ -31,7 +31,7 @@ test:
 # fork-join and the packages it fans out over on large fields (medium
 # position sweeps, node construction, mobility walkers; experiment's
 # TestParallelSweepsIdentical forces a real fork), and the live UDP daemons
-# (pump goroutines, control plane, coordinator).
+# (pump goroutines, coordinator).
 race:
 	$(GO) test -race ./internal/experiment ./internal/campaign ./internal/sim \
 		./internal/medium ./internal/node ./internal/mobility
@@ -79,29 +79,14 @@ campaign-smoke:
 		-seeds 2 -quiet -o out/campaign-smoke-figures fig11 fig12 energy
 	$(GO) run ./cmd/campaign status -dir out/campaign-smoke
 
-# Live-mode smoke across real process boundaries: five alertd daemons on
-# loopback (the frozen 5-node GPSR topology of TestFiveNodeExactPath), then
-# alertload in external mode dials their control planes, replays the sim's
-# flow schedule, and band-checks live against sim — sent counts must match
-# exactly. -quit tears the fleet down through /v1/quit.
+# Live-mode smoke: the frozen 5-node GPSR topology of TestFiveNodeExactPath
+# run in the simulator and on five in-process UDP daemons, band-checked
+# live against sim (sent counts must match exactly); exits nonzero outside
+# the bands. cmd/alertload's TestRunBothInProcess runs the same command.
 live-smoke:
-	rm -rf out/live-smoke
-	mkdir -p out/live-smoke
-	$(GO) build -o out/live-smoke/alertd ./cmd/alertd
-	$(GO) build -o out/live-smoke/alertload ./cmd/alertload
-	for i in 0 1 2 3 4; do \
-		out/live-smoke/alertd -id $$i -n 5 -protocol gpsr -seed 15 -field 600x600 \
-			-timescale 0.05 -addr-file out/live-smoke/node$$i.addr & \
-	done; \
-	i=0; while [ $$(ls out/live-smoke/*.addr 2>/dev/null | wc -l) -lt 5 ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	if [ $$(ls out/live-smoke/*.addr 2>/dev/null | wc -l) -lt 5 ]; then echo "alertd fleet never bound" >&2; kill $$(jobs -p) 2>/dev/null; exit 1; fi; \
-	cat out/live-smoke/node*.addr > out/live-smoke/fleet.txt; \
-	RC=0; out/live-smoke/alertload -mode both -nodes out/live-smoke/fleet.txt \
-		-protocol gpsr -seed 15 -n 5 -field 600x600 -mobility static \
-		-duration 10 -drain 2 -pairs 2 -interval 2 -timescale 0.05 \
-		-out out/live-smoke/logs -quit || RC=1; \
-	wait; exit $$RC
-	@echo "live fleet matches sim inside the bands"
+	$(GO) run ./cmd/alertload -mode both -protocol gpsr -seed 15 -n 5 \
+		-field 600x600 -mobility static -duration 10 -drain 2 -pairs 2 \
+		-interval 2 -timescale 0.05 -out out/live-smoke
 
 # The Section 4 closed-form curves.
 analysis:

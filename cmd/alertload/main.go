@@ -1,20 +1,17 @@
 // alertload is the load harness that closes the sim-vs-live loop: it runs
-// the same scenario through the discrete-event simulator and through a
-// fleet of live UDP daemons, writes per-packet JSONL measurement logs for
-// both sides, and checks the live numbers against the sim numbers under
-// explicit tolerance bands. The fleet is either spawned in-process (the
-// default) or a set of externally started alertd processes reached through
-// -nodes, which is how the CI live-smoke job exercises real process
-// boundaries.
+// the same scenario through the discrete-event simulator and through an
+// in-process fleet of live UDP daemons, writes per-packet JSONL
+// measurement logs for both sides, and checks the live numbers against the
+// sim numbers under explicit tolerance bands (live.Compare).
 //
 // Usage:
 //
 //	alertload -protocol alert -n 50 -seed 42 -out /tmp/run      # sim+live+check
-//	alertload -mode live -nodes fleet.txt -n 5 -seed 7          # external fleet
+//	alertload -mode live -protocol gpsr -n 5 -seed 7            # live only
 //	alertload -mode sim -protocol gpsr -n 200                   # sim only
 //
-// Exit status is nonzero when -check (on by default in mode "both") finds
-// a metric outside its band.
+// In mode "both" the exit status is nonzero when a metric falls outside
+// its band.
 package main
 
 import (
@@ -36,13 +33,9 @@ type config struct {
 	sc         experiment.Scenario
 	mode       string
 	timescale  float64
-	nodesFile  string
 	outDir     string
 	teleDir    string
 	teleLayers string
-	quit       bool
-	check      bool
-	band       live.Band
 }
 
 func parseField(s string) (geo.Rect, error) {
@@ -71,15 +64,9 @@ func parseFlags(args []string) (config, error) {
 	chargeSetup := fs.Bool("charge-setup", false, "charge asymmetric session setup on first packets")
 	mode := fs.String("mode", "both", "what to run: sim|live|both")
 	timescale := fs.Float64("timescale", 0.05, "wall-clock seconds per emulated second (live)")
-	nodes := fs.String("nodes", "", "file of alertd control endpoints, one per line (external fleet)")
 	out := fs.String("out", "", "directory for JSONL measurement logs and summaries")
-	tele := fs.String("telemetry", "", "directory for per-node JSONL telemetry streams (in-process fleet only)")
+	tele := fs.String("telemetry", "", "directory for the live fleet's per-node JSONL telemetry streams")
 	teleLayers := fs.String("telemetry-layers", "all", "comma-separated telemetry layers (see tlmgrep)")
-	quit := fs.Bool("quit", false, "after the run, ask external -nodes daemons to exit")
-	check := fs.Bool("check", true, "in mode both, exit nonzero when live falls outside the bands")
-	bandDelivery := fs.Float64("band-delivery", live.DefaultBand().DeliveryAbs, "absolute delivery-rate tolerance")
-	bandLatency := fs.Float64("band-latency", live.DefaultBand().LatencyRel, "relative mean-latency tolerance")
-	bandHops := fs.Float64("band-hops", live.DefaultBand().HopsRel, "relative hops-per-packet tolerance")
 	fs.Parse(args)
 
 	rect, err := parseField(*field)
@@ -113,17 +100,9 @@ func parseFlags(args []string) (config, error) {
 	if *mode != "sim" && sc.Protocol != experiment.ALERT && sc.Protocol != experiment.GPSR {
 		return config{}, fmt.Errorf("alertload: -protocol %s runs only in -mode sim; live runs alert and gpsr", *protocol)
 	}
-	if *nodes != "" && *mode == "sim" {
-		return config{}, fmt.Errorf("alertload: -nodes is meaningless in -mode sim")
-	}
-	if *tele != "" && *nodes != "" {
-		return config{}, fmt.Errorf("alertload: -telemetry taps the in-process fleet; external alertd nodes take their own -telemetry flag")
-	}
 	return config{
-		sc: sc, mode: *mode, timescale: *timescale, nodesFile: *nodes,
+		sc: sc, mode: *mode, timescale: *timescale,
 		outDir: *out, teleDir: *tele, teleLayers: *teleLayers,
-		quit: *quit, check: *check && *mode == "both",
-		band: live.Band{DeliveryAbs: *bandDelivery, LatencyRel: *bandLatency, HopsRel: *bandHops},
 	}, nil
 }
 
@@ -176,54 +155,18 @@ func runSim(cfg config) (experiment.Result, error) {
 	return res, nil
 }
 
-// runLive executes the scenario on a live fleet — in-process unless
-// -nodes names an external one — and logs the measurements.
+// runLive executes the scenario on an in-process live fleet and logs the
+// measurements.
 func runLive(cfg config) (live.Summary, error) {
 	var sum live.Summary
-	if cfg.nodesFile != "" {
-		endpoints, err := readEndpoints(cfg.nodesFile)
-		if err != nil {
-			return live.Summary{}, err
-		}
-		w, err := experiment.Build(cfg.sc)
-		if err != nil {
-			return live.Summary{}, err
-		}
-		if len(endpoints) != w.Mob.N() {
-			return live.Summary{}, fmt.Errorf("alertload: scenario has %d nodes but %s lists %d endpoints",
-				w.Mob.N(), cfg.nodesFile, len(endpoints))
-		}
-		handles := make([]live.NodeHandle, 0, len(endpoints))
-		for _, ep := range endpoints {
-			h, err := live.Dial(ep)
-			if err != nil {
-				return live.Summary{}, err
-			}
-			handles = append(handles, h)
-		}
-		sum, err = live.NewCoordinator(w, handles, cfg.timescale).Run()
-		if err != nil {
-			return live.Summary{}, err
-		}
-		if cfg.quit {
-			for _, h := range handles {
-				if err := h.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "alertload: quit node %d: %v\n", h.ID(), err)
-				}
-			}
-		}
-	} else if cfg.teleDir != "" {
-		var err error
+	var err error
+	if cfg.teleDir != "" {
 		sum, err = runLiveWithTelemetry(cfg)
-		if err != nil {
-			return live.Summary{}, err
-		}
 	} else {
-		var err error
 		sum, err = live.RunFleet(cfg.sc, cfg.timescale)
-		if err != nil {
-			return live.Summary{}, err
-		}
+	}
+	if err != nil {
+		return live.Summary{}, err
 	}
 	if cfg.outDir != "" {
 		if err := writeJSONL(filepath.Join(cfg.outDir, "live_sends.jsonl"), sum.Sends); err != nil {
@@ -277,25 +220,6 @@ func runLiveWithTelemetry(cfg config) (live.Summary, error) {
 	return live.NewCoordinator(fl.World, fl.Handles(), cfg.timescale).Run()
 }
 
-// readEndpoints parses a fleet file: one alertd line per node, control
-// address first ("<control> <udp>" as alertd's -addr-file writes, or just
-// the control address). Blank lines and #-comments are skipped.
-func readEndpoints(path string) ([]string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var eps []string
-	for _, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		eps = append(eps, strings.Fields(line)[0])
-	}
-	return eps, nil
-}
-
 func run(args []string) error {
 	cfg, err := parseFlags(args)
 	if err != nil {
@@ -327,14 +251,14 @@ func run(args []string) error {
 		return nil
 	}
 
-	cmp := live.Compare(simRes, liveSum, cfg.band)
+	cmp := live.Compare(simRes, liveSum)
 	fmt.Print(cmp.String())
 	if cfg.outDir != "" {
 		if err := writeJSONFile(filepath.Join(cfg.outDir, "compare.json"), cmp); err != nil {
 			return err
 		}
 	}
-	if cfg.check && !cmp.OK {
+	if !cmp.OK {
 		return fmt.Errorf("alertload: live run outside tolerance bands")
 	}
 	return nil

@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -266,15 +265,8 @@ func cmdExport(args []string) error {
 	dir := fs.String("dir", "", "campaign directory")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
-	var w io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+	// Load the store before creating -o, so a bad -dir leaves the file as
+	// it was.
 	if *dir == "" {
 		return fmt.Errorf("export needs -dir")
 	}
@@ -282,11 +274,23 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
+	out := os.Stdout
+	if *outPath != "" {
+		f, err := os.Create(*outPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		out = f
+	}
+	enc := json.NewEncoder(out)
 	for _, rec := range store.Records() {
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
+	}
+	if out != os.Stdout {
+		return out.Close()
 	}
 	return nil
 }

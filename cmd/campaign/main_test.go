@@ -137,6 +137,31 @@ func TestRunStatusExport(t *testing.T) {
 	}
 }
 
+// TestExportKeepsOutputOnBadDir: an export that fails on its -dir leaves
+// an existing -o file byte for byte as it was.
+func TestExportKeepsOutputOnBadDir(t *testing.T) {
+	tmp := t.TempDir()
+	out := filepath.Join(tmp, "keep.jsonl")
+	want := []byte("{\"k\":1}\n")
+	if err := os.WriteFile(out, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"missing-dir", []string{"-o", out}},
+		{"nonexistent-dir", []string{"-dir", filepath.Join(tmp, "nope"), "-o", out}},
+	} {
+		if err := dispatch("export", tc.args); err == nil {
+			t.Errorf("%s: export succeeded", tc.name)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: -o file now reads %q (err %v), want %q", tc.name, got, err, want)
+		}
+	}
+}
+
 // TestRunInMemory: `run` without -dir renders the same figure bytes as a
 // stored run, and renders text entries and markdown too.
 func TestRunInMemory(t *testing.T) {

@@ -99,7 +99,7 @@ func (e *Engine) Expect(total int) {
 	e.total = total
 }
 
-// Stats returns a snapshot of the engine's resolution counters.
+// Snapshot returns a copy of the engine's resolution counters.
 func (e *Engine) Snapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -14,7 +14,7 @@ import (
 // default evaluation scenario (200 nodes, random waypoint, 10 CBR pairs,
 // 100 s) run through the simulator and through 200 live UDP daemons on
 // loopback, with the live numbers required to sit inside the tolerance
-// bands of DefaultBand. The live side replays the sim's exact trajectories
+// bands Compare applies. The live side replays the sim's exact trajectories
 // and flow schedule, so "sent" must agree exactly; delivery, latency and
 // hops absorb transport-order noise. Empirically the two sit within a few
 // percent (see EXPERIMENTS.md), far inside the bands.
@@ -37,7 +37,7 @@ func TestSimVsLiveComparison(t *testing.T) {
 		t.Fatalf("live run: %v", err)
 	}
 
-	cmp := Compare(simRes, liveSum, DefaultBand())
+	cmp := Compare(simRes, liveSum)
 	t.Logf("\n%s", cmp)
 	if !cmp.OK {
 		for _, c := range cmp.Checks {

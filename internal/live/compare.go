@@ -3,7 +3,7 @@
 // the sent count must match exactly; delivery rate, latency and hop counts
 // are stochastic in transport order (UDP interleaving perturbs ARQ and
 // perimeter entry points) and get banded checks instead. A Comparison is
-// the machine-readable verdict alertload's -check gate and the acceptance
+// the machine-readable verdict alertload's exit status and the acceptance
 // test both consume.
 
 package live
@@ -15,24 +15,6 @@ import (
 
 	"alertmanet/internal/experiment"
 )
-
-// Band is the acceptance envelope for a sim-vs-live pair of runs.
-type Band struct {
-	// DeliveryAbs bounds |sim − live| delivery rate (absolute).
-	DeliveryAbs float64
-	// LatencyRel bounds the relative mean-latency deviation.
-	LatencyRel float64
-	// HopsRel bounds the relative hops-per-packet deviation.
-	HopsRel float64
-}
-
-// DefaultBand holds the tolerances the acceptance test pins. The live
-// transport reorders contention and ARQ timing relative to the event
-// queue, so latency gets the widest band; delivery on a connected field
-// should track closely.
-func DefaultBand() Band {
-	return Band{DeliveryAbs: 0.10, LatencyRel: 0.30, HopsRel: 0.30}
-}
 
 // Check is one banded (or exact) metric comparison.
 type Check struct {
@@ -67,16 +49,23 @@ type Comparison struct {
 }
 
 // Compare verifies a live Summary against the sim Result for the same
-// scenario under the given band.
-func Compare(sim experiment.Result, lv Summary, b Band) Comparison {
+// scenario. The live transport reorders contention and ARQ timing relative
+// to the event queue, so latency and hops get relative bands; delivery on
+// a connected field should track closely, so it gets an absolute one.
+func Compare(sim experiment.Result, lv Summary) Comparison {
+	const (
+		deliveryAbs = 0.10 // |sim − live| delivery rate
+		latencyRel  = 0.30 // relative mean-latency deviation
+		hopsRel     = 0.30 // relative hops-per-packet deviation
+	)
 	checks := []Check{
 		// The flow schedule is derived from the same rng stream on both
 		// sides; a sent-count mismatch means the replay itself is broken,
 		// not that transport noise intervened.
 		{Name: "sent", Sim: float64(sim.Sent), Live: float64(lv.Sent), Tol: 0},
-		{Name: "delivery-rate", Sim: sim.DeliveryRate, Live: lv.DeliveryRate, Tol: b.DeliveryAbs},
-		{Name: "mean-latency", Sim: sim.MeanLatency, Live: lv.MeanLatency, Tol: b.LatencyRel, Rel: true},
-		{Name: "hops-per-packet", Sim: sim.HopsPerPacket, Live: lv.HopsPerPkt, Tol: b.HopsRel, Rel: true},
+		{Name: "delivery-rate", Sim: sim.DeliveryRate, Live: lv.DeliveryRate, Tol: deliveryAbs},
+		{Name: "mean-latency", Sim: sim.MeanLatency, Live: lv.MeanLatency, Tol: latencyRel, Rel: true},
+		{Name: "hops-per-packet", Sim: sim.HopsPerPacket, Live: lv.HopsPerPkt, Tol: hopsRel, Rel: true},
 	}
 	cmp := Comparison{OK: true}
 	for _, c := range checks {

@@ -25,6 +25,7 @@ import (
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
+	"alertmanet/internal/stats"
 )
 
 // Flow is one coordinator-derived flow: the live rendering of one sim S-D
@@ -59,12 +60,11 @@ type Summary struct {
 // Coordinator drives one fleet through one scenario run.
 type Coordinator struct {
 	w     *experiment.World
-	nodes []NodeHandle
-	byID  map[int]NodeHandle
+	nodes []*Daemon
+	byID  map[int]*Daemon
 
 	// Timescale is real seconds per emulated second; it must match the
-	// daemons' own Timescale (SpawnFleet guarantees this for in-process
-	// fleets).
+	// daemons' own Timescale (SpawnFleet guarantees this).
 	Timescale float64
 	// Slack is extra real time after the emulated horizon for in-flight
 	// datagrams and ARQ exchanges to settle before collection.
@@ -75,10 +75,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator pairs a built World with the fleet that will act it out.
-func NewCoordinator(w *experiment.World, nodes []NodeHandle, timescale float64) *Coordinator {
-	byID := make(map[int]NodeHandle, len(nodes))
-	for _, h := range nodes {
-		byID[h.ID()] = h
+func NewCoordinator(w *experiment.World, nodes []*Daemon, timescale float64) *Coordinator {
+	byID := make(map[int]*Daemon, len(nodes))
+	for _, d := range nodes {
+		byID[d.ID()] = d
 	}
 	return &Coordinator{
 		w: w, nodes: nodes, byID: byID,
@@ -153,7 +153,7 @@ func (c *Coordinator) Run() (Summary, error) {
 	}
 	for _, fl := range flows {
 		src, ok := c.byID[fl.Src]
-		dstH, okD := c.byID[fl.Dst]
+		dst, okD := c.byID[fl.Dst]
 		if !ok || !okD {
 			return Summary{}, fmt.Errorf("live: flow %d references unknown node %d->%d", fl.ID, fl.Src, fl.Dst)
 		}
@@ -162,7 +162,7 @@ func (c *Coordinator) Run() (Summary, error) {
 			Dest: DestEntry{
 				ID:        fl.Dst,
 				Pos:       c.w.Mob.Position(fl.Dst, 0),
-				Pseudonym: dstH.Pseudonym(),
+				Pseudonym: dst.Pseudonym(),
 			},
 			Packets:  fl.Packets,
 			Interval: sc.Interval,
@@ -209,11 +209,11 @@ func (c *Coordinator) Run() (Summary, error) {
 func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) error {
 	n := len(c.nodes)
 	pos := make([]geo.Point, n)
-	for i, h := range c.nodes {
-		pos[i] = c.w.Mob.Position(h.ID(), t)
+	for i, d := range c.nodes {
+		pos[i] = c.w.Mob.Position(d.ID(), t)
 	}
 	rangeM := c.Range
-	for i, h := range c.nodes {
+	for i, d := range c.nodes {
 		top := Topology{T: t, Self: pos[i]}
 		for j, other := range c.nodes {
 			if i == j || !pos[i].Within(pos[j], rangeM) {
@@ -227,7 +227,7 @@ func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) err
 		}
 		if refreshLoc {
 			for _, fl := range flows {
-				if fl.Src != h.ID() {
+				if fl.Src != d.ID() {
 					continue
 				}
 				top.Dests = append(top.Dests, DestUpdate{
@@ -236,7 +236,7 @@ func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) err
 				})
 			}
 		}
-		if err := h.ApplyTopology(top); err != nil {
+		if err := d.ApplyTopology(top); err != nil {
 			return err
 		}
 	}
@@ -253,8 +253,8 @@ func (c *Coordinator) collect(flows []Flow) (Summary, error) {
 		Flows:    flows,
 	}
 	seen := make(map[uint64]bool)
-	for _, h := range c.nodes {
-		rep, err := h.Collect()
+	for _, d := range c.nodes {
+		rep, err := d.Collect()
 		if err != nil {
 			return Summary{}, err
 		}
@@ -290,20 +290,17 @@ func (c *Coordinator) collect(flows []Flow) (Summary, error) {
 		sum.DeliveryRate = float64(sum.Delivered) / float64(sum.Sent)
 	}
 	if sum.Delivered > 0 {
-		lats := make([]float64, 0, sum.Delivered)
+		// The simulator's Result takes its latency statistics from a
+		// stats.Sample; so does live, so both sides share one definition.
+		var lat stats.Sample
 		hops := 0
 		for _, dv := range sum.Deliveries {
-			lats = append(lats, dv.VTime)
+			lat.Add(dv.VTime)
 			hops += dv.Hops
 		}
-		sort.Float64s(lats)
-		total := 0.0
-		for _, l := range lats {
-			total += l
-		}
-		sum.MeanLatency = total / float64(len(lats))
-		sum.LatencyP50 = quantile(lats, 0.50)
-		sum.LatencyP95 = quantile(lats, 0.95)
+		sum.MeanLatency = lat.Mean()
+		sum.LatencyP50 = lat.Quantile(0.50)
+		sum.LatencyP95 = lat.Quantile(0.95)
 		sum.HopsPerPkt = float64(hops) / float64(sum.Delivered)
 	}
 	return sum, nil
@@ -333,19 +330,4 @@ func addCounters(dst *Counters, src Counters) {
 	dst.ZoneRelays += src.ZoneRelays
 	dst.Sent += src.Sent
 	dst.Delivered += src.Delivered
-}
-
-// quantile returns the q-th quantile of sorted values (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -1,4 +1,4 @@
-// The alertd daemon core: one node's router stack over a real UDP socket.
+// The live daemon core: one node's router stack over a real UDP socket.
 //
 // Concurrency model: a single processing loop goroutine owns ALL protocol
 // and emulation state (neighbor table, ARQ windows, flows, telemetry tap),
@@ -10,8 +10,8 @@
 //	loop:      rxq/cmdq -> route/forward/deliver -> txq
 //	writePump: txq -> socket   (bounded; overflow drops + counts)
 //
-// Control-plane mutations (topology pushes, flow starts, report scrapes)
-// enter as closures on cmdq and run on the loop goroutine. Timers
+// Coordinator calls (topology pushes, flow starts, report scrapes) enter
+// as closures on cmdq and run on the loop goroutine. Timers
 // (ARQ retransmissions, flow pacing) fire as closures posted back to cmdq.
 // Datagram buffers are pooled across the pump boundary so the receive path
 // stays allocation-lean at steady state (the PR 6 discipline, adapted to a
@@ -101,7 +101,7 @@ func DefaultDaemonConfig(id int, field geo.Rect, seed int64) Config {
 	}
 }
 
-// Counters tallies one daemon's activity; scraped over the control channel.
+// Counters tallies one daemon's activity; Collect scrapes it.
 type Counters struct {
 	RxDatagrams  uint64
 	TxDatagrams  uint64
@@ -192,8 +192,8 @@ type outBuf struct {
 }
 
 // Daemon is one live node. Construct with NewDaemon, start with Start,
-// stop with Close. All exported control methods (Topology, StartFlow,
-// Report, ...) are safe from any goroutine: they post onto the loop.
+// stop with Close. The coordinator's methods (ApplyTopology, StartFlow,
+// Collect) are safe from any goroutine: they post onto the loop.
 type Daemon struct {
 	cfg   Config
 	conn  *net.UDPConn
@@ -347,8 +347,8 @@ func (d *Daemon) post(fn func()) bool {
 	}
 }
 
-// call posts fn and waits for it to finish — the synchronous control-plane
-// entry point.
+// call posts fn and waits for it to finish — the synchronous entry point
+// of the coordinator's methods.
 func (d *Daemon) call(fn func()) error {
 	ch := make(chan struct{})
 	if !d.post(func() { fn(); close(ch) }) {

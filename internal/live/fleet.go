@@ -8,30 +8,14 @@ package live
 
 import (
 	"fmt"
-	"net"
 	"time"
 
-	"alertmanet/internal/crypt"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
 	"alertmanet/internal/telemetry"
 )
-
-// NodeHandle is one fleet member as the coordinator drives it. *Daemon
-// implements it directly (in-process fleets: real UDP data plane, function
-// -call control plane); controlClient (control.go) implements it over HTTP
-// for externally spawned alertd processes.
-type NodeHandle interface {
-	ID() int
-	UDPAddr() *net.UDPAddr
-	Pseudonym() crypt.Pseudonym
-	ApplyTopology(Topology) error
-	StartFlow(FlowSpec) error
-	Collect() (Report, error)
-	Close() error
-}
 
 // DaemonConfigFor derives the live daemon configuration for node id from a
 // scenario — the single place the sim-to-live parameter mapping lives.
@@ -115,14 +99,8 @@ func SpawnFleetWithTaps(sc experiment.Scenario, timescale float64, tapFor func(i
 	return fl, nil
 }
 
-// Handles returns the fleet as coordinator-drivable handles.
-func (fl *Fleet) Handles() []NodeHandle {
-	hs := make([]NodeHandle, len(fl.Daemons))
-	for i, d := range fl.Daemons {
-		hs[i] = d
-	}
-	return hs
-}
+// Handles returns the daemons a coordinator drives.
+func (fl *Fleet) Handles() []*Daemon { return fl.Daemons }
 
 // Close stops every daemon; the first error wins.
 func (fl *Fleet) Close() error {

@@ -9,6 +9,7 @@ import (
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/rng"
+	"alertmanet/internal/stats"
 )
 
 // smokeScenario is a small, fast, fully connected field for data-plane
@@ -72,6 +73,36 @@ func TestFleetSmokeALERT(t *testing.T) {
 	t.Logf("alert smoke: sent %d delivered %d rate %.2f meanlat %.4fs zb %d relays %d",
 		sum.Sent, sum.Delivered, sum.DeliveryRate, sum.MeanLatency,
 		sum.Counters.ZoneBroadcasts, sum.Counters.ZoneRelays)
+}
+
+// TestSummaryLatencyMatchesSimDefinition pins live's latency statistics to
+// the simulator's: Summary's mean and percentiles must be exactly what
+// stats.Sample, which experiment.Result uses, gives over the Summary's own
+// deliveries. A nearest-rank percentile reads differently on the same data.
+func TestSummaryLatencyMatchesSimDefinition(t *testing.T) {
+	sum, err := RunFleet(smokeScenario(experiment.ALERT, 25, 7), 0.01)
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
+	}
+	if sum.Delivered < 2 {
+		t.Fatalf("%d deliveries, want at least 2 to tell percentile definitions apart", sum.Delivered)
+	}
+	var lat stats.Sample
+	for _, dv := range sum.Deliveries {
+		lat.Add(dv.VTime)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean", sum.MeanLatency, lat.Mean()},
+		{"p50", sum.LatencyP50, lat.Quantile(0.50)},
+		{"p95", sum.LatencyP95, lat.Quantile(0.95)},
+	} {
+		if c.got != c.want {
+			t.Errorf("latency %s = %.7g s, stats.Sample gives %.7g s", c.name, c.got, c.want)
+		}
+	}
 }
 
 // TestDaemonCloseIdempotent pins the shutdown path: double Close, and

@@ -53,10 +53,9 @@ type DestUpdate struct {
 
 // Report is one daemon's measurement scrape.
 type Report struct {
-	ID         int          `json:"id"`
-	Counters   Counters     `json:"counters"`
-	Sends      []SendRecord `json:"sends"`
-	Deliveries []Delivery   `json:"deliveries"`
+	Counters   Counters
+	Sends      []SendRecord
+	Deliveries []Delivery
 }
 
 // ApplyTopology installs a coordinator push. Safe from any goroutine.
@@ -108,7 +107,6 @@ func (d *Daemon) StartFlow(spec FlowSpec) error {
 func (d *Daemon) Collect() (Report, error) {
 	var r Report
 	err := d.call(func() {
-		r.ID = d.cfg.ID
 		r.Counters = d.counts
 		r.Sends = append([]SendRecord(nil), d.sends...)
 		r.Deliveries = make([]Delivery, len(d.delivs))

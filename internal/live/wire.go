@@ -27,12 +27,12 @@
 // garbage are all decode errors (FuzzWireCodec pins this), and a decoded
 // frame re-encodes to the identical byte string.
 
-// Package live runs ALERT and GPSR as real node processes: a
-// deterministic wire codec, the alertd daemon (one node's router stack over
-// a UDP socket with an HTTP control plane), a coordinator that replays
-// internal/mobility trajectories onto a daemon fleet while emulating the
-// radio medium, and the sim-vs-live comparison harness that keeps the live
-// system honest against the simulator (DESIGN.md, "Live mode").
+// Package live runs ALERT and GPSR over real UDP sockets: a deterministic
+// wire codec, the Daemon (one node's router stack behind a loopback UDP
+// socket), a coordinator that replays internal/mobility trajectories onto
+// an in-process daemon fleet while emulating the radio medium, and the
+// sim-vs-live comparison harness that keeps the live system honest against
+// the simulator (DESIGN.md, "Live mode").
 package live
 
 import (

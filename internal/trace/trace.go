@@ -1,12 +1,10 @@
 // Package trace renders simulation state for humans: an ASCII map of the
 // network field with a packet's route, the destination zone, and the
-// endpoints — the visual counterpart of the paper's Figs. 1-3 — plus a
-// per-packet event timeline assembled from channel taps.
+// endpoints — the visual counterpart of the paper's Figs. 1-3.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"alertmanet/internal/geo"
@@ -133,66 +131,4 @@ func hopGlyph(hop int) byte {
 	default:
 		return '*'
 	}
-}
-
-// Event is one observed channel action attributed to a packet.
-type Event struct {
-	At   float64
-	From medium.NodeID
-	To   medium.NodeID // medium.BroadcastID for broadcasts
-	Size int
-	Kind string // "unicast" or "broadcast"
-}
-
-// Timeline collects the transmissions of a run, filterable per conversation.
-type Timeline struct {
-	events []Event
-}
-
-// Attach taps the medium and records every transmission.
-func Attach(med *medium.Medium) *Timeline {
-	t := &Timeline{}
-	med.TapSend(func(tx medium.Transmission) {
-		kind := "unicast"
-		if tx.To == medium.BroadcastID {
-			kind = "broadcast"
-		}
-		t.events = append(t.events, Event{
-			At: tx.At, From: tx.From, To: tx.To, Size: tx.Size, Kind: kind,
-		})
-	})
-	return t
-}
-
-// Events returns all recorded events in time order.
-func (t *Timeline) Events() []Event {
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Window returns the events within [from, to].
-func (t *Timeline) Window(from, to float64) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.At >= from && e.At <= to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Format renders events as an aligned log.
-func Format(events []Event) string {
-	var b strings.Builder
-	for _, e := range events {
-		to := fmt.Sprintf("%d", e.To)
-		if e.To == medium.BroadcastID {
-			to = "*"
-		}
-		fmt.Fprintf(&b, "t=%9.4fs  %-9s %4d -> %-4s %4d B\n",
-			e.At, e.Kind, e.From, to, e.Size)
-	}
-	return b.String()
 }

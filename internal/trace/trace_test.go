@@ -6,9 +6,6 @@ import (
 
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
-	"alertmanet/internal/mobility"
-	"alertmanet/internal/rng"
-	"alertmanet/internal/sim"
 )
 
 var field = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
@@ -101,40 +98,6 @@ func TestHopGlyphs(t *testing.T) {
 	}
 	if hopGlyph(40) != '*' {
 		t.Fatal("overflow glyph wrong")
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	eng := sim.NewEngine()
-	src := rng.New(1)
-	mob := mobility.NewStatic(field, 5, src)
-	par := medium.DefaultParams()
-	par.Retries = 0 // fire-and-forget: exactly one on-air event per send
-	med := medium.MustNew(eng, mob, par, src)
-	for i := 0; i < 5; i++ {
-		med.Attach(medium.NodeID(i), func(medium.NodeID, any, int) {})
-	}
-	tl := Attach(med)
-	eng.At(1, func() { med.Unicast(0, 1, "a", 100) })
-	eng.At(2, func() { med.Broadcast(2, "b", 64) })
-	eng.Run()
-	evs := tl.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	if evs[0].Kind != "unicast" || evs[1].Kind != "broadcast" {
-		t.Fatalf("kinds = %v %v", evs[0].Kind, evs[1].Kind)
-	}
-	if evs[0].At > evs[1].At {
-		t.Fatal("events out of order")
-	}
-	win := tl.Window(1.5, 3)
-	if len(win) != 1 || win[0].Kind != "broadcast" {
-		t.Fatalf("window = %v", win)
-	}
-	txt := Format(evs)
-	if !strings.Contains(txt, "unicast") || !strings.Contains(txt, "-> *") {
-		t.Fatalf("format:\n%s", txt)
 	}
 }
 
