@@ -222,7 +222,7 @@ func runTelemetry(sc experiment.Scenario, path, layers string) (experiment.Resul
 	if err != nil {
 		return experiment.Result{}, err
 	}
-	defer f.Close()
+	defer f.Close() // for the error paths; success checks Close below
 	tap := telemetry.New(f, mask)
 
 	start := time.Now()
@@ -235,6 +235,9 @@ func runTelemetry(sc experiment.Scenario, path, layers string) (experiment.Resul
 	simEnd := sc.Duration + sc.DrainTime
 	tap.WriteSnapshot(simEnd)
 	if err := tap.Flush(); err != nil {
+		return experiment.Result{}, err
+	}
+	if err := f.Close(); err != nil {
 		return experiment.Result{}, err
 	}
 
@@ -254,6 +257,9 @@ func runTelemetry(sc experiment.Scenario, path, layers string) (experiment.Resul
 		EmittedEvents:   tap.Events(),
 	}
 	if err := m.Encode(mf); err != nil {
+		return experiment.Result{}, err
+	}
+	if err := mf.Close(); err != nil {
 		return experiment.Result{}, err
 	}
 	fmt.Printf("telemetry: %d events -> %s (manifest %s.manifest.json)\n",

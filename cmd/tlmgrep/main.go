@@ -26,14 +26,23 @@ import (
 )
 
 func main() {
-	var (
-		packet = flag.Int("packet", -1, "keep events attributed to this packet id")
-		nodeID = flag.Int("node", -1, "keep events involving this node (any role)")
-		kind   = flag.String("kind", "", "keep events of this kind exactly (e.g. tx, loss, hop, leg, zonecast)")
-		layers = flag.String("layer", "", "keep events of these layers (comma-separated sim,medium,route,packet,crypto; empty keeps all)")
-		count  = flag.Bool("count", false, "print only the number of matching events")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tlmgrep:", err)
+		os.Exit(1)
+	}
+}
+
+// run filters the streams named in args, or stdin when there are none, onto
+// stdout. Output is flushed on every return, an input error included, so
+// each matching line found before the error arrives whole.
+func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("tlmgrep", flag.ExitOnError)
+	packet := fs.Int("packet", -1, "keep events attributed to this packet id")
+	nodeID := fs.Int("node", -1, "keep events involving this node (any role)")
+	kind := fs.String("kind", "", "keep events of this kind exactly (e.g. tx, loss, hop, leg, zonecast)")
+	layers := fs.String("layer", "", "keep events of these layers (comma-separated sim,medium,route,packet,crypto; empty keeps all)")
+	count := fs.Bool("count", false, "print only the number of matching events")
+	fs.Parse(args)
 
 	filter := telemetry.NewFilter()
 	filter.Trace = *packet
@@ -42,14 +51,17 @@ func main() {
 	if *layers != "" {
 		mask, err := telemetry.ParseLayers(*layers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlmgrep:", err)
-			os.Exit(2)
+			return err
 		}
 		filter.Layers = mask
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 	matched := 0
 
 	grep := func(name string, r io.Reader) error {
@@ -78,27 +90,24 @@ func main() {
 		return sc.Err()
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		if err := grep("stdin", os.Stdin); err != nil {
-			fmt.Fprintln(os.Stderr, "tlmgrep:", err)
-			os.Exit(1)
+	if fs.NArg() == 0 {
+		if err := grep("stdin", stdin); err != nil {
+			return err
 		}
 	}
-	for _, path := range args {
+	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlmgrep:", err)
-			os.Exit(1)
+			return err
 		}
 		err = grep(path, f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlmgrep:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if *count {
 		fmt.Fprintln(out, matched)
 	}
+	return nil
 }

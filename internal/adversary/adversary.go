@@ -1,10 +1,11 @@
 // Package adversary implements the attacker models of Sections 2.1 and 3:
 // passive eavesdroppers that record transmissions and receptions in their
-// vicinity, an intersection-attack tracker that intersects destination-zone
-// recipient sets across packets (Section 3.3), a timing-attack correlator
-// that matches departure and arrival times (Section 3.2), a route tracker
-// that measures how predictable a flow's relay sets are (Section 3.1), and
-// a source-anonymity meter for the notify-and-go window (Section 2.6).
+// vicinity, a timing-attack correlator that matches departure and arrival
+// times (Section 3.2), a route tracker that measures how predictable a
+// flow's relay sets are (Section 3.1), and a source-anonymity meter for the
+// notify-and-go window (Section 2.6). The intersection attack of Section
+// 3.3 attributes zone receivers to packets through ALERT's recipient hook,
+// so it lives in experiment.IntersectionAttack.
 //
 // Attackers observe only what radios leak — frames, times, positions of
 // transmitters and receivers — never protocol-internal state.
@@ -18,12 +19,10 @@ import (
 	"alertmanet/internal/medium"
 )
 
-// Observer is a passive eavesdropper covering a circular area (or, with
-// Everywhere, the whole field — the strongest passive adversary).
+// Observer is a passive eavesdropper covering a circular area.
 type Observer struct {
-	Center     geo.Point
-	Radius     float64
-	Everywhere bool
+	Center geo.Point
+	Radius float64
 
 	Transmissions []medium.Transmission
 	Receptions    []medium.Reception
@@ -45,20 +44,8 @@ func NewObserver(med *medium.Medium, center geo.Point, radius float64) *Observer
 	return o
 }
 
-// NewGlobalObserver creates an eavesdropper that sees the entire field.
-func NewGlobalObserver(med *medium.Medium) *Observer {
-	o := &Observer{Everywhere: true}
-	med.TapSend(func(tx medium.Transmission) {
-		o.Transmissions = append(o.Transmissions, tx)
-	})
-	med.TapRecv(func(rx medium.Reception) {
-		o.Receptions = append(o.Receptions, rx)
-	})
-	return o
-}
-
 func (o *Observer) covers(p geo.Point) bool {
-	return o.Everywhere || o.Center.Within(p, o.Radius)
+	return o.Center.Within(p, o.Radius)
 }
 
 // DistinctSenders returns how many different nodes the observer saw
@@ -72,73 +59,6 @@ func (o *Observer) DistinctSenders(from, to float64) int {
 		}
 	}
 	return len(seen)
-}
-
-// IntersectionTracker mounts the intersection attack of Section 3.3: it
-// watches receptions inside a suspected destination zone, groups them into
-// per-packet delivery waves (receptions separated by more than WaveGap
-// start a new wave), and intersects the recipient sets. If the surviving
-// candidate set shrinks to one node, the destination is exposed.
-type IntersectionTracker struct {
-	Zone    geo.Rect
-	WaveGap float64
-
-	waves    []map[medium.NodeID]struct{}
-	lastSeen float64
-	started  bool
-}
-
-// NewIntersectionTracker taps the channel and begins tracking.
-func NewIntersectionTracker(med *medium.Medium, zone geo.Rect, waveGap float64) *IntersectionTracker {
-	t := &IntersectionTracker{Zone: zone, WaveGap: waveGap}
-	med.TapRecv(func(rx medium.Reception) { t.observe(rx) })
-	return t
-}
-
-func (t *IntersectionTracker) observe(rx medium.Reception) {
-	if !t.Zone.Contains(rx.ToPos) {
-		return
-	}
-	if !t.started || rx.At-t.lastSeen > t.WaveGap {
-		t.waves = append(t.waves, map[medium.NodeID]struct{}{})
-		t.started = true
-	}
-	t.lastSeen = rx.At
-	t.waves[len(t.waves)-1][rx.To] = struct{}{}
-}
-
-// Waves returns how many delivery waves the attacker distinguished.
-func (t *IntersectionTracker) Waves() int { return len(t.waves) }
-
-// Candidates returns the intersection of all observed recipient sets — the
-// nodes the attacker still considers possible destinations. An empty
-// tracker returns nil (no information).
-func (t *IntersectionTracker) Candidates() []medium.NodeID {
-	if len(t.waves) == 0 {
-		return nil
-	}
-	var out []medium.NodeID
-	for id := range t.waves[0] {
-		inAll := true
-		for _, w := range t.waves[1:] {
-			if _, ok := w[id]; !ok {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Exposed reports whether the attack pinned the destination down to exactly
-// the given node.
-func (t *IntersectionTracker) Exposed(dst medium.NodeID) bool {
-	c := t.Candidates()
-	return len(c) == 1 && c[0] == dst
 }
 
 // TimingCorrelator mounts the timing attack of Section 3.2: given the

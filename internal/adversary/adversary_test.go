@@ -51,22 +51,6 @@ func TestObserverVicinityFilter(t *testing.T) {
 	}
 }
 
-func TestGlobalObserverSeesAll(t *testing.T) {
-	eng, med := mkMedium(
-		geo.Point{X: 100, Y: 100}, geo.Point{X: 150, Y: 100},
-		geo.Point{X: 900, Y: 900}, geo.Point{X: 950, Y: 900},
-	)
-	attach(med, 4)
-	obs := NewGlobalObserver(med)
-	med.Unicast(0, 1, "a", 64)
-	med.Unicast(2, 3, "b", 64)
-	eng.Run()
-	if len(obs.Transmissions) != 2 || len(obs.Receptions) != 2 {
-		t.Fatalf("global observer missed traffic: %d tx, %d rx",
-			len(obs.Transmissions), len(obs.Receptions))
-	}
-}
-
 func TestDistinctSendersWindow(t *testing.T) {
 	eng, med := mkMedium(
 		geo.Point{X: 100, Y: 100}, geo.Point{X: 120, Y: 100},
@@ -85,102 +69,6 @@ func TestDistinctSendersWindow(t *testing.T) {
 	}
 	if got := obs.DistinctSenders(0, 10); got != 4 {
 		t.Fatalf("full-window senders = %d, want 4", got)
-	}
-}
-
-func TestIntersectionTrackerExposesFixedRecipient(t *testing.T) {
-	// Nodes 0..4 in the zone; node 9 is the broadcaster. Waves contain
-	// varying subsets but node 2 is in every wave -> exposed.
-	pos := []geo.Point{
-		{X: 100, Y: 100}, {X: 120, Y: 100}, {X: 140, Y: 100},
-		{X: 160, Y: 100}, {X: 180, Y: 100},
-	}
-	pos = append(pos, geo.Point{X: 500, Y: 500}) // outside zone
-	eng, med := mkMedium(append(pos, geo.Point{X: 130, Y: 120})...)
-	attach(med, 7)
-	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 250, Y: 250}}
-	tr := NewIntersectionTracker(med, zone, 0.5)
-	// Simulate three delivery waves by unicasting to subsets.
-	wave := func(at float64, ids ...medium.NodeID) {
-		eng.At(at, func() {
-			for _, id := range ids {
-				med.Unicast(6, id, "pkt", 512)
-			}
-		})
-	}
-	wave(1, 0, 1, 2)
-	wave(3, 2, 3)
-	wave(5, 2, 4, 0)
-	eng.Run()
-	if tr.Waves() != 3 {
-		t.Fatalf("waves = %d, want 3", tr.Waves())
-	}
-	c := tr.Candidates()
-	if len(c) != 1 || c[0] != 2 {
-		t.Fatalf("candidates = %v, want [2]", c)
-	}
-	if !tr.Exposed(2) || tr.Exposed(1) {
-		t.Fatal("Exposed wrong")
-	}
-}
-
-func TestIntersectionTrackerDefeatedByMixing(t *testing.T) {
-	pos := []geo.Point{
-		{X: 100, Y: 100}, {X: 120, Y: 100}, {X: 140, Y: 100},
-		{X: 160, Y: 100}, {X: 130, Y: 120},
-	}
-	eng, med := mkMedium(pos...)
-	attach(med, 5)
-	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 250, Y: 250}}
-	tr := NewIntersectionTracker(med, zone, 0.5)
-	// The destination (2) is NOT in wave 2's recipient set — two-step
-	// delivery hid it. Intersection loses it.
-	wave := func(at float64, ids ...medium.NodeID) {
-		eng.At(at, func() {
-			for _, id := range ids {
-				med.Unicast(4, id, "pkt", 512)
-			}
-		})
-	}
-	wave(1, 0, 1, 2)
-	wave(3, 0, 3)
-	eng.Run()
-	if tr.Exposed(2) {
-		t.Fatal("destination exposed despite missing from a wave")
-	}
-	c := tr.Candidates()
-	if len(c) != 1 || c[0] != 0 {
-		// node 0 happens to be in both waves; fine — the point is 2
-		// is not identified.
-		t.Fatalf("candidates = %v", c)
-	}
-}
-
-func TestIntersectionTrackerIgnoresOutsideZone(t *testing.T) {
-	eng, med := mkMedium(
-		geo.Point{X: 100, Y: 100}, geo.Point{X: 900, Y: 900},
-		geo.Point{X: 120, Y: 100},
-	)
-	attach(med, 3)
-	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 250, Y: 250}}
-	tr := NewIntersectionTracker(med, zone, 0.5)
-	med.Unicast(2, 0, "in", 64)
-	med.Unicast(2, 1, "out", 64) // receiver outside the zone (also out of range)
-	eng.Run()
-	if tr.Waves() != 1 {
-		t.Fatalf("waves = %d", tr.Waves())
-	}
-	c := tr.Candidates()
-	if len(c) != 1 || c[0] != 0 {
-		t.Fatalf("candidates = %v", c)
-	}
-}
-
-func TestIntersectionTrackerEmpty(t *testing.T) {
-	_, med := mkMedium(geo.Point{X: 1, Y: 1})
-	tr := NewIntersectionTracker(med, field, 0.5)
-	if tr.Candidates() != nil || tr.Waves() != 0 || tr.Exposed(0) {
-		t.Fatal("empty tracker should know nothing")
 	}
 }
 

@@ -109,7 +109,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 // draws the session key K_s from rnd and encrypts it and the source zone
 // zs under the destination's public key — the two public-key operations a
 // source performs on a session's first packet (Section 2.5).
-func NewSession(suite crypt.Suite, destPub crypt.PubKey, zs geo.Rect, rnd *rng.Source) (key crypt.SymKey, encKey, encLZS []byte, err error) {
+func NewSession(suite *crypt.FastSuite, destPub crypt.PubKey, zs geo.Rect, rnd *rng.Source) (key crypt.SymKey, encKey, encLZS []byte, err error) {
 	key = crypt.NewSymKey(rnd)
 	if encKey, err = suite.EncryptPub(destPub, key[:]); err != nil {
 		return key, nil, nil, fmt.Errorf("core: session key encryption: %w", err)

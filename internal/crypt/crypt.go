@@ -10,10 +10,11 @@
 //     tests can verify confidentiality-relevant behaviour (a forwarder
 //     cannot read the source zone, covering packets are indistinguishable,
 //     the bitmap restores flipped bits). Symmetric operations use stdlib
-//     AES-CTR. Public-key operations come in two interchangeable Suites:
-//     RSASuite (real stdlib RSA-OAEP, for unit tests and examples) and
-//     FastSuite (a deterministic keyed box, for large simulations where
-//     generating hundreds of RSA keys per run would dominate wall time).
+//     AES-CTR. Public-key operations use FastSuite, a deterministic keyed
+//     box standing in for RSA: it keeps the one property the protocols
+//     rely on (only a key's owner opens what was sealed to it) and costs
+//     microseconds, where generating an RSA key per node would dominate a
+//     run's wall time.
 //
 //   - Cost accounting. The *simulated* latency of each operation comes from
 //     CostModel, calibrated to the paper's measurements on a 1.8 GHz core:
@@ -26,9 +27,6 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha1"
 	"encoding/binary"
 	"errors"
@@ -135,39 +133,28 @@ func SymOpen(key SymKey, sealed []byte) ([]byte, error) {
 	return out, nil
 }
 
-// PubKey is an opaque public key handle issued by a Suite.
+// PubKey is an opaque public key handle issued by a FastSuite; nil means
+// no key.
 type PubKey interface {
 	// Owner returns the node id the key was generated for.
 	Owner() int
 }
 
-// PrivKey is an opaque private key handle issued by a Suite.
+// PrivKey is an opaque private key handle issued by a FastSuite.
 type PrivKey interface {
 	Owner() int
 }
 
-// Suite provides public-key encryption. Implementations must guarantee that
-// DecryptPub succeeds only with the private key matching the public key
-// used to encrypt.
-type Suite interface {
-	// GenerateKeyPair creates the key pair for a node.
-	GenerateKeyPair(owner int) (PubKey, PrivKey)
-	// EncryptPub encrypts plaintext to the holder of pub.
-	EncryptPub(pub PubKey, plaintext []byte) ([]byte, error)
-	// DecryptPub decrypts a ciphertext with priv; it returns an error if
-	// the ciphertext was not produced for this key.
-	DecryptPub(priv PrivKey, ciphertext []byte) ([]byte, error)
-}
-
 // ---- FastSuite -------------------------------------------------------------
 
-// FastSuite is a deterministic stand-in for public-key encryption used in
-// large simulations: each key pair shares a secret 128-bit box key derived
-// from the suite seed and the owner id; EncryptPub seals with AES-CTR under
-// the box key and prepends the owner id; DecryptPub refuses mismatched
-// owners. It preserves exactly the property the protocols rely on — only
-// the intended holder can read the field — while costing microseconds.
-// Simulated latency is charged separately via CostModel.
+// FastSuite is the deterministic stand-in for public-key encryption that
+// the simulator and the live daemons run on: each key pair shares a secret
+// 128-bit box key derived from the suite seed and the owner id; EncryptPub
+// seals with AES-CTR under the box key and prepends the owner id;
+// DecryptPub refuses mismatched owners. It preserves exactly the property
+// the protocols rely on — only the intended holder can read the field —
+// while costing microseconds. Simulated latency is charged separately via
+// CostModel.
 type FastSuite struct {
 	src *rng.Source
 }
@@ -184,13 +171,13 @@ type fastKey struct {
 
 func (k fastKey) Owner() int { return k.owner }
 
-// GenerateKeyPair implements Suite.
+// GenerateKeyPair creates the key pair for a node.
 func (s *FastSuite) GenerateKeyPair(owner int) (PubKey, PrivKey) {
 	k := fastKey{owner: owner, box: NewSymKey(s.src.SplitIndex("key", owner))}
 	return k, k
 }
 
-// EncryptPub implements Suite.
+// EncryptPub encrypts plaintext to the holder of pub.
 func (s *FastSuite) EncryptPub(pub PubKey, plaintext []byte) ([]byte, error) {
 	k, ok := pub.(fastKey)
 	if !ok {
@@ -203,7 +190,8 @@ func (s *FastSuite) EncryptPub(pub PubKey, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecryptPub implements Suite.
+// DecryptPub decrypts a ciphertext with priv; it returns an error if the
+// ciphertext was not produced for this key.
 func (s *FastSuite) DecryptPub(priv PrivKey, ciphertext []byte) ([]byte, error) {
 	k, ok := priv.(fastKey)
 	if !ok {
@@ -217,103 +205,6 @@ func (s *FastSuite) DecryptPub(priv PrivKey, ciphertext []byte) ([]byte, error) 
 		return nil, fmt.Errorf("crypt: ciphertext for node %d, key for node %d", owner, k.owner)
 	}
 	return SymOpen(k.box, ciphertext[8:])
-}
-
-// ---- RSASuite --------------------------------------------------------------
-
-// RSASuite uses real stdlib RSA-OAEP. Key generation is comparatively slow,
-// so it is meant for unit tests and small examples; FastSuite carries the
-// large parameter sweeps.
-type RSASuite struct {
-	bits int
-}
-
-// NewRSASuite creates an RSA suite with the given modulus size (>= 1024
-// recommended; tests may use smaller for speed).
-func NewRSASuite(bits int) *RSASuite { return &RSASuite{bits: bits} }
-
-type rsaPub struct {
-	owner int
-	key   *rsa.PublicKey
-}
-
-func (k rsaPub) Owner() int { return k.owner }
-
-type rsaPriv struct {
-	owner int
-	key   *rsa.PrivateKey
-}
-
-func (k rsaPriv) Owner() int { return k.owner }
-
-// GenerateKeyPair implements Suite.
-func (s *RSASuite) GenerateKeyPair(owner int) (PubKey, PrivKey) {
-	key, err := rsa.GenerateKey(rand.Reader, s.bits)
-	if err != nil {
-		//lint:allowpanic rsa.GenerateKey fails only if the entropy source does; the Suite interface has no error path and setup-time failure should abort
-		panic(fmt.Sprintf("crypt: rsa key generation failed: %v", err))
-	}
-	return rsaPub{owner, &key.PublicKey}, rsaPriv{owner, key}
-}
-
-// EncryptPub implements Suite. Plaintexts longer than one OAEP block are
-// hybrid-encrypted: a fresh AES key is RSA-encrypted and the body sealed
-// under it (layout: len(rsaBlock) uint16 || rsaBlock || aesSealed).
-func (s *RSASuite) EncryptPub(pub PubKey, plaintext []byte) ([]byte, error) {
-	k, ok := pub.(rsaPub)
-	if !ok {
-		return nil, errors.New("crypt: foreign public key")
-	}
-	var sym SymKey
-	if _, err := rand.Read(sym[:]); err != nil {
-		return nil, err
-	}
-	rsaBlock, err := rsa.EncryptOAEP(sha1.New(), rand.Reader, k.key, sym[:], nil)
-	if err != nil {
-		return nil, err
-	}
-	var nonce [8]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return nil, err
-	}
-	// Seal body under the fresh symmetric key with a random IV.
-	block, err := aes.NewCipher(sym[:])
-	if err != nil {
-		return nil, err
-	}
-	sealed := make([]byte, aes.BlockSize+len(plaintext))
-	if _, err := rand.Read(sealed[:aes.BlockSize]); err != nil {
-		return nil, err
-	}
-	cipher.NewCTR(block, sealed[:aes.BlockSize]).XORKeyStream(sealed[aes.BlockSize:], plaintext)
-
-	out := make([]byte, 2+len(rsaBlock)+len(sealed))
-	binary.BigEndian.PutUint16(out, uint16(len(rsaBlock)))
-	copy(out[2:], rsaBlock)
-	copy(out[2+len(rsaBlock):], sealed)
-	return out, nil
-}
-
-// DecryptPub implements Suite.
-func (s *RSASuite) DecryptPub(priv PrivKey, ciphertext []byte) ([]byte, error) {
-	k, ok := priv.(rsaPriv)
-	if !ok {
-		return nil, errors.New("crypt: foreign private key")
-	}
-	if len(ciphertext) < 2 {
-		return nil, errors.New("crypt: short ciphertext")
-	}
-	n := int(binary.BigEndian.Uint16(ciphertext))
-	if len(ciphertext) < 2+n {
-		return nil, errors.New("crypt: truncated ciphertext")
-	}
-	symRaw, err := rsa.DecryptOAEP(sha1.New(), nil, k.key, ciphertext[2:2+n], nil)
-	if err != nil {
-		return nil, fmt.Errorf("crypt: rsa decrypt: %w", err)
-	}
-	var sym SymKey
-	copy(sym[:], symRaw)
-	return SymOpen(sym, ciphertext[2+n:])
 }
 
 // ---- Bitmap (intersection-attack countermeasure) ---------------------------
@@ -361,27 +252,4 @@ func (m Bitmap) Apply(data []byte) []byte {
 		out[i] = data[i] ^ m[i]
 	}
 	return out
-}
-
-// ---- Message authentication (location-service requests) --------------------
-
-// MACKey is a shared secret between a node and its location server
-// ("decrypted by A using the predistributed shared key between A and its
-// location server", Section 2.2).
-type MACKey = SymKey
-
-// MAC computes an HMAC-SHA1 tag over msg under key.
-func MAC(key MACKey, msg []byte) [20]byte {
-	mac := hmac.New(sha1.New, key[:])
-	mac.Write(msg)
-	var out [20]byte
-	copy(out[:], mac.Sum(nil))
-	return out
-}
-
-// VerifyMAC reports whether tag authenticates msg under key, in constant
-// time.
-func VerifyMAC(key MACKey, msg []byte, tag [20]byte) bool {
-	want := MAC(key, msg)
-	return hmac.Equal(want[:], tag[:])
 }

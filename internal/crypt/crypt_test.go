@@ -135,10 +135,10 @@ func TestSymNonceFreshness(t *testing.T) {
 	}
 }
 
-func testSuite(t *testing.T, s Suite) {
-	t.Helper()
+func TestFastSuite(t *testing.T) {
+	s := NewFastSuite(rng.New(10))
 	pub1, priv1 := s.GenerateKeyPair(1)
-	pub2, priv2 := s.GenerateKeyPair(2)
+	_, priv2 := s.GenerateKeyPair(2)
 	if pub1.Owner() != 1 || priv2.Owner() != 2 {
 		t.Fatal("owner metadata wrong")
 	}
@@ -161,32 +161,6 @@ func testSuite(t *testing.T, s Suite) {
 	if pt2, err := s.DecryptPub(priv2, ct); err == nil && bytes.Equal(pt2, msg) {
 		t.Fatal("wrong private key decrypted the message")
 	}
-	_ = pub2
-}
-
-func TestFastSuite(t *testing.T) {
-	testSuite(t, NewFastSuite(rng.New(10)))
-}
-
-func TestRSASuite(t *testing.T) {
-	testSuite(t, NewRSASuite(1024))
-}
-
-func TestRSASuiteLongPlaintext(t *testing.T) {
-	s := NewRSASuite(1024)
-	pub, priv := s.GenerateKeyPair(1)
-	msg := bytes.Repeat([]byte("multimedia payload "), 60) // > one RSA block
-	ct, err := s.EncryptPub(pub, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := s.DecryptPub(priv, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt, msg) {
-		t.Fatal("long plaintext round trip failed")
-	}
 }
 
 func TestFastSuiteShortCiphertext(t *testing.T) {
@@ -194,17 +168,6 @@ func TestFastSuiteShortCiphertext(t *testing.T) {
 	_, priv := s.GenerateKeyPair(1)
 	if _, err := s.DecryptPub(priv, []byte{1}); err == nil {
 		t.Fatal("short ciphertext should error")
-	}
-}
-
-func TestRSASuiteTruncated(t *testing.T) {
-	s := NewRSASuite(1024)
-	_, priv := s.GenerateKeyPair(1)
-	if _, err := s.DecryptPub(priv, []byte{0, 200, 1, 2}); err == nil {
-		t.Fatal("truncated ciphertext should error")
-	}
-	if _, err := s.DecryptPub(priv, []byte{9}); err == nil {
-		t.Fatal("1-byte ciphertext should error")
 	}
 }
 
@@ -327,52 +290,6 @@ func TestQuickBitmapInvolution(t *testing.T) {
 	f := func(data []byte, nBits uint8) bool {
 		m := NewBitmap(len(data), int(nBits), src)
 		return bytes.Equal(m.Apply(m.Apply(data)), data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMACRoundTrip(t *testing.T) {
-	src := rng.New(30)
-	key := NewSymKey(src)
-	msg := []byte("lookup request: node 42")
-	tag := MAC(key, msg)
-	if !VerifyMAC(key, msg, tag) {
-		t.Fatal("valid MAC rejected")
-	}
-	// Tampered message rejected.
-	bad := append([]byte{}, msg...)
-	bad[0] ^= 1
-	if VerifyMAC(key, bad, tag) {
-		t.Fatal("tampered message accepted")
-	}
-	// Wrong key rejected.
-	other := NewSymKey(src)
-	if VerifyMAC(other, msg, tag) {
-		t.Fatal("wrong key accepted")
-	}
-	// Tampered tag rejected.
-	tag[3] ^= 0xFF
-	if VerifyMAC(key, msg, tag) {
-		t.Fatal("tampered tag accepted")
-	}
-}
-
-func TestQuickMAC(t *testing.T) {
-	src := rng.New(31)
-	key := NewSymKey(src)
-	f := func(msg []byte, flip uint16) bool {
-		tag := MAC(key, msg)
-		if !VerifyMAC(key, msg, tag) {
-			return false
-		}
-		if len(msg) == 0 {
-			return true
-		}
-		bad := append([]byte{}, msg...)
-		bad[int(flip)%len(bad)] ^= 1 << (flip % 8)
-		return !VerifyMAC(key, bad, tag)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

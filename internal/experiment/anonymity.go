@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"alertmanet/internal/adversary"
-	"alertmanet/internal/core"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
 )
@@ -351,50 +350,15 @@ func IntersectionRemedyCost(seed int64, packets int, alert bool) TradeoffResult 
 	return res
 }
 
-// RemainingInZone tracks, during a live ALERT session, how many of the
-// nodes originally in Z_D remain there over time — the protocol-level
-// counterpart of Fig. 12 (RemainingNodesSim measures pure mobility).
-func RemainingInZone(seed int64, n int, speed float64, times []float64) []int {
-	sc := DefaultScenario()
-	sc.Seed = seed
-	sc.N = n
-	sc.Speed = speed
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	d := pairs[0].D
-	zone := w.Alert.DestZoneFor(d)
-	var initial []medium.NodeID
-	for id := 0; id < n; id++ {
-		if zone.Contains(w.Med.TruePosition(medium.NodeID(id), 0)) {
-			initial = append(initial, medium.NodeID(id))
-		}
-	}
-	out := make([]int, len(times))
-	for i, t := range times {
-		t := t
-		i := i
-		w.Eng.At(t, func() {
-			remain := 0
-			for _, id := range initial {
-				if zone.Contains(w.Med.PositionNow(id)) {
-					remain++
-				}
-			}
-			out[i] = remain
-		})
-	}
-	w.Eng.RunUntil(times[len(times)-1] + 1)
-	return out
-}
-
 // ZoneOf exposes the destination zone geometry for a pair (examples use it
-// to narrate what the protocol is doing).
+// to narrate what the protocol is doing). A baseline world runs no ALERT,
+// so it gets the zone ALERT would use under the scenario's Alert.K and
+// Alert.H.
 func ZoneOf(w *World, d medium.NodeID) geo.Rect {
 	if w.Alert == nil {
-		cfg := core.DefaultConfig()
-		h := cfg.H
+		h := w.Scenario.Alert.H
 		if h <= 0 {
-			h = geo.PartitionsForK(w.Net.N(), cfg.K)
+			h = geo.PartitionsForK(w.Net.N(), w.Scenario.Alert.K)
 		}
 		e, _ := w.Loc.Lookup(d)
 		return geo.DestZone(w.Net.Field(), e.Pos, h, geo.Vertical)

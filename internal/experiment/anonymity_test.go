@@ -106,17 +106,6 @@ func TestInterceptionALERTDodgesCompromisedNodes(t *testing.T) {
 	}
 }
 
-func TestRemainingInZoneDecays(t *testing.T) {
-	times := []float64{0.1, 10, 30, 60}
-	remain := RemainingInZone(2, 200, 4, times)
-	if remain[0] == 0 {
-		t.Skip("empty destination zone in this placement")
-	}
-	if remain[len(remain)-1] > remain[0] {
-		t.Fatalf("remaining nodes grew over time: %v", remain)
-	}
-}
-
 func TestZoneOf(t *testing.T) {
 	sc := DefaultScenario()
 	w := MustBuild(sc)
@@ -127,12 +116,23 @@ func TestZoneOf(t *testing.T) {
 	if !w.Net.Field().ContainsRect(z) {
 		t.Fatal("zone outside field")
 	}
-	// GPSR world: ZoneOf falls back to the default ALERT geometry.
+	// GPSR world: ZoneOf falls back to the ALERT geometry.
 	sc.Protocol = GPSR
 	w2 := MustBuild(sc)
 	z2 := ZoneOf(w2, 5)
 	if z2.Empty() {
 		t.Fatal("fallback zone empty")
+	}
+	// The fallback follows the scenario's k, not the default one: with
+	// K = 3 (H = 6) a GPSR world's zone must be the ALERT world's.
+	sc.Alert.K = 3
+	for _, p := range []ProtocolName{GPSR, AO2P} {
+		alert, base := sc, sc
+		alert.Protocol, base.Protocol = ALERT, p
+		want, got := ZoneOf(MustBuild(alert), 5), ZoneOf(MustBuild(base), 5)
+		if got != want {
+			t.Errorf("%s world zone %v, ALERT world zone %v", p, got, want)
+		}
 	}
 }
 

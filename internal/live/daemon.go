@@ -41,8 +41,8 @@ import (
 	"alertmanet/internal/telemetry"
 )
 
-// Config configures one daemon. The zero value is not runnable; start from
-// DefaultDaemonConfig.
+// Config configures one daemon. The zero value is not runnable; derive it
+// from a scenario with DaemonConfigFor.
 type Config struct {
 	// ID is the node's fleet-wide id (also its key-pair owner id).
 	ID int
@@ -80,25 +80,6 @@ type Config struct {
 	AckTimeout time.Duration
 	// QueueDepth bounds the rx/tx/cmd queues.
 	QueueDepth int
-}
-
-// DefaultDaemonConfig returns a runnable config for node id matching the
-// simulator's paper defaults.
-func DefaultDaemonConfig(id int, field geo.Rect, seed int64) Config {
-	return Config{
-		ID:           id,
-		Protocol:     "gpsr",
-		Field:        field,
-		Seed:         seed,
-		Hmax:         5,
-		PacketSize:   512,
-		HopBudget:    10,
-		LegHopBudget: 10,
-		Medium:       medium.DefaultParams(),
-		Timescale:    0,
-		AckTimeout:   25 * time.Millisecond,
-		QueueDepth:   512,
-	}
 }
 
 // Counters tallies one daemon's activity; Collect scrapes it.

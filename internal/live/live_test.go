@@ -108,8 +108,7 @@ func TestSummaryLatencyMatchesSimDefinition(t *testing.T) {
 // TestDaemonCloseIdempotent pins the shutdown path: double Close, and
 // Close with traffic queued, must not hang or panic.
 func TestDaemonCloseIdempotent(t *testing.T) {
-	field := geo.Rect{Max: geo.Point{X: 100, Y: 100}}
-	d, err := NewDaemon(DefaultDaemonConfig(0, field, 1), "127.0.0.1:0")
+	d, err := NewDaemon(DaemonConfigFor(smokeScenario(experiment.GPSR, 1, 1), 0, 0), "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewDaemon: %v", err)
 	}
@@ -131,10 +130,8 @@ func TestDaemonCloseIdempotent(t *testing.T) {
 // and GPSR run live, so NewDaemon refuses anything else before it binds a
 // socket rather than running it as a plain GPSR flow.
 func TestNewDaemonRejectsComparators(t *testing.T) {
-	field := geo.Rect{Max: geo.Point{X: 100, Y: 100}}
 	for _, p := range []experiment.ProtocolName{experiment.AO2P, experiment.ALARM, experiment.ZAP, ""} {
-		cfg := DefaultDaemonConfig(0, field, 1)
-		cfg.Protocol = string(p)
+		cfg := DaemonConfigFor(smokeScenario(p, 1, 1), 0, 0)
 		if d, err := NewDaemon(cfg, "127.0.0.1:0"); err == nil {
 			d.Close()
 			t.Errorf("NewDaemon accepted protocol %q", p)
@@ -147,9 +144,12 @@ func TestNewDaemonRejectsComparators(t *testing.T) {
 // zone-delivers there, and the delivery must count the zone broadcast as
 // a hop, as the simulator's record does.
 func TestZoneDeliverAtAddresseeCountsBroadcast(t *testing.T) {
-	field := geo.Rect{Max: geo.Point{X: 600, Y: 600}}
-	cfg := DefaultDaemonConfig(4, field, 15)
-	cfg.Protocol = string(experiment.ALERT)
+	sc := smokeScenario(experiment.ALERT, 200, 15) // k = 6 of 200 nodes: H = 5
+	field := sc.Field
+	cfg := DaemonConfigFor(sc, 4, 0)
+	if cfg.Hmax != 5 {
+		t.Fatalf("Hmax = %d, want 5", cfg.Hmax)
+	}
 	d := newDaemon(cfg)
 	d.self = geo.Point{X: 500, Y: 500}
 

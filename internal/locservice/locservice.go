@@ -17,12 +17,13 @@
 //     formulas so the claim can be checked numerically.
 //
 // Replicated servers may fail; lookups succeed while at least one replica
-// is alive (the paper assumes seamless switch-over between servers).
+// is alive (the paper assumes seamless switch-over between servers). The
+// signed request and sealed response of Section 2.2 are authentication,
+// which this reproduction leaves out: Lookup counts that exchange and
+// returns the entry directly.
 package locservice
 
 import (
-	"encoding/binary"
-	"errors"
 	"math"
 
 	"alertmanet/internal/crypt"
@@ -74,9 +75,6 @@ type Service struct {
 	alive   []bool
 	counts  Counters
 	stop    func()
-	// macKeys are the predistributed shared keys between each node and
-	// its location server (Section 2.2).
-	macKeys []crypt.MACKey
 }
 
 // New creates the service, registers every node's initial position and
@@ -93,11 +91,6 @@ func New(net *node.Network, cfg Config) *Service {
 	s.alive = make([]bool, cfg.NumServers)
 	for i := range s.alive {
 		s.alive[i] = true
-	}
-	s.macKeys = make([]crypt.MACKey, net.N())
-	keySrc := net.Rand().Split("locservice-mac")
-	for i := range s.macKeys {
-		s.macKeys[i] = crypt.NewSymKey(keySrc)
 	}
 	now := net.Eng.Now()
 	for i, nd := range net.Nodes {
@@ -180,93 +173,6 @@ func (s *Service) NumServers() int { return s.cfg.NumServers }
 
 // Counters returns a snapshot of service traffic.
 func (s *Service) Counters() Counters { return s.counts }
-
-// SharedKey returns the predistributed key between a node and its location
-// server; nodes use it to sign lookup requests and open sealed responses.
-func (s *Service) SharedKey(id medium.NodeID) crypt.MACKey { return s.macKeys[id] }
-
-// SignedRequest is a location lookup as it travels to the server: the
-// requester signs the target identity with its shared key (Section 2.2:
-// "it will sign the request containing B's identity using its own
-// identity").
-type SignedRequest struct {
-	Requester medium.NodeID
-	Target    medium.NodeID
-	Tag       [20]byte
-}
-
-// NewSignedRequest builds and signs a lookup request.
-func (s *Service) NewSignedRequest(requester, target medium.NodeID) SignedRequest {
-	return SignedRequest{
-		Requester: requester,
-		Target:    target,
-		Tag:       crypt.MAC(s.macKeys[requester], requestBytes(requester, target)),
-	}
-}
-
-func requestBytes(requester, target medium.NodeID) []byte {
-	return []byte{
-		byte(requester >> 8), byte(requester),
-		byte(target >> 8), byte(target),
-	}
-}
-
-// SecureLookup is the full Section 2.2 handshake: the server verifies the
-// request's signature and returns the target's position and public key
-// sealed under the requester's shared key; the requester opens it. It
-// returns ok=false for a bad signature or when every replica has failed.
-// (Protocols use the plain Lookup oracle on the hot path; SecureLookup
-// exists to exercise and test the handshake end to end.)
-func (s *Service) SecureLookup(req SignedRequest) (Entry, bool) {
-	s.counts.Lookups++
-	if !s.anyAlive() {
-		return Entry{}, false
-	}
-	if int(req.Requester) < 0 || int(req.Requester) >= len(s.macKeys) ||
-		int(req.Target) < 0 || int(req.Target) >= len(s.entries) {
-		return Entry{}, false
-	}
-	// Server side: verify the signature.
-	if !crypt.VerifyMAC(s.macKeys[req.Requester],
-		requestBytes(req.Requester, req.Target), req.Tag) {
-		return Entry{}, false
-	}
-	// Server seals the response under the requester's shared key; the
-	// requester opens it. The seal/open round trip is functionally
-	// performed so tampering is detectable in tests.
-	entry := s.entries[req.Target]
-	sealed := crypt.SymSeal(s.macKeys[req.Requester], encodeEntryPos(entry),
-		s.net.Rand())
-	opened, err := crypt.SymOpen(s.macKeys[req.Requester], sealed)
-	if err != nil {
-		return Entry{}, false
-	}
-	pos, err := decodeEntryPos(opened)
-	if err != nil {
-		return Entry{}, false
-	}
-	entry.Pos = pos
-	return entry, true
-}
-
-func encodeEntryPos(e Entry) []byte {
-	buf := make([]byte, 16)
-	binary.BigEndian.PutUint64(buf[0:], math.Float64bits(e.Pos.X))
-	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(e.Pos.Y))
-	return buf
-}
-
-func decodeEntryPos(buf []byte) (geo.Point, error) {
-	if len(buf) != 16 {
-		return geo.Point{}, errInvalidResponse
-	}
-	return geo.Point{
-		X: math.Float64frombits(binary.BigEndian.Uint64(buf[0:])),
-		Y: math.Float64frombits(binary.BigEndian.Uint64(buf[8:])),
-	}, nil
-}
-
-var errInvalidResponse = errors.New("locservice: malformed sealed response")
 
 // OverheadRatio evaluates Section 4.3's expression
 //

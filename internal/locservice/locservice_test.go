@@ -187,69 +187,3 @@ func TestLookupCountsQueries(t *testing.T) {
 		t.Fatal("lookup counter wrong")
 	}
 }
-
-func TestSecureLookupHandshake(t *testing.T) {
-	_, net := newNet(20, 2, 20)
-	s := New(net, DefaultConfig())
-	req := s.NewSignedRequest(3, 7)
-	e, ok := s.SecureLookup(req)
-	if !ok {
-		t.Fatal("valid signed lookup rejected")
-	}
-	plain, _ := s.Lookup(7)
-	if e.Pos != plain.Pos || e.Pub.Owner() != 7 {
-		t.Fatal("secure lookup disagrees with oracle")
-	}
-}
-
-func TestSecureLookupRejectsForgery(t *testing.T) {
-	_, net := newNet(20, 2, 21)
-	s := New(net, DefaultConfig())
-	// A request signed with the wrong node's key must fail: node 4
-	// cannot impersonate node 3.
-	req := s.NewSignedRequest(4, 7)
-	req.Requester = 3 // forged identity, tag still node 4's
-	if _, ok := s.SecureLookup(req); ok {
-		t.Fatal("forged requester accepted")
-	}
-	// Tampered target rejected (signature covers it).
-	req2 := s.NewSignedRequest(3, 7)
-	req2.Target = 9
-	if _, ok := s.SecureLookup(req2); ok {
-		t.Fatal("tampered target accepted")
-	}
-	// Tampered tag rejected.
-	req3 := s.NewSignedRequest(3, 7)
-	req3.Tag[0] ^= 1
-	if _, ok := s.SecureLookup(req3); ok {
-		t.Fatal("tampered tag accepted")
-	}
-}
-
-func TestSecureLookupBounds(t *testing.T) {
-	_, net := newNet(10, 2, 22)
-	s := New(net, DefaultConfig())
-	bad := SignedRequest{Requester: 3, Target: 99}
-	if _, ok := s.SecureLookup(bad); ok {
-		t.Fatal("out-of-range target accepted")
-	}
-	for i := 0; i < s.NumServers(); i++ {
-		s.FailServer(i)
-	}
-	if _, ok := s.SecureLookup(s.NewSignedRequest(1, 2)); ok {
-		t.Fatal("lookup with all servers dead accepted")
-	}
-}
-
-func TestSharedKeysDistinct(t *testing.T) {
-	_, net := newNet(30, 2, 23)
-	s := New(net, DefaultConfig())
-	seen := map[crypt.MACKey]bool{}
-	for i := 0; i < 30; i++ {
-		k := s.SharedKey(medium.NodeID(i))
-		if seen[k] {
-			t.Fatal("duplicate shared key")
-		}
-		seen[k] = true
-	}
-}

@@ -209,8 +209,6 @@ type posGrid struct {
 	// live lists the keys of currently non-empty buckets, so rebuild can
 	// truncate exactly the buckets the previous snapshot populated.
 	live [][2]int
-	// lo and hi bound the live keys (for bounded ring searches).
-	lo, hi [2]int
 }
 
 func (g *posGrid) rebuild(mob mobility.Model, at, cell float64) {
@@ -235,14 +233,6 @@ func (g *posGrid) rebuild(mob mobility.Model, at, cell float64) {
 		bucket := g.grid[key]
 		if len(bucket) == 0 {
 			g.live = append(g.live, key)
-			if len(g.live) == 1 {
-				g.lo, g.hi = key, key
-			} else {
-				g.lo[0] = min(g.lo[0], key[0])
-				g.lo[1] = min(g.lo[1], key[1])
-				g.hi[0] = max(g.hi[0], key[0])
-				g.hi[1] = max(g.hi[1], key[1])
-			}
 		}
 		g.grid[key] = append(bucket, NodeID(id))
 	}
@@ -872,63 +862,6 @@ func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
 	// contract (and the previous O(N) scan) is ascending id order.
 	slices.Sort(out)
 	return out
-}
-
-// ClosestToPoint returns the node closest to p right now and its distance.
-// Ties break to the lowest id, matching mobility.Nearest. The search walks
-// grid rings outward from p's cell and stops once every unvisited cell is
-// provably farther than the best candidate.
-func (m *Medium) ClosestToPoint(p geo.Point) (NodeID, float64) {
-	g := m.nowGrid()
-	if len(g.pos) == 0 {
-		return -1, 1e300
-	}
-	best := NodeID(-1)
-	bestD2 := 1e300
-	ck := g.key(p)
-	// maxR bounds the ring walk by the farthest populated cell.
-	maxR := 0
-	for _, c := range [4][2]int{g.lo, g.hi, {g.lo[0], g.hi[1]}, {g.hi[0], g.lo[1]}} {
-		r := max(abs(c[0]-ck[0]), abs(c[1]-ck[1]))
-		maxR = max(maxR, r)
-	}
-	scan := func(key [2]int) {
-		for _, id := range g.grid[key] {
-			d2 := g.pos[id].Dist2(p)
-			//lint:allowfloatcompare exact-distance ties must break to the lowest id regardless of cell visit order, matching the linear scan
-			if d2 < bestD2 || (d2 == bestD2 && id < best) {
-				best, bestD2 = id, d2
-			}
-		}
-	}
-	for r := 0; r <= maxR; r++ {
-		if r == 0 {
-			scan(ck)
-		} else {
-			for dx := -r; dx <= r; dx++ {
-				scan([2]int{ck[0] + dx, ck[1] - r})
-				scan([2]int{ck[0] + dx, ck[1] + r})
-			}
-			for dy := -r + 1; dy <= r-1; dy++ {
-				scan([2]int{ck[0] - r, ck[1] + dy})
-				scan([2]int{ck[0] + r, ck[1] + dy})
-			}
-		}
-		// A node in an unvisited ring d > r is at least r*cell from p; the
-		// stop must be strict so an equal-distance lower-id candidate one
-		// ring out still gets scanned (and wins the tie).
-		if best >= 0 && math.Sqrt(bestD2) < float64(r)*g.cell {
-			break
-		}
-	}
-	return best, g.pos[best].Dist(p)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Engine exposes the simulation engine (protocols schedule timers on it).

@@ -289,7 +289,7 @@ func TestNeighborsExactBeaconInstant(t *testing.T) {
 	eng.Run()
 }
 
-func TestNodesWithinAndClosest(t *testing.T) {
+func TestNodesWithin(t *testing.T) {
 	mob := newFixed(
 		geo.Point{X: 100, Y: 100},
 		geo.Point{X: 200, Y: 200},
@@ -300,10 +300,6 @@ func TestNodesWithinAndClosest(t *testing.T) {
 	in := med.NodesWithin(zone)
 	if len(in) != 2 {
 		t.Fatalf("NodesWithin = %v", in)
-	}
-	id, d := med.ClosestToPoint(geo.Point{X: 850, Y: 850})
-	if id != 2 {
-		t.Fatalf("closest = %v (d=%v)", id, d)
 	}
 }
 

@@ -347,20 +347,3 @@ func NodesInInto(m Model, zone geo.Rect, t float64, dst []int) []int {
 	}
 	return ids
 }
-
-// Nearest returns the id of the node of m closest to p at time t, and its
-// distance. It returns (-1, +Inf) for an empty model.
-func Nearest(m Model, p geo.Point, t float64) (int, float64) {
-	best := -1
-	bestD2 := 1e300
-	for id := 0; id < m.N(); id++ {
-		d2 := m.Position(id, t).Dist2(p)
-		if d2 < bestD2 {
-			best, bestD2 = id, d2
-		}
-	}
-	if best < 0 {
-		return -1, 1e300
-	}
-	return best, m.Position(best, t).Dist(p)
-}

@@ -276,28 +276,6 @@ func TestNodesIn(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	m := NewStatic(field, 50, rng.New(17))
-	p := geo.Point{X: 300, Y: 700}
-	id, d := Nearest(m, p, 0)
-	if id < 0 {
-		t.Fatal("no nearest found")
-	}
-	for other := 0; other < 50; other++ {
-		if m.Position(other, 0).Dist(p) < d-1e-9 {
-			t.Fatalf("node %d closer than reported nearest %d", other, id)
-		}
-	}
-}
-
-func TestNearestEmpty(t *testing.T) {
-	m := NewStatic(field, 0, rng.New(18))
-	id, _ := Nearest(m, geo.Point{}, 0)
-	if id != -1 {
-		t.Fatal("empty model should return -1")
-	}
-}
-
 // Property: positions are always inside the field for arbitrary query times
 // and model parameters.
 func TestQuickInField(t *testing.T) {

@@ -52,13 +52,12 @@ type CryptoOps struct {
 type Network struct {
 	Eng   *sim.Engine
 	Med   *medium.Medium
-	Suite crypt.Suite
+	Suite *crypt.FastSuite
 	Costs crypt.CostModel
 	Nodes []*Node
 	// Ops counts cryptographic operations performed by all nodes.
 	Ops CryptoOps
 
-	rnd *rng.Source
 	// tap, when non-nil, observes crypto cost charges.
 	tap *telemetry.Tap
 }
@@ -82,49 +81,35 @@ func DefaultConfig() Config { return Config{PseudonymLifetime: 10} }
 // NewNetwork creates the nodes on top of an existing engine and medium,
 // assigns MAC addresses, key pairs and initial pseudonyms, and schedules
 // pseudonym rotation.
-func NewNetwork(eng *sim.Engine, med *medium.Medium, suite crypt.Suite,
+func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
 	costs crypt.CostModel, cfg Config, src *rng.Source) *Network {
 	net := &Network{
 		Eng:   eng,
 		Med:   med,
 		Suite: suite,
 		Costs: costs,
-		rnd:   src.Split("node"),
 	}
+	rnd := src.Split("node")
 	n := med.N()
 	net.Nodes = make([]*Node, n)
 	// Per-node creation forks on large fields: each node's rng stream, key
 	// pair and initial pseudonym derive only from index-split sources
 	// (SplitIndex reads the immutable parent seed), so the built world is
-	// byte-identical for any degree. The serial path keeps its own loop so
-	// a small build allocates no closure.
-	if sim.Forks(n) {
-		sim.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				nd := &Node{
-					ID:  medium.NodeID(i),
-					MAC: 0x02_00_00_00_00_00 | uint64(i), // locally-administered space
-					net: net,
-					rnd: net.rnd.SplitIndex("n", i),
-				}
-				nd.Pub, nd.Priv = suite.GenerateKeyPair(i)
-				nd.rotatePseudonym()
-				net.Nodes[i] = nd
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
+	// byte-identical for any degree. Below the fork threshold For runs the
+	// loop inline.
+	sim.For(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			nd := &Node{
 				ID:  medium.NodeID(i),
 				MAC: 0x02_00_00_00_00_00 | uint64(i), // locally-administered space
 				net: net,
-				rnd: net.rnd.SplitIndex("n", i),
+				rnd: rnd.SplitIndex("n", i),
 			}
 			nd.Pub, nd.Priv = suite.GenerateKeyPair(i)
 			nd.rotatePseudonym()
 			net.Nodes[i] = nd
 		}
-	}
+	})
 	if cfg.PseudonymLifetime > 0 {
 		for _, nd := range net.Nodes {
 			nd := nd
@@ -169,31 +154,8 @@ func (net *Network) N() int { return len(net.Nodes) }
 // Field returns the network area.
 func (net *Network) Field() geo.Rect { return net.Med.Mobility().Field() }
 
-// Rand returns the network-level random stream.
-func (net *Network) Rand() *rng.Source { return net.rnd }
-
-// ChargeSym schedules fn after one symmetric-encryption charge; protocols
-// call these helpers so every cryptographic operation consistently costs
-// simulated time.
-func (net *Network) ChargeSym(fn func()) {
-	net.Ops.Sym++
-	if net.tap != nil {
-		net.tap.Crypto(net.Eng.Now(), "sym", 1)
-	}
-	net.Eng.Schedule(net.Costs.SymEncrypt, fn)
-}
-
-// ChargePub schedules fn after one public-key-operation charge.
-func (net *Network) ChargePub(fn func()) {
-	net.Ops.Pub++
-	if net.tap != nil {
-		net.tap.Crypto(net.Eng.Now(), "pub", 1)
-	}
-	net.Eng.Schedule(net.Costs.PubEncrypt, fn)
-}
-
-// NoteSym records n symmetric operations for energy accounting (used by
-// protocols that schedule their own combined charges).
+// NoteSym records n symmetric operations for energy accounting. It charges
+// no latency: protocols schedule that from Costs at the call site.
 func (net *Network) NoteSym(n int) {
 	net.Ops.Sym += uint64(n)
 	if net.tap != nil {
@@ -207,12 +169,4 @@ func (net *Network) NotePub(n int) {
 	if net.tap != nil {
 		net.tap.Crypto(net.Eng.Now(), "pub", n)
 	}
-}
-
-// ChargeN schedules fn after n charges of the given per-op cost.
-func (net *Network) ChargeN(n int, perOp float64, fn func()) {
-	if n < 0 {
-		n = 0
-	}
-	net.Eng.Schedule(float64(n)*perOp, fn)
 }
