@@ -38,13 +38,14 @@ race:
 	$(GO) test -race -short ./internal/live
 
 # Coverage floor over the packages the telemetry layer threads through,
-# plus cmd/campaign, the only evaluation CLI, and cmd/tlmgrep, the
-# telemetry stream's reader. Each must stay at or above COVER_FLOOR percent
-# statement coverage.
+# plus cmd/campaign, the only evaluation CLI, cmd/alertsim, the scenario
+# CLI, and cmd/tlmgrep, the telemetry stream's reader. Each must stay at or
+# above COVER_FLOOR percent statement coverage.
 COVER_PKGS = ./internal/telemetry ./internal/sim ./internal/medium \
 	./internal/gpsr ./internal/core ./internal/metrics ./internal/node \
 	./internal/experiment ./internal/ao2p ./internal/alarm ./internal/zap \
-	./internal/campaign ./internal/live ./cmd/campaign ./cmd/tlmgrep
+	./internal/campaign ./internal/live ./cmd/campaign ./cmd/alertsim \
+	./cmd/tlmgrep
 COVER_FLOOR = 75.0
 
 cover:
@@ -83,11 +84,11 @@ campaign-smoke:
 # Live-mode smoke: the frozen 5-node GPSR topology of TestFiveNodeExactPath
 # run in the simulator and on five in-process UDP daemons, band-checked
 # live against sim (sent counts must match exactly); exits nonzero outside
-# the bands. cmd/alertload's TestRunBothInProcess runs the same command.
+# the bands. cmd/alertsim's TestRunBothInProcess runs the same command.
 live-smoke:
-	$(GO) run ./cmd/alertload -mode both -protocol gpsr -seed 15 -n 5 \
-		-field 600x600 -mobility static -duration 10 -drain 2 -pairs 2 \
-		-interval 2 -timescale 0.05 -out out/live-smoke
+	$(GO) run ./cmd/alertsim -mode both -protocol gpsr -seed 15 -nodes 5 \
+		-field 600x600 -mobility static -no-updates -duration 10 -drain 2 \
+		-pairs 2 -interval 2 -timescale 0.05 -out out/live-smoke
 
 # The Section 4 closed-form curves.
 analysis:

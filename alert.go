@@ -135,23 +135,32 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Section 5.2 parameters with ALERT as
-// the protocol under test.
+// the protocol under test, read from experiment.DefaultScenario.
 func DefaultConfig() Config {
+	sc := experiment.DefaultScenario()
 	return Config{
-		Seed:            1,
-		Protocol:        ALERT,
-		Nodes:           200,
-		FieldSize:       1000,
-		Speed:           2,
-		Mobility:        RandomWaypoint,
-		Groups:          10,
-		GroupRange:      150,
-		Duration:        100,
-		Pairs:           10,
-		IntervalSeconds: 2,
-		PacketSize:      512,
-		K:               6,
-		LocationUpdates: true,
+		Seed:              sc.Seed,
+		Protocol:          Protocol(sc.Protocol),
+		Nodes:             sc.N,
+		FieldSize:         sc.Field.Max.X,
+		Speed:             sc.Speed,
+		Mobility:          Mobility(sc.Mobility),
+		Groups:            sc.Groups,
+		GroupRange:        sc.GroupRange,
+		Duration:          sc.Duration,
+		DrainSeconds:      sc.DrainTime,
+		Pairs:             sc.Pairs,
+		IntervalSeconds:   sc.Interval,
+		Traffic:           Workload(sc.Workload),
+		PacketSize:        sc.PacketSize,
+		K:                 sc.Alert.K,
+		PartitionH:        sc.Alert.H,
+		NotifyAndGo:       sc.Alert.NotifyAndGo,
+		IntersectionGuard: sc.Alert.IntersectionGuard,
+		Confirm:           sc.Alert.Confirm,
+		NAKs:              sc.Alert.NAKs,
+		LossRate:          sc.LossRate,
+		LocationUpdates:   sc.LocUpdates,
 	}
 }
 

@@ -2,8 +2,11 @@ package alert
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"alertmanet/internal/experiment"
 )
 
 // mustRun and mustNet keep the facade tests terse now that Run and
@@ -24,6 +27,14 @@ func mustNet(t *testing.T, cfg Config) *Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// TestDefaultConfigIsDefaultScenario pins the facade's defaults to the
+// harness's: DefaultConfig maps onto exactly experiment.DefaultScenario.
+func TestDefaultConfigIsDefaultScenario(t *testing.T) {
+	if got, want := DefaultConfig().scenario(), experiment.DefaultScenario(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultConfig().scenario() =\n%+v\nwant experiment.DefaultScenario()\n%+v", got, want)
+	}
 }
 
 func TestRunDefault(t *testing.T) {

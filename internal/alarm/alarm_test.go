@@ -20,8 +20,7 @@ func build(seed int64, n int, cfg Config) (*sim.Engine, *node.Network, *Protocol
 	src := rng.New(seed)
 	mob := mobility.NewStatic(field, n, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	return eng, net, New(net, loc, cfg)
 }
@@ -119,8 +118,7 @@ func TestUndeliveredCompletes(t *testing.T) {
 	pos := []geo.Point{{X: 0, Y: 0}, {X: 900, Y: 900}}
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	p := New(net, loc, DefaultConfig())
 	rec, _ := p.Send(0, 1, []byte("x"))
@@ -141,8 +139,7 @@ func TestLocServiceFailure(t *testing.T) {
 	src := rng.New(7)
 	mob := mobility.NewStatic(field, 30, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	p := New(net, loc, DefaultConfig())
 	for i := 0; i < loc.NumServers(); i++ {

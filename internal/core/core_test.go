@@ -31,11 +31,11 @@ func build(seed int64, n int, speed float64, cfg Config) *world {
 	if speed <= 0 {
 		mob = mobility.NewStatic(field, n, src)
 	} else {
-		mob = mobility.NewRandomWaypoint(field, n, mobility.Fixed(speed), src)
+		mob = mobility.NewRandomWaypoint(field, n, speed, nil, src)
 	}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(),
-		node.DefaultConfig(), src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
+	net.RotatePseudonyms()
 	loc := locservice.New(net, locservice.DefaultConfig())
 	prot := MustNew(net, loc, cfg, src)
 	return &world{eng: eng, net: net, loc: loc, prot: prot, mob: mob}
@@ -260,8 +260,7 @@ func TestCompleteTimeoutMarksUndelivered(t *testing.T) {
 	}
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	prot := MustNew(net, loc, DefaultConfig(), src)
 	rec, _ := prot.Send(0, 9, []byte("x"))
@@ -427,8 +426,7 @@ func TestConfirmAndRetryOnLoss(t *testing.T) {
 	par := medium.DefaultParams()
 	par.LossRate = 0.35
 	med := medium.MustNew(eng, mob, par, src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Confirm = true
@@ -468,8 +466,7 @@ func TestNAKTriggersResend(t *testing.T) {
 	src := rng.New(18)
 	mob := mobility.NewStatic(field, 200, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.NAKs = true
@@ -607,7 +604,7 @@ func TestFixedAxisPartitionAblation(t *testing.T) {
 }
 
 func TestLongSessionSurvivesPseudonymRotation(t *testing.T) {
-	// Pseudonyms rotate every 10 s (node.DefaultConfig); a 60-second
+	// Pseudonyms rotate every 10 s (node.PseudonymLifetime); a 60-second
 	// session must keep delivering because sources address packets to the
 	// registered pseudonym, which destinations keep accepting.
 	w := build(41, 200, 2, DefaultConfig())

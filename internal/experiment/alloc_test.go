@@ -44,10 +44,9 @@ func buildLineProto(t *testing.T, name ProtocolName) (*sim.Engine, Proto) {
 	eng := sim.NewEngine()
 	src := rng.New(11)
 	med := medium.MustNew(eng, &lineModel{n: 20}, medium.DefaultParams(), src)
-	// node.Config{} (no pseudonym rotation): the rotation ticker is
+	// No RotatePseudonyms: the rotation ticker is
 	// unbounded, and each send must drain the engine completely.
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.Config{UpdatesEnabled: false})
 	switch name {
 	case ALERT:

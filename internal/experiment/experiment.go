@@ -303,11 +303,11 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	}
 	eng.SetMaxEvents(sc.MaxEvents)
 
-	mobCfg := mobility.Fixed(sc.Speed)
 	// Only a field large enough to fork gets the Forker: the mobility
 	// constructors keep their allocation-free serial loops on nil.
+	var fork mobility.Forker
 	if sim.Forks(sc.N) {
-		mobCfg.Fork = sim.For
+		fork = sim.For
 	}
 
 	var mob mobility.Model
@@ -331,9 +331,9 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 		mob = mobility.NewStatic(sc.Field, sc.N, src)
 	case GroupMobility:
 		mob = mobility.NewGroupMobility(sc.Field, sc.N, sc.Groups, sc.GroupRange,
-			mobCfg, src)
+			sc.Speed, fork, src)
 	default: // RandomWaypoint; Validate rejected everything else
-		mob = mobility.NewRandomWaypoint(sc.Field, sc.N, mobCfg, src)
+		mob = mobility.NewRandomWaypoint(sc.Field, sc.N, sc.Speed, fork, src)
 	}
 
 	par := medium.DefaultParams()
@@ -348,8 +348,8 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), sc.Costs,
-		node.DefaultConfig(), src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), sc.Costs, src)
+	net.RotatePseudonyms()
 	loc := locservice.New(net, locservice.Config{
 		UpdateInterval: sc.LocInterval,
 		UpdatesEnabled: sc.LocUpdates,

@@ -18,6 +18,17 @@ import (
 // protosAll is the comparison set of Section 5.
 var protosAll = []ProtocolName{ALERT, GPSR, ALARM, AO2P}
 
+// sweepNs is the network-size axis of Figs. 10b, 14a, 15a and 16a.
+var sweepNs = []int{50, 100, 150, 200}
+
+// sweepSeconds is the traffic horizon of the Figs. 11, 14, 15b and 16
+// grids, the energy summary and the comparisons.
+const sweepSeconds = 40
+
+// remainingDests is how many destination zones a remaining-nodes cell
+// follows.
+const remainingDests = 5
+
 // participantScenario is the Fig. 10 cell: one S-D pair bursting `packets`
 // packets at a low interval so path churn stays small.
 func participantScenario(p ProtocolName, n, packets int, seed int64) Scenario {
@@ -95,7 +106,7 @@ func Fig10a(r Runner, packets, seeds int) ([]analysis.Series, error) {
 func fig10bCells(packets, seeds int) []Scenario {
 	var cells []Scenario
 	for _, p := range []ProtocolName{ALERT, GPSR} {
-		for _, n := range []int{50, 100, 150, 200} {
+		for _, n := range sweepNs {
 			for seed := 1; seed <= seeds; seed++ {
 				cells = append(cells, participantScenario(p, n, packets, int64(seed)))
 			}
@@ -116,7 +127,7 @@ func Fig10b(r Runner, packets, seeds int) ([]analysis.Series, error) {
 	idx := 0
 	for _, p := range []ProtocolName{ALERT, GPSR} {
 		s := analysis.Series{Label: string(p)}
-		for _, n := range []int{50, 100, 150, 200} {
+		for _, n := range sweepNs {
 			var sample stats.Sample
 			for seed := 1; seed <= seeds; seed++ {
 				res := results[idx]
@@ -142,7 +153,7 @@ func fig11Cells(hMax, seeds int) []Scenario {
 			sc.Seed = int64(seed)
 			sc.Protocol = ALERT
 			sc.Alert.H = h
-			sc.Duration = 40
+			sc.Duration = sweepSeconds
 			cells = append(cells, sc)
 		}
 	}
@@ -200,7 +211,13 @@ func RemainingNodesSim(r Runner, n, h int, speed float64, mob MobilityName,
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(times))
+	return poolRemaining(rrs, len(times)), nil
+}
+
+// poolRemaining averages remaining-node sums over every zone the cells
+// counted.
+func poolRemaining(rrs []RemainingResult, ntimes int) []float64 {
+	sums := make([]float64, ntimes)
 	count := 0
 	for _, rr := range rrs {
 		count += rr.Count
@@ -208,46 +225,67 @@ func RemainingNodesSim(r Runner, n, h int, speed float64, mob MobilityName,
 			sums[i] += v
 		}
 	}
-	out := make([]float64, len(times))
+	out := make([]float64, ntimes)
 	if count == 0 {
-		return out, nil
+		return out
 	}
 	for i := range sums {
 		out[i] = sums[i] / float64(count)
 	}
+	return out
+}
+
+// remainingSeries executes a remaining-nodes grid as one batch and pools
+// each run of seeds consecutive cells into one curve, labelled from its
+// first cell.
+func remainingSeries(r Runner, cells []RemainingSpec, seeds int,
+	label func(RemainingSpec) string) ([]analysis.Series, error) {
+	rrs, err := r.RemainingBatch(cells)
+	if err != nil {
+		return nil, err
+	}
+	var out []analysis.Series
+	for i := 0; i < len(cells); i += seeds {
+		c := cells[i]
+		out = append(out, analysis.Series{Label: label(c), X: c.Times,
+			Y: poolRemaining(rrs[i:i+seeds], len(c.Times))})
+	}
 	return out, nil
+}
+
+// fig12Cells is Fig. 12's grid: densities 100, 150 and 200 nodes at
+// H = 5, v = 2 m/s.
+func fig12Cells(times []float64, seeds int) []RemainingSpec {
+	var cells []RemainingSpec
+	for _, n := range []int{100, 150, 200} {
+		cells = append(cells, remainingCells(n, 5, 2, RandomWaypoint, times, remainingDests, seeds)...)
+	}
+	return cells
 }
 
 // Fig12 reproduces Fig. 12: remaining nodes in the destination zone over
-// time for densities 100, 150 and 200 nodes (H = 5, v = 2 m/s).
+// time by density.
 func Fig12(r Runner, times []float64, seeds int) ([]analysis.Series, error) {
-	var out []analysis.Series
-	for _, n := range []int{100, 150, 200} {
-		ys, err := RemainingNodesSim(r, n, 5, 2, RandomWaypoint, times, 5, seeds)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, analysis.Series{Label: fmt.Sprintf("N=%d", n), X: times, Y: ys})
-	}
-	return out, nil
+	return remainingSeries(r, fig12Cells(times, seeds), seeds,
+		func(c RemainingSpec) string { return fmt.Sprintf("N=%d", c.N) })
 }
 
-// Fig13a reproduces Fig. 13a: remaining nodes over time for H in {4, 5}
-// and node speeds 0, 2 and 4 m/s (N = 200).
-func Fig13a(r Runner, times []float64, seeds int) ([]analysis.Series, error) {
-	var out []analysis.Series
+// fig13aCells is Fig. 13a's grid: H in {4, 5} by node speeds 0, 2 and
+// 4 m/s, at N = 200.
+func fig13aCells(times []float64, seeds int) []RemainingSpec {
+	var cells []RemainingSpec
 	for _, h := range []int{4, 5} {
 		for _, v := range []float64{0, 2, 4} {
-			ys, err := RemainingNodesSim(r, 200, h, v, RandomWaypoint, times, 5, seeds)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, analysis.Series{
-				Label: fmt.Sprintf("H=%d v=%.0f", h, v), X: times, Y: ys,
-			})
+			cells = append(cells, remainingCells(200, h, v, RandomWaypoint, times, remainingDests, seeds)...)
 		}
 	}
-	return out, nil
+	return cells
+}
+
+// Fig13a reproduces Fig. 13a: remaining nodes over time by H and speed.
+func Fig13a(r Runner, times []float64, seeds int) ([]analysis.Series, error) {
+	return remainingSeries(r, fig13aCells(times, seeds), seeds,
+		func(c RemainingSpec) string { return fmt.Sprintf("H=%d v=%.0f", c.H, c.Speed) })
 }
 
 // Fig13b reproduces Fig. 13b: the node density required to keep `target`
@@ -261,7 +299,7 @@ func Fig13b(r Runner, target float64, speeds []float64, seeds int) (analysis.Ser
 	for _, v := range speeds {
 		required := 0.0
 		for n := 25; n <= 800; n += 25 {
-			ys, err := RemainingNodesSim(r, n, 5, v, RandomWaypoint, times, 5, seeds)
+			ys, err := RemainingNodesSim(r, n, 5, v, RandomWaypoint, times, remainingDests, seeds)
 			if err != nil {
 				return analysis.Series{}, err
 			}
@@ -276,16 +314,20 @@ func Fig13b(r Runner, target float64, speeds []float64, seeds int) (analysis.Ser
 	return s, nil
 }
 
-// sweepCells enumerates the four-protocol sweep grid: protocol (outer),
-// x value, then seed, matching the reduction order of sweepMetric.
-func sweepCells(xs []float64, seeds int, configure func(*Scenario, float64)) []Scenario {
+// nodeSweepCells enumerates the four protocols over sweepNs: protocol
+// (outer), N, then seed, nodeSweepSeries's reduction order. A positive
+// duration replaces the default horizon.
+func nodeSweepCells(seeds int, duration float64) []Scenario {
 	var cells []Scenario
 	for _, p := range protosAll {
-		for _, x := range xs {
+		for _, n := range sweepNs {
 			for seed := 1; seed <= seeds; seed++ {
 				sc := DefaultScenario()
 				sc.Protocol = p
-				configure(&sc, x)
+				sc.N = n
+				if duration > 0 {
+					sc.Duration = duration
+				}
 				sc.Seed = int64(seed)
 				cells = append(cells, sc)
 			}
@@ -294,39 +336,40 @@ func sweepCells(xs []float64, seeds int, configure func(*Scenario, float64)) []S
 	return cells
 }
 
-// sweepMetric runs all four protocols across a scenario sweep and extracts
-// one metric per run.
-func sweepMetric(r Runner, xs []float64, seeds int, configure func(*Scenario, float64),
-	metric func(Result) float64) ([]analysis.Series, error) {
-	results, err := r.RunBatch(sweepCells(xs, seeds, configure))
-	if err != nil {
-		return nil, err
-	}
+// nodeSweepSeries reduces a nodeSweepCells batch to one series per
+// protocol of one metric against N.
+func nodeSweepSeries(results []Result, seeds int, metric func(Result) float64) []analysis.Series {
 	var out []analysis.Series
 	idx := 0
 	for _, p := range protosAll {
 		s := analysis.Series{Label: string(p)}
-		for _, x := range xs {
+		for _, n := range sweepNs {
 			var sample stats.Sample
 			for seed := 1; seed <= seeds; seed++ {
 				sample.Add(metric(results[idx]))
 				idx++
 			}
-			s.X = append(s.X, x)
+			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, sample.Mean())
 			s.Err = append(s.Err, sample.CI())
 		}
 		out = append(out, s)
 	}
-	return out, nil
+	return out
 }
+
+// sizeSweepCells is the Figs. 14a and 16a grid: the network-size sweep at
+// the sweepSeconds horizon.
+func sizeSweepCells(seeds int) []Scenario { return nodeSweepCells(seeds, sweepSeconds) }
 
 // Fig14a reproduces Fig. 14a: latency per packet versus the number of
 // nodes, for all four protocols.
 func Fig14a(r Runner, seeds int) ([]analysis.Series, error) {
-	return sweepMetric(r, []float64{50, 100, 150, 200}, seeds,
-		func(sc *Scenario, x float64) { sc.N = int(x); sc.Duration = 40 },
-		func(res Result) float64 { return res.MeanLatency })
+	results, err := r.RunBatch(sizeSweepCells(seeds))
+	if err != nil {
+		return nil, err
+	}
+	return nodeSweepSeries(results, seeds, func(res Result) float64 { return res.MeanLatency }), nil
 }
 
 // speedUpdCell is the Figs. 14b/15b/16b cell: one protocol at one speed,
@@ -337,7 +380,7 @@ func speedUpdCell(p ProtocolName, v float64, upd bool, seed int64) Scenario {
 	sc.Protocol = p
 	sc.Speed = v
 	sc.LocUpdates = upd
-	sc.Duration = 40
+	sc.Duration = sweepSeconds
 	sc.Seed = seed
 	return sc
 }
@@ -426,14 +469,16 @@ func Fig14b(r Runner, seeds int) ([]analysis.Series, error) {
 	return out, nil
 }
 
-func fig15aExtraCells(seeds int) []Scenario {
-	var cells []Scenario
-	for _, n := range []float64{50, 100, 150, 200} {
+// fig15aCells is Fig. 15a's grid: the network-size sweep at the default
+// horizon, then ALARM without its id dissemination at each size.
+func fig15aCells(seeds int) []Scenario {
+	cells := nodeSweepCells(seeds, 0)
+	for _, n := range sweepNs {
 		for seed := 1; seed <= seeds; seed++ {
 			sc := DefaultScenario()
 			sc.Seed = int64(seed)
 			sc.Protocol = ALARM
-			sc.N = int(n)
+			sc.N = n
 			sc.Alarm.DisseminationPeriod = 0 // no overhead counted
 			cells = append(cells, sc)
 		}
@@ -445,30 +490,26 @@ func fig15aExtraCells(seeds int) []Scenario {
 // the four protocols, plus the "ALARM (include id dissemination hops)"
 // series.
 func Fig15a(r Runner, seeds int) ([]analysis.Series, error) {
-	ns := []float64{50, 100, 150, 200}
-	out, err := sweepMetric(r, ns, seeds,
-		func(sc *Scenario, x float64) { sc.N = int(x) },
-		func(res Result) float64 {
-			return res.HopsPerPacket // includes ExtraHops for ALARM
-		})
+	results, err := r.RunBatch(fig15aCells(seeds))
 	if err != nil {
 		return nil, err
 	}
+	sweep := len(protosAll) * len(sweepNs) * seeds
+	out := nodeSweepSeries(results[:sweep], seeds, func(res Result) float64 {
+		return res.HopsPerPacket // includes ExtraHops for ALARM
+	})
 	// Add a routing-only ALARM series for contrast (dissemination is
 	// what HopsPerPacket already includes; subtract it back out).
-	extra, err := r.RunBatch(fig15aExtraCells(seeds))
-	if err != nil {
-		return nil, err
-	}
+	extra := results[sweep:]
 	s := analysis.Series{Label: "alarm (routing only)"}
 	idx := 0
-	for _, n := range ns {
+	for _, n := range sweepNs {
 		var sample stats.Sample
 		for seed := 1; seed <= seeds; seed++ {
 			sample.Add(extra[idx].HopsPerPacket)
 			idx++
 		}
-		s.X = append(s.X, n)
+		s.X = append(s.X, float64(n))
 		s.Y = append(s.Y, sample.Mean())
 	}
 	// Relabel the swept ALARM series to make the dissemination explicit.
@@ -492,9 +533,11 @@ func Fig15b(r Runner, seeds int) ([]analysis.Series, error) {
 
 // Fig16a reproduces Fig. 16a: delivery rate versus number of nodes.
 func Fig16a(r Runner, seeds int) ([]analysis.Series, error) {
-	return sweepMetric(r, []float64{50, 100, 150, 200}, seeds,
-		func(sc *Scenario, x float64) { sc.N = int(x); sc.Duration = 40 },
-		func(res Result) float64 { return res.DeliveryRate })
+	results, err := r.RunBatch(sizeSweepCells(seeds))
+	if err != nil {
+		return nil, err
+	}
+	return nodeSweepSeries(results, seeds, func(res Result) float64 { return res.DeliveryRate }), nil
 }
 
 // Fig16b reproduces Fig. 16b: delivery rate versus node speed, with and
@@ -558,24 +601,14 @@ func Fig17(r Runner, seeds int) ([]analysis.Series, error) {
 	return out, nil
 }
 
-func energyCells(seeds int) []Scenario {
-	var cells []Scenario
-	for _, p := range protosAll {
-		for seed := 1; seed <= seeds; seed++ {
-			sc := DefaultScenario()
-			sc.Seed = int64(seed)
-			sc.Protocol = p
-			sc.Duration = 40
-			cells = append(cells, sc)
-		}
-	}
-	return cells
-}
+// protocolCells is the grid the energy summary and the comparisons share:
+// each protocol of protosAll at the sweepSeconds horizon.
+func protocolCells(seeds int) []Scenario { return compareCells(protosAll, seeds, sweepSeconds) }
 
 // EnergySummary returns each protocol's mean energy per delivered packet
 // (joules) over seeds as one-point series — the `energy` registry entry.
 func EnergySummary(r Runner, seeds int) ([]analysis.Series, error) {
-	results, err := r.RunBatch(energyCells(seeds))
+	results, err := r.RunBatch(protocolCells(seeds))
 	if err != nil {
 		return nil, err
 	}
@@ -621,10 +654,19 @@ func compareCells(protocols []ProtocolName, seeds int, duration float64) []Scena
 }
 
 // CompareProtocols runs every protocol `seeds` times on the default
-// scenario and tests each pair's difference on the named metrics. It backs
-// the `compare` registry entry: the paper's orderings stated with
-// statistical confidence rather than eyeballed means.
+// scenario and tests each pair's difference on the named metrics: the
+// paper's orderings stated with statistical confidence rather than
+// eyeballed means.
 func CompareProtocols(r Runner, protocols []ProtocolName, seeds int, duration float64) ([]Comparison, error) {
+	results, err := r.RunBatch(compareCells(protocols, seeds, duration))
+	if err != nil {
+		return nil, err
+	}
+	return compareResults(results, protocols, seeds), nil
+}
+
+// compareResults reduces a compareCells batch to the pairwise comparisons.
+func compareResults(results []Result, protocols []ProtocolName, seeds int) []Comparison {
 	metrics := []struct {
 		name string
 		get  func(Result) float64
@@ -634,10 +676,6 @@ func CompareProtocols(r Runner, protocols []ProtocolName, seeds int, duration fl
 		{"delivery", func(res Result) float64 { return res.DeliveryRate }},
 		{"route-similarity", func(res Result) float64 { return res.RouteJaccard }},
 		{"energy/delivered", func(res Result) float64 { return res.EnergyPerDelivered }},
-	}
-	results, err := r.RunBatch(compareCells(protocols, seeds, duration))
-	if err != nil {
-		return nil, err
 	}
 	samples := map[ProtocolName]map[string]*stats.Sample{}
 	idx := 0
@@ -669,5 +707,5 @@ func CompareProtocols(r Runner, protocols []ProtocolName, seeds int, duration fl
 			}
 		}
 	}
-	return out, nil
+	return out
 }

@@ -146,11 +146,7 @@ func Figures() []Figure {
 			Name:  "fig12",
 			Title: "Fig. 12: remaining nodes in Z_D vs time by density (H=5, v=2)",
 			Plan: func(seeds int) FigurePlan {
-				var rem []RemainingSpec
-				for _, n := range []int{100, 150, 200} {
-					rem = append(rem, remainingCells(n, 5, 2, RandomWaypoint, defaultTimes(), 5, seeds)...)
-				}
-				return FigurePlan{Remaining: rem}
+				return FigurePlan{Remaining: fig12Cells(defaultTimes(), seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return Fig12(r, defaultTimes(), seeds)
@@ -160,13 +156,7 @@ func Figures() []Figure {
 			Name:  "fig13a",
 			Title: "Fig. 13a: remaining nodes vs time by H and speed (N=200)",
 			Plan: func(seeds int) FigurePlan {
-				var rem []RemainingSpec
-				for _, h := range []int{4, 5} {
-					for _, v := range []float64{0, 2, 4} {
-						rem = append(rem, remainingCells(200, h, v, RandomWaypoint, defaultTimes(), 5, seeds)...)
-					}
-				}
-				return FigurePlan{Remaining: rem}
+				return FigurePlan{Remaining: fig13aCells(defaultTimes(), seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return Fig13a(r, defaultTimes(), seeds)
@@ -189,8 +179,7 @@ func Figures() []Figure {
 			Name:  "fig14a",
 			Title: "Fig. 14a: latency per packet (s) vs number of nodes",
 			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: sweepCells([]float64{50, 100, 150, 200}, seeds,
-					func(sc *Scenario, x float64) { sc.N = int(x); sc.Duration = 40 })}
+				return FigurePlan{Runs: sizeSweepCells(seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return Fig14a(r, seeds)
@@ -210,10 +199,7 @@ func Figures() []Figure {
 			Name:  "fig15a",
 			Title: "Fig. 15a: hops per packet vs number of nodes",
 			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: append(
-					sweepCells([]float64{50, 100, 150, 200}, seeds,
-						func(sc *Scenario, x float64) { sc.N = int(x) }),
-					fig15aExtraCells(seeds)...)}
+				return FigurePlan{Runs: fig15aCells(seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return Fig15a(r, seeds)
@@ -233,8 +219,7 @@ func Figures() []Figure {
 			Name:  "fig16a",
 			Title: "Fig. 16a: delivery rate vs number of nodes",
 			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: sweepCells([]float64{50, 100, 150, 200}, seeds,
-					func(sc *Scenario, x float64) { sc.N = int(x); sc.Duration = 40 })}
+				return FigurePlan{Runs: sizeSweepCells(seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return Fig16a(r, seeds)
@@ -264,7 +249,7 @@ func Figures() []Figure {
 			Name:  "energy",
 			Title: "Energy per delivered packet (J, transmission + cryptography)",
 			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: energyCells(seeds)}
+				return FigurePlan{Runs: protocolCells(seeds)}
 			},
 			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
 				return EnergySummary(r, seeds)
@@ -275,7 +260,7 @@ func Figures() []Figure {
 			Name:  "compare",
 			Title: "Pairwise protocol comparisons (Welch's t-test, 95%)",
 			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: compareCells(protosAll, seeds, 40)}
+				return FigurePlan{Runs: protocolCells(seeds)}
 			},
 			Text: compareText,
 		},
@@ -365,15 +350,15 @@ func overheadSeries() ([]analysis.Series, error) {
 	return []analysis.Series{s}, nil
 }
 
-// compareText runs the Welch comparisons over the four protocols at 40 s
-// and prints one line per protocol pair and metric.
+// compareText runs the Welch comparisons over protocolCells and prints
+// one line per protocol pair and metric.
 func compareText(r Runner, seeds int) (string, error) {
-	comps, err := CompareProtocols(r, protosAll, seeds, 40)
+	results, err := r.RunBatch(protocolCells(seeds))
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	for _, c := range comps {
+	for _, c := range compareResults(results, protosAll, seeds) {
 		verdict := "not significant"
 		if c.Welch.Significant {
 			verdict = "SIGNIFICANT"

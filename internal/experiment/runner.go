@@ -91,9 +91,9 @@ func RunRemaining(spec RemainingSpec) (RemainingResult, error) {
 	switch spec.Mobility {
 	case GroupMobility:
 		m = mobility.NewGroupMobility(spec.Field, spec.N, spec.Groups,
-			spec.GroupRange, mobility.Fixed(spec.Speed), src)
+			spec.GroupRange, spec.Speed, nil, src)
 	default:
-		m = mobility.NewRandomWaypoint(spec.Field, spec.N, mobility.Fixed(spec.Speed), src)
+		m = mobility.NewRandomWaypoint(spec.Field, spec.N, spec.Speed, nil, src)
 	}
 	res := RemainingResult{Sums: make([]float64, len(spec.Times))}
 	pick := src.Split("dests")

@@ -20,11 +20,10 @@ func buildApp(seed int64, n int, speed float64, locCfg locservice.Config) (*sim.
 	if speed <= 0 {
 		mob = mobility.NewStatic(field, n, src)
 	} else {
-		mob = mobility.NewRandomWaypoint(field, n, mobility.Fixed(speed), src)
+		mob = mobility.NewRandomWaypoint(field, n, speed, nil, src)
 	}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locCfg)
 	return eng, net, loc, NewApp(net, loc, DefaultAppConfig())
 }
@@ -125,8 +124,7 @@ func TestAppUndeliveredCompletes(t *testing.T) {
 	src := rng.New(5)
 	mob := &fixedModel{pos: []geo.Point{{X: 0, Y: 0}, {X: 900, Y: 900}}}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(),
-		node.Config{}, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, locservice.DefaultConfig())
 	app := NewApp(net, loc, DefaultAppConfig())
 	rec, _ := app.Send(0, 1, []byte("x"))

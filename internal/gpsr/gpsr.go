@@ -152,7 +152,7 @@ type Planarization uint8
 // The two planarizations of the original GPSR paper.
 const (
 	// GabrielGraph keeps edge (u,v) unless a witness sits inside the
-	// circle with diameter uv (the default).
+	// circle with diameter uv. Router and the live daemon route with it.
 	GabrielGraph Planarization = iota
 	// RelativeNeighborhood keeps (u,v) unless a witness is closer to
 	// both u and v than they are to each other; a sparser subgraph.
@@ -164,8 +164,6 @@ const (
 type Router struct {
 	net    *node.Network
 	counts Counters
-	// Planar selects the perimeter-mode planarization.
-	Planar Planarization
 	// tap, when non-nil, observes sends, forwards, hops and leg endings.
 	tap *telemetry.Tap
 	// nbrScratch and planarScratch are Handle's per-step work buffers,
@@ -333,7 +331,7 @@ func (r *Router) Handle(cur medium.NodeID, pkt *Packet) {
 		prevPos = r.net.Med.PositionNow(pkt.fwd.Prev)
 	}
 	next, verdict, entered, scratch := Step(cur, selfPos, prevPos, pkt.Dest,
-		pkt.DeliverTo == NoDeliverTo, r.net.Med.Params().Range, r.Planar,
+		pkt.DeliverTo == NoDeliverTo, r.net.Med.Params().Range, GabrielGraph,
 		r.nbrScratch, r.planarScratch[:0], &pkt.fwd)
 	r.planarScratch = scratch
 	if entered {

@@ -3,7 +3,7 @@
 // the sent count must match exactly; delivery rate, latency and hop counts
 // are stochastic in transport order (UDP interleaving perturbs ARQ and
 // perimeter entry points) and get banded checks instead. A Comparison is
-// the machine-readable verdict alertload's exit status and the acceptance
+// the machine-readable verdict alertsim's exit status and the acceptance
 // test both consume.
 
 package live

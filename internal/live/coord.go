@@ -24,7 +24,6 @@ import (
 
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
-	"alertmanet/internal/medium"
 	"alertmanet/internal/stats"
 )
 
@@ -69,9 +68,6 @@ type Coordinator struct {
 	// Slack is extra real time after the emulated horizon for in-flight
 	// datagrams and ARQ exchanges to settle before collection.
 	Slack time.Duration
-	// Range is the emulated radio range used to steer neighbor tables;
-	// it must match the daemons' Medium.Range.
-	Range float64
 }
 
 // NewCoordinator pairs a built World with the fleet that will act it out.
@@ -84,7 +80,6 @@ func NewCoordinator(w *experiment.World, nodes []*Daemon, timescale float64) *Co
 		w: w, nodes: nodes, byID: byID,
 		Timescale: timescale,
 		Slack:     500 * time.Millisecond,
-		Range:     medium.DefaultParams().Range,
 	}
 }
 
@@ -212,7 +207,7 @@ func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) err
 	for i, d := range c.nodes {
 		pos[i] = c.w.Mob.Position(d.ID(), t)
 	}
-	rangeM := c.Range
+	rangeM := c.w.Med.Params().Range
 	for i, d := range c.nodes {
 		top := Topology{T: t, Self: pos[i]}
 		for j, other := range c.nodes {

@@ -74,13 +74,16 @@ type Config struct {
 	// intervals); 0 paces nothing and lets the fleet run flat out.
 	// Latency measurements never depend on it (VTime carries the model).
 	Timescale float64
-	// AckTimeout is the real-time wait for a link-layer ack before a
+}
+
+const (
+	// ackTimeout is the real-time wait for a link-layer ack before a
 	// retransmission. It is a transport liveness bound, not part of the
 	// emulated model, so it is real time, not emulated time.
-	AckTimeout time.Duration
-	// QueueDepth bounds the rx/tx/cmd queues.
-	QueueDepth int
-}
+	ackTimeout = 25 * time.Millisecond
+	// queueDepth bounds the rx/tx/cmd queues.
+	queueDepth = 512
+)
 
 // Counters tallies one daemon's activity; Collect scrapes it.
 type Counters struct {
@@ -239,12 +242,6 @@ func NewDaemon(cfg Config, addr string) (*Daemon, error) {
 // newDaemon builds the daemon's state without a socket: keys, streams,
 // queues and the loop-owned tables.
 func newDaemon(cfg Config) *Daemon {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 512
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 25 * time.Millisecond
-	}
 	// Every daemon derives the same suite from the fleet seed, so owner
 	// ids resolve to the same key pairs fleet-wide — the predistributed
 	// key material the paper's location service assumes.
@@ -259,9 +256,9 @@ func newDaemon(cfg Config) *Daemon {
 		pseud:    crypt.NewPseudonym(uint64(cfg.ID), 0, nodeRnd),
 		costs:    crypt.DefaultCostModel(),
 		rnd:      nodeRnd,
-		rxq:      make(chan []byte, cfg.QueueDepth),
-		txq:      make(chan outBuf, cfg.QueueDepth),
-		cmdq:     make(chan func(), cfg.QueueDepth),
+		rxq:      make(chan []byte, queueDepth),
+		txq:      make(chan outBuf, queueDepth),
+		cmdq:     make(chan func(), queueDepth),
 		stopc:    make(chan struct{}),
 		nbrIdx:   make(map[int32]int),
 		pend:     make(map[uint64]*pending),
@@ -572,7 +569,7 @@ func (d *Daemon) retry(sendID uint64) {
 			d.trace(&p.frame), int(p.frame.Size), p.attempts)
 	}
 	d.enqueue(p.addr, b)
-	p.timer = d.after(d.cfg.AckTimeout, func() { d.retry(sendID) })
+	p.timer = d.after(ackTimeout, func() { d.retry(sendID) })
 }
 
 // txDelay draws one emulated transmission delay, the medium's model.
@@ -615,7 +612,7 @@ func (d *Daemon) transmit(nb Neighbor, f *Frame, noAck bool) {
 	}
 	id := f.SendID
 	p := &pending{frame: cloneFrame(f), addr: nb.Addr, attempts: 1}
-	p.timer = d.after(d.cfg.AckTimeout, func() { d.retry(id) })
+	p.timer = d.after(ackTimeout, func() { d.retry(id) })
 	d.pend[id] = p
 }
 

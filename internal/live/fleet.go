@@ -8,7 +8,6 @@ package live
 
 import (
 	"fmt"
-	"time"
 
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
@@ -53,8 +52,6 @@ func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
 		ChargeSessionSetup: sc.Alert.ChargeSessionSetup,
 		Medium:             par,
 		Timescale:          timescale,
-		AckTimeout:         25 * time.Millisecond,
-		QueueDepth:         512,
 	}
 }
 

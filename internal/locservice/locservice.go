@@ -33,10 +33,9 @@ import (
 	"alertmanet/internal/sim"
 )
 
-// Config controls the location service.
+// Config controls the location service. It always runs N_L = ceil(sqrt(N))
+// replicated servers, per Section 4.3.
 type Config struct {
-	// NumServers is N_L; zero means ceil(sqrt(N)) per Section 4.3.
-	NumServers int
 	// UpdateInterval is the position-update period in seconds (1/f).
 	UpdateInterval float64
 	// UpdatesEnabled distinguishes the paper's "with destination update"
@@ -46,7 +45,7 @@ type Config struct {
 
 // DefaultConfig enables updates every 2 seconds.
 func DefaultConfig() Config {
-	return Config{NumServers: 0, UpdateInterval: 2, UpdatesEnabled: true}
+	return Config{UpdateInterval: 2, UpdatesEnabled: true}
 }
 
 // Entry is what a lookup returns about a node.
@@ -80,15 +79,10 @@ type Service struct {
 // New creates the service, registers every node's initial position and
 // public key, and (if enabled) schedules periodic updates.
 func New(net *node.Network, cfg Config) *Service {
-	if cfg.NumServers <= 0 {
-		cfg.NumServers = int(math.Ceil(math.Sqrt(float64(net.N()))))
-		if cfg.NumServers < 1 {
-			cfg.NumServers = 1
-		}
-	}
+	numServers := max(int(math.Ceil(math.Sqrt(float64(net.N())))), 1)
 	s := &Service{net: net, cfg: cfg}
 	s.entries = make([]Entry, net.N())
-	s.alive = make([]bool, cfg.NumServers)
+	s.alive = make([]bool, numServers)
 	for i := range s.alive {
 		s.alive[i] = true
 	}
@@ -169,7 +163,7 @@ func (s *Service) RecoverServer(i int) {
 }
 
 // NumServers returns N_L.
-func (s *Service) NumServers() int { return s.cfg.NumServers }
+func (s *Service) NumServers() int { return len(s.alive) }
 
 // Counters returns a snapshot of service traffic.
 func (s *Service) Counters() Counters { return s.counts }
@@ -189,7 +183,7 @@ func (s *Service) OverheadRatio(commFreq float64) float64 {
 	if !s.cfg.UpdatesEnabled {
 		f = 0
 	}
-	nl := float64(s.cfg.NumServers)
+	nl := float64(len(s.alive))
 	n := float64(s.net.N())
 	return (nl*(nl-1)*f + n*f) / (n * commFreq)
 }

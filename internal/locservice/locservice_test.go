@@ -18,10 +18,10 @@ var field = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000
 func newNet(n int, speed float64, seed int64) (*sim.Engine, *node.Network) {
 	eng := sim.NewEngine()
 	src := rng.New(seed)
-	mob := mobility.NewRandomWaypoint(field, n, mobility.Fixed(speed), src)
+	mob := mobility.NewRandomWaypoint(field, n, speed, nil, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	return eng, node.NewNetwork(eng, med, crypt.NewFastSuite(src),
-		crypt.ZeroCostModel(), node.Config{}, src)
+		crypt.ZeroCostModel(), src)
 }
 
 func TestInitialRegistration(t *testing.T) {
@@ -135,7 +135,7 @@ func TestServerFailure(t *testing.T) {
 
 func TestCountersMatchSection43Formulas(t *testing.T) {
 	eng, net := newNet(100, 2, 8)
-	s := New(net, Config{NumServers: 10, UpdateInterval: 2, UpdatesEnabled: true})
+	s := New(net, Config{UpdateInterval: 2, UpdatesEnabled: true}) // N_L = ceil(sqrt(100)) = 10
 	const T = 20.0
 	eng.RunUntil(T)
 	c := s.Counters()
@@ -171,7 +171,7 @@ func TestOverheadRatioEdgeCases(t *testing.T) {
 	if !math.IsInf(s.OverheadRatio(0), 1) {
 		t.Fatal("F=0 should be +Inf")
 	}
-	s2 := New(net, Config{NumServers: 3, UpdateInterval: 2, UpdatesEnabled: false})
+	s2 := New(net, Config{UpdateInterval: 2, UpdatesEnabled: false})
 	if s2.OverheadRatio(1) != 0 {
 		t.Fatal("updates disabled should have zero overhead")
 	}

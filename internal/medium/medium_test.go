@@ -176,7 +176,7 @@ func TestMobilityBreaksLinkMidFlight(t *testing.T) {
 	par.Bitrate = 1000 // 8 bits/ms -> 512 B takes ~4 s
 	par.MACDelayMean = 0
 	eng := sim.NewEngine()
-	mob := mobility.NewRandomWaypoint(field, 2, mobility.Fixed(200), rng.New(42))
+	mob := mobility.NewRandomWaypoint(field, 2, 200, nil, rng.New(42))
 	med := MustNew(eng, mob, par, rng.New(1))
 	// Count drops over several sends; at 200 m/s the receiver will often
 	// be elsewhere 4 seconds later.
@@ -215,7 +215,7 @@ func TestNeighborStaleness(t *testing.T) {
 	par := DefaultParams()
 	par.HelloInterval = 10
 	eng := sim.NewEngine()
-	mob := mobility.NewRandomWaypoint(field, 5, mobility.Fixed(5), rng.New(2))
+	mob := mobility.NewRandomWaypoint(field, 5, 5, nil, rng.New(2))
 	med := MustNew(eng, mob, par, rng.New(3))
 	eng.Schedule(14, func() {
 		nb := med.Neighbors(0)
@@ -397,7 +397,7 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	// The grid-accelerated Neighbors must agree exactly with an O(N^2)
 	// scan, including at cell boundaries.
 	eng := sim.NewEngine()
-	mob := mobility.NewRandomWaypoint(field, 150, mobility.Fixed(3), rng.New(77))
+	mob := mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(78))
 	check := func() {
 		tNow := med.helloTime()
@@ -454,7 +454,7 @@ func BenchmarkNeighborsGrid(b *testing.B) {
 func BenchmarkBroadcastSweep(b *testing.B) {
 	const n = 200
 	eng := sim.NewEngine()
-	mob := mobility.NewRandomWaypoint(field, n, mobility.Fixed(2), rng.New(1))
+	mob := mobility.NewRandomWaypoint(field, n, 2, nil, rng.New(1))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(2))
 	receptions := 0
 	for id := 0; id < n; id++ {

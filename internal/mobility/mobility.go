@@ -37,25 +37,23 @@ type Model interface {
 type Forker func(n int, fn func(lo, hi int))
 
 // leg is one straight movement segment: travel from 'from' toward 'to'
-// starting at t0, then pause until pauseEnd.
+// starting at t0.
 type leg struct {
 	t0       float64
 	from, to geo.Point
 	speed    float64
 	d        float64 // |to - from|, the divisor of at's travelled fraction
-	arrive   float64 // time the node reaches 'to'
-	pauseEnd float64 // end of post-arrival pause; next leg starts here
+	arrive   float64 // time the node reaches 'to'; the next leg starts here
 }
 
-// walker generates a lazy, cached random-waypoint trajectory inside a box.
+// walker generates a lazy, cached random-waypoint trajectory inside a box:
+// straight legs at one fixed speed, with no pause at the waypoints.
 type walker struct {
-	src      *rng.Source
-	box      geo.Rect
-	minSpeed float64
-	maxSpeed float64
-	pause    float64
-	start    geo.Point
-	legs     []leg
+	src   *rng.Source
+	box   geo.Rect
+	speed float64
+	start geo.Point
+	legs  []leg
 	// memo is the owning node's last Position answer. Only the per-node
 	// walkers (RandomWaypoint's, GroupMobility's local ones) use it;
 	// GroupMobility's reference walkers serve a whole group, and their
@@ -74,9 +72,8 @@ type memo struct {
 	p geo.Point
 }
 
-func newWalker(src *rng.Source, box geo.Rect, minSpeed, maxSpeed, pause float64) *walker {
-	w := &walker{src: src, box: box, minSpeed: minSpeed, maxSpeed: maxSpeed, pause: pause,
-		memo: memo{t: math.NaN()}}
+func newWalker(src *rng.Source, box geo.Rect, speed float64) *walker {
+	w := &walker{src: src, box: box, speed: speed, memo: memo{t: math.NaN()}}
 	w.start = geo.RandomPoint(box, src)
 	return w
 }
@@ -90,27 +87,20 @@ func (w *walker) extend(t float64) {
 			cur, t0 = w.start, 0
 		} else {
 			last := w.legs[n-1]
-			if last.pauseEnd > t {
+			if last.arrive > t {
 				return
 			}
-			cur, t0 = last.to, last.pauseEnd
+			cur, t0 = last.to, last.arrive
 		}
 		to := geo.RandomPoint(w.box, w.src)
-		speed := w.minSpeed
-		if w.maxSpeed > w.minSpeed {
-			speed = w.src.Uniform(w.minSpeed, w.maxSpeed)
-		}
 		d := cur.Dist(to)
-		var arrive float64
-		if speed <= 0 || d == 0 {
+		if w.speed <= 0 || d == 0 {
 			// Stationary node: a single infinite "leg" at cur.
-			w.legs = append(w.legs, leg{t0: t0, from: cur, to: cur, speed: 0,
-				arrive: t0, pauseEnd: 1e300})
+			w.legs = append(w.legs, leg{t0: t0, from: cur, to: cur, arrive: 1e300})
 			return
 		}
-		arrive = t0 + d/speed
-		w.legs = append(w.legs, leg{t0: t0, from: cur, to: to, speed: speed, d: d,
-			arrive: arrive, pauseEnd: arrive + w.pause})
+		w.legs = append(w.legs, leg{t0: t0, from: cur, to: to, speed: w.speed, d: d,
+			arrive: t0 + d/w.speed})
 	}
 }
 
@@ -121,7 +111,7 @@ func (w *walker) at(t float64) geo.Point {
 	}
 	w.extend(t)
 	// Binary search for the leg containing t.
-	i := sort.Search(len(w.legs), func(i int) bool { return w.legs[i].pauseEnd > t })
+	i := sort.Search(len(w.legs), func(i int) bool { return w.legs[i].arrive > t })
 	if i == len(w.legs) {
 		i = len(w.legs) - 1
 	}
@@ -138,56 +128,30 @@ func (w *walker) at(t float64) geo.Point {
 
 // RandomWaypoint is the classic random waypoint model: each node repeatedly
 // picks a uniform destination in the field and travels to it in a straight
-// line at its speed, optionally pausing on arrival. The paper moves nodes at
-// a fixed speed (2 m/s default, up to 8 m/s in sweeps) with no pause.
+// line. The paper moves every node at one fixed speed (2 m/s default, up
+// to 8 m/s in sweeps) with no pause.
 type RandomWaypoint struct {
 	field   geo.Rect
 	walkers []*walker
-	warmup  float64
 }
 
-// Config holds the common mobility parameters.
-type Config struct {
-	// MinSpeed and MaxSpeed bound the per-leg speed in m/s. Setting both
-	// equal gives the paper's fixed-speed movement; MaxSpeed <= 0 means
-	// static nodes.
-	MinSpeed, MaxSpeed float64
-	// Pause is the dwell time at each waypoint in seconds.
-	Pause float64
-	// Warmup pre-advances every trajectory by this many seconds, so the
-	// observed window starts near the random waypoint model's steady
-	// state (center-weighted) instead of the uniform initial placement —
-	// the classic RWP initialization-bias correction.
-	Warmup float64
-	// Fork, when non-nil, parallelizes per-node construction. Each node's
-	// walker draws only from its own index-split rng stream, so the
-	// trajectories are identical for any Fork degree; only build wall time
-	// changes.
-	Fork Forker `json:"-"`
-}
-
-// Fixed returns a Config with a single fixed speed and no pause.
-func Fixed(speed float64) Config {
-	return Config{MinSpeed: speed, MaxSpeed: speed}
-}
-
-// NewRandomWaypoint creates a random waypoint model for n nodes on field.
-func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *RandomWaypoint {
-	m := &RandomWaypoint{field: field, walkers: make([]*walker, n), warmup: cfg.Warmup}
+// NewRandomWaypoint creates a random waypoint model for n nodes on field,
+// moving at speed m/s (0 keeps them static). A non-nil fork parallelizes
+// construction; only build wall time changes.
+func NewRandomWaypoint(field geo.Rect, n int, speed float64, fork Forker, src *rng.Source) *RandomWaypoint {
+	m := &RandomWaypoint{field: field, walkers: make([]*walker, n)}
 	// SplitIndex derives each stream from the immutable parent seed, and
 	// every walker draws only from its own stream, so construction order is
 	// free: the parallel build is trajectory-identical to the serial one.
-	if cfg.Fork == nil {
+	if fork == nil {
 		for i := 0; i < n; i++ {
-			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field, speed)
 		}
 		return m
 	}
-	cfg.Fork(n, func(lo, hi int) {
+	fork(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field, speed)
 		}
 	})
 	return m
@@ -197,7 +161,7 @@ func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *Rand
 func (m *RandomWaypoint) Position(id int, t float64) geo.Point {
 	w := m.walkers[id]
 	if t != w.memo.t {
-		w.memo = memo{t: t, p: w.at(t + m.warmup)}
+		w.memo = memo{t: t, p: w.at(t)}
 	}
 	return w.memo.p
 }
@@ -248,9 +212,10 @@ type GroupMobility struct {
 
 // NewGroupMobility creates a group mobility model: n nodes in numGroups
 // groups, each confined within a groupRange x groupRange box around its
-// moving reference point. Nodes are assigned to groups contiguously.
-func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
-	cfg Config, src *rng.Source) *GroupMobility {
+// reference point, which moves at speed m/s. Nodes are assigned to groups
+// contiguously; fork is as for NewRandomWaypoint.
+func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange, speed float64,
+	fork Forker, src *rng.Source) *GroupMobility {
 	if numGroups < 1 {
 		numGroups = 1
 	}
@@ -276,29 +241,25 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
 	// the paper leans on ("nodes are less randomly distributed in the
 	// group mobility model"). The loops are written out twice so the
 	// serial path allocates no closures.
-	if cfg.Fork == nil {
+	if fork == nil {
 		for gi := 0; gi < numGroups; gi++ {
-			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField, speed)
 		}
 		for i := 0; i < n; i++ {
 			g.groupOf[i] = i * numGroups / n
-			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox,
-				cfg.MinSpeed/2, cfg.MaxSpeed/2, cfg.Pause)
+			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox, speed/2)
 		}
 		return g
 	}
-	cfg.Fork(numGroups, func(lo, hi int) {
+	fork(numGroups, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
-			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField, speed)
 		}
 	})
-	cfg.Fork(n, func(lo, hi int) {
+	fork(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g.groupOf[i] = i * numGroups / n
-			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox,
-				cfg.MinSpeed/2, cfg.MaxSpeed/2, cfg.Pause)
+			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox, speed/2)
 		}
 	})
 	return g

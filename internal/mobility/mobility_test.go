@@ -12,7 +12,7 @@ import (
 var field = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 
 func TestRWPStaysInField(t *testing.T) {
-	m := NewRandomWaypoint(field, 50, Fixed(2), rng.New(1))
+	m := NewRandomWaypoint(field, 50, 2, nil, rng.New(1))
 	for id := 0; id < m.N(); id++ {
 		for _, tm := range []float64{0, 0.5, 1, 10, 33.3, 100, 500} {
 			p := m.Position(id, tm)
@@ -24,8 +24,8 @@ func TestRWPStaysInField(t *testing.T) {
 }
 
 func TestRWPDeterministic(t *testing.T) {
-	a := NewRandomWaypoint(field, 20, Fixed(2), rng.New(7))
-	b := NewRandomWaypoint(field, 20, Fixed(2), rng.New(7))
+	a := NewRandomWaypoint(field, 20, 2, nil, rng.New(7))
+	b := NewRandomWaypoint(field, 20, 2, nil, rng.New(7))
 	for id := 0; id < 20; id++ {
 		for _, tm := range []float64{0, 5, 50, 100} {
 			if a.Position(id, tm) != b.Position(id, tm) {
@@ -36,8 +36,8 @@ func TestRWPDeterministic(t *testing.T) {
 }
 
 func TestRWPQueryOrderIndependent(t *testing.T) {
-	a := NewRandomWaypoint(field, 5, Fixed(2), rng.New(9))
-	b := NewRandomWaypoint(field, 5, Fixed(2), rng.New(9))
+	a := NewRandomWaypoint(field, 5, 2, nil, rng.New(9))
+	b := NewRandomWaypoint(field, 5, 2, nil, rng.New(9))
 	// Query a forward in time, b backward; trajectories must agree.
 	times := []float64{0, 10, 20, 40, 80}
 	posA := map[float64]geo.Point{}
@@ -54,7 +54,7 @@ func TestRWPQueryOrderIndependent(t *testing.T) {
 
 func TestRWPSpeedBound(t *testing.T) {
 	const speed = 4.0
-	m := NewRandomWaypoint(field, 10, Fixed(speed), rng.New(3))
+	m := NewRandomWaypoint(field, 10, speed, nil, rng.New(3))
 	const dt = 0.25
 	for id := 0; id < 10; id++ {
 		prev := m.Position(id, 0)
@@ -69,7 +69,7 @@ func TestRWPSpeedBound(t *testing.T) {
 }
 
 func TestRWPZeroSpeedIsStatic(t *testing.T) {
-	m := NewRandomWaypoint(field, 10, Fixed(0), rng.New(4))
+	m := NewRandomWaypoint(field, 10, 0, nil, rng.New(4))
 	for id := 0; id < 10; id++ {
 		p0 := m.Position(id, 0)
 		if m.Position(id, 1000) != p0 {
@@ -79,7 +79,7 @@ func TestRWPZeroSpeedIsStatic(t *testing.T) {
 }
 
 func TestRWPActuallyMoves(t *testing.T) {
-	m := NewRandomWaypoint(field, 10, Fixed(2), rng.New(5))
+	m := NewRandomWaypoint(field, 10, 2, nil, rng.New(5))
 	moved := 0
 	for id := 0; id < 10; id++ {
 		if m.Position(id, 0).Dist(m.Position(id, 50)) > 1 {
@@ -88,47 +88,6 @@ func TestRWPActuallyMoves(t *testing.T) {
 	}
 	if moved < 8 {
 		t.Fatalf("only %d/10 nodes moved appreciably in 50 s at 2 m/s", moved)
-	}
-}
-
-func TestRWPPause(t *testing.T) {
-	cfg := Config{MinSpeed: 5, MaxSpeed: 5, Pause: 10}
-	m := NewRandomWaypoint(field, 5, cfg, rng.New(6))
-	// With a 10 s pause at each waypoint the node should be stationary
-	// for stretches. Sample finely and verify some zero-motion intervals.
-	stationary := 0
-	for id := 0; id < 5; id++ {
-		prev := m.Position(id, 0)
-		for tm := 0.5; tm < 400; tm += 0.5 {
-			cur := m.Position(id, tm)
-			if cur == prev {
-				stationary++
-			}
-			prev = cur
-		}
-	}
-	if stationary == 0 {
-		t.Fatal("pause time produced no stationary samples")
-	}
-}
-
-func TestRWPSpeedRange(t *testing.T) {
-	cfg := Config{MinSpeed: 1, MaxSpeed: 9}
-	m := NewRandomWaypoint(field, 20, cfg, rng.New(8))
-	// Average instantaneous speed should be strictly inside (1, 9).
-	total, samples := 0.0, 0
-	for id := 0; id < 20; id++ {
-		prev := m.Position(id, 0)
-		for tm := 1.0; tm < 100; tm++ {
-			cur := m.Position(id, tm)
-			total += prev.Dist(cur)
-			samples++
-			prev = cur
-		}
-	}
-	avg := total / float64(samples)
-	if avg <= 0.5 || avg >= 9 {
-		t.Fatalf("average speed %v outside plausible range", avg)
 	}
 }
 
@@ -171,7 +130,7 @@ func TestStaticSpread(t *testing.T) {
 }
 
 func TestGroupMobilityBasics(t *testing.T) {
-	m := NewGroupMobility(field, 200, 10, 150, Fixed(2), rng.New(12))
+	m := NewGroupMobility(field, 200, 10, 150, 2, nil, rng.New(12))
 	if m.N() != 200 || m.Groups() != 10 {
 		t.Fatal("metadata wrong")
 	}
@@ -186,7 +145,7 @@ func TestGroupMobilityBasics(t *testing.T) {
 
 func TestGroupMembersStayNearReference(t *testing.T) {
 	const rangeM = 150.0
-	m := NewGroupMobility(field, 100, 5, rangeM, Fixed(2), rng.New(13))
+	m := NewGroupMobility(field, 100, 5, rangeM, 2, nil, rng.New(13))
 	for id := 0; id < m.N(); id++ {
 		g := m.GroupOf(id)
 		for _, tm := range []float64{0, 25, 75} {
@@ -203,7 +162,7 @@ func TestGroupMembersStayNearReference(t *testing.T) {
 }
 
 func TestGroupAssignmentContiguous(t *testing.T) {
-	m := NewGroupMobility(field, 100, 10, 150, Fixed(2), rng.New(14))
+	m := NewGroupMobility(field, 100, 10, 150, 2, nil, rng.New(14))
 	last := -1
 	for id := 0; id < 100; id++ {
 		g := m.GroupOf(id)
@@ -230,7 +189,7 @@ func TestGroupAssignmentContiguous(t *testing.T) {
 func TestGroupClustering(t *testing.T) {
 	// Members of the same group should be far closer to each other on
 	// average than members of different groups.
-	m := NewGroupMobility(field, 100, 5, 150, Fixed(2), rng.New(15))
+	m := NewGroupMobility(field, 100, 5, 150, 2, nil, rng.New(15))
 	var sameSum, diffSum float64
 	var sameN, diffN int
 	for a := 0; a < 100; a += 3 {
@@ -284,9 +243,9 @@ func TestQuickInField(t *testing.T) {
 		tm := float64(tRaw) / 10
 		var m Model
 		if group {
-			m = NewGroupMobility(field, 20, 4, 150, Fixed(speed), rng.New(seed))
+			m = NewGroupMobility(field, 20, 4, 150, speed, nil, rng.New(seed))
 		} else {
-			m = NewRandomWaypoint(field, 20, Fixed(speed), rng.New(seed))
+			m = NewRandomWaypoint(field, 20, speed, nil, rng.New(seed))
 		}
 		for id := 0; id < m.N(); id++ {
 			if !field.Contains(m.Position(id, tm)) {
@@ -301,9 +260,9 @@ func TestQuickInField(t *testing.T) {
 }
 
 // Property: trajectory is continuous — small dt implies small displacement
-// bounded by MaxSpeed*dt.
+// bounded by speed*dt.
 func TestQuickContinuity(t *testing.T) {
-	m := NewRandomWaypoint(field, 10, Config{MinSpeed: 1, MaxSpeed: 8}, rng.New(19))
+	m := NewRandomWaypoint(field, 10, 8, nil, rng.New(19))
 	f := func(idRaw uint8, tRaw uint16) bool {
 		id := int(idRaw) % 10
 		tm := float64(tRaw) / 100
@@ -317,48 +276,6 @@ func TestQuickContinuity(t *testing.T) {
 	}
 }
 
-func TestWarmupShiftsSteadyState(t *testing.T) {
-	// The RWP steady state concentrates nodes toward the field center;
-	// with warmup, the t=0 snapshot should already show that bias
-	// relative to the uniform initial placement.
-	centerMass := func(warmup float64) float64 {
-		cfg := Fixed(10)
-		cfg.Warmup = warmup
-		m := NewRandomWaypoint(field, 400, cfg, rng.New(55))
-		center := geo.Rect{Min: geo.Point{X: 250, Y: 250}, Max: geo.Point{X: 750, Y: 750}}
-		in := 0
-		for id := 0; id < 400; id++ {
-			if center.Contains(m.Position(id, 0)) {
-				in++
-			}
-		}
-		return float64(in) / 400
-	}
-	uniform := centerMass(0)
-	warmed := centerMass(500)
-	if warmed <= uniform {
-		t.Fatalf("warmup did not concentrate mass: %v vs %v", warmed, uniform)
-	}
-	// Uniform placement puts ~25% in the center quarter; steady state
-	// should exceed 30%.
-	if warmed < 0.3 {
-		t.Fatalf("steady-state center mass %v too low", warmed)
-	}
-}
-
-func TestWarmupPreservesContinuity(t *testing.T) {
-	cfg := Fixed(4)
-	cfg.Warmup = 123
-	m := NewRandomWaypoint(field, 5, cfg, rng.New(56))
-	for id := 0; id < 5; id++ {
-		a := m.Position(id, 10)
-		b := m.Position(id, 10.5)
-		if a.Dist(b) > 2+1e-9 {
-			t.Fatalf("node %d jumped %v m in 0.5 s", id, a.Dist(b))
-		}
-	}
-}
-
 // TestPositionQueryOrderFree pins Position as a pure function of (id, t)
 // whatever order the queries come in, so the per-node memo can never
 // answer for a different instant: every (id, t) must match, bit for bit, a
@@ -366,10 +283,9 @@ func TestWarmupPreservesContinuity(t *testing.T) {
 // to zero instead of NaN fails the t=0-first order.
 func TestPositionQueryOrderFree(t *testing.T) {
 	const n = 12
-	cfg := Config{MinSpeed: 1, MaxSpeed: 6, Pause: 2, Warmup: 40}
 	models := map[string]func() Model{
-		"rwp":   func() Model { return NewRandomWaypoint(field, n, cfg, rng.New(31)) },
-		"group": func() Model { return NewGroupMobility(field, n, 3, 150, cfg, rng.New(32)) },
+		"rwp":   func() Model { return NewRandomWaypoint(field, n, 6, nil, rng.New(31)) },
+		"group": func() Model { return NewGroupMobility(field, n, 3, 150, 6, nil, rng.New(32)) },
 	}
 	times := []float64{-3, -0.5, 0, 0.25, 1, 7.5, 7.5000001, 60, 333}
 	type query struct {
@@ -436,7 +352,7 @@ func TestPositionQueryOrderFree(t *testing.T) {
 // query misses the memo and evaluates the trajectory.
 func BenchmarkPosition(b *testing.B) {
 	const n = 200
-	m := NewRandomWaypoint(field, n, Fixed(2), rng.New(1))
+	m := NewRandomWaypoint(field, n, 2, nil, rng.New(1))
 	var sink geo.Point
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -66,23 +66,15 @@ type Network struct {
 // (the default) disables them.
 func (net *Network) SetTap(t *telemetry.Tap) { net.tap = t }
 
-// Config controls node-level behaviour.
-type Config struct {
-	// PseudonymLifetime is how often nodes rotate pseudonyms, seconds.
-	// Too frequent perturbs routing, too infrequent lets an adversary
-	// associate pseudonyms with nodes (Section 2.2). Zero disables
-	// rotation after the initial assignment.
-	PseudonymLifetime float64
-}
+// PseudonymLifetime is how often nodes rotate pseudonyms, in seconds. Too
+// frequent perturbs routing, too infrequent lets an adversary associate
+// pseudonyms with nodes (Section 2.2).
+const PseudonymLifetime = 10.0
 
-// DefaultConfig rotates pseudonyms every 10 seconds.
-func DefaultConfig() Config { return Config{PseudonymLifetime: 10} }
-
-// NewNetwork creates the nodes on top of an existing engine and medium,
-// assigns MAC addresses, key pairs and initial pseudonyms, and schedules
-// pseudonym rotation.
+// NewNetwork creates the nodes on top of an existing engine and medium and
+// assigns MAC addresses, key pairs and initial pseudonyms.
 func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
-	costs crypt.CostModel, cfg Config, src *rng.Source) *Network {
+	costs crypt.CostModel, src *rng.Source) *Network {
 	net := &Network{
 		Eng:   eng,
 		Med:   med,
@@ -110,17 +102,21 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
 			net.Nodes[i] = nd
 		}
 	})
-	if cfg.PseudonymLifetime > 0 {
-		for _, nd := range net.Nodes {
-			nd := nd
-			// Desynchronize rotations so they don't all fire at once.
-			start := nd.rnd.Uniform(0, cfg.PseudonymLifetime)
-			eng.Ticker(start, cfg.PseudonymLifetime, func(sim.Time) {
-				nd.rotatePseudonym()
-			})
-		}
-	}
 	return net
+}
+
+// RotatePseudonyms schedules every node's pseudonym rotation every
+// PseudonymLifetime seconds, each from its own random start so rotations do
+// not all fire at once. Until it is called nodes keep their initial
+// pseudonyms, and an engine with no other tickers drains.
+func (net *Network) RotatePseudonyms() {
+	for _, nd := range net.Nodes {
+		nd := nd
+		start := nd.rnd.Uniform(0, PseudonymLifetime)
+		net.Eng.Ticker(start, PseudonymLifetime, func(sim.Time) {
+			nd.rotatePseudonym()
+		})
+	}
 }
 
 func (n *Node) rotatePseudonym() {

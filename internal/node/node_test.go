@@ -13,19 +13,22 @@ import (
 
 var field = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 
-func newTestNetwork(t *testing.T, n int, cfg Config) (*sim.Engine, *Network) {
+func newTestNetwork(t *testing.T, n int, rotate bool) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.NewEngine()
 	src := rng.New(99)
-	mob := mobility.NewRandomWaypoint(field, n, mobility.Fixed(2), src)
+	mob := mobility.NewRandomWaypoint(field, n, 2, nil, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	suite := crypt.NewFastSuite(src)
-	net := NewNetwork(eng, med, suite, crypt.DefaultCostModel(), cfg, src)
+	net := NewNetwork(eng, med, suite, crypt.DefaultCostModel(), src)
+	if rotate {
+		net.RotatePseudonyms()
+	}
 	return eng, net
 }
 
 func TestNetworkSetup(t *testing.T) {
-	_, net := newTestNetwork(t, 10, DefaultConfig())
+	_, net := newTestNetwork(t, 10, true)
 	if net.N() != 10 {
 		t.Fatalf("N = %d", net.N())
 	}
@@ -56,7 +59,7 @@ func TestNetworkSetup(t *testing.T) {
 }
 
 func TestPseudonymRotation(t *testing.T) {
-	eng, net := newTestNetwork(t, 5, Config{PseudonymLifetime: 10})
+	eng, net := newTestNetwork(t, 5, true)
 	initial := make([]crypt.Pseudonym, 5)
 	for i, nd := range net.Nodes {
 		initial[i] = nd.Pseudonym
@@ -74,11 +77,11 @@ func TestPseudonymRotation(t *testing.T) {
 }
 
 func TestRotationDisabled(t *testing.T) {
-	eng, net := newTestNetwork(t, 3, Config{PseudonymLifetime: 0})
+	eng, net := newTestNetwork(t, 3, false)
 	p0 := net.Nodes[0].Pseudonym
 	eng.RunUntil(100)
 	if net.Nodes[0].Pseudonym != p0 {
-		t.Fatal("pseudonym rotated despite lifetime 0")
+		t.Fatal("pseudonym rotated without RotatePseudonyms")
 	}
 	if net.Nodes[0].PseudonymUpdates != 1 {
 		t.Fatal("update count wrong")
@@ -89,7 +92,7 @@ func TestRotationsDesynchronized(t *testing.T) {
 	// Rotations should not all fire at the same instant; check the first
 	// rotation times differ across nodes by inspecting update counts at
 	// a mid-lifetime point.
-	eng, net := newTestNetwork(t, 20, Config{PseudonymLifetime: 10})
+	eng, net := newTestNetwork(t, 20, true)
 	eng.RunUntil(5)
 	rotated := 0
 	for _, nd := range net.Nodes {
@@ -103,7 +106,7 @@ func TestRotationsDesynchronized(t *testing.T) {
 }
 
 func TestPositionAccessors(t *testing.T) {
-	eng, net := newTestNetwork(t, 3, DefaultConfig())
+	eng, net := newTestNetwork(t, 3, true)
 	nd := net.Nodes[1]
 	if !field.Contains(nd.Position()) {
 		t.Fatal("position outside field")
@@ -114,7 +117,7 @@ func TestPositionAccessors(t *testing.T) {
 }
 
 func TestNeighborsAccessor(t *testing.T) {
-	_, net := newTestNetwork(t, 50, DefaultConfig())
+	_, net := newTestNetwork(t, 50, true)
 	nb := net.Nodes[0].Neighbors()
 	for _, n := range nb {
 		if n.ID == net.Nodes[0].ID {
@@ -124,7 +127,7 @@ func TestNeighborsAccessor(t *testing.T) {
 }
 
 func TestNodeLookup(t *testing.T) {
-	_, net := newTestNetwork(t, 4, DefaultConfig())
+	_, net := newTestNetwork(t, 4, true)
 	if net.Node(2) != net.Nodes[2] {
 		t.Fatal("Node lookup wrong")
 	}
@@ -134,7 +137,7 @@ func TestNodeLookup(t *testing.T) {
 }
 
 func TestCryptoOpCounters(t *testing.T) {
-	_, net := newTestNetwork(t, 2, DefaultConfig())
+	_, net := newTestNetwork(t, 2, true)
 	net.NoteSym(3)
 	net.NoteSym(1)
 	net.NotePub(2)
