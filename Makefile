@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint allowlist race cover bench bench-test figures campaign-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test vet lint allowlist race cover bench bench-test bench-pairs figures campaign-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -65,6 +65,19 @@ bench:
 # four workloads, each held to its golden-digest correctness gates.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Alternating before/after pairs of the repository benchmark, the checkout
+# against PARENT (a git revision): pair i runs seed SEED+i on both sides,
+# alternating which runs first, and the summary prints each end-to-end
+# metric's medians, quartiles, ratio and wins. Results stay under
+# .bench_build/pairs/. See scripts/bench-pairs.sh.
+WORKLOAD ?= sim-alert
+PAIRS ?= 10
+SEED ?= 1
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [WORKLOAD=w] [PAIRS=n] [SEED=s]" >&2; exit 2; }
+	sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Regenerate every evaluation output (closed forms, figures, tables,
 # attacks) at paper fidelity (30 seeds) as one parallel, resumable campaign:

@@ -320,11 +320,12 @@ func BenchmarkProtocolThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead pins the observability layer's cost contract
-// (DESIGN.md, "Observability"): "disabled" runs a full default ALERT
-// scenario with the tap nil — every emit site reduces to a branch — and
-// must stay within noise of the pre-telemetry simulator; "enabled" streams
-// every layer to a discarding writer, bounding the cost a traced run pays.
+// BenchmarkTelemetryOverhead times the observability layer's cost contract
+// (DESIGN.md, "Observability") as an ungated smoke; TestNilTapZeroAlloc is
+// what pins it. "disabled" runs a full default ALERT scenario with the tap
+// nil — every emit site reduces to a branch — and should stay within noise
+// of the pre-telemetry simulator; "enabled" streams every layer to a
+// discarding writer, the cost a traced run pays.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -31,8 +31,9 @@ type lineModel struct{ n int }
 func (l *lineModel) Position(id int, _ float64) geo.Point {
 	return geo.Point{X: float64(id) * 200, Y: 500}
 }
-func (l *lineModel) N() int          { return l.n }
-func (l *lineModel) Field() geo.Rect { return allocField }
+func (l *lineModel) N() int            { return l.n }
+func (l *lineModel) Field() geo.Rect   { return allocField }
+func (l *lineModel) MaxSpeed() float64 { return 0 }
 
 // buildLineProto assembles one protocol over a 20-node line. Configs are
 // the defaults except: hop budgets raised to cover the 19-hop far send,

@@ -21,6 +21,7 @@ type fixedModel struct{ pos []geo.Point }
 func (f *fixedModel) Position(id int, _ float64) geo.Point { return f.pos[id] }
 func (f *fixedModel) N() int                               { return len(f.pos) }
 func (f *fixedModel) Field() geo.Rect                      { return field }
+func (f *fixedModel) MaxSpeed() float64                    { return 0 }
 
 func netFromModel(mob mobility.Model, seed int64) (*sim.Engine, *node.Network, *Router) {
 	eng := sim.NewEngine()

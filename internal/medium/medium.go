@@ -178,7 +178,8 @@ type Medium struct {
 	compromised map[NodeID]bool
 	// beacons caches the current hello tick's position snapshot and a
 	// uniform spatial grid over it, so each Neighbors query touches only
-	// the 3x3 grid cells around the querier instead of every node.
+	// the 3x3 grid cells around the querier instead of every node, and a
+	// broadcast sweep skips the nodes whose beacon is out of its reach.
 	beacons beaconCache
 	// nowPos caches a spatial grid over true positions at the current
 	// engine instant, shared by zone queries issued at the same time.
@@ -244,17 +245,26 @@ func (g *posGrid) key(p geo.Point) [2]int {
 
 // beaconCache is one hello tick's position snapshot bucketed into cells of
 // side Range. The tick is the integer beacon index, so cache-hit detection
-// is an exact integer compare rather than a float one.
+// is an exact integer compare rather than a float one; at is the tick's
+// beacon instant.
 type beaconCache struct {
 	tick  int
+	at    float64
 	valid bool
 	posGrid
 }
 
-func (b *beaconCache) build(m *Medium, tick int) {
-	b.tick = tick
-	b.valid = true
-	b.rebuild(m.mob, float64(tick)*m.par.HelloInterval, m.par.Range)
+// beaconsNow returns the current hello tick's snapshot, building it on the
+// tick's first query.
+func (m *Medium) beaconsNow() *beaconCache {
+	b := &m.beacons
+	if tick := m.helloTick(); !b.valid || b.tick != tick {
+		b.tick = tick
+		b.at = float64(tick) * m.par.HelloInterval
+		b.valid = true
+		b.rebuild(m.mob, b.at, m.par.Range)
+	}
+	return b
 }
 
 // New creates a medium over the given mobility model. Non-positive radio
@@ -698,20 +708,35 @@ type bcastSend struct {
 	size    int
 }
 
+// sweepSlack widens the broadcast prefilter's reach relatively, far beyond
+// the few ulp by which rounding can shorten a node's computed distance to
+// the sender or lengthen its computed move since the beacon.
+const sweepSlack = 1e-9
+
 // RunEvent implements sim.Runner: the frame reaches every node in range,
-// in ascending id order. The sweep stays serial even on large fields:
-// forking its ~25 ns of work per node costs more than it saves (see
-// EXPERIMENTS.md, "Parallel sweeps").
+// in ascending id order. A node's current position lies within
+// MaxSpeed·(now − beacon time) of its position in the tick's beacon
+// snapshot, so a node whose beacon is farther than Range plus that from
+// the sender cannot be in range: the sweep counts it as out of range
+// without asking the mobility model. A NaN reach (an unbounded speed over
+// zero time) prunes nothing. Every other node takes the exact test, and
+// skipping a Position query changes no trajectory, so receivers, their
+// order, loss draws and counters are those of the unpruned sweep. The sweep
+// stays serial even on large fields: forking its few ns of work per node
+// costs more than it saves (see EXPERIMENTS.md, "Parallel sweeps").
 func (b *bcastSend) RunEvent() {
 	m := b.m
 	from, payload, size := b.from, b.payload, b.size
 	now := m.eng.Now()
 	pf := m.mob.Position(int(from), now)
+	beacons := m.beaconsNow()
+	reach := (m.par.Range + m.mob.MaxSpeed()*(now-beacons.at)) * (1 + sweepSlack)
+	reach2 := reach * reach
 	for id := range m.handlers {
 		if NodeID(id) == from {
 			continue
 		}
-		if !pf.Within(m.mob.Position(id, now), m.par.Range) {
+		if pf.Dist2(beacons.pos[id]) > reach2 || !pf.Within(m.mob.Position(id, now), m.par.Range) {
 			// Out-of-range receivers of a broadcast are physics, not
 			// loss: emitting one event per distant node would add
 			// ~N lines per broadcast with no diagnostic value, so
@@ -760,12 +785,6 @@ func (m *Medium) helloTick() int {
 	return k
 }
 
-// helloTime returns the timestamp of the most recent hello beacon: neighbor
-// tables reflect positions as of this instant.
-func (m *Medium) helloTime() float64 {
-	return float64(m.helloTick()) * m.par.HelloInterval
-}
-
 // Neighbor is one neighbor-table entry: the neighbor id and its position as
 // advertised in its last hello beacon.
 type Neighbor struct {
@@ -788,23 +807,20 @@ func (m *Medium) Neighbors(id NodeID) []Neighbor {
 // allocating. The result is only valid until the caller's next NeighborsInto
 // with the same destination.
 func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
-	tick := m.helloTick()
-	if !m.beacons.valid || m.beacons.tick != tick {
-		m.beacons.build(m, tick)
-	}
-	self := m.beacons.pos[id]
+	beacons := m.beaconsNow()
+	self := beacons.pos[id]
 	out := dst[:0]
 	// Scan the 3x3 cell block covering every candidate within one Range of
 	// self; fixed cell order plus ascending ids within buckets keeps the
 	// neighbor order deterministic.
-	k := m.beacons.key(self)
+	k := beacons.key(self)
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
-			for _, other := range m.beacons.grid[[2]int{k[0] + dx, k[1] + dy}] {
+			for _, other := range beacons.grid[[2]int{k[0] + dx, k[1] + dy}] {
 				if other == id {
 					continue
 				}
-				p := m.beacons.pos[other]
+				p := beacons.pos[other]
 				if self.Within(p, m.par.Range) {
 					out = append(out, Neighbor{ID: other, Pos: p})
 				}

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"math"
 	"testing"
 
 	"alertmanet/internal/geo"
@@ -19,6 +20,7 @@ type fixedModel struct {
 func (f *fixedModel) Position(id int, _ float64) geo.Point { return f.pos[id] }
 func (f *fixedModel) N() int                               { return len(f.pos) }
 func (f *fixedModel) Field() geo.Rect                      { return field }
+func (f *fixedModel) MaxSpeed() float64                    { return 0 }
 
 func newFixed(pos ...geo.Point) *fixedModel { return &fixedModel{pos: pos} }
 
@@ -248,6 +250,15 @@ func (m *movingModel) Position(id int, t float64) geo.Point {
 func (m *movingModel) N() int          { return len(m.start) }
 func (m *movingModel) Field() geo.Rect { return field }
 
+// MaxSpeed implements mobility.Model: the fastest node's |vel|.
+func (m *movingModel) MaxSpeed() float64 {
+	v := 0.0
+	for _, d := range m.vel {
+		v = math.Max(v, geo.Point{}.Dist(d))
+	}
+	return v
+}
+
 // TestNeighborsExactBeaconInstant regresses the helloTime tick-boundary bug:
 // with an awkward HelloInterval like 0.3 s, querying Neighbors at the exact
 // beacon instant float64(k)*interval used to land on tick k-1 whenever
@@ -400,7 +411,7 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	mob := mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(78))
 	check := func() {
-		tNow := med.helloTime()
+		tNow := float64(med.helloTick()) * med.par.HelloInterval
 		for id := 0; id < 150; id++ {
 			got := med.Neighbors(NodeID(id))
 			gotSet := map[NodeID]geo.Point{}

@@ -25,6 +25,11 @@ type Model interface {
 	N() int
 	// Field returns the network area nodes move within.
 	Field() geo.Rect
+	// MaxSpeed bounds every node's speed at every time, in m/s: over any
+	// dt >= 0, |Position(id, t+dt) − Position(id, t)| <= MaxSpeed()·dt,
+	// up to rounding. A model that cannot bound it (one whose nodes jump)
+	// returns +Inf.
+	MaxSpeed() float64
 }
 
 // Forker runs fn over a disjoint partition of [0, n) and returns when every
@@ -132,6 +137,7 @@ func (w *walker) at(t float64) geo.Point {
 // to 8 m/s in sweeps) with no pause.
 type RandomWaypoint struct {
 	field   geo.Rect
+	speed   float64
 	walkers []*walker
 }
 
@@ -139,7 +145,7 @@ type RandomWaypoint struct {
 // moving at speed m/s (0 keeps them static). A non-nil fork parallelizes
 // construction; only build wall time changes.
 func NewRandomWaypoint(field geo.Rect, n int, speed float64, fork Forker, src *rng.Source) *RandomWaypoint {
-	m := &RandomWaypoint{field: field, walkers: make([]*walker, n)}
+	m := &RandomWaypoint{field: field, speed: speed, walkers: make([]*walker, n)}
 	// SplitIndex derives each stream from the immutable parent seed, and
 	// every walker draws only from its own stream, so construction order is
 	// free: the parallel build is trajectory-identical to the serial one.
@@ -172,6 +178,10 @@ func (m *RandomWaypoint) N() int { return len(m.walkers) }
 // Field implements Model.
 func (m *RandomWaypoint) Field() geo.Rect { return m.field }
 
+// MaxSpeed implements Model: every leg runs at the one speed (a walker
+// with speed <= 0 stands still).
+func (m *RandomWaypoint) MaxSpeed() float64 { return math.Max(m.speed, 0) }
+
 // Static places nodes uniformly at random and never moves them.
 type Static struct {
 	field     geo.Rect
@@ -197,6 +207,9 @@ func (s *Static) N() int { return len(s.positions) }
 // Field implements Model.
 func (s *Static) Field() geo.Rect { return s.field }
 
+// MaxSpeed implements Model.
+func (s *Static) MaxSpeed() float64 { return 0 }
+
 // GroupMobility is the reference point group mobility model [18]: nodes are
 // divided into groups; each group has a logical reference point performing
 // random waypoint movement over the field, and each member wanders within a
@@ -208,6 +221,7 @@ type GroupMobility struct {
 	local      []*walker // one per node, in a box centered at the origin
 	groupOf    []int
 	groupRange float64
+	speed      float64 // the reference walkers' speed; members add half
 }
 
 // NewGroupMobility creates a group mobility model: n nodes in numGroups
@@ -225,6 +239,7 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange, speed float6
 		local:      make([]*walker, n),
 		groupOf:    make([]int, n),
 		groupRange: groupRange,
+		speed:      speed,
 	}
 	// Shrink the reference field so member boxes stay mostly inside.
 	half := groupRange / 2
@@ -283,6 +298,11 @@ func (g *GroupMobility) N() int { return len(g.local) }
 
 // Field implements Model.
 func (g *GroupMobility) Field() geo.Rect { return g.field }
+
+// MaxSpeed implements Model: a member moves with its reference point
+// (speed) plus its own local walk (speed/2), and the field clamp never
+// lengthens a move.
+func (g *GroupMobility) MaxSpeed() float64 { return 1.5 * math.Max(g.speed, 0) }
 
 // Groups returns the number of groups.
 func (g *GroupMobility) Groups() int { return len(g.refs) }

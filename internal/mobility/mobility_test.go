@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -363,3 +364,80 @@ func BenchmarkPosition(b *testing.B) {
 }
 
 var benchSink geo.Point
+
+// preemptTrace sends node 0 on setdests that each cut the previous one
+// short, one of them toward a point outside the field, and node 2 back
+// and forth across the field; node 1 never moves.
+const preemptTrace = `
+$node_(0) set X_ 100.0
+$node_(0) set Y_ 100.0
+$node_(1) set X_ 400.0
+$node_(1) set Y_ 600.0
+$node_(2) set X_ 10.0
+$node_(2) set Y_ 10.0
+$ns_ at 0.5 "$node_(0) setdest 900.0 900.0 5.0"
+$ns_ at 3.25 "$node_(0) setdest 50.0 800.0 9.5"
+$ns_ at 4.0 "$node_(0) setdest 2000.0 -500.0 3.0"
+$ns_ at 40.0 "$node_(0) setdest 500.0 500.0 0.0"
+$ns_ at 1.0 "$node_(2) setdest 990.0 10.0 7.25"
+$ns_ at 1.5 "$node_(2) setdest 10.0 990.0 7.25"
+$ns_ at 60.0 "$node_(2) setdest 990.0 990.0 7.25"
+`
+
+// TestMaxSpeedBoundsDisplacement holds each model to its MaxSpeed: over
+// random (t, dt) with dt from 0 to 3 s, no node moves farther than
+// MaxSpeed·dt, up to a few ulp of the field's coordinates. medium's
+// broadcast sweep skips nodes on exactly this bound.
+func TestMaxSpeedBoundsDisplacement(t *testing.T) {
+	trace, err := ParseNS2(strings.NewReader(preemptTrace), field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		m     Model
+		speed float64
+	}{
+		{"rwp-0", NewRandomWaypoint(field, 20, 0, nil, rng.New(41)), 0},
+		{"rwp-2", NewRandomWaypoint(field, 20, 2, nil, rng.New(42)), 2},
+		{"rwp-8", NewRandomWaypoint(field, 20, 8, nil, rng.New(43)), 8},
+		// A 1600 m movement range on a 1000 m field: the reference field
+		// falls back to the whole field and members spill over its edge,
+		// so the clamp acts on many samples.
+		{"group-edge", NewGroupMobility(field, 20, 3, 1600, 8, nil, rng.New(44)), 12},
+		{"static", NewStatic(field, 20, rng.New(45)), 0},
+		{"ns2-preempted", trace, 9.5},
+	}
+	ulp := math.Nextafter(field.Max.X, math.Inf(1)) - field.Max.X
+	tol := 8 * ulp
+	draw := rng.New(46)
+	for _, c := range cases {
+		v := c.m.MaxSpeed()
+		if v != c.speed {
+			t.Errorf("%s: MaxSpeed = %v, want %v", c.name, v, c.speed)
+		}
+		onEdge := 0
+		for k := 0; k < 20000; k++ {
+			id := draw.Intn(c.m.N())
+			t0 := draw.Uniform(0, 120)
+			dt := draw.Uniform(0, 3)
+			switch k % 8 {
+			case 0:
+				dt = 0
+			case 1:
+				dt *= 1e-9
+			}
+			p, q := c.m.Position(id, t0), c.m.Position(id, t0+dt)
+			if d := p.Dist(q); d > v*dt+tol {
+				t.Fatalf("%s: node %d moved %v m in %v s from t=%v, bound %v·dt = %v",
+					c.name, id, d, dt, t0, v, v*dt)
+			}
+			if q.X == field.Min.X || q.X == field.Max.X || q.Y == field.Min.Y || q.Y == field.Max.Y {
+				onEdge++
+			}
+		}
+		if c.name == "group-edge" && onEdge == 0 {
+			t.Errorf("%s: no sample was clamped to the field edge", c.name)
+		}
+	}
+}

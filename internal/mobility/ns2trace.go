@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,6 +38,9 @@ type TraceModel struct {
 	field   geo.Rect
 	initial []geo.Point
 	legs    [][]traceLeg // per node, sorted by t0
+	// maxSpeed is the fastest setdest's speed. The script sets positions
+	// only before the run, so no node moves faster.
+	maxSpeed float64
 }
 
 // ParseNS2 reads an NS-2 setdest script. The node count is taken from the
@@ -142,6 +146,10 @@ func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 		ls := legs[id]
 		sort.SliceStable(ls, func(i, j int) bool { return ls[i].t0 < ls[j].t0 })
 		m.legs[id] = ls
+		for _, l := range ls {
+			// math.Max keeps a NaN speed, and a NaN bound prunes nothing.
+			m.maxSpeed = math.Max(m.maxSpeed, l.speed)
+		}
 	}
 	return m, nil
 }
@@ -194,3 +202,6 @@ func (m *TraceModel) N() int { return len(m.initial) }
 
 // Field implements Model.
 func (m *TraceModel) Field() geo.Rect { return m.field }
+
+// MaxSpeed implements Model.
+func (m *TraceModel) MaxSpeed() float64 { return m.maxSpeed }

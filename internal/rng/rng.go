@@ -13,10 +13,12 @@ import (
 	"math/rand"
 )
 
-// Source is a deterministic random stream. It wraps math/rand.Rand and adds
-// a few distribution helpers that the simulator needs. Source is not safe
-// for concurrent use; the discrete-event engine is single-threaded, and
-// parallel experiment runs each own their sources.
+// Source is a deterministic random stream. It wraps math/rand.Rand, over a
+// copy of math/rand's generator that seeds lazily (see lfSource), and adds
+// a few distribution helpers that the simulator needs. Each stream draws
+// what rand.New(rand.NewSource(x)) draws for its derived seed x. Source is
+// not safe for concurrent use; the discrete-event engine is
+// single-threaded, and parallel experiment runs each own their sources.
 type Source struct {
 	*rand.Rand
 	seed int64
@@ -25,7 +27,7 @@ type Source struct {
 
 // New returns the root stream for an experiment seed.
 func New(seed int64) *Source {
-	return &Source{Rand: rand.New(rand.NewSource(mix(seed))), seed: seed, name: ""}
+	return &Source{Rand: rand.New(newLFSource(mix(seed))), seed: seed, name: ""}
 }
 
 // Seed returns the seed this source was derived from.
@@ -45,7 +47,7 @@ func (s *Source) Split(name string) *Source {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(full))
 	child := mix(s.seed ^ int64(h.Sum64()))
-	return &Source{Rand: rand.New(rand.NewSource(child)), seed: s.seed, name: full}
+	return &Source{Rand: rand.New(newLFSource(child)), seed: s.seed, name: full}
 }
 
 // SplitIndex derives a child stream from an integer index, e.g. one stream
@@ -75,10 +77,6 @@ func (s *Source) Bernoulli(p float64) bool {
 	}
 	return s.Float64() < p
 }
-
-// Perm31 returns a pseudo-random permutation of [0, n) like rand.Perm but
-// is documented here for symmetry; kept for call-site clarity.
-func (s *Source) Perm31(n int) []int { return s.Perm(n) }
 
 // mix is SplitMix64's finalizer, used to decorrelate nearby seeds.
 func mix(x int64) int64 {
