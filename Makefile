@@ -27,11 +27,12 @@ test:
 	$(GO) test ./...
 
 # Race detection over the concurrency-bearing packages (the dynamic
-# backstop for the sharedstate analyzer): the harness worker pools, the sim
-# fork-join and the packages it fans out over on large fields (medium
-# position sweeps, node construction, mobility walkers; experiment's
-# TestParallelSweepsIdentical forces a real fork), and the live UDP daemons
-# (pump goroutines, coordinator).
+# backstop for the sharedstate analyzer): the campaign engine's worker pool
+# (TestSeedDeterminismParallel pins four workers), the sim fork-join and the
+# packages it fans out over on large fields (medium position sweeps, node
+# construction, mobility walkers; experiment's TestParallelSweepsIdentical
+# forces a real fork), and the live UDP daemons (pump goroutines,
+# coordinator).
 race:
 	$(GO) test -race ./internal/experiment ./internal/campaign ./internal/sim \
 		./internal/medium ./internal/node ./internal/mobility
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
+	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s
 
 # BENCH_pr*.json are committed history from the retired one-iteration
 # bench gate, not build outputs; nothing regenerates them, and clean only

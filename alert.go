@@ -31,6 +31,7 @@ package alert
 import (
 	"fmt"
 
+	"alertmanet/internal/campaign"
 	"alertmanet/internal/core"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
@@ -321,13 +322,23 @@ type Aggregate struct {
 	RouteSimilarity      Summary
 }
 
-// RunSeeds runs the workload under `seeds` independent seeds (the paper
-// uses 30) and aggregates the metrics.
+// RunSeeds runs the workload under seeds 1..seeds (the paper uses 30), as
+// one batch on a campaign engine, and aggregates the metrics.
 func RunSeeds(cfg Config, seeds int) (Aggregate, error) {
-	a, err := experiment.RunSeeds(cfg.scenario(), seeds)
+	sc := cfg.scenario()
+	if err := sc.Validate(); err != nil {
+		return Aggregate{}, err
+	}
+	cells := make([]experiment.Scenario, seeds)
+	for i := range cells {
+		cells[i] = sc
+		cells[i].Seed = int64(i + 1)
+	}
+	results, err := (&campaign.Engine{}).RunBatch(cells)
 	if err != nil {
 		return Aggregate{}, err
 	}
+	a := experiment.AggregateResults(results)
 	return Aggregate{
 		DeliveryRate:         sum(a.DeliveryRate),
 		MeanLatencySeconds:   sum(a.MeanLatency),

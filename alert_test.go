@@ -86,6 +86,43 @@ func TestRunSeedsFacade(t *testing.T) {
 	if agg.MeanLatencySeconds.CI95 < 0 || agg.HopsPerPacket.StdDev < 0 {
 		t.Fatal("spread stats invalid")
 	}
+
+	cfg.Protocol = "carrier-pigeon"
+	if _, err := RunSeeds(cfg, 2); err == nil {
+		t.Fatal("RunSeeds accepted an unknown protocol")
+	}
+}
+
+// TestRunSeedsMatchesSerial: RunSeeds runs seeds 1..N on the campaign
+// engine and aggregates exactly what serial per-seed experiment.Run calls
+// produce.
+func TestRunSeedsMatchesSerial(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Duration = 15
+	agg, err := RunSeeds(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := make([]experiment.Result, 3)
+	for i := range serial {
+		sc := cfg.scenario()
+		sc.Seed = int64(i + 1)
+		if serial[i], err = experiment.Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := experiment.AggregateResults(serial)
+	want := Aggregate{
+		DeliveryRate:         sum(a.DeliveryRate),
+		MeanLatencySeconds:   sum(a.MeanLatency),
+		HopsPerPacket:        sum(a.HopsPerPacket),
+		MeanRandomForwarders: sum(a.MeanRFs),
+		ParticipatingNodes:   sum(a.Participants),
+		RouteSimilarity:      sum(a.RouteJaccard),
+	}
+	if agg != want {
+		t.Fatalf("RunSeeds aggregate differs from serial runs:\n%+v\nvs\n%+v", agg, want)
+	}
 }
 
 func TestNetworkInteractive(t *testing.T) {

@@ -8,16 +8,11 @@
 package alert
 
 import (
-	"io"
-	"runtime"
 	"testing"
 
 	"alertmanet/internal/analysis"
 	"alertmanet/internal/campaign"
 	"alertmanet/internal/experiment"
-	"alertmanet/internal/geo"
-	"alertmanet/internal/live"
-	"alertmanet/internal/telemetry"
 )
 
 // sink prevents dead-code elimination of benchmark results.
@@ -86,14 +81,14 @@ func BenchmarkFig9bRemainingNodes(b *testing.B) {
 // participating nodes over 20 packets, ALERT vs GPSR at 100 and 200 nodes.
 func BenchmarkFig10aParticipatingNodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig10a(experiment.DirectRunner{}, 20, 1))
+		benchFig(b)(experiment.Fig10a(&campaign.Engine{}, 20, 1))
 	}
 }
 
 // BenchmarkFig10bParticipantsVsN regenerates Fig. 10b.
 func BenchmarkFig10bParticipantsVsN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig10b(experiment.DirectRunner{}, 20, 1))
+		benchFig(b)(experiment.Fig10b(&campaign.Engine{}, 20, 1))
 	}
 }
 
@@ -101,7 +96,7 @@ func BenchmarkFig10bParticipantsVsN(b *testing.B) {
 // forwarders versus partitions.
 func BenchmarkFig11RandomForwarders(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig1(b)(experiment.Fig11(experiment.DirectRunner{}, 7, 1))
+		benchFig1(b)(experiment.Fig11(&campaign.Engine{}, 7, 1))
 	}
 }
 
@@ -110,7 +105,7 @@ func BenchmarkFig11RandomForwarders(b *testing.B) {
 func BenchmarkFig12RemainingNodes(b *testing.B) {
 	times := []float64{0, 10, 20, 30, 40}
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig12(experiment.DirectRunner{}, times, 2))
+		benchFig(b)(experiment.Fig12(&campaign.Engine{}, times, 2))
 	}
 }
 
@@ -118,7 +113,7 @@ func BenchmarkFig12RemainingNodes(b *testing.B) {
 func BenchmarkFig13aRemainingBySpeed(b *testing.B) {
 	times := []float64{0, 10, 20, 30}
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig13a(experiment.DirectRunner{}, times, 2))
+		benchFig(b)(experiment.Fig13a(&campaign.Engine{}, times, 2))
 	}
 }
 
@@ -126,7 +121,7 @@ func BenchmarkFig13aRemainingBySpeed(b *testing.B) {
 // to keep 4 nodes in the zone after 10 s, versus speed.
 func BenchmarkFig13bRequiredDensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig1(b)(experiment.Fig13b(experiment.DirectRunner{}, 4, []float64{2, 8}, 1))
+		benchFig1(b)(experiment.Fig13b(&campaign.Engine{}, 4, []float64{2, 8}, 1))
 	}
 }
 
@@ -134,14 +129,14 @@ func BenchmarkFig13bRequiredDensity(b *testing.B) {
 // for all four protocols.
 func BenchmarkFig14aLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig14a(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig14a(&campaign.Engine{}, 1))
 	}
 }
 
 // BenchmarkFig14bLatencyVsSpeed regenerates Fig. 14b.
 func BenchmarkFig14bLatencyVsSpeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig14b(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig14b(&campaign.Engine{}, 1))
 	}
 }
 
@@ -149,14 +144,14 @@ func BenchmarkFig14bLatencyVsSpeed(b *testing.B) {
 // size, including ALARM's dissemination series.
 func BenchmarkFig15aHops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig15a(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig15a(&campaign.Engine{}, 1))
 	}
 }
 
 // BenchmarkFig15bHopsVsSpeed regenerates Fig. 15b.
 func BenchmarkFig15bHopsVsSpeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig15b(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig15b(&campaign.Engine{}, 1))
 	}
 }
 
@@ -164,7 +159,7 @@ func BenchmarkFig15bHopsVsSpeed(b *testing.B) {
 // network size.
 func BenchmarkFig16aDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig16a(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig16a(&campaign.Engine{}, 1))
 	}
 }
 
@@ -172,7 +167,7 @@ func BenchmarkFig16aDelivery(b *testing.B) {
 // destination updates.
 func BenchmarkFig16bDeliveryVsSpeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig16b(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig16b(&campaign.Engine{}, 1))
 	}
 }
 
@@ -180,7 +175,7 @@ func BenchmarkFig16bDeliveryVsSpeed(b *testing.B) {
 // random waypoint versus group mobility.
 func BenchmarkFig17MobilityModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchFig(b)(experiment.Fig17(experiment.DirectRunner{}, 1))
+		benchFig(b)(experiment.Fig17(&campaign.Engine{}, 1))
 	}
 }
 
@@ -302,52 +297,6 @@ func BenchmarkAblationHelloInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolThroughput measures raw simulator throughput per
-// protocol: one default 100-second workload per iteration.
-func BenchmarkProtocolThroughput(b *testing.B) {
-	for _, p := range []experiment.ProtocolName{
-		experiment.ALERT, experiment.GPSR, experiment.ALARM, experiment.AO2P,
-	} {
-		p := p
-		b.Run(string(p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sc := experiment.DefaultScenario()
-				sc.Seed = int64(i + 1)
-				sc.Protocol = p
-				sink = experiment.MustRun(sc)
-			}
-		})
-	}
-}
-
-// BenchmarkTelemetryOverhead times the observability layer's cost contract
-// (DESIGN.md, "Observability") as an ungated smoke; TestNilTapZeroAlloc is
-// what pins it. "disabled" runs a full default ALERT scenario with the tap
-// nil — every emit site reduces to a branch — and should stay within noise
-// of the pre-telemetry simulator; "enabled" streams every layer to a
-// discarding writer, the cost a traced run pays.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sc := experiment.DefaultScenario()
-			sc.Seed = int64(i + 1)
-			sink = experiment.MustRun(sc)
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sc := experiment.DefaultScenario()
-			sc.Seed = int64(i + 1)
-			tap := telemetry.New(io.Discard, telemetry.LayerAll)
-			r, _, err := experiment.RunWorld(sc, tap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink = r
-		}
-	})
-}
-
 func benchName(prefix string, v int) string {
 	return prefix + "=" + itoa(v)
 }
@@ -459,90 +408,4 @@ func BenchmarkEnergyPerDelivered(b *testing.B) {
 			b.ReportMetric(e/float64(b.N)*1e3, "mJ/pkt")
 		})
 	}
-}
-
-// BenchmarkLargeFieldThroughput measures the engine on a 10k-node field:
-// GPSR (the pure-geographic hot path) on a 7000 m square with light CBR
-// traffic. The field is far above the fork floor, so world construction and
-// the position sweeps run on every CPU (sim.For); on a single-CPU runner they
-// stay serial. The run is byte-identical either way, so events/s is a clean
-// measure of the parallel sweeps (see EXPERIMENTS.md, "Parallel sweeps").
-func BenchmarkLargeFieldThroughput(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		sc := experiment.DefaultScenario()
-		sc.Protocol = experiment.GPSR
-		sc.N = 10000
-		sc.Field = geo.Rect{Max: geo.Point{X: 7000, Y: 7000}}
-		sc.Pairs = 40
-		sc.Duration = 5
-		sc.DrainTime = 2
-		sc.Seed = int64(i + 1)
-		res, w, err := experiment.RunWorld(sc, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += w.Eng.Processed()
-		sink = res
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkCampaignThroughput measures the campaign engine's end-to-end
-// cell throughput at full parallelism — the cells/minute figure EXPERIMENTS.md
-// quotes for `make figures` — with no cache or store, so the number is pure
-// scheduling plus simulation. Each iteration uses a fresh engine (the memo
-// would otherwise make every iteration after the first free).
-func BenchmarkCampaignThroughput(b *testing.B) {
-	cells := make([]experiment.Scenario, 8)
-	for i := range cells {
-		sc := experiment.DefaultScenario()
-		sc.N = 100
-		sc.Duration = 20
-		sc.Seed = int64(i + 1)
-		cells[i] = sc
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := &campaign.Engine{Jobs: runtime.NumCPU()}
-		res, err := eng.RunBatch(cells)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = res
-	}
-	b.ReportMetric(float64(b.N*len(cells))/b.Elapsed().Minutes(), "cells/min")
-}
-
-// BenchmarkLiveLoopbackThroughput measures the live data plane: a 25-node
-// static fleet of real UDP daemons on loopback runs a 10-second emulated
-// CBR scenario at timescale 0 minus the wall-clock march (timescale 0.01
-// compresses it to ~150 ms), and the metric is datagrams through the
-// sockets per wall second — the envelope codec, pump goroutines, emulated
-// medium and router all on the measured path.
-func BenchmarkLiveLoopbackThroughput(b *testing.B) {
-	sc := experiment.DefaultScenario()
-	sc.Protocol = experiment.ALERT
-	sc.N = 25
-	sc.Field = geo.Rect{Max: geo.Point{X: 600, Y: 600}}
-	sc.Mobility = experiment.Static
-	sc.Duration = 10
-	sc.DrainTime = 2
-	sc.Pairs = 2
-	sc.Interval = 2
-	sc.LocUpdates = false
-	var datagrams uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, err := live.RunFleet(sc, 0.01)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.Delivered == 0 {
-			b.Fatal("live bench fleet delivered nothing")
-		}
-		datagrams += sum.Counters.TxDatagrams
-		sink = sum
-	}
-	b.ReportMetric(float64(datagrams)/b.Elapsed().Seconds(), "frames/s")
 }

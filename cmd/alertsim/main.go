@@ -28,8 +28,10 @@ import (
 	rtrace "runtime/trace"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"alertmanet/internal/campaign"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/live"
@@ -263,16 +265,31 @@ func printResult(stdout io.Writer, r experiment.Result) {
 	fmt.Fprintf(stdout, "energy per delivered:  %.2f mJ\n", r.EnergyPerDelivered*1e3)
 }
 
-// runSeeds runs the scenario at seeds 1..seeds in the simulator and prints
-// each metric's mean and 95% confidence interval.
+// runSeeds runs the scenario at seeds 1..seeds in the simulator, as one
+// batch on a campaign engine, and prints each metric's mean and 95%
+// confidence interval. With progress, each seed that finishes prints its
+// cell label, (done/total) and wall seconds; a failed seed's error is
+// returned instead.
 func runSeeds(stdout io.Writer, sc experiment.Scenario, seeds int, progress bool) error {
-	done := 0
-	results, err := experiment.RunParallelProgress(sc, seeds, func(seed int, r experiment.Result) {
-		if done++; progress {
-			fmt.Fprintf(stdout, "seed %3d done (%d/%d): delivery %.4f, latency %.2f ms\n",
-				seed, done, seeds, r.DeliveryRate, r.MeanLatency*1e3)
+	cells := make([]experiment.Scenario, seeds)
+	for i := range cells {
+		cells[i] = sc
+		cells[i].Seed = int64(i + 1)
+	}
+	eng := &campaign.Engine{}
+	if progress {
+		eng.Expect(seeds)
+		var mu sync.Mutex // OnCell fires on the engine's workers
+		eng.OnCell = func(ev campaign.CellEvent) {
+			if ev.Err != nil {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(stdout, "%s done (%d/%d) in %.2fs\n", ev.Label, ev.Done, ev.Total, ev.Seconds)
 		}
-	})
+	}
+	results, err := eng.RunBatch(cells)
 	if err != nil {
 		return err
 	}

@@ -28,17 +28,29 @@ func smallCells(n int) []experiment.Scenario {
 	return cells
 }
 
+// serialRuns executes the cells one by one through experiment.Run, the
+// reference every engine result must equal bit for bit.
+func serialRuns(t *testing.T, cells []experiment.Scenario) []experiment.Result {
+	t.Helper()
+	out := make([]experiment.Result, len(cells))
+	for i, sc := range cells {
+		r, err := experiment.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // TestEngineMatchesDirect pins the engine's whole persistence stack to the
-// direct path: the same cells through (a) DirectRunner, (b) a fresh engine
-// with store+cache, and (c) a second engine resolving purely from that
-// cache, must yield identical results — i.e. a Result survives the JSONL
-// round trip bit-for-bit, +Inf included.
+// direct path: the same cells through (a) serial experiment.Run, (b) a
+// fresh engine with store+cache, and (c) a second engine resolving purely
+// from that cache, must yield identical results — i.e. a Result survives
+// the JSONL round trip bit-for-bit, +Inf included.
 func TestEngineMatchesDirect(t *testing.T) {
 	cells := smallCells(4)
-	direct, err := experiment.DirectRunner{}.RunBatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := serialRuns(t, cells)
 
 	cacheDir := t.TempDir()
 	cache, err := OpenCache(cacheDir)
@@ -69,6 +81,38 @@ func TestEngineMatchesDirect(t *testing.T) {
 	}
 	if st := cold.Snapshot(); st.Executed != 0 || st.CacheHits != len(cells) {
 		t.Fatalf("cold engine should resolve all from cache, got %+v", st)
+	}
+}
+
+// TestSeedDeterminismParallel is the regression test for the determinism
+// contract alertlint enforces statically: results must not depend on
+// scheduling. Seeds 1-4 of one scenario run twice on a four-worker engine
+// (four workers overlap even on a one-CPU machine, so the race detector
+// sees concurrent runs), and each seed's Result equals the other sweep's
+// and a serial experiment.Run's, bit for bit.
+func TestSeedDeterminismParallel(t *testing.T) {
+	cells := make([]experiment.Scenario, 4)
+	for i := range cells {
+		cells[i] = experiment.DefaultScenario()
+		cells[i].Duration = 20
+		cells[i].Seed = int64(i + 1)
+	}
+	var sweeps [2][]experiment.Result
+	for i := range sweeps {
+		res, err := (&Engine{Jobs: 4}).RunBatch(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps[i] = res
+	}
+	if !reflect.DeepEqual(sweeps[0], sweeps[1]) {
+		t.Fatalf("two parallel sweeps disagree:\n%+v\nvs\n%+v", sweeps[0], sweeps[1])
+	}
+	for i, seq := range serialRuns(t, cells) {
+		if !reflect.DeepEqual(seq, sweeps[0][i]) {
+			t.Fatalf("seed %d: serial and parallel results differ:\n%+v\nvs\n%+v",
+				cells[i].Seed, seq, sweeps[0][i])
+		}
 	}
 }
 
@@ -188,11 +232,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 
 	// And the resumed results equal a direct run.
-	direct, err := experiment.DirectRunner{}.RunBatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, res) {
+	if direct := serialRuns(t, cells); !reflect.DeepEqual(direct, res) {
 		t.Fatal("resumed results differ from direct execution")
 	}
 }

@@ -1,16 +1,19 @@
 package campaign
 
-// The acceptance test for the campaign rewire: every figure rendered
-// through the full Engine — worker pool, JSONL store, content-addressed
-// cache — must reproduce the exact series digests captured from the
-// pre-campaign figure code (internal/experiment/testdata/figures_golden.json,
-// blessed there). A second engine then resolves everything from the cache
-// alone and must match again: the JSON wire format is value-exact.
+// The figure-golden contract: every figure rendered through the full
+// Engine — worker pool, JSONL store, content-addressed cache — must
+// reproduce the exact series digests pinned in
+// internal/experiment/testdata/figures_golden.json, which were captured
+// from the pre-campaign figure code (TestFigureGoldenSeries, which also
+// takes the -update re-bless). An engine resolving everything from the
+// cache alone must match again: the JSON wire format is value-exact
+// (TestEngineFigureGoldenSeries).
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"testing"
@@ -19,9 +22,11 @@ import (
 	"alertmanet/internal/experiment"
 )
 
+var update = flag.Bool("update", false, "rewrite the figure golden corpus from current behaviour")
+
 const figuresGoldenPath = "../experiment/testdata/figures_golden.json"
 
-// figureDigest mirrors the experiment package's seriesDigest rendering.
+// figureDigest hashes labeled series into the figure-golden fingerprint.
 func figureDigest(series []analysis.Series) string {
 	h := sha256.New()
 	for _, s := range series {
@@ -76,22 +81,41 @@ func engineFigures(t *testing.T, r experiment.Runner) map[string]string {
 	return got
 }
 
-// TestEngineFigureGoldenSeries: the full engine reproduces the pre-campaign
-// figure output exactly, and a cache-only engine reproduces it again from
-// the serialized records.
-func TestEngineFigureGoldenSeries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full figure suite twice")
-	}
+// loadFigureGoldens reads the pinned digests.
+func loadFigureGoldens(t *testing.T) map[string]string {
+	t.Helper()
 	data, err := os.ReadFile(figuresGoldenPath)
 	if err != nil {
-		t.Fatalf("read figure golden corpus (bless it in internal/experiment with -update): %v", err)
+		t.Fatalf("read figure golden corpus (run with -update to create): %v", err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("parse %s: %v", figuresGoldenPath, err)
 	}
+	return want
+}
 
+// checkFigureGoldens reports every digest of one pass that differs from,
+// or is missing in, the golden corpus.
+func checkFigureGoldens(t *testing.T, phase string, want, got map[string]string) {
+	t.Helper()
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s/%s: digest %s, golden %s — figure output changed",
+				phase, name, got[name], w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s/%s: missing from golden corpus; re-bless with -update", phase, name)
+		}
+	}
+}
+
+// TestFigureGoldenSeries: the full engine reproduces the pinned figure
+// output exactly. Re-bless with -update only for an intended behaviour
+// change.
+func TestFigureGoldenSeries(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -101,24 +125,41 @@ func TestEngineFigureGoldenSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-
-	check := func(phase string, r experiment.Runner) {
-		got := engineFigures(t, r)
-		for name, w := range want {
-			if got[name] != w {
-				t.Errorf("%s/%s: digest %s, golden %s — engine changed figure output",
-					phase, name, got[name], w)
-			}
-		}
-	}
 	hot := &Engine{Store: store, Cache: cache}
-	check("engine", hot)
+	got := engineFigures(t, hot)
 	if st := hot.Snapshot(); st.Executed == 0 {
 		t.Fatal("engine pass should have executed cells")
 	}
 
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(figuresGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("re-blessed %s", figuresGoldenPath)
+		return
+	}
+	checkFigureGoldens(t, "engine", loadFigureGoldens(t), got)
+}
+
+// TestEngineFigureGoldenSeries: after an engine pass fills the cache, a
+// cache-only engine reproduces the pinned figure output from the
+// serialized records alone.
+func TestEngineFigureGoldenSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every figure twice")
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineFigures(t, &Engine{Cache: cache})
+
 	cold := &Engine{Cache: cache}
-	check("cache", cold)
+	checkFigureGoldens(t, "cache", loadFigureGoldens(t), engineFigures(t, cold))
 	if st := cold.Snapshot(); st.Executed != 0 {
 		t.Fatalf("cache pass should execute nothing, got %+v", st)
 	}

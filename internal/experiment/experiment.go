@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
 
 	"alertmanet/internal/alarm"
 	"alertmanet/internal/ao2p"
@@ -159,9 +158,9 @@ func DefaultScenario() Scenario {
 	}
 }
 
-// Validate checks that the scenario describes a runnable experiment. Build,
-// Run and RunSeeds call it, so a bad configuration surfaces as an error
-// before any simulation state exists.
+// Validate checks that the scenario describes a runnable experiment. Build
+// and Run call it, so a bad configuration surfaces as an error before any
+// simulation state exists.
 func (sc Scenario) Validate() error {
 	switch sc.Protocol {
 	case ALERT, GPSR, ALARM, AO2P, ZAP:
@@ -664,59 +663,6 @@ type Aggregate struct {
 	RouteJaccard  stats.Summary
 }
 
-// RunParallel executes the scenario under seeds different seeds (1..seeds)
-// concurrently — every run owns its engine, random streams and world, so
-// they are fully independent — and returns the results in seed order, which
-// keeps all downstream aggregation deterministic. The scenario is validated
-// once up front; with a valid scenario the only per-run failure mode left
-// is an unreadable NS-2 trace, and the failed seeds' errors are returned
-// joined in seed order.
-func RunParallel(sc Scenario, seeds int) ([]Result, error) {
-	return RunParallelProgress(sc, seeds, nil)
-}
-
-// RunParallelProgress is RunParallel with a per-seed completion callback:
-// progress(seed, result) fires once per finished run, serialized under a
-// mutex, in completion order (not seed order — that is the point of a
-// progress signal). A nil progress is RunParallel. The returned slice is
-// still in seed order.
-func RunParallelProgress(sc Scenario, seeds int, progress func(seed int, r Result)) ([]Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]Result, seeds)
-	var progressMu sync.Mutex
-	err := forEachCell(seeds, 0, func(i int) error {
-		run := sc
-		run.Seed = int64(i + 1)
-		r, err := Run(run)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		if progress != nil {
-			progressMu.Lock()
-			progress(i+1, r)
-			progressMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunSeeds runs the scenario under `seeds` different seeds (the paper uses
-// 30) and aggregates with 95% confidence intervals.
-func RunSeeds(sc Scenario, seeds int) (Aggregate, error) {
-	results, err := RunParallel(sc, seeds)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	return AggregateResults(results), nil
-}
-
 // AggregateResults summarizes per-seed results with 95% confidence
 // intervals, in slice order.
 func AggregateResults(results []Result) Aggregate {
@@ -737,14 +683,4 @@ func AggregateResults(results []Result) Aggregate {
 		Participants:  parts.Summarize(),
 		RouteJaccard:  jac.Summarize(),
 	}
-}
-
-// MustRunSeeds is RunSeeds for callers whose scenario is known good; it
-// panics on error.
-func MustRunSeeds(sc Scenario, seeds int) Aggregate {
-	agg, err := RunSeeds(sc, seeds)
-	if err != nil {
-		panic(err)
-	}
-	return agg
 }

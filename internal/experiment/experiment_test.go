@@ -101,7 +101,7 @@ func TestRouteAnonymity(t *testing.T) {
 // TestFig10aShape: ALERT accumulates many more actual participating nodes
 // than GPSR, and more nodes at 200 than at 100 (Fig. 10a's reading).
 func TestFig10aShape(t *testing.T) {
-	series, err := Fig10a(DirectRunner{}, 20, 2)
+	series, err := Fig10a(newMemoRunner(), 20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,46 @@ func TestFig10aShape(t *testing.T) {
 	}
 }
 
+// shortRunner wraps a Runner and truncates every Cumulative series, forcing
+// the short-run path that the old counts[i] > 0 guard silently absorbed.
+type shortRunner struct{ inner Runner }
+
+func (s shortRunner) RunBatch(cells []Scenario) ([]Result, error) {
+	results, err := s.inner.RunBatch(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range results {
+		if len(results[i].Cumulative) > 1 {
+			results[i].Cumulative = results[i].Cumulative[:1]
+		}
+	}
+	return results, nil
+}
+
+func (s shortRunner) RemainingBatch(cells []RemainingSpec) ([]RemainingResult, error) {
+	return s.inner.RemainingBatch(cells)
+}
+
+// TestFig10ShortRunReported: a cell that recorded fewer packets than the
+// figure needs is a reported error naming the cell, not a silently skewed
+// mean.
+func TestFig10ShortRunReported(t *testing.T) {
+	r := shortRunner{inner: newMemoRunner()}
+	if _, err := Fig10a(r, 5, 1); err == nil {
+		t.Fatal("Fig10a: want short-run cell error, got nil")
+	} else if want := "short-run cell"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("Fig10a error %q does not mention %q", err, want)
+	}
+	if _, err := Fig10b(r, 5, 1); err == nil {
+		t.Fatal("Fig10b: want short-run cell error, got nil")
+	}
+}
+
 // TestFig11Shape: simulated RFs grow with H (Fig. 11, matching Fig. 7b's
 // linear analysis).
 func TestFig11Shape(t *testing.T) {
-	s, err := Fig11(DirectRunner{}, 6, 1)
+	s, err := Fig11(newMemoRunner(), 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +196,7 @@ func TestFig11Shape(t *testing.T) {
 // (Fig. 12).
 func TestFig12Shape(t *testing.T) {
 	times := []float64{0, 10, 20, 40}
-	series, err := Fig12(DirectRunner{}, times, 2)
+	series, err := Fig12(newMemoRunner(), times, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +218,7 @@ func TestFig12Shape(t *testing.T) {
 // more than H=5 (Fig. 13a).
 func TestFig13aShape(t *testing.T) {
 	times := []float64{0, 10, 20}
-	series, err := Fig13a(DirectRunner{}, times, 2)
+	series, err := Fig13a(newMemoRunner(), times, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +252,7 @@ func TestFig13aShape(t *testing.T) {
 
 // TestFig13bShape: required density grows with speed (Fig. 13b).
 func TestFig13bShape(t *testing.T) {
-	s, err := Fig13b(DirectRunner{}, 4, []float64{2, 8}, 1)
+	s, err := Fig13b(newMemoRunner(), 4, []float64{2, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +297,7 @@ func TestFig16bShape(t *testing.T) {
 // TestFig17Shape: group mobility increases ALERT's delay, and 5 groups
 // (less randomized) increase it more than 10 groups (Fig. 17).
 func TestFig17Shape(t *testing.T) {
-	series, err := Fig17(DirectRunner{}, 3)
+	series, err := Fig17(newMemoRunner(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +318,20 @@ func TestFig17Shape(t *testing.T) {
 	}
 }
 
+// TestRunSeedsAggregates: AggregateResults over seeds 1-3 counts every
+// seed, keeps the delivery mean a rate and the spread non-negative.
 func TestRunSeedsAggregates(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Duration = 20
-	agg := MustRunSeeds(sc, 3)
+	cells := make([]Scenario, 3)
+	for i := range cells {
+		cells[i] = DefaultScenario()
+		cells[i].Duration = 20
+		cells[i].Seed = int64(i + 1)
+	}
+	runs, err := newMemoRunner().RunBatch(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := AggregateResults(runs)
 	if agg.DeliveryRate.N != 3 {
 		t.Fatalf("aggregate N = %d", agg.DeliveryRate.N)
 	}
@@ -330,42 +376,6 @@ func TestDeterministicRuns(t *testing.T) {
 	c := MustRun(sc)
 	if a.MeanLatency == c.MeanLatency && a.Participants == c.Participants {
 		t.Fatal("different seeds produced identical results")
-	}
-}
-
-// TestSeedDeterminismParallel is the regression test for the determinism
-// contract alertlint enforces statically: results must not depend on
-// scheduling. A seed's Result is identical whether the run executes alone
-// or concurrently with other seeds on RunParallel's worker pool, and two
-// parallel sweeps agree with each other.
-func TestSeedDeterminismParallel(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Duration = 20
-	const seeds = 4
-
-	par1, err := RunParallel(sc, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par2, err := RunParallel(sc, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par1, par2) {
-		t.Fatalf("two parallel sweeps disagree:\n%+v\nvs\n%+v", par1, par2)
-	}
-
-	for i := 0; i < seeds; i++ {
-		run := sc
-		run.Seed = int64(i + 1) // RunParallel assigns seeds 1..N
-		seq, err := Run(run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par1[i]) {
-			t.Fatalf("seed %d: sequential and parallel results differ:\n%+v\nvs\n%+v",
-				run.Seed, seq, par1[i])
-		}
 	}
 }
 
@@ -532,26 +542,8 @@ func TestLatencyPercentilesAndJitter(t *testing.T) {
 	}
 }
 
-func TestRunSeedsParallelMatchesSerial(t *testing.T) {
-	// Parallel RunSeeds must aggregate exactly what serial per-seed Run
-	// calls produce.
-	sc := DefaultScenario()
-	sc.Duration = 15
-	agg := MustRunSeeds(sc, 3)
-	var manual stats.Sample
-	for s := 1; s <= 3; s++ {
-		run := sc
-		run.Seed = int64(s)
-		manual.Add(MustRun(run).DeliveryRate)
-	}
-	if agg.DeliveryRate.Mean != manual.Mean() {
-		t.Fatalf("parallel mean %v != serial mean %v",
-			agg.DeliveryRate.Mean, manual.Mean())
-	}
-}
-
 func TestCompareProtocols(t *testing.T) {
-	comps, err := CompareProtocols(DirectRunner{}, []ProtocolName{ALERT, GPSR}, 3, 20)
+	comps, err := CompareProtocols(newMemoRunner(), []ProtocolName{ALERT, GPSR}, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,9 +736,6 @@ func TestBuildErrorsOnBadConfig(t *testing.T) {
 	}
 	if _, err := Run(sc); err == nil {
 		t.Fatal("Run accepted an unknown protocol")
-	}
-	if _, err := RunSeeds(sc, 2); err == nil {
-		t.Fatal("RunSeeds accepted an unknown protocol")
 	}
 	sc = DefaultScenario()
 	sc.Mobility = NS2Trace

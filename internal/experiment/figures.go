@@ -1,9 +1,9 @@
 // Figure generators: one function per evaluation figure (Figs. 10-17) plus
 // the remaining-node mobility experiments. Each figure enumerates every
 // (Scenario, seed) cell it needs, executes the whole batch through a Runner
-// (DirectRunner in-process, or internal/campaign's caching, resumable
-// Engine), and reduces the results into labeled series in the same shape
-// the paper plots. The Figures registry exposes the plan/render split so
+// (internal/campaign's Engine, with or without its store and cache), and
+// reduces the results into labeled series in the same shape the paper
+// plots. The Figures registry exposes the plan/render split so
 // cmd/campaign can run the union of every figure's cells as one campaign.
 
 package experiment

@@ -8,14 +8,17 @@ package experiment
 // testdata/attacks_golden.json.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 )
 
-// memoRunner executes each distinct cell once through DirectRunner and
-// records the key of every cell a render requests.
+// memoRunner executes each distinct cell once, serially, and records the
+// key of every cell a render requests.
 type memoRunner struct {
 	runs  map[string]Result
 	rems  map[string]RemainingResult
@@ -23,53 +26,40 @@ type memoRunner struct {
 }
 
 func newMemoRunner() *memoRunner {
-	return &memoRunner{runs: map[string]Result{}, rems: map[string]RemainingResult{}}
+	return &memoRunner{runs: map[string]Result{}, rems: map[string]RemainingResult{},
+		asked: map[string]bool{}}
 }
 
 func (m *memoRunner) RunBatch(cells []Scenario) ([]Result, error) {
-	var todo []Scenario
-	for _, sc := range cells {
+	out := make([]Result, len(cells))
+	for i, sc := range cells {
 		k := sc.Hash()
 		m.asked[k] = true
 		if _, ok := m.runs[k]; !ok {
-			m.runs[k] = Result{}
-			todo = append(todo, sc)
+			r, err := Run(sc)
+			if err != nil {
+				return nil, err
+			}
+			m.runs[k] = r
 		}
-	}
-	res, err := DirectRunner{}.RunBatch(todo)
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range todo {
-		m.runs[sc.Hash()] = res[i]
-	}
-	out := make([]Result, len(cells))
-	for i, sc := range cells {
-		out[i] = m.runs[sc.Hash()]
+		out[i] = m.runs[k]
 	}
 	return out, nil
 }
 
 func (m *memoRunner) RemainingBatch(cells []RemainingSpec) ([]RemainingResult, error) {
-	var todo []RemainingSpec
-	for _, spec := range cells {
+	out := make([]RemainingResult, len(cells))
+	for i, spec := range cells {
 		k := spec.Hash()
 		m.asked[k] = true
 		if _, ok := m.rems[k]; !ok {
-			m.rems[k] = RemainingResult{}
-			todo = append(todo, spec)
+			r, err := RunRemaining(spec)
+			if err != nil {
+				return nil, err
+			}
+			m.rems[k] = r
 		}
-	}
-	res, err := DirectRunner{}.RemainingBatch(todo)
-	if err != nil {
-		return nil, err
-	}
-	for i, spec := range todo {
-		m.rems[spec.Hash()] = res[i]
-	}
-	out := make([]RemainingResult, len(cells))
-	for i, spec := range cells {
-		out[i] = m.rems[spec.Hash()]
+		out[i] = m.rems[k]
 	}
 	return out, nil
 }
@@ -166,11 +156,15 @@ func TestAttackGoldenSeries(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not in the registry", name)
 		}
-		series, err := f.Render(DirectRunner{}, 2)
+		series, err := f.Render(newMemoRunner(), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = seriesDigest(series)
+		h := sha256.New()
+		for _, s := range series {
+			fmt.Fprintf(h, "%s|%v|%v|%v\n", s.Label, s.X, s.Y, s.Err)
+		}
+		got[name] = hex.EncodeToString(h.Sum(nil))
 	}
 
 	if *update {

@@ -3,9 +3,9 @@
 // needs, hands the whole batch to a Runner, and reduces the returned
 // Results; how the cells actually execute — serially, across a worker pool,
 // against a content-addressed cache, resumed from a killed campaign — is
-// the Runner's business. DirectRunner is the dependency-free in-process
-// implementation; internal/campaign's Engine layers persistence, caching
-// and resume on the same interface.
+// the Runner's business. internal/campaign's Engine is the one executor:
+// its zero value runs a batch across a worker pool, and a Store and Cache
+// add persistence, deduplication and resume.
 
 package experiment
 
@@ -13,10 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"alertmanet/internal/geo"
 	"alertmanet/internal/mobility"
@@ -117,77 +114,4 @@ func RunRemaining(spec RemainingSpec) (RemainingResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// DirectRunner executes cells in-process across a bounded worker pool, with
-// no caching or persistence — the moral equivalent of the pre-campaign
-// mustRunParallel loops, behind the Runner seam. Jobs 0 means GOMAXPROCS.
-type DirectRunner struct {
-	Jobs int
-}
-
-// RunBatch executes every cell and returns results in input order.
-func (d DirectRunner) RunBatch(cells []Scenario) ([]Result, error) {
-	results := make([]Result, len(cells))
-	err := forEachCell(len(cells), d.Jobs, func(i int) error {
-		r, err := Run(cells[i])
-		if err != nil {
-			return fmt.Errorf("cell %d (%s seed %d): %w", i, cells[i].Protocol, cells[i].Seed, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RemainingBatch executes every mobility-only cell in input order.
-func (d DirectRunner) RemainingBatch(cells []RemainingSpec) ([]RemainingResult, error) {
-	results := make([]RemainingResult, len(cells))
-	err := forEachCell(len(cells), d.Jobs, func(i int) error {
-		r, err := RunRemaining(cells[i])
-		if err != nil {
-			return fmt.Errorf("remaining cell %d (seed %d): %w", i, cells[i].Seed, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// forEachCell runs fn(0..n-1) across a pool of `jobs` workers (GOMAXPROCS
-// when jobs <= 0) and joins every error in index order, so a batch failure
-// report is deterministic no matter which worker hit it first.
-func forEachCell(n, jobs int, fn func(i int) error) error {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > n {
-		jobs = n
-	}
-	errs := make([]error, n)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		//lint:allowsharedstate cell-fan-out worker: each index i runs one whole simulation in its own engine and writes only errs[i]; no substrate crosses the boundary and cross-run order is not observable
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		//lint:allowsharedstate work-distribution token: a bare cell index, claimed by exactly one worker
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(errs...)
 }

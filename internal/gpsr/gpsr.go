@@ -417,21 +417,17 @@ func (r *Router) finish(at medium.NodeID, pkt *Packet, out Outcome) {
 	}
 }
 
-// NextGreedy returns the neighbor a greedy step from the given node toward
-// dest would choose, or ok=false at a dead end. ALERT's source uses this to
-// learn the first relay so it can encrypt the TTL field to that relay's
-// public key (Section 2.6).
+// NextGreedy returns the relay that Handle forwards a fresh closest-node
+// packet to from the given node toward dest — Step's greedy choice — or
+// ok=false where the packet would arrive there instead. ALERT's source uses
+// this to learn the first relay so it can encrypt the TTL field to that
+// relay's public key (Section 2.6).
 func (r *Router) NextGreedy(from medium.NodeID, dest geo.Point) (medium.NodeID, bool) {
-	selfDist := r.net.Med.PositionNow(from).Dist(dest)
-	best := NoDeliverTo
-	bestDist := selfDist
 	r.nbrScratch = r.net.Med.NeighborsInto(from, r.nbrScratch)
-	for _, nb := range r.nbrScratch {
-		if d := nb.Pos.Dist(dest); d < bestDist {
-			best, bestDist = nb.ID, d
-		}
-	}
-	return best, best != NoDeliverTo
+	st := NewForwardState()
+	next, verdict, _, _ := Step(from, r.net.Med.PositionNow(from), geo.Point{}, dest, true,
+		r.net.Med.Params().Range, GabrielGraph, r.nbrScratch, nil, &st)
+	return next, verdict == StepForward
 }
 
 // AttachAll registers a medium handler on every node that feeds *Packet

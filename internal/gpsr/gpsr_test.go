@@ -444,6 +444,28 @@ func TestQuickNextGreedyImproves(t *testing.T) {
 	}
 }
 
+// TestNextGreedyMatchesStep: NextGreedy names the relay Handle actually
+// forwards to. Node 2 sits on 0's radio fringe (240 m, beyond the 225 m
+// safe range) and is nearer the target than node 1 (200 m, inside it), which
+// also makes progress; Step's greedy mode prefers the safe neighbor, so the
+// first hop — the relay ALERT seals the TTL for — must be node 1.
+func TestNextGreedyMatchesStep(t *testing.T) {
+	eng, _, r := netFromModel(&fixedModel{pos: []geo.Point{
+		{X: 100, Y: 500}, {X: 300, Y: 500}, {X: 340, Y: 500},
+	}}, 6)
+	dest := geo.Point{X: 900, Y: 500}
+	next, ok := r.NextGreedy(0, dest)
+	if !ok || next != 1 {
+		t.Fatalf("NextGreedy = %v, %v; want the safe neighbor 1", next, ok)
+	}
+	pkt := &Packet{Dest: dest, DeliverTo: NoDeliverTo, HopBudget: 10}
+	r.Send(0, pkt)
+	eng.Run()
+	if len(pkt.Path) < 2 || pkt.Path[1] != next {
+		t.Fatalf("path = %v, first relay should be NextGreedy's %v", pkt.Path, next)
+	}
+}
+
 func TestPlanarizeRNGSubsetOfGabriel(t *testing.T) {
 	// RNG is a known subgraph of the Gabriel graph.
 	src := rng.New(31)

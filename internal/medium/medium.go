@@ -17,7 +17,6 @@ package medium
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"alertmanet/internal/geo"
 	"alertmanet/internal/mobility"
@@ -181,11 +180,6 @@ type Medium struct {
 	// the 3x3 grid cells around the querier instead of every node, and a
 	// broadcast sweep skips the nodes whose beacon is out of its reach.
 	beacons beaconCache
-	// nowPos caches a spatial grid over true positions at the current
-	// engine instant, shared by zone queries issued at the same time.
-	nowPos   posGrid
-	nowAt    float64
-	nowValid bool
 	// arqFree and bcastFree recycle send state machines; a steady-state
 	// unicast or broadcast allocates nothing.
 	arqFree   []*arqSend
@@ -197,61 +191,55 @@ type Medium struct {
 	tap *telemetry.Tap
 }
 
-// posGrid is a position snapshot bucketed into a uniform spatial grid.
-// Buckets hold node ids in ascending order (rebuild inserts ids 0..n-1), so
-// any fixed cell-visit order yields a deterministic node order. The grid is
-// rebuilt in place: bucket slices are truncated and refilled rather than
-// reallocated, so steady-state rebuilds allocate nothing once the map and
-// buckets have reached their high-water capacity.
-type posGrid struct {
-	pos  []geo.Point
-	cell float64
-	grid map[[2]int][]NodeID
+// beaconCache is one hello tick's position snapshot bucketed into cells of
+// side Range. The tick is the integer beacon index, so cache-hit detection
+// is an exact integer compare rather than a float one; at is the tick's
+// beacon instant. Buckets hold node ids in ascending order (rebuild inserts
+// ids 0..n-1), so any fixed cell-visit order yields a deterministic node
+// order. The grid is rebuilt in place: bucket slices are truncated and
+// refilled rather than reallocated, so steady-state rebuilds allocate
+// nothing once the map and buckets have reached their high-water capacity.
+type beaconCache struct {
+	tick  int
+	at    float64
+	valid bool
+	pos   []geo.Point
+	cell  float64
+	grid  map[[2]int][]NodeID
 	// live lists the keys of currently non-empty buckets, so rebuild can
 	// truncate exactly the buckets the previous snapshot populated.
 	live [][2]int
 }
 
-func (g *posGrid) rebuild(mob mobility.Model, at, cell float64) {
+func (b *beaconCache) rebuild(mob mobility.Model, at, cell float64) {
 	n := mob.N()
-	if g.pos == nil {
-		g.pos = make([]geo.Point, n)
+	if b.pos == nil {
+		b.pos = make([]geo.Point, n)
 	}
-	if g.grid == nil {
-		g.grid = make(map[[2]int][]NodeID, n)
+	if b.grid == nil {
+		b.grid = make(map[[2]int][]NodeID, n)
 	}
-	for _, k := range g.live {
-		g.grid[k] = g.grid[k][:0]
+	for _, k := range b.live {
+		b.grid[k] = b.grid[k][:0]
 	}
-	g.live = g.live[:0]
-	g.cell = cell
+	b.live = b.live[:0]
+	b.cell = cell
 	// Bucket ids 0..n-1 in order, so bucket contents stay in ascending id
 	// order — the determinism the query paths rely on.
 	for id := 0; id < n; id++ {
 		p := mob.Position(id, at)
-		g.pos[id] = p
-		key := g.key(p)
-		bucket := g.grid[key]
+		b.pos[id] = p
+		key := b.key(p)
+		bucket := b.grid[key]
 		if len(bucket) == 0 {
-			g.live = append(g.live, key)
+			b.live = append(b.live, key)
 		}
-		g.grid[key] = append(bucket, NodeID(id))
+		b.grid[key] = append(bucket, NodeID(id))
 	}
 }
 
-func (g *posGrid) key(p geo.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
-}
-
-// beaconCache is one hello tick's position snapshot bucketed into cells of
-// side Range. The tick is the integer beacon index, so cache-hit detection
-// is an exact integer compare rather than a float one; at is the tick's
-// beacon instant.
-type beaconCache struct {
-	tick  int
-	at    float64
-	valid bool
-	posGrid
+func (b *beaconCache) key(p geo.Point) [2]int {
+	return [2]int{int(math.Floor(p.X / b.cell)), int(math.Floor(p.Y / b.cell))}
 }
 
 // beaconsNow returns the current hello tick's snapshot, building it on the
@@ -836,47 +824,17 @@ func (m *Medium) TruePosition(id NodeID, t float64) geo.Point {
 	return m.mob.Position(int(id), t)
 }
 
-// nowGrid returns the spatial grid over true positions at the current
-// instant, rebuilding it only when the clock has advanced since the last
-// zone query. Zonecast and destination-zone scans within one event instant
-// (a packet's zone partitioning fans out several queries at the same time)
-// share one snapshot instead of re-scanning every node per call.
-func (m *Medium) nowGrid() *posGrid {
-	now := m.eng.Now()
-	//lint:allowfloatcompare the cache key is the exact engine clock instant; any clock advance must invalidate
-	if !m.nowValid || m.nowAt != now {
-		m.nowPos.rebuild(m.mob, now, m.par.Range)
-		m.nowAt = now
-		m.nowValid = true
-	}
-	return &m.nowPos
-}
-
-// NodesWithin returns all node ids whose true current position lies in zone,
-// in ascending id order.
-func (m *Medium) NodesWithin(zone geo.Rect) []NodeID {
-	return m.NodesWithinInto(zone, nil)
-}
-
-// NodesWithinInto is NodesWithin with a caller-reusable destination: ids are
-// appended to dst[:0] and the (possibly regrown) slice returned. Only grid
-// cells overlapping the zone are visited.
+// NodesWithinInto appends to dst[:0] the ids of every node whose true
+// current position lies in zone, in ascending id order, and returns the
+// (possibly regrown) slice.
 func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
-	g := m.nowGrid()
+	now := m.eng.Now()
 	out := dst[:0]
-	lo, hi := g.key(zone.Min), g.key(zone.Max)
-	for cx := lo[0]; cx <= hi[0]; cx++ {
-		for cy := lo[1]; cy <= hi[1]; cy++ {
-			for _, id := range g.grid[[2]int{cx, cy}] {
-				if zone.Contains(g.pos[id]) {
-					out = append(out, id)
-				}
-			}
+	for id := range m.handlers {
+		if zone.Contains(m.mob.Position(id, now)) {
+			out = append(out, NodeID(id))
 		}
 	}
-	// Cells are visited column-major, so ids arrive grouped by cell; the
-	// contract (and the previous O(N) scan) is ascending id order.
-	slices.Sort(out)
 	return out
 }
 

@@ -308,9 +308,9 @@ func TestNodesWithin(t *testing.T) {
 	)
 	_, med := setup(mob, DefaultParams())
 	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 500, Y: 500}}
-	in := med.NodesWithin(zone)
-	if len(in) != 2 {
-		t.Fatalf("NodesWithin = %v", in)
+	in := med.NodesWithinInto(zone, []NodeID{7, 7, 7})
+	if len(in) != 2 || in[0] != 0 || in[1] != 1 {
+		t.Fatalf("NodesWithinInto = %v, want [0 1]", in)
 	}
 }
 
