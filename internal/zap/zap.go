@@ -185,8 +185,11 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	return rec, nil
 }
 
-// broadcastZone floods the anonymity zone starting at the anchor node.
+// broadcastZone floods the anonymity zone starting at the anchor node. The
+// anchor may be D itself, which never hears its own broadcast, so it
+// receives the packet like any flood receiver first.
 func (p *Protocol) broadcastZone(at medium.NodeID, m *meta) {
+	p.receive(at, m)
 	m.relayed[at] = true
 	m.rec.Hops++
 	p.net.Med.Broadcast(at, &flood{m: m, Zone: m.zone}, p.cfg.PacketSize)
@@ -196,18 +199,24 @@ func (p *Protocol) broadcastZone(at medium.NodeID, m *meta) {
 // once if inside the zone.
 func (p *Protocol) handleFlood(at medium.NodeID, f *flood) {
 	m := f.m
-	if at == m.dst && !m.delivered {
-		m.delivered = true
-		p.net.NoteSym(1)
-		p.net.Eng.Schedule(p.net.Costs.SymDecrypt, func() {
-			p.finish(m, p.net.Eng.Now(), true)
-		})
-	}
+	p.receive(at, m)
 	if f.Zone.Contains(p.net.Med.PositionNow(at)) && !m.relayed[at] {
 		m.relayed[at] = true
 		m.rec.Hops++
 		p.net.Med.Broadcast(at, f, p.cfg.PacketSize)
 	}
+}
+
+// receive delivers the packet once if at is its addressee.
+func (p *Protocol) receive(at medium.NodeID, m *meta) {
+	if at != m.dst || m.delivered {
+		return
+	}
+	m.delivered = true
+	p.net.NoteSym(1)
+	p.net.Eng.Schedule(p.net.Costs.SymDecrypt, func() {
+		p.finish(m, p.net.Eng.Now(), true)
+	})
 }
 
 func (p *Protocol) finish(m *meta, at float64, delivered bool) {

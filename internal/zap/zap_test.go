@@ -161,6 +161,28 @@ func TestUndeliveredCompletes(t *testing.T) {
 	}
 }
 
+// TestAnchorIsDestination: on a line with 200 m spacing only D lies in
+// its 180 m zone, so D is the anchor and no zone member echoes the flood
+// back to it. The anchor must deliver to itself.
+func TestAnchorIsDestination(t *testing.T) {
+	eng := sim.NewEngine()
+	src := rng.New(9)
+	mob := &pinned{pos: []geo.Point{{X: 100, Y: 500}, {X: 300, Y: 500},
+		{X: 500, Y: 500}, {X: 700, Y: 500}, {X: 900, Y: 500}}}
+	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
+	loc := locservice.New(net, locservice.DefaultConfig())
+	p := New(net, loc, DefaultConfig(), src)
+	rec, _ := p.Send(0, 4, []byte("x"))
+	eng.RunUntil(30)
+	if !rec.Delivered {
+		t.Fatalf("D as the zone's anchor never received the packet (path %v)", rec.Path)
+	}
+	if rec.Hops != 5 {
+		t.Fatalf("hops = %d, want 4 geo-forwarding hops plus the anchor's flood", rec.Hops)
+	}
+}
+
 type pinned struct{ pos []geo.Point }
 
 func (p *pinned) Position(id int, _ float64) geo.Point { return p.pos[id] }
