@@ -233,7 +233,7 @@ func TestAttackFacades(t *testing.T) {
 
 func TestALERTConfigExposed(t *testing.T) {
 	cfg := ALERTConfig()
-	if cfg.K != 6 || cfg.PacketSize != 512 {
+	if cfg.K != 6 || cfg.CompleteTimeout != 8 {
 		t.Fatalf("config = %+v", cfg)
 	}
 }

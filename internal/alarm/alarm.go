@@ -26,32 +26,21 @@ import (
 
 // Config tunes the ALARM model.
 type Config struct {
-	// PacketSize is the on-air data packet size.
-	PacketSize int
-	// HopBudget is the TTL in hops.
-	HopBudget int
 	// DisseminationPeriod is the location-announcement flood interval
-	// (30 s in the experiments, Section 5).
+	// (30 s in the experiments, Section 5); 0 disables dissemination.
 	DisseminationPeriod float64
-	// DisseminationRelays is how many relay transmissions each node's
-	// announcement consumes per round — the flood's effective depth.
-	// Calibrated so the "ALARM (include id dissemination hops)" series
-	// lands near twice ALERT's per-packet hop cost, matching Fig. 15a.
-	DisseminationRelays int
-	// CompleteTimeout records a packet undelivered after this long.
-	CompleteTimeout float64
 }
 
 // DefaultConfig matches the evaluation setup.
 func DefaultConfig() Config {
-	return Config{
-		PacketSize:          512,
-		HopBudget:           gpsr.DefaultHopBudget,
-		DisseminationPeriod: 30,
-		DisseminationRelays: 12,
-		CompleteTimeout:     8,
-	}
+	return Config{DisseminationPeriod: 30}
 }
+
+// disseminationRelays is how many relay transmissions each node's
+// announcement consumes per round — the flood's effective depth.
+// Calibrated so the "ALARM (include id dissemination hops)" series lands
+// near twice ALERT's per-packet hop cost, matching Fig. 15a.
+const disseminationRelays = 12
 
 // meta travels inside the gpsr packet payload.
 type meta struct {
@@ -61,23 +50,24 @@ type meta struct {
 
 // Protocol is one ALARM instance.
 type Protocol struct {
-	net    *node.Network
-	loc    *locservice.Service
-	router *gpsr.Router
-	cfg    Config
-	col    *metrics.Collector
-	rounds int
+	net        *node.Network
+	loc        *locservice.Service
+	router     *gpsr.Router
+	packetSize int
+	col        *metrics.Collector
+	rounds     int
 }
 
 // New creates the protocol, attaches per-node handlers, and starts the
-// periodic dissemination.
-func New(net *node.Network, loc *locservice.Service, cfg Config) *Protocol {
+// periodic dissemination. packetSize is the on-air data packet size in
+// bytes.
+func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int) *Protocol {
 	p := &Protocol{
-		net:    net,
-		loc:    loc,
-		router: gpsr.New(net),
-		cfg:    cfg,
-		col:    metrics.NewCollector(),
+		net:        net,
+		loc:        loc,
+		router:     gpsr.New(net),
+		packetSize: packetSize,
+		col:        metrics.NewCollector(),
 	}
 	for i := 0; i < net.N(); i++ {
 		id := medium.NodeID(i)
@@ -102,10 +92,10 @@ func New(net *node.Network, loc *locservice.Service, cfg Config) *Protocol {
 }
 
 // disseminate charges one identity-dissemination round: every node's
-// announcement costs DisseminationRelays transmissions.
+// announcement costs disseminationRelays transmissions.
 func (p *Protocol) disseminate() {
 	p.rounds++
-	p.col.ExtraHops += uint64(p.net.N() * p.cfg.DisseminationRelays)
+	p.col.ExtraHops += uint64(p.net.N() * disseminationRelays)
 }
 
 // Rounds returns how many dissemination rounds have run.
@@ -141,15 +131,13 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		}
 		p.col.Complete(rec, at, delivered)
 	}
-	if p.cfg.CompleteTimeout > 0 {
-		p.net.Eng.Schedule(p.cfg.CompleteTimeout, func() { finish(nil, 0, false) })
-	}
+	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { finish(nil, 0, false) })
 	pkt := p.router.NewPacket()
 	pkt.Dest = entry.Pos
 	pkt.DeliverTo = dst
 	pkt.Payload = m
-	pkt.Size = p.cfg.PacketSize
-	pkt.HopBudget = p.cfg.HopBudget
+	pkt.Size = p.packetSize
+	pkt.HopBudget = gpsr.DefaultHopBudget
 	pkt.OnOutcome = func(_ medium.NodeID, gp *gpsr.Packet, out gpsr.Outcome) {
 		// The destination's decryption was charged by its
 		// reception handler like any hop's verification.

@@ -21,8 +21,8 @@ func build(seed int64, n int, cfg Config) (*sim.Engine, *node.Network, *Protocol
 	mob := mobility.NewStatic(field, n, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	return eng, net, New(net, loc, cfg)
+	loc := locservice.New(net, true)
+	return eng, net, New(net, loc, cfg, 512)
 }
 
 func farPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeID) {
@@ -72,7 +72,7 @@ func TestDisseminationRounds(t *testing.T) {
 	if p.Rounds() != 3 {
 		t.Fatalf("rounds = %d in 100 s with 30 s period, want 3", p.Rounds())
 	}
-	wantExtra := uint64(3 * 100 * cfg.DisseminationRelays)
+	wantExtra := uint64(3 * 100 * disseminationRelays)
 	if p.Collector().ExtraHops != wantExtra {
 		t.Fatalf("ExtraHops = %d, want %d", p.Collector().ExtraHops, wantExtra)
 	}
@@ -119,8 +119,8 @@ func TestUndeliveredCompletes(t *testing.T) {
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig())
+	loc := locservice.New(net, true)
+	p := New(net, loc, DefaultConfig(), 512)
 	rec, _ := p.Send(0, 1, []byte("x"))
 	eng.RunUntil(30)
 	if rec.Delivered || p.Collector().Completed() != 1 {
@@ -141,8 +141,8 @@ func TestLocServiceFailure(t *testing.T) {
 	mob := mobility.NewStatic(field, 30, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig())
+	loc := locservice.New(net, true)
+	p := New(net, loc, DefaultConfig(), 512)
 	for i := 0; i < loc.NumServers(); i++ {
 		loc.FailServer(i)
 	}

@@ -24,33 +24,16 @@ import (
 	"alertmanet/internal/rng"
 )
 
-// Config tunes the AO2P model.
-type Config struct {
-	// PacketSize is the on-air data packet size.
-	PacketSize int
-	// HopBudget is the TTL in hops.
-	HopBudget int
-	// ContentionDelay is the per-hop contention-phase delay in seconds
-	// ("contention... leads to an extra delay", Section 5).
-	ContentionDelay float64
-	// VirtualExtMin/Max bound the random extension of the S-D segment
-	// for the virtual destination (fraction of |SD| beyond D).
-	VirtualExtMin, VirtualExtMax float64
-	// CompleteTimeout records a packet undelivered after this long.
-	CompleteTimeout float64
-}
+// contentionDelay is the per-hop contention-phase delay in seconds
+// ("contention... leads to an extra delay", Section 5).
+const contentionDelay = 0.05
 
-// DefaultConfig matches the evaluation setup.
-func DefaultConfig() Config {
-	return Config{
-		PacketSize:      512,
-		HopBudget:       gpsr.DefaultHopBudget,
-		ContentionDelay: 0.05,
-		VirtualExtMin:   0.2,
-		VirtualExtMax:   0.5,
-		CompleteTimeout: 8,
-	}
-}
+// virtualExtMin and virtualExtMax bound the random extension of the S-D
+// segment for the virtual destination (fraction of |SD| beyond D).
+const (
+	virtualExtMin = 0.2
+	virtualExtMax = 0.5
+)
 
 // meta travels inside the gpsr packet payload.
 type meta struct {
@@ -61,23 +44,24 @@ type meta struct {
 
 // Protocol is one AO2P instance.
 type Protocol struct {
-	net    *node.Network
-	loc    *locservice.Service
-	router *gpsr.Router
-	cfg    Config
-	col    *metrics.Collector
-	rnd    *rng.Source
+	net        *node.Network
+	loc        *locservice.Service
+	router     *gpsr.Router
+	packetSize int
+	col        *metrics.Collector
+	rnd        *rng.Source
 }
 
-// New creates the protocol and attaches handlers on every node.
-func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source) *Protocol {
+// New creates the protocol and attaches handlers on every node. packetSize
+// is the on-air data packet size in bytes.
+func New(net *node.Network, loc *locservice.Service, packetSize int, src *rng.Source) *Protocol {
 	p := &Protocol{
-		net:    net,
-		loc:    loc,
-		router: gpsr.New(net),
-		cfg:    cfg,
-		col:    metrics.NewCollector(),
-		rnd:    src.Split("ao2p"),
+		net:        net,
+		loc:        loc,
+		router:     gpsr.New(net),
+		packetSize: packetSize,
+		col:        metrics.NewCollector(),
+		rnd:        src.Split("ao2p"),
 	}
 	rangeM := net.Med.Params().Range
 	for i := 0; i < net.N(); i++ {
@@ -119,7 +103,7 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source
 			// Ordinary relay: contention phase + hop-by-hop
 			// re-encryption batched into one pooled event.
 			p.net.NotePub(1)
-			p.router.HandleAfter(p.cfg.ContentionDelay+p.net.Costs.PubEncrypt, id, pkt)
+			p.router.HandleAfter(contentionDelay+p.net.Costs.PubEncrypt, id, pkt)
 		})
 	}
 	return p
@@ -128,7 +112,7 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source
 // charge schedules fn after one hop's contention and public-key cost.
 func (p *Protocol) charge(fn func()) {
 	p.net.NotePub(1)
-	p.net.Eng.Schedule(p.cfg.ContentionDelay+p.net.Costs.PubEncrypt, fn)
+	p.net.Eng.Schedule(contentionDelay+p.net.Costs.PubEncrypt, fn)
 }
 
 // Collector returns the run's metrics.
@@ -140,7 +124,7 @@ func (p *Protocol) Router() *gpsr.Router { return p.router }
 // virtualDest picks the anonymizing position: on the ray from S through D,
 // a random fraction beyond D, clamped to the field.
 func (p *Protocol) virtualDest(s, d geo.Point) geo.Point {
-	ext := p.rnd.Uniform(p.cfg.VirtualExtMin, p.cfg.VirtualExtMax)
+	ext := p.rnd.Uniform(virtualExtMin, virtualExtMax)
 	v := s.Lerp(d, 1+ext)
 	return p.net.Field().Clamp(v)
 }
@@ -156,16 +140,14 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		return rec, nil
 	}
 	m := &meta{rec: rec, dst: dst}
-	if p.cfg.CompleteTimeout > 0 {
-		p.net.Eng.Schedule(p.cfg.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
-	}
+	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
 	vd := p.virtualDest(p.net.Med.PositionNow(src), entry.Pos)
 	pkt := p.router.NewPacket()
 	pkt.Dest = vd
 	pkt.DeliverTo = gpsr.NoDeliverTo
 	pkt.Payload = m
-	pkt.Size = p.cfg.PacketSize
-	pkt.HopBudget = p.cfg.HopBudget
+	pkt.Size = p.packetSize
+	pkt.HopBudget = gpsr.DefaultHopBudget
 	pkt.OnOutcome = func(at medium.NodeID, gp *gpsr.Packet, out gpsr.Outcome) {
 		// Delivered means D claimed the packet (the demux closes
 		// that through the router). Reaching the node closest to

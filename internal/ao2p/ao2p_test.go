@@ -21,8 +21,8 @@ func build(seed int64, n int) (*sim.Engine, *node.Network, *Protocol) {
 	mob := mobility.NewStatic(field, n, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	return eng, net, New(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	return eng, net, New(net, loc, 512, src)
 }
 
 func farPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeID) {
@@ -120,8 +120,8 @@ func TestUndeliveredOnIsland(t *testing.T) {
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	p := New(net, loc, 512, src)
 	rec, _ := p.Send(0, 2, []byte("x"))
 	eng.RunUntil(30)
 	if rec.Delivered {
@@ -145,8 +145,8 @@ func TestLocServiceFailure(t *testing.T) {
 	mob := mobility.NewStatic(field, 20, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	p := New(net, loc, 512, src)
 	for i := 0; i < loc.NumServers(); i++ {
 		loc.FailServer(i)
 	}

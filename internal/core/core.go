@@ -30,20 +30,12 @@ type Config struct {
 	// H overrides the partition count; 0 derives H = log2(N/K)
 	// (Section 2.4).
 	H int
-	// PacketSize is the on-air size of data packets in bytes (512).
-	PacketSize int
-	// LegHopBudget is the GPSR TTL for each leg between random
-	// forwarders.
-	LegHopBudget int
 
 	// NotifyAndGo enables the source-anonymity mechanism of Section 2.6.
 	NotifyAndGo bool
 	// NotifyT and NotifyT0 bound the random back-off window [t, t+t0]
 	// both the source and its covering neighbors draw from.
 	NotifyT, NotifyT0 float64
-	// CoverSize is the size of covering packets ("several bytes of
-	// random data").
-	CoverSize int
 
 	// FixedAxisPartition disables the alternating horizontal/vertical
 	// cut order and always cuts the same axis. ALERT alternates "to
@@ -54,12 +46,6 @@ type Config struct {
 	// IntersectionGuard enables the two-step m-of-k multicast with an
 	// encrypted bitmap (Section 3.3).
 	IntersectionGuard bool
-	// M is the number of zone nodes receiving step one; 0 sizes m
-	// automatically by greedy coverage so that every zone member hears a
-	// holder's re-broadcast (the paper's p_c = 1 condition).
-	M int
-	// BitmapBits is how many payload bits the last forwarder flips.
-	BitmapBits int
 	// HoldRelease bounds how long a holder keeps a step-one packet
 	// before re-broadcasting even if no follow-up packet arrives.
 	HoldRelease float64
@@ -67,10 +53,6 @@ type Config struct {
 	// Confirm enables destination confirmations and source retransmission
 	// (Section 2.3: resend when no confirmation arrives in time).
 	Confirm bool
-	// ConfirmTimeout is the resend timer.
-	ConfirmTimeout float64
-	// MaxRetries bounds retransmissions per packet.
-	MaxRetries int
 
 	// ChargeSessionSetup includes the session's one-time public-key
 	// operations (encrypting K_s and L_{Z_S} at S, decrypting them at D)
@@ -92,31 +74,40 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's evaluation configuration: k chosen so
-// H = 5 at 200 nodes, 512-byte packets, GPSR TTL 10. Notify-and-go and the
-// intersection guard are protocol features that default off in throughput
-// figures and on in the anonymity experiments, mirroring the paper.
+// H = 5 at 200 nodes. Notify-and-go and the intersection guard are
+// protocol features that default off in throughput figures and on in the
+// anonymity experiments, mirroring the paper.
 func DefaultConfig() Config {
 	return Config{
 		K:                  6,
 		H:                  0,
-		PacketSize:         512,
-		LegHopBudget:       10,
 		NotifyAndGo:        false,
 		NotifyT:            2e-3,
 		NotifyT0:           8e-3,
-		CoverSize:          16,
 		IntersectionGuard:  false,
-		M:                  3,
-		BitmapBits:         16,
 		HoldRelease:        2.5,
 		ChargeSessionSetup: true,
 		Confirm:            false,
-		ConfirmTimeout:     2.0,
-		MaxRetries:         2,
 		NAKs:               false,
 		CompleteTimeout:    8.0,
 	}
 }
+
+// The paper's single values for the settings no experiment varies.
+const (
+	// coverSize is the size of covering packets ("several bytes of
+	// random data", Section 2.6).
+	coverSize = 16
+	// stepOneHolders is m, the number of zone nodes receiving the
+	// intersection guard's step-one multicast (Section 3.3).
+	stepOneHolders = 3
+	// bitmapBits is how many payload bits the last forwarder flips.
+	bitmapBits = 16
+	// confirmTimeout is the resend timer of Config.Confirm, in seconds.
+	confirmTimeout = 2.0
+	// maxRetries bounds retransmissions per packet.
+	maxRetries = 2
+)
 
 // Counters tallies protocol-level activity.
 type Counters struct {
@@ -196,6 +187,8 @@ type Protocol struct {
 	rnd    *rng.Source
 	field  geo.Rect
 	hDef   int // derived H when cfg.H == 0
+	// packetSize is the on-air size of data packets in bytes.
+	packetSize int
 
 	sessions map[sessKey]*session
 	held     map[medium.NodeID][]*heldItem
@@ -223,22 +216,23 @@ func (p *Protocol) SetTap(t *telemetry.Tap) {
 }
 
 // New creates the protocol, derives H if unset, and attaches the medium
-// demux handler on every node. An invalid configuration (non-positive
-// PacketSize or K) is an error.
-func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source) (*Protocol, error) {
-	if cfg.PacketSize <= 0 || cfg.K <= 0 {
-		return nil, fmt.Errorf("core: invalid config %+v", cfg)
+// demux handler on every node. packetSize is the on-air size of data
+// packets in bytes. A non-positive packetSize or K is an error.
+func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int, src *rng.Source) (*Protocol, error) {
+	if packetSize <= 0 || cfg.K <= 0 {
+		return nil, fmt.Errorf("core: invalid config %+v with packet size %d", cfg, packetSize)
 	}
 	p := &Protocol{
-		net:      net,
-		loc:      loc,
-		cfg:      cfg,
-		router:   gpsr.New(net),
-		col:      metrics.NewCollector(),
-		rnd:      src.Split("alert"),
-		field:    net.Field(),
-		sessions: make(map[sessKey]*session),
-		held:     make(map[medium.NodeID][]*heldItem),
+		net:        net,
+		loc:        loc,
+		cfg:        cfg,
+		router:     gpsr.New(net),
+		col:        metrics.NewCollector(),
+		rnd:        src.Split("alert"),
+		field:      net.Field(),
+		packetSize: packetSize,
+		sessions:   make(map[sessKey]*session),
+		held:       make(map[medium.NodeID][]*heldItem),
 	}
 	p.hDef = cfg.H
 	if p.hDef <= 0 {
@@ -266,8 +260,8 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source
 
 // MustNew is New for callers whose configuration is known good (tests and
 // presets); it panics on error.
-func MustNew(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source) *Protocol {
-	p, err := New(net, loc, cfg, src)
+func MustNew(net *node.Network, loc *locservice.Service, cfg Config, packetSize int, src *rng.Source) *Protocol {
+	p, err := New(net, loc, cfg, packetSize, src)
 	if err != nil {
 		panic(err)
 	}

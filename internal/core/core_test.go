@@ -36,8 +36,8 @@ func build(seed int64, n int, speed float64, cfg Config) *world {
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
 	net.RotatePseudonyms()
-	loc := locservice.New(net, locservice.DefaultConfig())
-	prot := MustNew(net, loc, cfg, src)
+	loc := locservice.New(net, true)
+	prot := MustNew(net, loc, cfg, 512, src)
 	return &world{eng: eng, net: net, loc: loc, prot: prot, mob: mob}
 }
 
@@ -261,8 +261,8 @@ func TestCompleteTimeoutMarksUndelivered(t *testing.T) {
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	prot := MustNew(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	prot := MustNew(net, loc, DefaultConfig(), 512, src)
 	rec, _ := prot.Send(0, 9, []byte("x"))
 	eng.RunUntil(30)
 	if rec.Delivered {
@@ -366,7 +366,6 @@ func TestIntersectionGuardDelivery(t *testing.T) {
 func TestIntersectionGuardRecipientSetsSmall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IntersectionGuard = true
-	cfg.M = 3
 	w := build(15, 200, 0, cfg)
 	s, d := w.farPair(500)
 	step1 := map[int]map[medium.NodeID]bool{}
@@ -389,9 +388,9 @@ func TestIntersectionGuardRecipientSetsSmall(t *testing.T) {
 		t.Skip("no step-one observations")
 	}
 	for seq, rs := range step1 {
-		if len(rs) > cfg.M {
-			t.Fatalf("packet %d step-one reached %d nodes, want <= M=%d",
-				seq, len(rs), cfg.M)
+		if len(rs) > stepOneHolders {
+			t.Fatalf("packet %d step-one reached %d nodes, want <= m=%d",
+				seq, len(rs), stepOneHolders)
 		}
 	}
 }
@@ -399,7 +398,6 @@ func TestIntersectionGuardRecipientSetsSmall(t *testing.T) {
 func TestGuardPayloadRestoredDespiteBitFlips(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IntersectionGuard = true
-	cfg.BitmapBits = 32
 	w := build(16, 200, 0, cfg)
 	s, d := w.farPair(500)
 	payload := []byte("integrity check payload for the bitmap mechanism")
@@ -428,13 +426,11 @@ func TestConfirmAndRetryOnLoss(t *testing.T) {
 	par.LossRate = 0.35
 	med := medium.MustNew(eng, mob, par, src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
+	loc := locservice.New(net, true)
 	cfg := DefaultConfig()
 	cfg.Confirm = true
-	cfg.ConfirmTimeout = 1.0
-	cfg.MaxRetries = 4
 	cfg.CompleteTimeout = 20
-	prot := MustNew(net, loc, cfg, src)
+	prot := MustNew(net, loc, cfg, 512, src)
 	delivered := 0
 	for i := 0; i < 10; i++ {
 		s := medium.NodeID(src.Intn(200))
@@ -468,11 +464,11 @@ func TestNAKTriggersResend(t *testing.T) {
 	mob := mobility.NewStatic(field, 200, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
+	loc := locservice.New(net, true)
 	cfg := DefaultConfig()
 	cfg.NAKs = true
 	cfg.CompleteTimeout = 40
-	prot := MustNew(net, loc, cfg, src)
+	prot := MustNew(net, loc, cfg, 512, src)
 	var s, d medium.NodeID = 0, 0
 	for i := 1; i < 200; i++ {
 		if mob.Position(0, 0).Dist(mob.Position(i, 0)) > 500 {
@@ -651,7 +647,6 @@ func TestGuardWithConfirm(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IntersectionGuard = true
 	cfg.Confirm = true
-	cfg.ConfirmTimeout = 3
 	cfg.HoldRelease = 1
 	w := build(43, 200, 0, cfg)
 	s, d := w.farPair(500)
@@ -721,31 +716,5 @@ func TestCompletedFlightsAreRetired(t *testing.T) {
 	}
 	if w.prot.Collector().Completed() != 20 {
 		t.Fatalf("completed = %d", w.prot.Collector().Completed())
-	}
-}
-
-func TestGuardAutoM(t *testing.T) {
-	// M == 0: holders are chosen by greedy coverage so every beaconed
-	// zone member is within range of some holder (p_c = 1, Section 3.3).
-	cfg := DefaultConfig()
-	cfg.IntersectionGuard = true
-	cfg.M = 0
-	cfg.HoldRelease = 1.0
-	w := build(50, 200, 0, cfg)
-	s, d := w.farPair(500)
-	delivered := 0
-	w.prot.OnDeliver = func(medium.NodeID, medium.NodeID, int, []byte, float64) {
-		delivered++
-	}
-	for i := 0; i < 5; i++ {
-		at := float64(i) * 2
-		w.eng.At(at+0.01, func() { w.prot.Send(s, d, []byte("x")) })
-	}
-	w.eng.RunUntil(40)
-	if delivered < 4 {
-		t.Fatalf("auto-m guard delivered only %d/5", delivered)
-	}
-	if w.prot.Counters().Step1Multicasts == 0 {
-		t.Fatal("no multicasts with auto-m")
 	}
 }

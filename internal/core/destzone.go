@@ -9,7 +9,6 @@ package core
 
 import (
 	"alertmanet/internal/crypt"
-	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
 )
 
@@ -73,23 +72,15 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 		return
 	}
 	var holders []medium.NodeID
-	if p.cfg.M > 0 {
-		m := p.cfg.M
-		if m > len(candidates) {
-			m = len(candidates)
-		}
-		perm := p.rnd.Perm(len(candidates))
-		for _, idx := range perm[:m] {
-			holders = append(holders, candidates[idx])
-		}
-	} else {
-		holders = p.coverHolders(at, env, candidates)
+	m := min(stepOneHolders, len(candidates))
+	for _, idx := range p.rnd.Perm(len(candidates))[:m] {
+		holders = append(holders, candidates[idx])
 	}
 
 	// Flip bits and encrypt the mask under K_pub^D so the broadcast copies
 	// are not bit-identical on air (Section 3.3). The envelope carries
 	// D's public key — a pseudonymous value that identifies no position.
-	mask := crypt.NewBitmap(len(env.Payload), p.cfg.BitmapBits, p.rnd)
+	mask := crypt.NewBitmap(len(env.Payload), bitmapBits, p.rnd)
 	mutated := *env
 	mutated.Payload = mask.Apply(env.Payload)
 	if env.DPub != nil {
@@ -115,76 +106,9 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 	})
 }
 
-// coverHolders sizes m automatically (Config.M == 0): Section 3.3 requires
-// the coverage fraction p_c to reach 1, i.e. every zone member must be
-// within one hop of some holder when the held packets are re-broadcast.
-// A greedy set cover over the beaconed zone members achieves that with the
-// fewest holders — "a moderate value of m considering node transmission
-// range; a lower transmission range leads to a higher value of m".
-func (p *Protocol) coverHolders(at medium.NodeID, env *Envelope,
-	candidates []medium.NodeID) []medium.NodeID {
-	rangeM := p.net.Med.Params().Range
-	// Candidate and member positions come from the last hello beacons.
-	pos := map[medium.NodeID]geo.Point{}
-	var members []medium.NodeID
-	for _, nb := range p.net.Med.Neighbors(at) {
-		if env.LZD.Contains(nb.Pos) {
-			pos[nb.ID] = nb.Pos
-			members = append(members, nb.ID)
-		}
-	}
-	uncovered := map[medium.NodeID]bool{}
-	for _, id := range members {
-		uncovered[id] = true
-	}
-	var holders []medium.NodeID
-	// Random start for anonymity, then greedy max-coverage.
-	order := p.rnd.Perm(len(candidates))
-	for len(uncovered) > 0 && len(holders) < len(candidates) {
-		best := -1
-		bestCover := -1
-		for _, idx := range order {
-			id := candidates[idx]
-			taken := false
-			for _, h := range holders {
-				if h == id {
-					taken = true
-					break
-				}
-			}
-			if taken {
-				continue
-			}
-			cover := 0
-			for m := range uncovered {
-				if pos[id].Within(pos[m], rangeM) {
-					cover++
-				}
-			}
-			if cover > bestCover {
-				best, bestCover = idx, cover
-			}
-		}
-		if best < 0 || bestCover == 0 {
-			break
-		}
-		h := candidates[best]
-		holders = append(holders, h)
-		for m := range uncovered {
-			if pos[h].Within(pos[m], rangeM) {
-				delete(uncovered, m)
-			}
-		}
-	}
-	if len(holders) == 0 && len(candidates) > 0 {
-		holders = append(holders, candidates[p.rnd.Intn(len(candidates))])
-	}
-	return holders
-}
-
 func (p *Protocol) sizeOf(env *Envelope) int {
 	if env.Kind == KindData {
-		return p.cfg.PacketSize
+		return p.packetSize
 	}
 	return 64 // control packets: NAK/ack with empty data field
 }

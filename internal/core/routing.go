@@ -138,10 +138,10 @@ func (p *Protocol) notifyAndGo(src medium.NodeID, extraDelay float64, launch fun
 		nb := nb
 		wait := p.rnd.Uniform(t, t+t0)
 		p.net.Eng.Schedule(wait, func() {
-			junk := make([]byte, p.cfg.CoverSize)
+			junk := make([]byte, coverSize)
 			p.rnd.Read(junk)
 			p.counts.CoversSent++
-			p.net.Med.Broadcast(nb.ID, &coverPacket{Junk: junk}, p.cfg.CoverSize)
+			p.net.Med.Broadcast(nb.ID, &coverPacket{Junk: junk}, coverSize)
 		})
 	}
 	wait := p.rnd.Uniform(t, t+t0)
@@ -202,7 +202,7 @@ func (p *Protocol) route(at medium.NodeID, env *Envelope) {
 	// decryption.
 	if p.cfg.NotifyAndGo && env.EncTTL == nil {
 		if next, ok := p.router.NextGreedy(at, env.TD); ok {
-			ct, err := p.net.Suite.EncryptPub(p.net.Node(next).Pub, encodeTTL(p.cfg.LegHopBudget))
+			ct, err := p.net.Suite.EncryptPub(p.net.Node(next).Pub, encodeTTL(gpsr.DefaultHopBudget))
 			if err == nil {
 				env.EncTTL = ct
 				p.net.NotePub(2)
@@ -214,8 +214,8 @@ func (p *Protocol) route(at medium.NodeID, env *Envelope) {
 	pkt.Dest = env.TD
 	pkt.DeliverTo = gpsr.NoDeliverTo
 	pkt.Payload = env
-	pkt.Size = p.cfg.PacketSize
-	pkt.HopBudget = p.cfg.LegHopBudget
+	pkt.Size = p.packetSize
+	pkt.HopBudget = gpsr.DefaultHopBudget
 	pkt.OnOutcome = func(rf medium.NodeID, gp *gpsr.Packet, out gpsr.Outcome) {
 		f := env.flight
 		if f != nil {
@@ -298,12 +298,12 @@ func (p *Protocol) armRetry(f *flight) {
 	if f.hasRetry {
 		p.net.Eng.Cancel(f.retryID)
 	}
-	f.retryID = p.net.Eng.Schedule(p.cfg.ConfirmTimeout, func() {
+	f.retryID = p.net.Eng.Schedule(confirmTimeout, func() {
 		f.hasRetry = false
 		if f.acked || f.completed {
 			return
 		}
-		if f.retries >= p.cfg.MaxRetries {
+		if f.retries >= maxRetries {
 			p.complete(f, 0, f.delivered)
 			return
 		}

@@ -207,7 +207,7 @@ func TestWireFitsConfiguredPacketSize(t *testing.T) {
 	env.DPub = pub
 	env.EncSymKey, env.EncLZS, env.EncTTL = encKey, encLZS, encTTL
 	env.Payload = crypt.SymSeal(key, make([]byte, 160), src)
-	budget := core.DefaultConfig().PacketSize
+	budget := experiment.DefaultScenario().PacketSize
 	wire, at := encode(t, env), envelopeOffset(t)
 	if n := len(wire) - at; n > budget {
 		t.Fatalf("data envelope is %d bytes > %d-byte packet", n, budget)

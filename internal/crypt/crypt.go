@@ -43,7 +43,6 @@ type CostModel struct {
 	SymDecrypt float64
 	PubEncrypt float64 // public-key encryption of one packet/field
 	PubDecrypt float64
-	Hash       float64 // one hash computation (pseudonym update)
 }
 
 // DefaultCostModel returns the paper's measured costs (Section 5.2): AES in
@@ -55,7 +54,6 @@ func DefaultCostModel() CostModel {
 		SymDecrypt: 3e-3,
 		PubEncrypt: 250e-3,
 		PubDecrypt: 250e-3,
-		Hash:       1e-5,
 	}
 }
 

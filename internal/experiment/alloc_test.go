@@ -21,7 +21,7 @@ import (
 // the line is populated, so two worlds differ only in node placement —
 // ALERT partitions the field itself, and its leg structure must match
 // between the compared runs.
-var allocField = geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 4200, Y: 1000}}
+var allocField = geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 2200, Y: 1000}}
 
 // lineModel pins n nodes 200 m apart on a horizontal line. With a 250 m
 // radio range only adjacent nodes hear each other, so a send from node s to
@@ -35,52 +35,39 @@ func (l *lineModel) N() int            { return l.n }
 func (l *lineModel) Field() geo.Rect   { return allocField }
 func (l *lineModel) MaxSpeed() float64 { return 0 }
 
-// buildLineProto assembles one protocol over a 20-node line. Configs are
-// the defaults except: hop budgets raised to cover the 19-hop far send,
-// ALARM's dissemination ticker disabled so the engine drains between sends,
-// and ALERT pinned to H=1 so near and far sources produce the identical
-// one-leg partition structure and differ only in leg length.
+// buildLineProto assembles one protocol over a 10-node line, short enough
+// that a send from the far end fits the 10-hop budget. Configs are the
+// defaults except: ALARM's dissemination ticker disabled so the engine
+// drains between sends, and ALERT pinned to H=1 so near and far sources
+// produce the identical one-leg partition structure and differ only in leg
+// length.
 func buildLineProto(t *testing.T, name ProtocolName) (*sim.Engine, Proto) {
 	t.Helper()
+	const packetSize = 512
 	eng := sim.NewEngine()
 	src := rng.New(11)
-	med := medium.MustNew(eng, &lineModel{n: 20}, medium.DefaultParams(), src)
+	med := medium.MustNew(eng, &lineModel{n: 10}, medium.DefaultParams(), src)
 	// No RotatePseudonyms: the rotation ticker is
 	// unbounded, and each send must drain the engine completely.
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.Config{UpdatesEnabled: false})
+	loc := locservice.New(net, false)
 	switch name {
 	case ALERT:
 		cfg := core.DefaultConfig()
 		cfg.H = 1
-		cfg.LegHopBudget = 40
-		p, err := core.New(net, loc, cfg, src)
+		p, err := core.New(net, loc, cfg, packetSize, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng, p
 	case GPSR:
-		cfg := gpsr.DefaultAppConfig()
-		cfg.HopBudget = 40
-		return eng, gpsr.NewApp(net, loc, cfg)
+		return eng, gpsr.NewApp(net, loc, packetSize)
 	case ALARM:
-		cfg := alarm.DefaultConfig()
-		cfg.HopBudget = 40
-		cfg.DisseminationPeriod = 0
-		return eng, alarm.New(net, loc, cfg)
+		return eng, alarm.New(net, loc, alarm.Config{}, packetSize)
 	case AO2P:
-		cfg := ao2p.DefaultConfig()
-		cfg.HopBudget = 40
-		return eng, ao2p.New(net, loc, cfg, src)
+		return eng, ao2p.New(net, loc, packetSize, src)
 	case ZAP:
-		cfg := zap.DefaultConfig()
-		cfg.HopBudget = 40
-		// On the sparse line the default 180 m zone holds only the
-		// destination, which is then also the flood's anchor — and a node
-		// never hears its own broadcast. A 700 m zone puts the anchor on
-		// the destination's neighbor, as in a normally dense field.
-		cfg.ZoneSide = 700
-		return eng, zap.New(net, loc, cfg, src)
+		return eng, zap.New(net, loc, zap.Config{}, packetSize, src)
 	}
 	t.Fatalf("unknown protocol %q", name)
 	return nil, nil
@@ -112,20 +99,20 @@ func sendAllocs(t *testing.T, name ProtocolName, src medium.NodeID) (float64, in
 	return testing.AllocsPerRun(20, send), hops
 }
 
-// TestSendAllocsPathLengthIndependent pins the tentpole's per-protocol
-// contract: with telemetry disabled, every per-hop structure is pooled, so
-// a send costs the same number of allocations whether it crosses 12 hops
-// or 19. Each protocol still allocates a constant amount of per-packet control
-// state (record, envelope, completion closures) — what this test forbids is
-// any allocation that scales with path length, i.e. per forwarded packet.
+// TestSendAllocsPathLengthIndependent pins the per-protocol contract: with
+// telemetry disabled, every per-hop structure is pooled, so a send costs
+// the same number of allocations whether it crosses 6 hops or 9. Each
+// protocol still allocates a constant amount of per-packet control state
+// (record, envelope, completion closures) — what this test forbids is any
+// allocation that scales with path length, i.e. per forwarded packet.
 func TestSendAllocsPathLengthIndependent(t *testing.T) {
 	// Both sources sit outside ALERT's H=1 destination zone (the left half
-	// of the field, x < 2100), so its partition-leg structure — and thus
+	// of the field, x < 1100), so its partition-leg structure — and thus
 	// its constant per-leg control-plane allocation — is identical; only
 	// the hop count differs.
 	for _, name := range []ProtocolName{GPSR, ALERT, ALARM, AO2P, ZAP} {
-		near, nearHops := sendAllocs(t, name, 12)
-		far, farHops := sendAllocs(t, name, 19)
+		near, nearHops := sendAllocs(t, name, 6)
+		far, farHops := sendAllocs(t, name, 9)
 		if farHops <= nearHops {
 			t.Errorf("%s: far send crossed %d hops, near %d — topology no longer exercises the contract",
 				name, farHops, nearHops)

@@ -117,6 +117,16 @@ type SourceAnonymityResult struct {
 // how many candidate transmitters an eavesdropper parked on the source saw
 // during the send window.
 func SourceAnonymity(seed int64, notifyAndGo bool) SourceAnonymityResult {
+	a, _ := sourceSend(seed, notifyAndGo)
+	return a
+}
+
+// sourceSend runs the source attack's one send, with or without
+// notify-and-go, under an eavesdropper parked on the source. It returns
+// both readings of that observer: the transmitters it saw in the send
+// window, and how far its triangulated source estimate lands from S (-1
+// when it saw no transmission to triangulate).
+func sourceSend(seed int64, notifyAndGo bool) (SourceAnonymityResult, float64) {
 	sc := DefaultScenario()
 	sc.Seed = seed
 	sc.Alert.NotifyAndGo = notifyAndGo
@@ -125,15 +135,21 @@ func SourceAnonymity(seed int64, notifyAndGo bool) SourceAnonymityResult {
 	w := MustBuild(sc)
 	pairs := w.ChoosePairs()[:1]
 	s, d := pairs[0].S, pairs[0].D
-	obs := adversary.NewObserver(w.Med, w.Med.PositionNow(s), w.Med.Params().Range)
+	sPos := w.Med.PositionNow(s)
+	obs := adversary.NewObserver(w.Med, sPos, w.Med.Params().Range)
 	w.Eng.At(1.0, func() { w.Proto.Send(s, d, []byte("x")) })
 	w.Eng.RunUntil(5)
 	// The send window: from the notification until the last back-off.
 	window := sc.Alert.NotifyT + sc.Alert.NotifyT0 + 0.05
-	return SourceAnonymityResult{
+	a := SourceAnonymityResult{
 		AnonymitySet: obs.DistinctSenders(1.0, 1.0+window),
 		Neighbors:    len(w.Med.Neighbors(s)),
 	}
+	est, ok := obs.EstimateSource(1.0, 1.0+window)
+	if !ok {
+		return a, -1
+	}
+	return a, est.Dist(sPos)
 }
 
 // TimingAttackScore runs a CBR session under the given protocol and returns
@@ -367,26 +383,11 @@ func ZoneOf(w *World, d medium.NodeID) geo.Rect {
 }
 
 // SourceLocationError runs one send and returns how far an eavesdropper's
-// triangulated source estimate lands from the true source. Without
-// notify-and-go the first transmission pinpoints S; with it, the covers
-// drag the estimate toward the neighborhood centroid.
+// triangulated source estimate lands from the true source (-1 when it saw
+// nothing to triangulate). Without notify-and-go the first transmission
+// pinpoints S; with it, the covers drag the estimate toward the
+// neighborhood centroid.
 func SourceLocationError(seed int64, notifyAndGo bool) float64 {
-	sc := DefaultScenario()
-	sc.Seed = seed
-	sc.Alert.NotifyAndGo = notifyAndGo
-	sc.Alert.NotifyT = 5e-3
-	sc.Alert.NotifyT0 = 20e-3
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
-	sPos := w.Med.PositionNow(s)
-	obs := adversary.NewObserver(w.Med, sPos, w.Med.Params().Range)
-	w.Eng.At(1.0, func() { w.Proto.Send(s, d, []byte("x")) })
-	w.Eng.RunUntil(5)
-	window := sc.Alert.NotifyT + sc.Alert.NotifyT0 + 0.05
-	est, ok := obs.EstimateSource(1.0, 1.0+window)
-	if !ok {
-		return -1
-	}
-	return est.Dist(sPos)
+	_, e := sourceSend(seed, notifyAndGo)
+	return e
 }

@@ -111,16 +111,13 @@ type Scenario struct {
 	// channel of the pre-ARQ harness for before/after comparisons.
 	NoARQ bool
 
-	LocUpdates  bool
-	LocInterval float64
+	// LocUpdates refreshes the location service every
+	// locservice.UpdateInterval; off freezes registered positions.
+	LocUpdates bool
 
 	Alert core.Config
-	Ao2p  ao2p.Config
 	Alarm alarm.Config
-	Gpsr  gpsr.AppConfig
 	Zap   zap.Config
-
-	Costs crypt.CostModel
 }
 
 // DefaultScenario returns the paper's evaluation defaults: 1,000 m square
@@ -148,13 +145,8 @@ func DefaultScenario() Scenario {
 		LossRate:      0,
 		HelloInterval: 1,
 		LocUpdates:    true,
-		LocInterval:   2,
 		Alert:         alertCfg,
-		Ao2p:          ao2p.DefaultConfig(),
 		Alarm:         alarm.DefaultConfig(),
-		Gpsr:          gpsr.DefaultAppConfig(),
-		Zap:           zap.DefaultConfig(),
-		Costs:         crypt.DefaultCostModel(),
 	}
 }
 
@@ -347,12 +339,9 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), sc.Costs, src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
 	net.RotatePseudonyms()
-	loc := locservice.New(net, locservice.Config{
-		UpdateInterval: sc.LocInterval,
-		UpdatesEnabled: sc.LocUpdates,
-	})
+	loc := locservice.New(net, sc.LocUpdates)
 
 	w := &World{
 		Scenario: sc, Eng: eng, Mob: mob, Med: med, Net: net, Loc: loc,
@@ -360,30 +349,20 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 	}
 	switch sc.Protocol {
 	case ALERT:
-		cfg := sc.Alert
-		cfg.PacketSize = sc.PacketSize
-		p, err := core.New(net, loc, cfg, src)
+		p, err := core.New(net, loc, sc.Alert, sc.PacketSize, src)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
 		w.Alert = p
 		w.Proto = p
 	case GPSR:
-		cfg := sc.Gpsr
-		cfg.PacketSize = sc.PacketSize
-		w.Proto = gpsr.NewApp(net, loc, cfg)
+		w.Proto = gpsr.NewApp(net, loc, sc.PacketSize)
 	case ALARM:
-		cfg := sc.Alarm
-		cfg.PacketSize = sc.PacketSize
-		w.Proto = alarm.New(net, loc, cfg)
+		w.Proto = alarm.New(net, loc, sc.Alarm, sc.PacketSize)
 	case AO2P:
-		cfg := sc.Ao2p
-		cfg.PacketSize = sc.PacketSize
-		w.Proto = ao2p.New(net, loc, cfg, src)
+		w.Proto = ao2p.New(net, loc, sc.PacketSize, src)
 	case ZAP:
-		cfg := sc.Zap
-		cfg.PacketSize = sc.PacketSize
-		w.Proto = zap.New(net, loc, cfg, src)
+		w.Proto = zap.New(net, loc, sc.Zap, sc.PacketSize, src)
 	}
 	if arena != nil {
 		// Collectors were just created empty; every record this run opens

@@ -411,12 +411,12 @@ func sourceSeries(seeds int) []analysis.Series {
 		var sum float64
 		observed := 0
 		for s := int64(1); s <= int64(seeds); s++ {
-			a := SourceAnonymity(s, cover)
+			a, e := sourceSend(s, cover)
 			seen[i] += float64(a.AnonymitySet)
 			if cover {
 				eta += float64(a.Neighbors)
 			}
-			if e := SourceLocationError(s, cover); e >= 0 {
+			if e >= 0 {
 				sum += e
 				observed++
 			}

@@ -12,38 +12,24 @@ import (
 	"alertmanet/internal/node"
 )
 
-// AppConfig tunes the baseline application.
-type AppConfig struct {
-	// PacketSize is the on-air data packet size (512 bytes).
-	PacketSize int
-	// HopBudget is the TTL in hops (10 in the paper's experiments).
-	HopBudget int
-	// CompleteTimeout records a packet as undelivered after this long.
-	CompleteTimeout float64
-}
-
-// DefaultAppConfig matches the paper's parameters.
-func DefaultAppConfig() AppConfig {
-	return AppConfig{PacketSize: 512, HopBudget: DefaultHopBudget, CompleteTimeout: 8}
-}
-
 // App is the GPSR baseline protocol instance.
 type App struct {
-	net    *node.Network
-	loc    *locservice.Service
-	router *Router
-	cfg    AppConfig
-	col    *metrics.Collector
+	net        *node.Network
+	loc        *locservice.Service
+	router     *Router
+	packetSize int
+	col        *metrics.Collector
 }
 
 // NewApp creates the baseline and attaches its handlers on every node.
-func NewApp(net *node.Network, loc *locservice.Service, cfg AppConfig) *App {
+// packetSize is the on-air data packet size in bytes.
+func NewApp(net *node.Network, loc *locservice.Service, packetSize int) *App {
 	a := &App{
-		net:    net,
-		loc:    loc,
-		router: New(net),
-		cfg:    cfg,
-		col:    metrics.NewCollector(),
+		net:        net,
+		loc:        loc,
+		router:     New(net),
+		packetSize: packetSize,
+		col:        metrics.NewCollector(),
 	}
 	a.router.AttachAll()
 	return a
@@ -74,15 +60,13 @@ func (a *App) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, 
 		completed = true
 		a.col.Complete(rec, at, delivered)
 	}
-	if a.cfg.CompleteTimeout > 0 {
-		a.net.Eng.Schedule(a.cfg.CompleteTimeout, func() { finish(0, false) })
-	}
+	a.net.Eng.Schedule(CompleteTimeout, func() { finish(0, false) })
 	pkt := a.router.NewPacket()
 	pkt.Dest = entry.Pos
 	pkt.DeliverTo = dst
 	pkt.Payload = data
-	pkt.Size = a.cfg.PacketSize
-	pkt.HopBudget = a.cfg.HopBudget
+	pkt.Size = a.packetSize
+	pkt.HopBudget = DefaultHopBudget
 	pkt.OnOutcome = func(_ medium.NodeID, gp *Packet, out Outcome) {
 		rec.Hops = gp.Hops
 		// Copy, never alias: the frame is recycled below and its Path

@@ -13,7 +13,7 @@ import (
 	"alertmanet/internal/sim"
 )
 
-func buildApp(seed int64, n int, speed float64, locCfg locservice.Config) (*sim.Engine, *node.Network, *locservice.Service, *App) {
+func buildApp(seed int64, n int, speed float64, updates bool) (*sim.Engine, *node.Network, *locservice.Service, *App) {
 	eng := sim.NewEngine()
 	src := rng.New(seed)
 	var mob mobility.Model
@@ -24,8 +24,8 @@ func buildApp(seed int64, n int, speed float64, locCfg locservice.Config) (*sim.
 	}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locCfg)
-	return eng, net, loc, NewApp(net, loc, DefaultAppConfig())
+	loc := locservice.New(net, updates)
+	return eng, net, loc, NewApp(net, loc, 512)
 }
 
 func appFarPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeID) {
@@ -41,7 +41,7 @@ func appFarPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeI
 }
 
 func TestAppDelivery(t *testing.T) {
-	eng, net, _, app := buildApp(1, 200, 0, locservice.DefaultConfig())
+	eng, net, _, app := buildApp(1, 200, 0, true)
 	s, d := appFarPair(net, 600)
 	rec, _ := app.Send(s, d, []byte("x"))
 	eng.RunUntil(30)
@@ -59,7 +59,7 @@ func TestAppDelivery(t *testing.T) {
 func TestAppShortestPathStable(t *testing.T) {
 	// GPSR always takes the same greedy path in a static network — the
 	// property that makes it traceable (Section 3.1).
-	eng, net, _, app := buildApp(2, 200, 0, locservice.DefaultConfig())
+	eng, net, _, app := buildApp(2, 200, 0, true)
 	s, d := appFarPair(net, 600)
 	var paths [][]medium.NodeID
 	for i := 0; i < 3; i++ {
@@ -83,8 +83,7 @@ func TestAppStaleDestinationFails(t *testing.T) {
 	// Without destination updates and with fast movement, the looked-up
 	// position goes stale and delivery degrades (Fig. 16b).
 	run := func(updates bool) float64 {
-		cfg := locservice.Config{UpdateInterval: 2, UpdatesEnabled: updates}
-		eng, net, _, app := buildApp(3, 200, 20, cfg)
+		eng, net, _, app := buildApp(3, 200, 20, updates)
 		sent := 0
 		for i := 0; i < 20; i++ {
 			at := float64(i) * 4
@@ -108,7 +107,7 @@ func TestAppStaleDestinationFails(t *testing.T) {
 }
 
 func TestAppLocServiceDown(t *testing.T) {
-	eng, _, loc, app := buildApp(4, 30, 0, locservice.DefaultConfig())
+	eng, _, loc, app := buildApp(4, 30, 0, true)
 	for i := 0; i < loc.NumServers(); i++ {
 		loc.FailServer(i)
 	}
@@ -125,8 +124,8 @@ func TestAppUndeliveredCompletes(t *testing.T) {
 	mob := &fixedModel{pos: []geo.Point{{X: 0, Y: 0}, {X: 900, Y: 900}}}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	app := NewApp(net, loc, DefaultAppConfig())
+	loc := locservice.New(net, true)
+	app := NewApp(net, loc, 512)
 	rec, _ := app.Send(0, 1, []byte("x"))
 	eng.RunUntil(30)
 	if rec.Delivered {

@@ -247,9 +247,13 @@ func (r *Router) Tap() *telemetry.Tap { return r.tap }
 // Counters returns a snapshot of routing statistics.
 func (r *Router) Counters() Counters { return r.counts }
 
-// DefaultHopBudget is the paper's TTL of 10 for baseline GPSR runs; ALERT
-// legs use it per leg.
+// DefaultHopBudget is the paper's GPSR TTL of 10. Every protocol's packets
+// use it: ALERT per leg between random forwarders, the others end to end.
 const DefaultHopBudget = 10
+
+// CompleteTimeout is how long, in seconds, the GPSR, ALARM, AO2P and ZAP
+// senders wait before recording an unfinished packet as undelivered.
+const CompleteTimeout = 8.0
 
 // SafeRangeFactor is the fraction of the radio range greedy forwarding
 // prefers to stay within (see the comment in Handle).

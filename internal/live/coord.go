@@ -24,6 +24,7 @@ import (
 
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
+	"alertmanet/internal/locservice"
 	"alertmanet/internal/stats"
 )
 
@@ -171,8 +172,8 @@ func (c *Coordinator) Run() (Summary, error) {
 	}
 
 	// March emulated time: topology every hello interval, location
-	// entries every LocInterval (when updates are on), like the sim's
-	// beacon and location-service cadences.
+	// entries every locservice.UpdateInterval (when updates are on), like
+	// the sim's beacon and location-service cadences.
 	hello := sc.HelloInterval
 	if hello <= 0 {
 		hello = 1
@@ -185,7 +186,7 @@ func (c *Coordinator) Run() (Summary, error) {
 		if d := target - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
-		refreshLoc := sc.LocUpdates && sc.LocInterval > 0 && t-lastLoc >= sc.LocInterval-1e-9
+		refreshLoc := sc.LocUpdates && t-lastLoc >= locservice.UpdateInterval-1e-9
 		if refreshLoc {
 			lastLoc = t
 		}

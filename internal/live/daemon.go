@@ -61,10 +61,6 @@ type Config struct {
 	FixedAxisPartition bool
 	// PacketSize is the emulated on-air size of data packets.
 	PacketSize int
-	// HopBudget is the TTL for direct (gpsr-family) flows; LegHopBudget
-	// the TTL per ALERT leg.
-	HopBudget    int
-	LegHopBudget int
 	// ChargeSessionSetup mirrors core.Config (the evaluation harness
 	// runs with it off).
 	ChargeSessionSetup bool

@@ -1,8 +1,8 @@
 // Fleet assembly: turn an experiment.Scenario into a set of running live
 // daemons whose configuration mirrors exactly what experiment.Build would
-// hand the simulator — same field, partition depth, hop budgets, medium
-// parameters and crypto charging — so a live run and a sim run of the same
-// scenario differ only in transport.
+// hand the simulator — same field, partition depth, medium parameters and
+// crypto charging — so a live run and a sim run of the same scenario
+// differ only in transport.
 
 package live
 
@@ -11,7 +11,6 @@ import (
 
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
-	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
 	"alertmanet/internal/telemetry"
 )
@@ -31,14 +30,6 @@ func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
 	if hmax <= 0 {
 		hmax = geo.PartitionsForK(sc.N, sc.Alert.K)
 	}
-	hopBudget := sc.Gpsr.HopBudget
-	if hopBudget <= 0 {
-		hopBudget = gpsr.DefaultHopBudget
-	}
-	legBudget := sc.Alert.LegHopBudget
-	if legBudget <= 0 {
-		legBudget = gpsr.DefaultHopBudget
-	}
 	return Config{
 		ID:                 id,
 		Protocol:           string(sc.Protocol),
@@ -47,8 +38,6 @@ func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
 		Hmax:               hmax,
 		FixedAxisPartition: sc.Alert.FixedAxisPartition,
 		PacketSize:         sc.PacketSize,
-		HopBudget:          hopBudget,
-		LegHopBudget:       legBudget,
 		ChargeSessionSetup: sc.Alert.ChargeSessionSetup,
 		Medium:             par,
 		Timescale:          timescale,

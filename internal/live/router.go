@@ -158,7 +158,7 @@ func (d *Daemon) launch(fl *flowState, seq uint32) {
 	if d.cfg.Protocol != "alert" {
 		f.Dest = spec.Dest.Pos
 		f.DeliverTo = int32(spec.Dest.ID)
-		f.HopBudget = uint16(d.cfg.HopBudget)
+		f.HopBudget = gpsr.DefaultHopBudget
 		d.stepLoop(f)
 		return
 	}
@@ -214,7 +214,7 @@ func (d *Daemon) routeEntry(f *Frame) bool {
 	}
 	f.Dest = st.TD
 	f.DeliverTo = None
-	f.HopBudget = uint16(d.cfg.LegHopBudget)
+	f.HopBudget = gpsr.DefaultHopBudget
 	f.SetForwardState(gpsr.NewForwardState())
 	return true
 }

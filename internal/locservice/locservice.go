@@ -33,20 +33,9 @@ import (
 	"alertmanet/internal/sim"
 )
 
-// Config controls the location service. It always runs N_L = ceil(sqrt(N))
-// replicated servers, per Section 4.3.
-type Config struct {
-	// UpdateInterval is the position-update period in seconds (1/f).
-	UpdateInterval float64
-	// UpdatesEnabled distinguishes the paper's "with destination update"
-	// and "without destination update" runs.
-	UpdatesEnabled bool
-}
-
-// DefaultConfig enables updates every 2 seconds.
-func DefaultConfig() Config {
-	return Config{UpdateInterval: 2, UpdatesEnabled: true}
-}
+// UpdateInterval is the position-update period in seconds (1/f), the
+// paper's single location-update rate.
+const UpdateInterval = 2.0
 
 // Entry is what a lookup returns about a node.
 type Entry struct {
@@ -66,10 +55,11 @@ type Counters struct {
 	Lookups uint64
 }
 
-// Service is the replicated location service.
+// Service is the replicated location service. It always runs
+// N_L = ceil(sqrt(N)) replicated servers, per Section 4.3.
 type Service struct {
 	net     *node.Network
-	cfg     Config
+	updates bool
 	entries []Entry
 	alive   []bool
 	counts  Counters
@@ -77,10 +67,12 @@ type Service struct {
 }
 
 // New creates the service, registers every node's initial position and
-// public key, and (if enabled) schedules periodic updates.
-func New(net *node.Network, cfg Config) *Service {
+// public key, and, when updates is set, refreshes them every
+// UpdateInterval. updates distinguishes the paper's "with destination
+// update" and "without destination update" runs.
+func New(net *node.Network, updates bool) *Service {
 	numServers := max(int(math.Ceil(math.Sqrt(float64(net.N())))), 1)
-	s := &Service{net: net, cfg: cfg}
+	s := &Service{net: net, updates: updates}
 	s.entries = make([]Entry, net.N())
 	s.alive = make([]bool, numServers)
 	for i := range s.alive {
@@ -92,8 +84,8 @@ func New(net *node.Network, cfg Config) *Service {
 		s.entries[i] = Entry{Pos: nd.Position(), Pub: nd.Pub,
 			Pseudonym: nd.Pseudonym, UpdatedAt: now}
 	}
-	if cfg.UpdatesEnabled && cfg.UpdateInterval > 0 {
-		s.stop = net.Eng.Ticker(cfg.UpdateInterval, cfg.UpdateInterval,
+	if updates {
+		s.stop = net.Eng.Ticker(UpdateInterval, UpdateInterval,
 			func(sim.Time) { s.updateAll() })
 	}
 	return s
@@ -176,11 +168,11 @@ func (s *Service) Counters() Counters { return s.counts }
 // communication message frequency F (messages per node per second). The
 // service is "cheap" when the ratio is much less than 1.
 func (s *Service) OverheadRatio(commFreq float64) float64 {
-	if commFreq <= 0 || s.cfg.UpdateInterval <= 0 {
+	if commFreq <= 0 {
 		return math.Inf(1)
 	}
-	f := 1.0 / s.cfg.UpdateInterval
-	if !s.cfg.UpdatesEnabled {
+	f := 1.0 / UpdateInterval
+	if !s.updates {
 		f = 0
 	}
 	nl := float64(len(s.alive))

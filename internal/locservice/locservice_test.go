@@ -26,7 +26,7 @@ func newNet(n int, speed float64, seed int64) (*sim.Engine, *node.Network) {
 
 func TestInitialRegistration(t *testing.T) {
 	_, net := newNet(20, 2, 1)
-	s := New(net, DefaultConfig())
+	s := New(net, true)
 	for i, nd := range net.Nodes {
 		e, ok := s.Lookup(medium.NodeID(i))
 		if !ok {
@@ -43,12 +43,12 @@ func TestInitialRegistration(t *testing.T) {
 
 func TestDefaultServerCountIsSqrtN(t *testing.T) {
 	_, net := newNet(100, 2, 2)
-	s := New(net, DefaultConfig())
+	s := New(net, true)
 	if s.NumServers() != 10 {
 		t.Fatalf("N_L = %d, want 10 for N=100", s.NumServers())
 	}
 	_, net2 := newNet(200, 2, 3)
-	s2 := New(net2, DefaultConfig())
+	s2 := New(net2, true)
 	if s2.NumServers() != 15 { // ceil(sqrt(200)) = 15
 		t.Fatalf("N_L = %d, want 15 for N=200", s2.NumServers())
 	}
@@ -56,7 +56,7 @@ func TestDefaultServerCountIsSqrtN(t *testing.T) {
 
 func TestUpdatesRefreshPositions(t *testing.T) {
 	eng, net := newNet(10, 5, 4)
-	s := New(net, Config{UpdateInterval: 2, UpdatesEnabled: true})
+	s := New(net, true)
 	eng.RunUntil(10)
 	for i, nd := range net.Nodes {
 		e, _ := s.Lookup(medium.NodeID(i))
@@ -72,7 +72,7 @@ func TestUpdatesRefreshPositions(t *testing.T) {
 
 func TestUpdatesDisabledFreezesPositions(t *testing.T) {
 	eng, net := newNet(10, 5, 5)
-	s := New(net, Config{UpdateInterval: 2, UpdatesEnabled: false})
+	s := New(net, false)
 	initial := make([]geo.Point, 10)
 	for i := range initial {
 		e, _ := s.Lookup(medium.NodeID(i))
@@ -96,7 +96,7 @@ func TestUpdatesDisabledFreezesPositions(t *testing.T) {
 
 func TestStopUpdates(t *testing.T) {
 	eng, net := newNet(5, 5, 6)
-	s := New(net, Config{UpdateInterval: 1, UpdatesEnabled: true})
+	s := New(net, true)
 	eng.RunUntil(3)
 	s.StopUpdates()
 	e3, _ := s.Lookup(0)
@@ -110,7 +110,7 @@ func TestStopUpdates(t *testing.T) {
 
 func TestServerFailure(t *testing.T) {
 	_, net := newNet(16, 2, 7)
-	s := New(net, DefaultConfig()) // 4 servers
+	s := New(net, true) // 4 servers
 	if s.NumServers() != 4 {
 		t.Fatalf("expected 4 servers, got %d", s.NumServers())
 	}
@@ -135,7 +135,7 @@ func TestServerFailure(t *testing.T) {
 
 func TestCountersMatchSection43Formulas(t *testing.T) {
 	eng, net := newNet(100, 2, 8)
-	s := New(net, Config{UpdateInterval: 2, UpdatesEnabled: true}) // N_L = ceil(sqrt(100)) = 10
+	s := New(net, true) // N_L = ceil(sqrt(100)) = 10
 	const T = 20.0
 	eng.RunUntil(T)
 	c := s.Counters()
@@ -152,7 +152,7 @@ func TestCountersMatchSection43Formulas(t *testing.T) {
 
 func TestOverheadRatioSmall(t *testing.T) {
 	_, net := newNet(200, 2, 9)
-	s := New(net, DefaultConfig())
+	s := New(net, true)
 	// Section 4.3 requires f << F. With f = 0.5 updates/s and a
 	// multimedia-style F = 10 msgs/node/s the overhead must be << 1.
 	ratio := s.OverheadRatio(10)
@@ -167,11 +167,11 @@ func TestOverheadRatioSmall(t *testing.T) {
 
 func TestOverheadRatioEdgeCases(t *testing.T) {
 	_, net := newNet(10, 2, 10)
-	s := New(net, DefaultConfig())
+	s := New(net, true)
 	if !math.IsInf(s.OverheadRatio(0), 1) {
 		t.Fatal("F=0 should be +Inf")
 	}
-	s2 := New(net, Config{UpdateInterval: 2, UpdatesEnabled: false})
+	s2 := New(net, false)
 	if s2.OverheadRatio(1) != 0 {
 		t.Fatal("updates disabled should have zero overhead")
 	}
@@ -179,7 +179,7 @@ func TestOverheadRatioEdgeCases(t *testing.T) {
 
 func TestLookupCountsQueries(t *testing.T) {
 	_, net := newNet(5, 2, 11)
-	s := New(net, DefaultConfig())
+	s := New(net, true)
 	before := s.Counters().Lookups
 	s.Lookup(0)
 	s.Lookup(1)

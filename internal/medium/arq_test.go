@@ -10,6 +10,11 @@ import (
 	"alertmanet/internal/sim"
 )
 
+// sinkFunc adapts a closure to OutcomeSink.
+type sinkFunc func(SendOutcome)
+
+func (f sinkFunc) SendResolved(o SendOutcome) { f(o) }
+
 // windowModel pins nodes at fixed positions except that one node teleports
 // to a far position during (from, to) — a deterministic way to break a link
 // for exactly one frame's flight window.
@@ -79,7 +84,7 @@ func TestARQRetryRecoversLoss(t *testing.T) {
 	med.Attach(1, func(NodeID, any, int) { got++ })
 	var out SendOutcome
 	outs := 0
-	med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) { out = o; outs++ })
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o; outs++ }))
 	eng.Schedule(0.5e-3, func() { med.SetLossRate(0) }) // after attempt 1 fails
 	eng.Run()
 	if got != 1 {
@@ -104,7 +109,7 @@ func TestARQBackoffTiming(t *testing.T) {
 	eng, med := setup(mob, par)
 	var at float64
 	var out SendOutcome
-	med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) { out = o; at = eng.Now() })
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o; at = eng.Now() }))
 	eng.Run()
 	d := 64 * 8 / par.Bitrate
 	want := 4*d + 7*par.RetryBackoff
@@ -132,7 +137,7 @@ func TestARQRetriesZeroFireAndForget(t *testing.T) {
 	med.Attach(1, func(NodeID, any, int) { rx = eng.Now() })
 	var out SendOutcome
 	var at float64
-	med.UnicastOutcome(0, 1, "x", 512, func(o SendOutcome) { out = o; at = eng.Now() })
+	med.UnicastSink(0, 1, "x", 512, sinkFunc(func(o SendOutcome) { out = o; at = eng.Now() }))
 	eng.Run()
 	d := 512 * 8 / par.Bitrate
 	if rx != d || at != d || out != SendDelivered {
@@ -146,7 +151,7 @@ func TestARQRetriesZeroFireAndForget(t *testing.T) {
 	// And a loss resolves SendLost on the first (only) attempt.
 	med.SetLossRate(1)
 	out = 255
-	med.UnicastOutcome(0, 1, "x", 512, func(o SendOutcome) { out = o })
+	med.UnicastSink(0, 1, "x", 512, sinkFunc(func(o SendOutcome) { out = o }))
 	eng.Run()
 	if out != SendLost {
 		t.Fatalf("outcome = %v", out)
@@ -165,7 +170,7 @@ func TestARQCompromisedSenderOutcome(t *testing.T) {
 	med.Compromise(0)
 	var out SendOutcome
 	outs := 0
-	med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) { out = o; outs++ })
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o; outs++ }))
 	eng.Run()
 	if outs != 1 || out != SendCompromised {
 		t.Fatalf("outcome = %v (fired %d times)", out, outs)
@@ -185,7 +190,7 @@ func TestARQAckImmuneToCompromisedReceiver(t *testing.T) {
 	med.Attach(1, func(NodeID, any, int) { got++ })
 	med.Compromise(1)
 	var out SendOutcome
-	med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) { out = o })
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o }))
 	eng.Run()
 	if got != 1 || out != SendDelivered {
 		t.Fatalf("got=%d outcome=%v", got, out)
@@ -212,7 +217,7 @@ func TestARQDuplicateAbsorbed(t *testing.T) {
 	med.Attach(1, func(NodeID, any, int) { got++ })
 	var out SendOutcome
 	outs := 0
-	med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) { out = o; outs++ })
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o; outs++ }))
 	eng.Run()
 	if got != 1 {
 		t.Fatalf("handler fired %d times", got)
@@ -252,9 +257,9 @@ func TestARQDeterministicOnInjectedSource(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			at := float64(i) * 0.05
 			eng.At(at, func() {
-				med.UnicastOutcome(0, 1, "x", 64, func(o SendOutcome) {
+				med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) {
 					trace = append(trace, arqTraceEvent{At: eng.Now(), Out: o})
-				})
+				}))
 			})
 		}
 		eng.Run()

@@ -396,39 +396,29 @@ func (m *Medium) notifyRecv(from, to NodeID, payload any, size int) {
 }
 
 // Unicast transmits payload from one node to another with link-layer ARQ
-// (see UnicastOutcome) but without reporting the send's fate. Returns the
+// (see UnicastSink) but without reporting the send's fate. Returns the
 // scheduled first-attempt delivery time.
 func (m *Medium) Unicast(from, to NodeID, payload any, size int) float64 {
-	return m.UnicastOutcome(from, to, payload, size, nil)
+	return m.UnicastSink(from, to, payload, size, nil)
 }
 
-// OutcomeSink receives a unicast send's terminal fate: the pre-allocated
-// counterpart of UnicastOutcome's done callback. Hot-path senders (the
+// OutcomeSink receives a unicast send's terminal fate. Hot-path senders (the
 // router's forward) implement it on the in-flight packet itself so
 // reporting a hop's fate costs no closure allocation.
 type OutcomeSink interface {
 	SendResolved(out SendOutcome)
 }
 
-// UnicastOutcome transmits payload from one node to another and reports the
-// send's terminal fate to done (which may be nil). Delivery succeeds if the
+// UnicastSink transmits payload from one node to another and reports the
+// send's terminal fate to sink (which may be nil). Delivery succeeds if the
 // receiver is within Range when a data-frame transmission completes and the
 // loss coin does not fire; with Params.Retries > 0 the receiver ACKs each
 // data frame and the sender retransmits on silence, so a send only counts as
-// lost after the whole retry budget fails. done fires exactly once, when the
-// ARQ resolves: at ACK reception or retry exhaustion (Retries > 0), or at
-// first-attempt resolution (Retries = 0). The handler fires at most once per
-// send — duplicate data receptions are absorbed by the ARQ. Returns the
+// lost after the whole retry budget fails. The sink fires exactly once, when
+// the ARQ resolves: at ACK reception or retry exhaustion (Retries > 0), or
+// at first-attempt resolution (Retries = 0). The handler fires at most once
+// per send — duplicate data receptions are absorbed by the ARQ. Returns the
 // scheduled first-attempt delivery time.
-func (m *Medium) UnicastOutcome(from, to NodeID, payload any, size int, done func(SendOutcome)) float64 {
-	m.counters.UnicastsSent++
-	s := m.newArq(from, to, payload, size)
-	s.done = done
-	return s.attempt()
-}
-
-// UnicastSink is UnicastOutcome with a pre-allocated OutcomeSink in place of
-// the done closure; the allocation-free variant for per-hop forwarding.
 func (m *Medium) UnicastSink(from, to NodeID, payload any, size int, sink OutcomeSink) float64 {
 	m.counters.UnicastsSent++
 	s := m.newArq(from, to, payload, size)
@@ -463,13 +453,12 @@ const (
 // is a strictly sequential state machine — at most one scheduled event
 // references it at any time, and none after it resolves — which is what
 // makes pooling it safe: resolve() returns it to the medium's pool after
-// the fate callback fires, and the next Unicast reuses it.
+// the sink reports the fate, and the next Unicast reuses it.
 type arqSend struct {
 	m        *Medium
 	from, to NodeID
 	payload  any
 	size     int
-	done     func(SendOutcome)
 	sink     OutcomeSink
 	// phase selects the RunEvent body for the one event in flight.
 	phase uint8
@@ -479,7 +468,7 @@ type arqSend struct {
 	// receptions of the same send are duplicates and the worst remaining
 	// outcome is SendDelivered.
 	delivered bool
-	// resolved guards the single done callback.
+	// resolved guards the single sink report.
 	resolved bool
 }
 
@@ -500,9 +489,6 @@ func (s *arqSend) resolve(out SendOutcome) {
 		return
 	}
 	s.resolved = true
-	if s.done != nil {
-		s.done(out)
-	}
 	if s.sink != nil {
 		s.sink.SendResolved(out)
 	}
@@ -510,7 +496,6 @@ func (s *arqSend) resolve(out SendOutcome) {
 	// recycle it. References are dropped so payloads can be collected.
 	m := s.m
 	s.payload = nil
-	s.done = nil
 	s.sink = nil
 	m.arqFree = append(m.arqFree, s)
 }

@@ -18,35 +18,21 @@ import (
 	"alertmanet/internal/rng"
 )
 
-// Config tunes the ZAP model.
+// Config tunes the ZAP model. The zero value is the paper's ZAP, with no
+// zone enlargement.
 type Config struct {
-	// PacketSize is the on-air data packet size.
-	PacketSize int
-	// HopBudget is the geo-forwarding TTL in hops.
-	HopBudget int
-	// ZoneSide is the anonymity zone's initial side length in meters.
-	ZoneSide float64
 	// EnlargePerPacket grows the zone side by this many meters on every
 	// subsequent packet of a session — ZAP's intersection-attack remedy.
 	// Zero disables enlargement.
 	EnlargePerPacket float64
-	// MaxZoneSide caps enlargement.
-	MaxZoneSide float64
-	// CompleteTimeout records a packet undelivered after this long.
-	CompleteTimeout float64
 }
 
-// DefaultConfig sizes the initial zone like ALERT's H=5 destination zone.
-func DefaultConfig() Config {
-	return Config{
-		PacketSize:       512,
-		HopBudget:        gpsr.DefaultHopBudget,
-		ZoneSide:         180,
-		EnlargePerPacket: 0,
-		MaxZoneSide:      700,
-		CompleteTimeout:  8,
-	}
-}
+// zoneSide is the anonymity zone's initial side length in meters, sized
+// like ALERT's H=5 destination zone; maxZoneSide caps enlargement.
+const (
+	zoneSide    = 180.0
+	maxZoneSide = 700.0
+)
 
 // flood is the in-zone broadcast payload.
 type flood struct {
@@ -71,25 +57,28 @@ type meta struct {
 
 // Protocol is one ZAP instance.
 type Protocol struct {
-	net      *node.Network
-	loc      *locservice.Service
-	router   *gpsr.Router
-	cfg      Config
-	col      *metrics.Collector
-	rnd      *rng.Source
-	sessions map[[2]medium.NodeID]int // packets sent per pair, drives enlargement
+	net        *node.Network
+	loc        *locservice.Service
+	router     *gpsr.Router
+	cfg        Config
+	packetSize int
+	col        *metrics.Collector
+	rnd        *rng.Source
+	sessions   map[[2]medium.NodeID]int // packets sent per pair, drives enlargement
 }
 
-// New creates the protocol and attaches handlers on every node.
-func New(net *node.Network, loc *locservice.Service, cfg Config, src *rng.Source) *Protocol {
+// New creates the protocol and attaches handlers on every node. packetSize
+// is the on-air data packet size in bytes.
+func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int, src *rng.Source) *Protocol {
 	p := &Protocol{
-		net:      net,
-		loc:      loc,
-		router:   gpsr.New(net),
-		cfg:      cfg,
-		col:      metrics.NewCollector(),
-		rnd:      src.Split("zap"),
-		sessions: make(map[[2]medium.NodeID]int),
+		net:        net,
+		loc:        loc,
+		router:     gpsr.New(net),
+		cfg:        cfg,
+		packetSize: packetSize,
+		col:        metrics.NewCollector(),
+		rnd:        src.Split("zap"),
+		sessions:   make(map[[2]medium.NodeID]int),
 	}
 	for i := 0; i < net.N(); i++ {
 		id := medium.NodeID(i)
@@ -146,26 +135,21 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	key := [2]medium.NodeID{src, dst}
 	n := p.sessions[key]
 	p.sessions[key] = n + 1
-	side := p.cfg.ZoneSide + float64(n)*p.cfg.EnlargePerPacket
-	if p.cfg.MaxZoneSide > 0 && side > p.cfg.MaxZoneSide {
-		side = p.cfg.MaxZoneSide
-	}
+	side := min(zoneSide+float64(n)*p.cfg.EnlargePerPacket, maxZoneSide)
 	m := &meta{
 		rec:     rec,
 		dst:     dst,
 		zone:    p.zoneFor(entry.Pos, side),
 		relayed: make(map[medium.NodeID]bool),
 	}
-	if p.cfg.CompleteTimeout > 0 {
-		p.net.Eng.Schedule(p.cfg.CompleteTimeout, func() { p.finish(m, 0, false) })
-	}
+	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, 0, false) })
 	anchor := m.zone.Center()
 	pkt := p.router.NewPacket()
 	pkt.Dest = anchor
 	pkt.DeliverTo = gpsr.NoDeliverTo
 	pkt.Payload = m
-	pkt.Size = p.cfg.PacketSize
-	pkt.HopBudget = p.cfg.HopBudget
+	pkt.Size = p.packetSize
+	pkt.HopBudget = gpsr.DefaultHopBudget
 	pkt.OnOutcome = func(at medium.NodeID, gp *gpsr.Packet, out gpsr.Outcome) {
 		m.rec.Hops += gp.Hops
 		m.rec.Path = append(m.rec.Path, gp.Path...)
@@ -192,7 +176,7 @@ func (p *Protocol) broadcastZone(at medium.NodeID, m *meta) {
 	p.receive(at, m)
 	m.relayed[at] = true
 	m.rec.Hops++
-	p.net.Med.Broadcast(at, &flood{m: m, Zone: m.zone}, p.cfg.PacketSize)
+	p.net.Med.Broadcast(at, &flood{m: m, Zone: m.zone}, p.packetSize)
 }
 
 // handleFlood runs at every flood receiver: deliver if addressee, relay
@@ -203,7 +187,7 @@ func (p *Protocol) handleFlood(at medium.NodeID, f *flood) {
 	if f.Zone.Contains(p.net.Med.PositionNow(at)) && !m.relayed[at] {
 		m.relayed[at] = true
 		m.rec.Hops++
-		p.net.Med.Broadcast(at, f, p.cfg.PacketSize)
+		p.net.Med.Broadcast(at, f, p.packetSize)
 	}
 }
 

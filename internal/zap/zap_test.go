@@ -21,8 +21,8 @@ func build(seed int64, n int, cfg Config) (*sim.Engine, *node.Network, *Protocol
 	mob := mobility.NewStatic(field, n, src)
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	return eng, net, New(net, loc, cfg, src)
+	loc := locservice.New(net, true)
+	return eng, net, New(net, loc, cfg, 512, src)
 }
 
 func farPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeID) {
@@ -38,7 +38,7 @@ func farPair(net *node.Network, minDist float64) (medium.NodeID, medium.NodeID) 
 }
 
 func TestDelivery(t *testing.T) {
-	eng, net, p := build(1, 200, DefaultConfig())
+	eng, net, p := build(1, 200, Config{})
 	s, d := farPair(net, 600)
 	rec, _ := p.Send(s, d, []byte("x"))
 	eng.RunUntil(30)
@@ -51,11 +51,11 @@ func TestDelivery(t *testing.T) {
 }
 
 func TestZoneContainsDestination(t *testing.T) {
-	_, net, p := build(2, 100, DefaultConfig())
+	_, net, p := build(2, 100, Config{})
 	for i := 0; i < 50; i++ {
 		d := medium.NodeID(i % net.N())
 		e, _ := p.loc.Lookup(d)
-		zone := p.zoneFor(e.Pos, p.cfg.ZoneSide)
+		zone := p.zoneFor(e.Pos, zoneSide)
 		if !zone.Contains(e.Pos) {
 			t.Fatalf("zone %v does not contain D at %v", zone, e.Pos)
 		}
@@ -68,12 +68,12 @@ func TestZoneContainsDestination(t *testing.T) {
 func TestZoneNotCenteredOnDestination(t *testing.T) {
 	// The cloaking zone's centroid should usually differ from D's
 	// position — otherwise the zone itself reveals D.
-	_, net, p := build(3, 100, DefaultConfig())
+	_, net, p := build(3, 100, Config{})
 	centered := 0
 	for i := 0; i < 50; i++ {
 		d := medium.NodeID(i % net.N())
 		e, _ := p.loc.Lookup(d)
-		zone := p.zoneFor(e.Pos, p.cfg.ZoneSide)
+		zone := p.zoneFor(e.Pos, zoneSide)
 		if zone.Center().Dist(e.Pos) < 1 {
 			centered++
 		}
@@ -88,9 +88,7 @@ func TestEnlargementGrowsOverhead(t *testing.T) {
 	// grows every packet, so hops/packet increase through the session —
 	// the cost ALERT's Section 3.3 strategy avoids.
 	run := func(enlarge float64) (first, last float64) {
-		cfg := DefaultConfig()
-		cfg.EnlargePerPacket = enlarge
-		eng, net, p := build(4, 200, cfg)
+		eng, net, p := build(4, 200, Config{EnlargePerPacket: enlarge})
 		s, d := farPair(net, 500)
 		const packets = 10
 		for i := 0; i < packets; i++ {
@@ -124,7 +122,7 @@ func TestEnlargementGrowsOverhead(t *testing.T) {
 func TestDestinationAnonymityWithinZone(t *testing.T) {
 	// Every node in the zone receives the flood: D hides among them
 	// (ZAP's k-anonymity analogue).
-	eng, net, p := build(5, 200, DefaultConfig())
+	eng, net, p := build(5, 200, Config{})
 	s, d := farPair(net, 500)
 	receivers := map[medium.NodeID]bool{}
 	net.Med.TapRecv(func(rx medium.Reception) {
@@ -152,8 +150,8 @@ func TestUndeliveredCompletes(t *testing.T) {
 	mob := &pinned{pos: pos}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	p := New(net, loc, Config{}, 512, src)
 	rec, _ := p.Send(0, 1, []byte("x"))
 	eng.RunUntil(30)
 	if rec.Delivered || p.Collector().Completed() != 1 {
@@ -171,8 +169,8 @@ func TestAnchorIsDestination(t *testing.T) {
 		{X: 500, Y: 500}, {X: 700, Y: 500}, {X: 900, Y: 500}}}
 	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, locservice.DefaultConfig())
-	p := New(net, loc, DefaultConfig(), src)
+	loc := locservice.New(net, true)
+	p := New(net, loc, Config{}, 512, src)
 	rec, _ := p.Send(0, 4, []byte("x"))
 	eng.RunUntil(30)
 	if !rec.Delivered {
@@ -191,7 +189,7 @@ func (p *pinned) Field() geo.Rect                      { return field }
 func (p *pinned) MaxSpeed() float64                    { return 0 }
 
 func TestLocServiceFailure(t *testing.T) {
-	eng, _, p := build(7, 30, DefaultConfig())
+	eng, _, p := build(7, 30, Config{})
 	for i := 0; i < p.loc.NumServers(); i++ {
 		p.loc.FailServer(i)
 	}
@@ -203,21 +201,26 @@ func TestLocServiceFailure(t *testing.T) {
 }
 
 func TestMaxZoneSideCaps(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnlargePerPacket = 500
-	cfg.MaxZoneSide = 300
-	eng, net, p := build(8, 100, cfg)
+	// 500 m of growth per packet passes the cap on the session's third
+	// packet (uncapped, the fifth zone would span the whole field); no
+	// flood may cover a zone wider than maxZoneSide.
+	eng, net, p := build(8, 100, Config{EnlargePerPacket: 500})
+	var widest float64
+	net.Med.TapRecv(func(rx medium.Reception) {
+		if f, ok := rx.Payload.(*flood); ok {
+			widest = max(widest, f.Zone.Width(), f.Zone.Height())
+		}
+	})
 	s, d := farPair(net, 400)
 	for i := 0; i < 5; i++ {
 		at := float64(i) * 2
 		eng.At(at+0.001, func() { p.Send(s, d, []byte("x")) })
 	}
 	eng.RunUntil(30)
-	// Indirect check: the last zone side is capped, so hops stay bounded
-	// by the 300 m zone's population rather than the whole field's.
-	recs := p.Collector().Records()
-	last := recs[len(recs)-1]
-	if last.Hops > 60 {
-		t.Fatalf("hops %d suggest the zone escaped its cap", last.Hops)
+	if widest > maxZoneSide {
+		t.Fatalf("flood zone %v m wide escaped the %v m cap", widest, maxZoneSide)
+	}
+	if widest <= zoneSide {
+		t.Fatalf("widest flood zone %v m: the zone never grew", widest)
 	}
 }
