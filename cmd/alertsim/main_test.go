@@ -123,6 +123,8 @@ func TestRejectsBeforeRunning(t *testing.T) {
 		{"-seeds", "2", "-telemetry", "run.jsonl"},
 		{"-seeds", "2", "-out", "dir"},
 		{"-nodes", "1"},
+		{"-packet-size", "-1000"},
+		{"-packet-size", "0"},
 		{"-preset", "nonesuch"},
 		{"-tlm-layers", "radio"},
 	} {

@@ -1,8 +1,9 @@
 // Arena-style substrate reuse across seeds. A campaign worker burns through
 // hundreds of single-seed runs back to back; each run used to build a fresh
-// engine (event heap, id map) and allocate every packet record from scratch,
-// so the allocator — not the simulation — bounded cells/min. An Arena keeps
-// those structures alive between runs on one worker and recycles them.
+// engine (event heap, event pool) and allocate every packet record from
+// scratch, so the allocator — not the simulation — bounded cells/min. An
+// Arena keeps those structures alive between runs on one worker and
+// recycles them.
 
 package experiment
 

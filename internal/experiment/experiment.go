@@ -198,6 +198,9 @@ func (sc Scenario) Validate() error {
 	if sc.Packets < 0 {
 		return fmt.Errorf("experiment: packet cap must be non-negative, got %d", sc.Packets)
 	}
+	if sc.PacketSize <= 0 {
+		return fmt.Errorf("experiment: packet size must be positive, got %d", sc.PacketSize)
+	}
 	if sc.Speed < 0 {
 		return fmt.Errorf("experiment: speed must be non-negative, got %v", sc.Speed)
 	}
@@ -205,6 +208,22 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("experiment: loss rate must be in [0,1], got %v", sc.LossRate)
 	}
 	return nil
+}
+
+// MediumParams returns the channel configuration the scenario runs on: the
+// paper's, with the scenario's loss rate, its hello interval when set, and
+// no link-layer retransmission under NoARQ. The simulator and the live
+// daemons both read it.
+func (sc Scenario) MediumParams() medium.Params {
+	par := medium.DefaultParams()
+	par.LossRate = sc.LossRate
+	if sc.HelloInterval > 0 {
+		par.HelloInterval = sc.HelloInterval
+	}
+	if sc.NoARQ {
+		par.Retries = 0
+	}
+	return par
 }
 
 // Hash returns a hex SHA-256 content hash of the full scenario
@@ -327,15 +346,7 @@ func buildArena(sc Scenario, arena *Arena) (*World, error) {
 		mob = mobility.NewRandomWaypoint(sc.Field, sc.N, sc.Speed, fork, src)
 	}
 
-	par := medium.DefaultParams()
-	par.LossRate = sc.LossRate
-	if sc.HelloInterval > 0 {
-		par.HelloInterval = sc.HelloInterval
-	}
-	if sc.NoARQ {
-		par.Retries = 0
-	}
-	med, err := medium.New(eng, mob, par, src)
+	med, err := medium.New(eng, mob, sc.MediumParams(), src)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}

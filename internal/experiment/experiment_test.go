@@ -706,6 +706,8 @@ func TestValidateRejectsEachBadField(t *testing.T) {
 		{"zero pairs", func(sc *Scenario) { sc.Pairs = 0 }},
 		{"pairs exceed distinct flows", func(sc *Scenario) { sc.N = 3; sc.Pairs = 7 }},
 		{"negative packet cap", func(sc *Scenario) { sc.Packets = -1 }},
+		{"zero packet size", func(sc *Scenario) { sc.PacketSize = 0 }},
+		{"negative packet size", func(sc *Scenario) { sc.PacketSize = -1000 }},
 		{"negative speed", func(sc *Scenario) { sc.Speed = -2 }},
 		{"loss rate above 1", func(sc *Scenario) { sc.LossRate = 1.5 }},
 		{"negative loss rate", func(sc *Scenario) { sc.LossRate = -0.1 }},

@@ -174,10 +174,7 @@ func (c *Coordinator) Run() (Summary, error) {
 	// March emulated time: topology every hello interval, location
 	// entries every locservice.UpdateInterval (when updates are on), like
 	// the sim's beacon and location-service cadences.
-	hello := sc.HelloInterval
-	if hello <= 0 {
-		hello = 1
-	}
+	hello := sc.MediumParams().HelloInterval
 	horizon := sc.Duration + sc.DrainTime
 	start := time.Now()
 	lastLoc := 0.0

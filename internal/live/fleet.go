@@ -11,21 +11,13 @@ import (
 
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
-	"alertmanet/internal/medium"
 	"alertmanet/internal/telemetry"
 )
 
 // DaemonConfigFor derives the live daemon configuration for node id from a
-// scenario — the single place the sim-to-live parameter mapping lives.
+// scenario — the single place the sim-to-live parameter mapping lives; the
+// channel's comes from Scenario.MediumParams, as the simulator's does.
 func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
-	par := medium.DefaultParams()
-	par.LossRate = sc.LossRate
-	if sc.HelloInterval > 0 {
-		par.HelloInterval = sc.HelloInterval
-	}
-	if sc.NoARQ {
-		par.Retries = 0
-	}
 	hmax := sc.Alert.H
 	if hmax <= 0 {
 		hmax = geo.PartitionsForK(sc.N, sc.Alert.K)
@@ -39,7 +31,7 @@ func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
 		FixedAxisPartition: sc.Alert.FixedAxisPartition,
 		PacketSize:         sc.PacketSize,
 		ChargeSessionSetup: sc.Alert.ChargeSessionSetup,
-		Medium:             par,
+		Medium:             sc.MediumParams(),
 		Timescale:          timescale,
 	}
 }

@@ -105,6 +105,27 @@ func TestSummaryLatencyMatchesSimDefinition(t *testing.T) {
 	}
 }
 
+// TestDaemonMediumMatchesSim: a daemon's channel is the one the simulator
+// builds for the same scenario, hello interval, loss and ARQ included.
+func TestDaemonMediumMatchesSim(t *testing.T) {
+	for _, mutate := range []func(*experiment.Scenario){
+		func(*experiment.Scenario) {},
+		func(sc *experiment.Scenario) { sc.HelloInterval = 0.3 },
+		func(sc *experiment.Scenario) { sc.LossRate = 0.2 },
+		func(sc *experiment.Scenario) { sc.NoARQ = true },
+	} {
+		sc := experiment.DefaultScenario()
+		mutate(&sc)
+		w, err := experiment.Build(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := DaemonConfigFor(sc, 0, 1).Medium, w.Med.Params(); got != want {
+			t.Errorf("daemon medium %+v, sim medium %+v", got, want)
+		}
+	}
+}
+
 // TestDaemonCloseIdempotent pins the shutdown path: double Close, and
 // Close with traffic queued, must not hang or panic.
 func TestDaemonCloseIdempotent(t *testing.T) {

@@ -199,6 +199,13 @@ type Medium struct {
 // order. The grid is rebuilt in place: bucket slices are truncated and
 // refilled rather than reallocated, so steady-state rebuilds allocate
 // nothing once the map and buckets have reached their high-water capacity.
+//
+// The cache also memoises the neighbor tables answered during the tick. A
+// table depends only on the tick and the node, so a node's first query
+// scans the grid and appends its neighbor ids to nbrs, and every later
+// query in the tick copies them out. tables[id] locates node id's ids in
+// nbrs and is valid only while its tick equals the cache's; rebuild
+// truncates nbrs, and with it every table of the previous tick.
 type beaconCache struct {
 	tick  int
 	at    float64
@@ -208,13 +215,26 @@ type beaconCache struct {
 	grid  map[[2]int][]NodeID
 	// live lists the keys of currently non-empty buckets, so rebuild can
 	// truncate exactly the buckets the previous snapshot populated.
-	live [][2]int
+	live   [][2]int
+	nbrs   []int32
+	tables []nbrTable
+}
+
+// nbrTable is one node's neighbor table in beaconCache.nbrs: the ids
+// nbrs[lo:hi], scanned at the given tick (−1: never).
+type nbrTable struct {
+	tick   int
+	lo, hi int32
 }
 
 func (b *beaconCache) rebuild(mob mobility.Model, at, cell float64) {
 	n := mob.N()
 	if b.pos == nil {
 		b.pos = make([]geo.Point, n)
+		b.tables = make([]nbrTable, n)
+		for id := range b.tables {
+			b.tables[id].tick = -1
+		}
 	}
 	if b.grid == nil {
 		b.grid = make(map[[2]int][]NodeID, n)
@@ -223,6 +243,7 @@ func (b *beaconCache) rebuild(mob mobility.Model, at, cell float64) {
 		b.grid[k] = b.grid[k][:0]
 	}
 	b.live = b.live[:0]
+	b.nbrs = b.nbrs[:0]
 	b.cell = cell
 	// Bucket ids 0..n-1 in order, so bucket contents stay in ascending id
 	// order — the determinism the query paths rely on.
@@ -240,6 +261,25 @@ func (b *beaconCache) rebuild(mob mobility.Model, at, cell float64) {
 
 func (b *beaconCache) key(p geo.Point) [2]int {
 	return [2]int{int(math.Floor(p.X / b.cell)), int(math.Floor(p.Y / b.cell))}
+}
+
+// scan appends to dst the ids of every node within radius of id in the
+// snapshot. It reads the 3x3 cell block covering every candidate within
+// one cell side of id; the fixed cell order plus ascending ids within
+// buckets keeps the order deterministic.
+func (b *beaconCache) scan(id NodeID, radius float64, dst []int32) []int32 {
+	self := b.pos[id]
+	k := b.key(self)
+	for dx := -1; dx <= 1; dx++ {
+		for dy := -1; dy <= 1; dy++ {
+			for _, other := range b.grid[[2]int{k[0] + dx, k[1] + dy}] {
+				if other != id && self.Within(b.pos[other], radius) {
+					dst = append(dst, int32(other))
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // beaconsNow returns the current hello tick's snapshot, building it on the
@@ -769,7 +809,8 @@ type Neighbor struct {
 // hello tick, with their beaconed (possibly stale) positions. The querying
 // node's own position is also taken at the beacon time, mirroring how real
 // tables pair two beacon snapshots. Queries within one tick share a cached
-// position snapshot and spatial grid.
+// position snapshot and spatial grid, and a node's repeated queries within
+// one tick share its table.
 func (m *Medium) Neighbors(id NodeID) []Neighbor {
 	return m.NeighborsInto(id, nil)
 }
@@ -780,25 +821,16 @@ func (m *Medium) Neighbors(id NodeID) []Neighbor {
 // allocating. The result is only valid until the caller's next NeighborsInto
 // with the same destination.
 func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
-	beacons := m.beaconsNow()
-	self := beacons.pos[id]
+	b := m.beaconsNow()
+	t := &b.tables[id]
+	if t.tick != b.tick {
+		lo := len(b.nbrs)
+		b.nbrs = b.scan(id, m.par.Range, b.nbrs)
+		*t = nbrTable{tick: b.tick, lo: int32(lo), hi: int32(len(b.nbrs))}
+	}
 	out := dst[:0]
-	// Scan the 3x3 cell block covering every candidate within one Range of
-	// self; fixed cell order plus ascending ids within buckets keeps the
-	// neighbor order deterministic.
-	k := beacons.key(self)
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for _, other := range beacons.grid[[2]int{k[0] + dx, k[1] + dy}] {
-				if other == id {
-					continue
-				}
-				p := beacons.pos[other]
-				if self.Within(p, m.par.Range) {
-					out = append(out, Neighbor{ID: other, Pos: p})
-				}
-			}
-		}
+	for _, other := range b.nbrs[t.lo:t.hi] {
+		out = append(out, Neighbor{ID: NodeID(other), Pos: b.pos[other]})
 	}
 	return out
 }

@@ -406,10 +406,14 @@ func TestTxRxByteCounters(t *testing.T) {
 
 func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	// The grid-accelerated Neighbors must agree exactly with an O(N^2)
-	// scan, including at cell boundaries.
+	// scan, including at cell boundaries. A node queried again within the
+	// tick must get the uncached grid scan entry for entry, order included,
+	// copied into dst[:0].
 	eng := sim.NewEngine()
 	mob := mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(78))
+	shuffle := rng.New(79)
+	var dst []Neighbor
 	check := func() {
 		tNow := float64(med.helloTick()) * med.par.HelloInterval
 		for id := 0; id < 150; id++ {
@@ -436,10 +440,28 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 				t.Fatalf("t=%v node %d: %d neighbors, want %d", tNow, id, len(got), want)
 			}
 		}
+		b := &med.beacons
+		for _, id := range append(shuffle.Perm(150), shuffle.Perm(150)...) {
+			dst = append(dst[:0], Neighbor{ID: -1}, Neighbor{ID: 7, Pos: geo.Point{X: 1, Y: 2}})
+			got := med.NeighborsInto(NodeID(id), dst)
+			want := b.scan(NodeID(id), med.Params().Range, nil)
+			if len(got) != len(want) {
+				t.Fatalf("t=%v node %d: %d neighbors, uncached scan has %d", tNow, id, len(got), len(want))
+			}
+			for i, other := range want {
+				if got[i] != (Neighbor{ID: NodeID(other), Pos: b.pos[other]}) {
+					t.Fatalf("t=%v node %d: entry %d = %+v, uncached scan has %d at %v",
+						tNow, id, i, got[i], other, b.pos[other])
+				}
+			}
+			dst = got
+		}
 	}
 	check()
-	eng.RunUntil(7.5) // crosses several hello ticks
-	check()
+	for _, until := range []float64{7.5, 8, 8.9, 13, 21.4} { // crosses several hello ticks
+		eng.RunUntil(until)
+		check()
+	}
 }
 
 // BenchmarkNeighborsGrid measures the cached grid lookup at evaluation

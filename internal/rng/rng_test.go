@@ -200,7 +200,10 @@ func TestQuickSplitDeterminism(t *testing.T) {
 // register lazily, and then each rand.Rand method the tree calls. The
 // seeds cover math/rand's reduction (0, negatives, multiples of 2^31−1
 // and the 89482311 that stands in for zero, the int64 extremes) and the
-// mixed 64-bit seeds New and Split actually pass.
+// mixed 64-bit seeds New and Split actually pass. A source re-seeded after
+// n draws must then draw what a fresh one does, for each n around a switch
+// in the lazy walk: the register's allocation after lfHead draws, the last
+// fresh tap entry (lfTap) and the last fresh feed entry (lfFeed).
 func TestSourceMatchesMathRand(t *testing.T) {
 	const m = 1<<31 - 1
 	seeds := []int64{0, 1, -1, m - 1, m, -m, 2 * m, 89482311, math.MinInt64, math.MaxInt64}
@@ -212,6 +215,19 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		for d := 1; d <= 10000; d++ {
 			if g, w := got.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("seed %d: draw %d = %#x, math/rand draws %#x", seed, d, g, w)
+			}
+		}
+		for _, n := range []int{0, lfHead - 1, lfHead, lfHead + 1, lfTap, lfTap + 1, lfFeed, lfFeed + 1} {
+			got := newLFSource(seed)
+			for range n {
+				got.Uint64()
+			}
+			got.Seed(seed)
+			want := rand.NewSource(seed).(rand.Source64)
+			for d := 1; d <= 2000; d++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d re-seeded after %d draws: draw %d = %#x, math/rand draws %#x", seed, n, d, g, w)
+				}
 			}
 		}
 		gr, wr := rand.New(newLFSource(seed)), rand.New(rand.NewSource(seed))
@@ -242,4 +258,29 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			t.Fatalf("seed %d: Int63 after the helpers = %d, want %d", seed, g, w)
 		}
 	}
+}
+
+// FuzzSource draws n%1000 values from lfSource and from math/rand's source,
+// re-seeds both with reseed and draws 1 000 more: every pair must match.
+func FuzzSource(f *testing.F) {
+	f.Add(int64(1), uint16(0), int64(1))
+	f.Add(int64(0), uint16(lfHead), int64(-1))
+	f.Add(int64(89482311), uint16(lfFeed+1), int64(1<<31-1))
+	f.Add(int64(math.MinInt64), uint16(lfTap), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, reseed int64) {
+		got, want := newLFSource(seed), rand.NewSource(seed).(rand.Source64)
+		for d := 1; d <= int(n%1000); d++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: draw %d = %#x, math/rand draws %#x", seed, d, g, w)
+			}
+		}
+		got.Seed(reseed)
+		want.Seed(reseed)
+		for d := 1; d <= 1000; d++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, %d draws, re-seeded %d: draw %d = %#x, math/rand draws %#x",
+					seed, n%1000, reseed, d, g, w)
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ const (
 	lfLen  = 607           // register length
 	lfTap  = 273           // lag of the second tap
 	lfFeed = lfLen - lfTap // the feed index a fresh register starts at
+	lfHead = 16            // draws answered before the register is allocated
 	lcgMod = 1<<31 - 1     // the seeding LCG's modulus
 	lcgMul = 48271         // the seeding LCG's multiplier
 )
@@ -24,13 +25,19 @@ const (
 // computes any entry on its own ("jump-ahead"), and lfSource computes each
 // entry only on the draw that first reads it. A stream that makes a few
 // draws, as most of a world's streams do, seeds a few entries.
+//
+// Draws 1 to lfHead read only entries they seed themselves, so they need no
+// register: their outputs wait in head, and the register is allocated on
+// draw lfHead+1 (see spill). Most streams never get there.
 type lfSource struct {
 	tap, feed int
 	// draws counts the draws made while some entry is still unseeded.
 	draws int
 	// x0 is the reduced seed, the LCG chain's x(0).
-	x0  uint64
-	vec [lfLen]int64
+	x0 uint64
+	// head holds draw d's output at head[d−1] until vec is allocated.
+	head [lfHead]int64
+	vec  *[lfLen]int64
 }
 
 // lcgPow[i] is 48271^(21+3i) mod (2^31−1), the multiplier that takes the
@@ -52,9 +59,8 @@ func newLFSource(seed int64) *lfSource {
 	return s
 }
 
-// Seed implements rand.Source. It reduces seed as math/rand does and
-// leaves the register as it is: every entry is rewritten before its first
-// read.
+// Seed implements rand.Source. It reduces seed as math/rand does and drops
+// the register, which the next lfHead+1 draws allocate afresh.
 func (s *lfSource) Seed(seed int64) {
 	seed %= lcgMod
 	if seed < 0 {
@@ -65,6 +71,7 @@ func (s *lfSource) Seed(seed int64) {
 	}
 	s.x0 = uint64(seed)
 	s.tap, s.feed, s.draws = 0, lfFeed, 0
+	s.vec = nil
 }
 
 // entry returns register entry i as math/rand's serial seeding sets it.
@@ -79,8 +86,18 @@ func (s *lfSource) entry(i int) int64 {
 // entries at feed = lfFeed−d and tap = lfLen−d, modulo lfLen. Draws 1 to
 // lfFeed are the first to read their feed entry, and draws 1 to lfTap the
 // first to read their tap entry, so those draws seed it first. Every later
-// draw reads an entry that is already seeded.
+// draw reads an entry that is already seeded. Draws 1 to lfHead compute
+// both entries and keep the output in head.
 func (s *lfSource) Uint64() uint64 {
+	if s.vec == nil {
+		if s.draws < lfHead {
+			s.draws++
+			x := s.entry(lfFeed-s.draws) + s.entry(lfLen-s.draws)
+			s.head[s.draws-1] = x
+			return uint64(x)
+		}
+		s.spill()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += lfLen
@@ -99,6 +116,19 @@ func (s *lfSource) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// spill allocates the register on draw lfHead+1 and leaves it, and the
+// walk, as math/rand's stand after lfHead draws: draw d wrote its output to
+// feed entry lfFeed−d and seeded tap entry lfLen−d, which the feed reads
+// again on draw lfFeed+d.
+func (s *lfSource) spill() {
+	s.vec = new([lfLen]int64)
+	s.tap, s.feed = lfLen-lfHead, lfFeed-lfHead
+	for d := 1; d <= lfHead; d++ {
+		s.vec[lfFeed-d] = s.head[d-1]
+		s.vec[lfLen-d] = s.entry(lfLen - d)
+	}
 }
 
 // Int63 implements rand.Source.

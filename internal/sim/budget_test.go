@@ -132,11 +132,11 @@ func TestEngineTap(t *testing.T) {
 	if len(scheduled) != 2 {
 		t.Errorf("scheduled events: %v, want 2", scheduled)
 	}
-	if len(fired) != 1 || fired[0] != uint64(a) {
-		t.Errorf("fired events: %v, want [%d]", fired, a)
+	if len(fired) != 1 || fired[0] != a.seq {
+		t.Errorf("fired events: %v, want [%d]", fired, a.seq)
 	}
-	if len(cancelled) != 1 || cancelled[0] != uint64(b) {
-		t.Errorf("cancelled events: %v, want [%d]", cancelled, b)
+	if len(cancelled) != 1 || cancelled[0] != b.seq {
+		t.Errorf("cancelled events: %v, want [%d]", cancelled, b.seq)
 	}
 	if reg := tap.Registry(); reg.Counter("sim.scheduled") != 2 ||
 		reg.Counter("sim.fired") != 1 || reg.Counter("sim.cancelled") != 1 {
@@ -145,54 +145,73 @@ func TestEngineTap(t *testing.T) {
 	}
 }
 
-// checkInvariants asserts the structural contract between the heap and the
-// byID index: same membership and correct back-pointers.
+// checkInvariants asserts the structural contract the cancel handles rely
+// on: every event in the heap stores its own position, and every pooled
+// event is marked out of the heap.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	for i, ev := range e.queue {
 		if ev.idx != i {
-			t.Fatalf("event %d stores idx %d at heap position %d", ev.id, ev.idx, i)
-		}
-		if e.byID[ev.id] != ev {
-			t.Fatalf("event %d in heap but not indexed", ev.id)
+			t.Fatalf("event %d stores idx %d at heap position %d", ev.seq, ev.idx, i)
 		}
 	}
-	if len(e.queue) != len(e.byID) {
-		t.Fatalf("heap holds %d events, byID has %d", len(e.queue), len(e.byID))
+	for _, ev := range e.free {
+		if ev.idx != -1 {
+			t.Fatalf("pooled event %d stores idx %d", ev.seq, ev.idx)
+		}
 	}
 }
 
 // FuzzSchedule drives the engine with an arbitrary interleaving of
-// Schedule, Cancel and TickerUntil operations, then checks that the heap
-// and the byID index stay consistent, cancelled events never fire, and all
-// events fire in nondecreasing time order with FIFO tie-breaking.
+// Schedule, Cancel, TickerUntil, Step and Reset operations, then checks that
+// the heap stays consistent, cancelled events and events dropped by Reset
+// never fire, stale handles cancel nothing, and each run's events fire in
+// nondecreasing time order with FIFO tie-breaking.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 1, 0, 2, 9})
 	f.Add([]byte{2, 3, 2, 7, 1, 1, 0, 0, 0, 0})
 	f.Add([]byte{0, 1, 1, 0, 1, 0, 0, 255, 2, 128})
+	f.Add([]byte{0, 3, 0, 9, 4, 0, 0, 4, 1, 0, 3, 0, 0, 2, 1, 1})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		e := NewEngine()
 		var (
-			ids       []EventID
-			cancelled = map[EventID]bool{}
-			firedIDs  []EventID
+			ids []EventID
+			// dead marks the one-shots that must never fire: cancelled
+			// while pending, or pending when Reset dropped them.
+			dead      = map[EventID]bool{}
+			fired     = map[EventID]int{}
+			lastFired EventID
 			fireTimes []Time
 			fireSeqs  []int
 		)
 		order := 0
 		record := func(id EventID) func() {
 			return func() {
-				firedIDs = append(firedIDs, id)
+				fired[id]++
+				lastFired = id
 				fireTimes = append(fireTimes, e.Now())
 				fireSeqs = append(fireSeqs, order)
 				order++
 			}
 		}
+		// checkOrder holds the events fired since the last Reset to
+		// (time, FIFO) order and starts a new run.
+		checkOrder := func() {
+			for i := 1; i < len(fireTimes); i++ {
+				if fireTimes[i] < fireTimes[i-1] {
+					t.Fatalf("fire times regressed: %v then %v", fireTimes[i-1], fireTimes[i])
+				}
+				if fireSeqs[i] < fireSeqs[i-1] {
+					t.Fatalf("fire order regressed at %d", i)
+				}
+			}
+			fireTimes, fireSeqs = fireTimes[:0], fireSeqs[:0]
+		}
 
 		for i := 0; i+1 < len(program); i += 2 {
-			op, arg := program[i]%3, program[i+1]
+			op, arg := program[i]%5, program[i+1]
 			switch op {
 			case 0: // schedule a one-shot
 				delay := float64(arg) / 16
@@ -201,24 +220,35 @@ func FuzzSchedule(f *testing.F) {
 				// Assigning id after capture is safe: the closure reads it
 				// at fire time, strictly after Schedule returns.
 				ids = append(ids, id)
-			case 1: // cancel an issued id, or a bogus one (must be a no-op)
+			case 1: // cancel an issued handle, pending or not, and the zero one
 				if len(ids) > 0 {
 					id := ids[int(arg)%len(ids)]
-					if !cancelled[id] {
-						e.Cancel(id)
-						cancelled[id] = true
+					e.Cancel(id)
+					if fired[id] == 0 {
+						dead[id] = true
 					}
 				}
-				e.Cancel(EventID(1e9) + EventID(arg)) // never issued
+				e.Cancel(EventID{}) // never issued
 			case 2: // ticker with a bounded horizon
-				start := float64(arg % 8)
+				start := e.Now() + float64(arg%8)
 				interval := float64(arg%5+1) / 4
-				until := float64(arg % 16)
+				until := e.Now() + float64(arg%16)
 				e.TickerUntil(start, interval, until, func(at Time) {
 					fireTimes = append(fireTimes, at)
 					fireSeqs = append(fireSeqs, order)
 					order++
 				})
+			case 3: // fire the next event, then cancel the last fired handle
+				e.Step()
+				e.Cancel(lastFired)
+			case 4: // drop every pending event
+				e.Reset()
+				checkOrder()
+				for _, id := range ids {
+					if fired[id] == 0 {
+						dead[id] = true
+					}
+				}
 			}
 			checkInvariants(t, e)
 		}
@@ -231,33 +261,16 @@ func FuzzSchedule(f *testing.F) {
 		if e.Pending() != 0 {
 			t.Fatalf("%d events pending after Run", e.Pending())
 		}
-
-		for _, id := range firedIDs {
-			if cancelled[id] {
-				t.Fatalf("cancelled event %d fired", id)
-			}
-		}
-		for i := 1; i < len(fireTimes); i++ {
-			if fireTimes[i] < fireTimes[i-1] {
-				t.Fatalf("fire times regressed: %v then %v", fireTimes[i-1], fireTimes[i])
-			}
-			if fireSeqs[i] < fireSeqs[i-1] {
-				t.Fatalf("fire order regressed at %d", i)
-			}
-		}
-		// Every uncancelled one-shot fired exactly once.
-		firedSet := map[EventID]int{}
-		for _, id := range firedIDs {
-			firedSet[id]++
-		}
-		for _, id := range ids {
+		checkOrder()
+		// Every one-shot still pending at a Cancel or Reset never fired;
+		// every other one fired exactly once.
+		for n, id := range ids {
 			want := 1
-			if cancelled[id] {
+			if dead[id] {
 				want = 0
 			}
-			if firedSet[id] != want {
-				t.Fatalf("event %d fired %d times, want %d (cancelled=%v)",
-					id, firedSet[id], want, cancelled[id])
+			if fired[id] != want {
+				t.Fatalf("one-shot %d fired %d times, want %d", n, fired[id], want)
 			}
 		}
 	})

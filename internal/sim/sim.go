@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -22,8 +21,12 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID uint64
+// EventID is a handle on a scheduled event, for Cancel. The zero value
+// names no event.
+type EventID struct {
+	ev  *event
+	seq uint64
+}
 
 // Runner is a pre-allocated alternative to a func() event body: an event
 // scheduled with AtRunner calls RunEvent on fire. Hot-path callers (the
@@ -35,51 +38,100 @@ type Runner interface {
 
 type event struct {
 	at  Time
-	seq uint64 // FIFO tie-break for simultaneous events
-	id  EventID
+	seq uint64 // FIFO tie-break for simultaneous events, unique per engine
 	fn  func()
 	run Runner // non-nil takes precedence over fn
-	idx int    // index in the heap
+	idx int    // index in the heap, -1 once out of it
 }
 
+// eventHeap is a binary min-heap on (at, seq); every event stores its
+// position in idx.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//lint:allowfloatcompare heap ordering on stored timestamps: values are copied, never recomputed, and ties must fall through to the FIFO seq tie-break exactly
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i
 	h[j].idx = j
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts position i0 down and reports whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *event) {
 	ev.idx = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.idx)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at position i out of the heap and sets its idx to
+// −1, so its handle cancels nothing, not even while its body runs.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	ev := old[i]
+	if i != n {
+		old.swap(i, n)
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+	ev.idx = -1
 	return ev
 }
 
-// Engine is a discrete-event scheduler. The zero value is not usable;
-// construct with NewEngine. Events execute one at a time in (time, seq)
-// order off a single binary heap.
+// Engine is a discrete-event scheduler; construct it with NewEngine. Events
+// execute one at a time in (time, seq) order off a single binary heap.
+//
+// An EventID holds its event's struct and seq. Every struct outside the
+// heap has idx −1, and seq never repeats in one engine, not even across
+// Reset, so Cancel acts only on the event the handle was issued for and
+// only while that event is pending; a struct reused from the free pool
+// carries a new seq.
 type Engine struct {
-	now    Time
-	seq    uint64
-	nextID EventID
-	queue  eventHeap
-	byID   map[EventID]*event
+	now Time
+	seq uint64
+	// base is seq at the last Reset; telemetry numbers each run's events
+	// from 1.
+	base  uint64
+	queue eventHeap
 	// Processed counts events executed; useful for progress accounting
 	// and loop-protection in tests.
 	processed uint64
@@ -95,16 +147,14 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at 0.
-func NewEngine() *Engine {
-	return &Engine{byID: make(map[EventID]*event)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Reset returns the engine to the NewEngine state — clock at 0, no pending
 // events, no tap, no budget — while keeping its allocated capacity (heap
-// backing array, id map, event free pool). Campaign workers reuse one
+// backing array, event free pool). Campaign workers reuse one
 // engine across seeds so successive runs stop paying the warm-up
 // allocations of a fresh engine.
 func (e *Engine) Reset() {
@@ -112,17 +162,15 @@ func (e *Engine) Reset() {
 		e.recycle(ev)
 	}
 	e.queue = e.queue[:0]
-	clear(e.byID)
+	e.base = e.seq
 	e.now = 0
-	e.seq = 0
-	e.nextID = 0
 	e.processed = 0
 	e.maxEvents = 0
 	e.tap = nil
 }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.byID) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Processed returns how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -149,7 +197,7 @@ func (e *Engine) SetMaxEvents(max uint64) { e.maxEvents = max }
 func (e *Engine) budgetErr() error {
 	if e.maxEvents > 0 && e.processed >= e.maxEvents {
 		return fmt.Errorf("%w: %d events processed, %d still pending at t=%v",
-			ErrMaxEvents, e.processed, len(e.byID), e.now)
+			ErrMaxEvents, e.processed, len(e.queue), e.now)
 	}
 	return nil
 }
@@ -195,29 +243,28 @@ func (e *Engine) schedule(t Time, fn func(), r Runner) EventID {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.nextID++
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r}
+		*ev = event{at: t, seq: e.seq, fn: fn, run: r}
 	} else {
-		ev = &event{at: t, seq: e.seq, id: e.nextID, fn: fn, run: r}
+		ev = &event{at: t, seq: e.seq, fn: fn, run: r}
 	}
-	heap.Push(&e.queue, ev)
-	e.byID[ev.id] = ev
+	e.queue.push(ev)
 	if e.tap != nil {
-		e.tap.SimScheduled(e.now, t, uint64(ev.id))
+		e.tap.SimScheduled(e.now, t, ev.seq-e.base)
 	}
-	return ev.id
+	return EventID{ev: ev, seq: ev.seq}
 }
 
-// recycle returns an event struct (already out of the heap and id map) to
-// the free pool, dropping its body references so they can be collected.
+// recycle returns an event struct to the free pool, dropping its body
+// references so they can be collected, and marks it out of the heap.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.run = nil
+	ev.idx = -1
 	e.free = append(e.free, ev)
 }
 
@@ -226,36 +273,35 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) FreeEvents() int { return len(e.free) }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event, or the zero EventID, is a no-op.
 func (e *Engine) Cancel(id EventID) {
-	ev, ok := e.byID[id]
-	if !ok {
+	ev := id.ev
+	if ev == nil || ev.seq != id.seq || ev.idx < 0 {
 		return
 	}
-	delete(e.byID, id)
-	heap.Remove(&e.queue, ev.idx)
+	e.queue.remove(ev.idx)
 	e.recycle(ev)
 	if e.tap != nil {
-		e.tap.SimCancelled(e.now, uint64(id))
+		e.tap.SimCancelled(e.now, id.seq-e.base)
 	}
 }
 
 // execute pops the head of the queue and runs its body.
 func (e *Engine) execute() {
-	ev := heap.Pop(&e.queue).(*event)
-	delete(e.byID, ev.id)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	e.processed++
 	if e.tap != nil {
-		e.tap.SimFired(e.now, uint64(ev.id))
+		e.tap.SimFired(e.now, ev.seq-e.base)
 	}
 	if ev.run != nil {
 		ev.run.RunEvent()
 	} else {
 		ev.fn()
 	}
-	// The event is out of the heap and the id map, and its body has
-	// returned; nothing can reference it anymore.
+	// The body has returned. The event left the heap with idx −1, so its
+	// handle could not cancel it while the body ran, and cannot once the
+	// struct is reused.
 	e.recycle(ev)
 }
 

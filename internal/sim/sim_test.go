@@ -76,6 +76,23 @@ func TestCancel(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatal("pending count wrong after cancel")
 	}
+	// So is a stale handle whose struct a later event reuses: fire a, then
+	// schedule b into a's pooled struct.
+	a := e.Schedule(1, func() {})
+	e.Run()
+	bFired := false
+	b := e.Schedule(1, func() { bFired = true })
+	if b.ev != a.ev {
+		t.Fatal("b did not reuse a's pooled struct")
+	}
+	e.Cancel(a)
+	if e.Pending() != 1 {
+		t.Fatalf("cancelling a fired handle left %d events pending, want 1", e.Pending())
+	}
+	e.Run()
+	if !bFired {
+		t.Fatal("cancelling a fired handle cancelled the event that reused its struct")
+	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
@@ -205,6 +222,21 @@ func TestTickerUntilStopCancels(t *testing.T) {
 	stop()
 	if e.Pending() != 0 {
 		t.Fatal("stopped ticker left events pending")
+	}
+	// Stopping from inside a tick, as a capped workload does, cancels
+	// nothing else: the firing event is already out of the heap.
+	fired, others := 0, 0
+	stop = e.TickerUntil(101, 1, 150, func(Time) {
+		fired++
+		e.Schedule(0.5, func() { others++ })
+		if fired == 2 {
+			stop()
+		}
+	})
+	e.RunUntil(200)
+	if fired != 2 || others != 2 || e.Pending() != 0 {
+		t.Fatalf("ticker stopped in its own tick: %d ticks, %d other events fired, %d pending; want 2, 2, 0",
+			fired, others, e.Pending())
 	}
 }
 
@@ -363,7 +395,7 @@ func TestReset(t *testing.T) {
 	e.Schedule(1, func() {
 		e.Schedule(5, func() {})
 	})
-	e.Schedule(3, func() {})
+	stale := e.Schedule(3, func() {})
 	if err := e.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +408,16 @@ func TestReset(t *testing.T) {
 	if got := e.FreeEvents(); got != free+2 {
 		t.Fatalf("Reset recycled %d pending events, want 2", got-free)
 	}
+	// A handle issued before the reset cancels nothing, before and after
+	// its struct is reused.
+	e.Cancel(stale)
+	checkInvariants(t, e)
 	// The engine is usable afterwards, with the budget gone.
 	ran := 0
 	e.Schedule(1, func() { ran++ })
 	e.Schedule(2, func() { ran++ })
+	e.Cancel(stale)
+	checkInvariants(t, e)
 	if err := e.Run(); err != nil || ran != 2 {
 		t.Fatalf("post-Reset run: err=%v ran=%d", err, ran)
 	}

@@ -14,9 +14,18 @@
 #
 # For each end-to-end metric BENCHMARK.json lists, the summary prints both
 # sides' medians with quartiles (Python's statistics.quantiles, exclusive
-# method, as bench/ reports them), the change/parent ratio of the medians
-# and the pairs the change won, over the runs that printed a correct
-# result. Its last line counts failed operations and the runs left out.
+# method, as bench/ reports them), the change/parent ratio of the medians,
+# the pairs the change won and a verdict, over the runs that printed a
+# correct result. Its last line counts failed operations and the runs left
+# out. The verdict applies the metric's bound from BENCHMARK.json:
+#   gain        the change won at least 9/10 of the pairs (ties count for
+#               neither) and its median beats the parent's by more than the
+#               parent's interquartile range (IQR);
+#   worse       the change's median is worse than the parent's by more than
+#               the bound, relative to the parent's;
+#   unresolved  the parent's IQR exceeds the bound relative to its median,
+#               and not every change run beats every parent run;
+#   same        otherwise.
 set -eu
 
 if [ $# -ne 4 ]; then
@@ -57,12 +66,14 @@ done
 
 echo "$workload: $pairs pairs, seeds $seed-$((seed + pairs - 1)), parent $parent"
 awk '
-# BENCHMARK.json: the end-to-end metrics, in order, and which way is better.
+# BENCHMARK.json: the end-to-end metrics, in order, which way is better and
+# each bound.
 FILENAME ~ /BENCHMARK\.json$/ {
 	if ($0 ~ /"end_to_end"/) { inE2E = 1; next }
 	if (inE2E && $0 ~ /^  \]/) { inE2E = 0 }
 	if (inE2E && match($0, /"name": "[^"]*"/)) { name = substr($0, RSTART + 9, RLENGTH - 10); metrics[++nm] = name }
 	if (inE2E && match($0, /"better": "[^"]*"/)) { better[name] = substr($0, RSTART + 11, RLENGTH - 12) }
+	if (inE2E && match($0, /"bound": [0-9.eE+-]+/)) { bound[name] = substr($0, RSTART + 9, RLENGTH - 9) + 0 }
 	next
 }
 # One result line: side and seed from the file name.
@@ -92,8 +103,20 @@ function q(a, n,    i, j, t, m, d) {
 	}
 	Q1 = Qs[1]; Q2 = Qs[2]; Q3 = Qs[3]
 }
+# verdict names the outcome for metric mt from the sorted values pa[1..np]
+# and ca[1..nc], their quartiles and the pairs won (see the header).
+function verdict(mt, np, nc, wins, both,    s, gap, iqr, worse, apart) {
+	s = (better[mt] == "lower") ? -1 : 1
+	gap = s * (c2 - p2); iqr = p3 - p1
+	worse = -gap > bound[mt] * (p2 < 0 ? -p2 : p2)
+	apart = (s < 0) ? (ca[nc] < pa[1]) : (ca[1] > pa[np])
+	if (both > 0 && wins * 10 >= 9 * both && gap > iqr) return "gain"
+	if (worse) return "worse"
+	if (iqr > bound[mt] * (p2 < 0 ? -p2 : p2) && !apart) return "unresolved"
+	return "same"
+}
 END {
-	printf "%-18s %-7s %-30s %-30s %-13s %s\n", "metric", "better", "parent median [q1-q3]", "change median [q1-q3]", "change/parent", "wins"
+	printf "%-18s %-7s %-30s %-30s %-13s %-6s %s\n", "metric", "better", "parent median [q1-q3]", "change median [q1-q3]", "change/parent", "wins", "verdict"
 	for (k = 1; k <= nm; k++) {
 		mt = metrics[k]; np = nc = wins = both = 0
 		delete pa; delete ca
@@ -113,7 +136,7 @@ END {
 		ps = sprintf("%.5g [%.5g-%.5g]", p2, p1, p3)
 		cs = sprintf("%.5g [%.5g-%.5g]", c2, c1, c3)
 		r = (p2 != 0) ? sprintf("%.3f", c2 / p2) : "-"
-		printf "%-18s %-7s %-30s %-30s %-13s %d/%d\n", mt, better[mt], ps, cs, r, wins, both
+		printf "%-18s %-7s %-30s %-30s %-13s %-6s %s\n", mt, better[mt], ps, cs, r, wins "/" both, verdict(mt, np, nc, wins, both)
 	}
 	printf "failed operations: parent %d, change %d; runs without a correct result: parent %d, change %d\n", failed["parent"], failed["change"], bad["parent"], bad["change"]
 }' "$root/BENCHMARK.json" "$out"/*.json
