@@ -124,9 +124,6 @@ fuzz:
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s
 
-# BENCH_pr*.json are committed history from the retired one-iteration
-# bench gate, not build outputs; nothing regenerates them, and clean only
-# removes the transient artifacts.
 clean:
 	rm -f test_output.txt bench_output.txt
 	rm -rf out

@@ -10,8 +10,10 @@
 // Every scenario flag sets one experiment.Scenario field and defaults to
 // experiment.DefaultScenario()'s value; -preset swaps in the preset's
 // scenario, which the flags given still override. Live runs one seed of
-// the CBR workload, for alert and gpsr. In -mode both the exit status is 1
-// when a live metric falls outside live.Compare's band around the sim's.
+// what live.CanRun accepts: alert or gpsr over CBR, without ALERT's
+// notify-and-go, intersection guard, confirmations or NAKs. In -mode both
+// the exit status is 1 when a live metric falls outside live.Compare's
+// band around the sim's; both sides' hops are over delivered packets.
 package main
 
 import (
@@ -146,12 +148,11 @@ func (o *options) check() error {
 		return bad("-telemetry and -out record one run; use -seeds 1 (with -seed to pick it)")
 	case o.mode == "sim":
 		return nil
-	case o.sc.Protocol != experiment.ALERT && o.sc.Protocol != experiment.GPSR:
-		return bad("-protocol %s runs only in -mode sim; live runs alert and gpsr", o.sc.Protocol)
-	case o.sc.Workload != "" && o.sc.Workload != experiment.CBR:
-		return bad("-workload %s runs only in -mode sim; live paces CBR flows", o.sc.Workload)
 	case o.seeds > 1:
 		return bad("-seeds %d runs only in -mode sim; live runs one seed", o.seeds)
+	}
+	if err := live.CanRun(o.sc); err != nil {
+		return bad("%v; -mode sim runs it", err)
 	}
 	return nil
 }
@@ -206,16 +207,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var simRes experiment.Result
+	var w *experiment.World
 	if o.mode != "live" {
-		if simRes, err = runSim(stdout, o); err != nil {
+		if simRes, w, err = runSim(stdout, o); err != nil {
 			return err
 		}
 		if o.mode == "sim" {
 			printResult(stdout, simRes)
 			return nil
 		}
+		// Hops over delivered packets, the live line's definition.
 		fmt.Fprintf(stdout, "sim:  sent %d delivered %d rate %.3f meanlat %.4fs hops %.2f\n",
-			simRes.Sent, simRes.Delivered, simRes.DeliveryRate, simRes.MeanLatency, simRes.HopsPerPacket)
+			simRes.Sent, simRes.Delivered, simRes.DeliveryRate, simRes.MeanLatency,
+			w.Proto.Collector().HopsPerDelivered())
 	}
 	liveSum, err := runLive(o)
 	if err != nil {
@@ -226,7 +230,7 @@ func run(args []string, stdout io.Writer) error {
 	if o.mode == "live" {
 		return nil
 	}
-	cmp := live.Compare(simRes, liveSum)
+	cmp := live.Compare(simRes, w, liveSum)
 	fmt.Fprint(stdout, cmp.String())
 	if o.outDir != "" {
 		err = writeJSON(filepath.Join(o.outDir, "compare.json"), "  ", cmp)
@@ -308,14 +312,14 @@ func runSeeds(stdout io.Writer, sc experiment.Scenario, seeds int, progress bool
 // writes the JSONL event stream, which holds only simulated-time data (two
 // runs of one scenario and seed write identical bytes), and the run
 // manifest beside it. With -out every packet record and the result go out.
-func runSim(stdout io.Writer, o *options) (experiment.Result, error) {
+func runSim(stdout io.Writer, o *options) (experiment.Result, *experiment.World, error) {
 	sc := o.sc
 	var tap *telemetry.Tap
 	var f *os.File
 	if o.tlmFile != "" {
 		var err error
 		if f, err = os.Create(o.tlmFile); err != nil {
-			return experiment.Result{}, err
+			return experiment.Result{}, nil, err
 		}
 		defer f.Close() // for the error paths; success checks Close below
 		tap = telemetry.New(f, o.tlmLayers)
@@ -323,7 +327,7 @@ func runSim(stdout io.Writer, o *options) (experiment.Result, error) {
 	start := time.Now()
 	res, w, err := experiment.RunWorld(sc, tap)
 	if err != nil {
-		return experiment.Result{}, err
+		return experiment.Result{}, nil, err
 	}
 	if tap != nil {
 		simEnd := sc.Duration + sc.DrainTime
@@ -335,7 +339,7 @@ func runSim(stdout io.Writer, o *options) (experiment.Result, error) {
 		var b bytes.Buffer
 		if err := errors.Join(tap.Flush(), f.Close(), m.Encode(&b),
 			os.WriteFile(o.tlmFile+".manifest.json", b.Bytes(), 0o644)); err != nil {
-			return experiment.Result{}, err
+			return experiment.Result{}, nil, err
 		}
 		fmt.Fprintf(stdout, "telemetry: %d events -> %s (manifest %s.manifest.json)\n",
 			tap.Events(), o.tlmFile, o.tlmFile)
@@ -344,7 +348,7 @@ func runSim(stdout io.Writer, o *options) (experiment.Result, error) {
 		err = errors.Join(writeJSON(filepath.Join(o.outDir, "sim_packets.jsonl"), "", w.Proto.Collector().Records()...),
 			writeJSON(filepath.Join(o.outDir, "sim_summary.json"), "  ", res))
 	}
-	return res, err
+	return res, w, err
 }
 
 // runLive runs the scenario on an in-process fleet of live UDP daemons that

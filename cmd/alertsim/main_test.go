@@ -110,14 +110,26 @@ func TestParseFlagsLiveProtocols(t *testing.T) {
 }
 
 // TestRejectsBeforeRunning checks that what a live fleet cannot run —
-// comparators, non-CBR workloads, several seeds — and other bad command
+// comparators, non-CBR workloads, ALERT's notify-and-go, intersection
+// guard, confirmations and NAKs, several seeds — and other bad command
 // lines fail as usage errors before anything runs or prints, while -mode
-// sim takes the same workloads and seeds.
+// sim takes the same workloads, options and seeds.
 func TestRejectsBeforeRunning(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "live", "-protocol", "zap"},
 		{"-mode", "both", "-workload", "poisson"},
 		{"-mode", "live", "-workload", "burst"},
+		{"-mode", "live", "-notify-and-go"},
+		{"-mode", "both", "-notify-and-go"},
+		{"-mode", "live", "-intersection-guard"},
+		{"-mode", "both", "-intersection-guard"},
+		{"-mode", "live", "-confirm"},
+		{"-mode", "both", "-confirm"},
+		{"-mode", "live", "-naks"},
+		{"-mode", "both", "-naks"},
+		{"-mode", "live", "-preset", "covert"},
+		{"-mode", "both", "-preset", "battlefield"},
+		{"-mode", "live", "-preset", "lossy"},
 		{"-mode", "both", "-seeds", "2"},
 		{"-mode", "bogus"},
 		{"-seeds", "2", "-telemetry", "run.jsonl"},
@@ -134,7 +146,9 @@ func TestRejectsBeforeRunning(t *testing.T) {
 			t.Errorf("%q: err %v, printed %q; want a usage error and no output", args, err, out.String())
 		}
 	}
-	for _, args := range [][]string{{"-workload", "poisson", "-seeds", "2"}, {"-workload", "burst"}} {
+	for _, args := range [][]string{{"-workload", "poisson", "-seeds", "2"}, {"-workload", "burst"},
+		{"-notify-and-go", "-intersection-guard", "-confirm", "-naks"}, {"-preset", "covert"},
+		{"-mode", "both", "-protocol", "gpsr", "-notify-and-go", "-confirm"}} {
 		mustParse(t, args...)
 	}
 }

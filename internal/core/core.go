@@ -93,6 +93,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// Depth returns the partition depth H a network of n nodes runs at: H
+// when set, else log2(n/K) (Section 2.4).
+func (c Config) Depth(n int) int {
+	if c.H > 0 {
+		return c.H
+	}
+	return geo.PartitionsForK(n, c.K)
+}
+
 // The paper's single values for the settings no experiment varies.
 const (
 	// coverSize is the size of covering packets ("several bytes of
@@ -234,10 +243,7 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int,
 		sessions:   make(map[sessKey]*session),
 		held:       make(map[medium.NodeID][]*heldItem),
 	}
-	p.hDef = cfg.H
-	if p.hDef <= 0 {
-		p.hDef = geo.PartitionsForK(net.N(), cfg.K)
-	}
+	p.hDef = cfg.Depth(net.N())
 	for i := 0; i < net.N(); i++ {
 		id := medium.NodeID(i)
 		net.Med.Attach(id, func(from medium.NodeID, payload any, _ int) {

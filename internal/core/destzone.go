@@ -229,21 +229,18 @@ func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 	sess := p.session(f.src, f.dst)
 	nd := p.net.Node(at)
 
-	// Compose the decryption charges: first packet of a session costs
-	// the public-key decryptions of K_s and L_{Z_S}; every packet costs
-	// one symmetric open; a guarded packet costs the bitmap decryption.
-	charge := p.net.Costs.SymDecrypt
+	// Count the operations: every packet one symmetric open, a session's
+	// first packet the public-key decryptions of K_s and L_{Z_S}, a
+	// guarded packet the bitmap decryption.
 	p.net.NoteSym(1)
 	if !sess.dEstablished {
 		p.net.NotePub(2)
-		if p.cfg.ChargeSessionSetup {
-			charge += 2 * p.net.Costs.PubDecrypt
-		}
 	}
-	if env.EncBitmap != nil {
+	guarded := env.EncBitmap != nil
+	if guarded {
 		p.net.NotePub(1)
-		charge += p.net.Costs.PubDecrypt
 	}
+	charge := DestCharge(p.net.Costs, !sess.dEstablished && p.cfg.ChargeSessionSetup, guarded)
 
 	p.net.Eng.Schedule(charge, func() {
 		if f.delivered || (f.completed && !f.delivered) {
@@ -251,16 +248,11 @@ func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 			return
 		}
 		if !sess.dEstablished {
-			keyRaw, err := p.net.Suite.DecryptPub(nd.Priv, env.EncSymKey)
-			if err != nil || len(keyRaw) != len(sess.dKey) {
+			key, zs, err := OpenSession(p.net.Suite, nd.Priv, env.EncSymKey, env.EncLZS)
+			if err != nil {
 				return // not actually for us
 			}
-			copy(sess.dKey[:], keyRaw)
-			if zsRaw, err := p.net.Suite.DecryptPub(nd.Priv, env.EncLZS); err == nil {
-				if zs, err := decodeRect(zsRaw); err == nil {
-					sess.dZS = zs
-				}
-			}
+			sess.dKey, sess.dZS = key, zs
 			sess.dEstablished = true
 		}
 		payload := env.Payload
@@ -296,17 +288,12 @@ func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, 
 	sess.dReceived[env.Seq] = true
 	if p.cfg.Confirm && !sess.dZS.Empty() {
 		ack := &Envelope{
-			Kind: KindAck,
-			PS:   p.net.Node(at).Pseudonym,
-			PD:   env.PS,
-			Partition: Partition{
-				LZD:  sess.dZS,
-				Dir:  p.randomDir(),
-				Hmax: p.hDef,
-				Zone: p.field,
-			},
-			Seq:    env.Seq,
-			ackFor: f,
+			Kind:      KindAck,
+			PS:        p.net.Node(at).Pseudonym,
+			PD:        env.PS,
+			Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
+			Seq:       env.Seq,
+			ackFor:    f,
 		}
 		p.counts.Acks++
 		p.route(at, ack)
@@ -320,18 +307,13 @@ func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, 
 		}
 		if len(missing) > 0 {
 			nak := &Envelope{
-				Kind: KindNAK,
-				PS:   p.net.Node(at).Pseudonym,
-				PD:   env.PS,
-				Partition: Partition{
-					LZD:  sess.dZS,
-					Dir:  p.randomDir(),
-					Hmax: p.hDef,
-					Zone: p.field,
-				},
-				Seq:     env.Seq,
-				ackFor:  f,
-				nakSeqs: missing,
+				Kind:      KindNAK,
+				PS:        p.net.Node(at).Pseudonym,
+				PD:        env.PS,
+				Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
+				Seq:       env.Seq,
+				ackFor:    f,
+				nakSeqs:   missing,
 			}
 			p.counts.NAKs++
 			p.route(at, nak)

@@ -55,16 +55,12 @@ func (p *Protocol) respond(at medium.NodeID, env *Envelope, sess *session, query
 		Kind: KindData,
 		PS:   p.net.Node(at).Pseudonym,
 		PD:   env.PS, // the requester's pseudonym
-		Partition: Partition{
-			LZD:  sess.dZS,
-			Dir:  p.randomDir(), // drawn before the seal below: rng order
-			Hmax: p.hDef,
-			Zone: p.field,
-		},
-		Seq:      env.Seq,
-		Payload:  crypt.SymSeal(sess.dKey, response, p.rnd),
-		isReply:  true,
-		replyFor: env.flight,
+		// The cut direction is drawn before the seal below: rng order.
+		Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
+		Seq:       env.Seq,
+		Payload:   crypt.SymSeal(sess.dKey, response, p.rnd),
+		isReply:   true,
+		replyFor:  env.flight,
 	}
 	p.counts.Replies++
 	p.net.NoteSym(1)

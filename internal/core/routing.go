@@ -35,7 +35,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	}
 
 	sess := p.session(src, dst)
-	setupCharges := 0
+	chargeSetup := false
 	if !sess.estCharge {
 		// Establish the session (two public-key operations, charged to
 		// the first packet).
@@ -48,9 +48,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		sess.estCharge = true
 		sess.key, sess.encKey, sess.zs, sess.encLZS = key, encKey, zs, encLZS
 		p.net.NotePub(2) // the ops happen regardless of latency billing
-		if p.cfg.ChargeSessionSetup {
-			setupCharges = 2
-		}
+		chargeSetup = p.cfg.ChargeSessionSetup
 	}
 	p.net.NoteSym(1) // per-packet payload seal
 
@@ -59,13 +57,8 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		Kind: KindData,
 		PS:   p.net.Node(src).Pseudonym,
 		PD:   entry.Pseudonym,
-		Partition: Partition{
-			LZD:  zd,
-			Dir:  p.randomDir(), // drawn before the seal below: rng order
-			Hdiv: 0,
-			Hmax: p.hDef,
-			Zone: p.field,
-		},
+		// The cut direction is drawn before the seal below: rng order.
+		Partition: NewPartition(zd, p.field, p.hDef, p.rnd),
 		EncLZS:    sess.encLZS,
 		DPub:      entry.Pub,
 		EncSymKey: sess.encKey,
@@ -86,9 +79,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		f.hasTimeout = true
 	}
 
-	// Charge source-side cryptography: one symmetric seal per packet,
-	// plus the session's two public-key operations on its first packet.
-	delay := p.net.Costs.SymEncrypt + float64(setupCharges)*p.net.Costs.PubEncrypt
+	delay := SourceCharge(p.net.Costs, chargeSetup)
 
 	launch := func() {
 		if p.cfg.Confirm {
@@ -120,11 +111,59 @@ func NewSession(suite *crypt.FastSuite, destPub crypt.PubKey, zs geo.Rect, rnd *
 	return key, encKey, encLZS, nil
 }
 
-func (p *Protocol) randomDir() geo.Direction {
-	if p.rnd.Bernoulli(0.5) {
-		return geo.Horizontal
+// OpenSession is the destination's half of NewSession: it decrypts K_s
+// and the source zone with the destination's private key. An error means
+// the session was not sealed to this key; a source zone that does not
+// open is left empty, so feedback to Z_S has nowhere to go.
+func OpenSession(suite *crypt.FastSuite, priv crypt.PrivKey, encKey, encLZS []byte) (key crypt.SymKey, zs geo.Rect, err error) {
+	raw, err := suite.DecryptPub(priv, encKey)
+	if err == nil && len(raw) != len(key) {
+		err = fmt.Errorf("core: session key of %d bytes", len(raw))
 	}
-	return geo.Vertical
+	if err != nil {
+		return key, zs, err
+	}
+	copy(key[:], raw)
+	if raw, err := suite.DecryptPub(priv, encLZS); err == nil {
+		zs, _ = decodeRect(raw)
+	}
+	return key, zs, nil
+}
+
+// SourceCharge is the latency a source charges a data packet before it
+// leaves: one symmetric seal, plus the session's two public-key
+// encryptions when setup is billed to this, its first, packet.
+func SourceCharge(c crypt.CostModel, setup bool) float64 {
+	if setup {
+		return c.SymEncrypt + 2*c.PubEncrypt
+	}
+	return c.SymEncrypt
+}
+
+// DestCharge is the latency the destination charges a data packet before
+// delivering it: one symmetric open, the session's two public-key
+// decryptions when setup is billed to this, its first, packet, and the
+// public-key decryption of a guarded packet's bitmap.
+func DestCharge(c crypt.CostModel, setup, guarded bool) float64 {
+	charge := c.SymDecrypt
+	if setup {
+		charge += 2 * c.PubDecrypt
+	}
+	if guarded {
+		charge += c.PubDecrypt
+	}
+	return charge
+}
+
+// NewPartition is a fresh envelope's partition state toward Z_D = lzd: the
+// whole field to divide, none of the h divisions spent, and a first cut
+// direction drawn from rnd.
+func NewPartition(lzd, field geo.Rect, h int, rnd *rng.Source) Partition {
+	dir := geo.Vertical
+	if rnd.Bernoulli(0.5) {
+		dir = geo.Horizontal
+	}
+	return Partition{LZD: lzd, Dir: dir, Hmax: h, Zone: field}
 }
 
 // notifyAndGo implements Section 2.6: the source notifies its neighbors
@@ -318,15 +357,13 @@ func (p *Protocol) armRetry(f *flight) {
 // partition state (the new route will differ — ALERT's nonfixed paths).
 func (p *Protocol) resend(f *flight) {
 	env := f.env
-	env.Hdiv = 0
-	env.Zone = p.field
-	env.Dir = p.randomDir()
-	env.FinalLeg = false
+	lzd := env.LZD
 	// Refresh Z_D from the location service (positions may have moved).
 	if entry, ok := p.loc.Lookup(f.dst); ok {
-		env.LZD = geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)
+		lzd = geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)
 		env.PD = entry.Pseudonym
 	}
+	env.Partition = NewPartition(lzd, p.field, p.hDef, p.rnd)
 	p.armRetry(f)
 	p.net.NoteSym(1)
 	p.net.Eng.Schedule(p.net.Costs.SymEncrypt, func() { p.route(f.src, env) })

@@ -367,19 +367,12 @@ func IntersectionRemedyCost(seed int64, packets int, alert bool) TradeoffResult 
 }
 
 // ZoneOf exposes the destination zone geometry for a pair (examples use it
-// to narrate what the protocol is doing). A baseline world runs no ALERT,
-// so it gets the zone ALERT would use under the scenario's Alert.K and
-// Alert.H.
+// to narrate what the protocol is doing): the zone ALERT computes from the
+// node's registered position at the scenario's depth, which a baseline
+// world, running no ALERT, gets too.
 func ZoneOf(w *World, d medium.NodeID) geo.Rect {
-	if w.Alert == nil {
-		h := w.Scenario.Alert.H
-		if h <= 0 {
-			h = geo.PartitionsForK(w.Net.N(), w.Scenario.Alert.K)
-		}
-		e, _ := w.Loc.Lookup(d)
-		return geo.DestZone(w.Net.Field(), e.Pos, h, geo.Vertical)
-	}
-	return w.Alert.DestZoneFor(d)
+	e, _ := w.Loc.Lookup(d)
+	return geo.DestZone(w.Net.Field(), e.Pos, w.Scenario.Alert.Depth(w.Net.N()), geo.Vertical)
 }
 
 // SourceLocationError runs one send and returns how far an eavesdropper's

@@ -11,6 +11,9 @@
 package experiment
 
 import (
+	"fmt"
+	"math"
+
 	"alertmanet/internal/rng"
 	"alertmanet/internal/sim"
 )
@@ -112,12 +115,52 @@ func (p *burstProcess) Gap(now float64) float64 {
 // Scenario.Duration (inclusive) or after Scenario.Packets per pair,
 // whichever comes first.
 func (w *World) StartWorkload(pairs []Pair) {
+	w.drawWorkload(pairs, func(i int, payload []byte, p arrivalProcess) { w.startPair(pairs[i], payload, p) })
+}
+
+// drawWorkload draws, in the one order every substrate replays, the
+// payload every packet carries, then each pair's traffic model from the
+// pair's own stream, and hands the models to each in pair order.
+func (w *World) drawWorkload(pairs []Pair, each func(i int, payload []byte, p arrivalProcess)) {
 	payload := make([]byte, 64)
 	w.Rand.Read(payload)
-	for i, pr := range pairs {
-		src := w.Rand.SplitIndex("pair", i)
-		w.startPair(pr, payload, newArrivalProcess(w.Scenario, src))
+	for i := range pairs {
+		each(i, payload, newArrivalProcess(w.Scenario, w.Rand.SplitIndex("pair", i)))
 	}
+}
+
+// Flow is one S-D pair's CBR schedule: Packets sends from Offset on, one
+// every Scenario.Interval. ID is the pair's index in ChoosePairs' draw.
+type Flow struct {
+	ID       uint32
+	Src, Dst int
+	Offset   float64
+	Packets  int
+}
+
+// CBRFlows makes RunWorld's draws — ChoosePairs, then StartWorkload's —
+// and returns the payload and the schedule of every pair that sends: the
+// floor((Duration-Offset)/Interval)+1 sends StartWorkload's ticker fires
+// by Duration, capped at Scenario.Packets.
+func (w *World) CBRFlows() ([]Flow, []byte, error) {
+	sc := w.Scenario
+	if sc.Workload != "" && sc.Workload != CBR {
+		return nil, nil, fmt.Errorf("experiment: only the CBR workload has a fixed schedule, got %q", sc.Workload)
+	}
+	pairs := w.ChoosePairs()
+	var flows []Flow
+	var payload []byte
+	w.drawWorkload(pairs, func(i int, pl []byte, p arrivalProcess) {
+		payload = pl
+		n := int(math.Floor((sc.Duration-p.First())/sc.Interval)) + 1
+		if sc.Packets > 0 {
+			n = min(n, sc.Packets)
+		}
+		if n > 0 {
+			flows = append(flows, Flow{ID: uint32(i), Src: int(pairs[i].S), Dst: int(pairs[i].D), Offset: p.First(), Packets: n})
+		}
+	})
+	return flows, payload, nil
 }
 
 // startPair drives one pair's sends. This is the only send loop in the

@@ -32,6 +32,14 @@ const (
 	Perimeter
 )
 
+// String names the mode as telemetry's forward events do.
+func (m Mode) String() string {
+	if m == Perimeter {
+		return "perimeter"
+	}
+	return "greedy"
+}
+
 // Outcome describes how a routing attempt ended.
 type Outcome uint8
 
@@ -319,59 +327,43 @@ func (r *Router) HandleAfter(delay float64, at medium.NodeID, pkt *Packet) {
 	r.net.Eng.ScheduleRunner(delay, h)
 }
 
-// Handle processes pkt at node cur: deliver, forward greedily, or walk the
-// perimeter. Protocol demux layers call this when a medium delivery carries
-// a *Packet.
+// Handle processes pkt at node cur: LegStep delivers, forwards or ends the
+// leg. Protocol demux layers call this when a medium delivery carries a
+// *Packet. The receiving side of a forward routes the payload back into
+// Handle, which records the arrival via Receive; if the medium's ARQ
+// exhausts its retries the packet terminates here as DroppedLink. The hop
+// budget is spent at send time, but Path and Hops grow only on confirmed
+// reception.
 func (r *Router) Handle(cur medium.NodeID, pkt *Packet) {
 	r.Receive(cur, pkt)
-	if pkt.DeliverTo != NoDeliverTo && cur == pkt.DeliverTo {
-		r.finish(cur, pkt, Delivered)
-		return
-	}
-	r.nbrScratch = r.net.Med.NeighborsInto(cur, r.nbrScratch)
-	selfPos := r.net.Med.PositionNow(cur)
-	var prevPos geo.Point
-	if pkt.fwd.Prev != NoDeliverTo {
-		prevPos = r.net.Med.PositionNow(pkt.fwd.Prev)
-	}
-	next, verdict, entered, scratch := Step(cur, selfPos, prevPos, pkt.Dest,
-		pkt.DeliverTo == NoDeliverTo, r.net.Med.Params().Range, GabrielGraph,
-		r.nbrScratch, r.planarScratch[:0], &pkt.fwd)
+	dec, scratch := LegStep(cur, pkt.Dest, pkt.DeliverTo, &pkt.HopBudget, &pkt.fwd,
+		r.net.Med.Params().Range, (*mediumView)(r), r.planarScratch[:0])
 	r.planarScratch = scratch
-	if entered {
+	if dec.Entered {
 		r.counts.PerimeterEntries++
 	}
-	switch verdict {
-	case StepArrived:
-		r.finish(cur, pkt, ArrivedClosest)
-	case StepDeadEnd:
-		r.finish(cur, pkt, DroppedDeadEnd)
-	default:
-		r.forward(cur, next, pkt)
-	}
-}
-
-// forward transmits pkt one hop. The receiving side routes the payload back
-// into Handle (protocols do this in their medium handlers), which records
-// the arrival via Receive; if the medium's ARQ exhausts its retries the
-// send resolves lost and the packet terminates here as DroppedLink. The
-// hop budget is spent at send time (the transmission attempt is the cost),
-// but Path and Hops grow only on confirmed reception.
-func (r *Router) forward(cur, next medium.NodeID, pkt *Packet) {
-	if pkt.HopBudget <= 0 {
-		r.finish(cur, pkt, DroppedTTL)
+	if dec.Next == NoDeliverTo {
+		r.finish(cur, pkt, dec.Outcome)
 		return
 	}
-	pkt.HopBudget--
-	pkt.fwd.Prev = cur
 	if r.tap != nil {
-		mode := "greedy"
-		if pkt.fwd.Mode == Perimeter {
-			mode = "perimeter"
-		}
-		r.tap.Forward(r.net.Eng.Now(), pkt.TelemetryTrace(), int(cur), int(next), mode)
+		r.tap.Forward(r.net.Eng.Now(), pkt.TelemetryTrace(), int(cur), int(dec.Next), pkt.fwd.Mode.String())
 	}
-	r.UnicastPacket(cur, next, pkt)
+	r.UnicastPacket(cur, dec.Next, pkt)
+}
+
+// mediumView is the router's Holder: beaconed neighbors, exact positions.
+type mediumView Router
+
+func (v *mediumView) View(cur, prev medium.NodeID) ([]medium.Neighbor, geo.Point, geo.Point) {
+	r := (*Router)(v)
+	r.nbrScratch = r.net.Med.NeighborsInto(cur, r.nbrScratch)
+	self := r.net.Med.PositionNow(cur)
+	var prevPos geo.Point
+	if prev != NoDeliverTo {
+		prevPos = r.net.Med.PositionNow(prev)
+	}
+	return r.nbrScratch, self, prevPos
 }
 
 // UnicastPacket puts pkt on air from cur to next with the router's

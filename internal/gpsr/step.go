@@ -1,8 +1,9 @@
-// The pure GPSR forwarding decision, factored out of Router.Handle so the
-// live daemon (internal/live) makes byte-for-byte the same next-hop choices
-// over a UDP socket that the simulator makes over the event engine. The
+// The GPSR forwarding decisions, factored out of Router.Handle so the live
+// daemon (internal/live) makes byte-for-byte the same choices over a UDP
+// socket that the simulator makes over the event engine: LegStep is a
+// holder's whole decision on a leg, Step its next-hop choice. The
 // exact-path sim-vs-live smoke (live's five-node frozen topology) holds
-// precisely because both sides call Step.
+// precisely because both sides call LegStep.
 
 package gpsr
 
@@ -128,4 +129,50 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 		return NoDeliverTo, StepDeadEnd, entered, planar
 	}
 	return nb.ID, StepForward, entered, planar
+}
+
+// Holder is a leg step's view of the node holding a packet: cur's
+// neighbor table and position and, when prev is not NoDeliverTo, the
+// previous holder's position. The simulator answers from its medium, the
+// live daemon from its topology push and the frame's sender stamp.
+type Holder interface {
+	View(cur, prev medium.NodeID) (nbrs []medium.Neighbor, self, prevPos geo.Point)
+}
+
+// Decision is how one holder's leg step ended: the packet moves on to
+// Next, or, when Next is NoDeliverTo, the leg ends at the holder with
+// Outcome. Entered reports a switch into perimeter mode.
+type Decision struct {
+	Next    medium.NodeID
+	Outcome Outcome
+	Entered bool
+}
+
+// LegStep is one holder's whole decision on a leg toward dest. The leg's
+// addressee delivers without reading h. Otherwise Step decides from h's
+// view, and a forward spends one hop of *budget (DroppedTTL when none is
+// left) and makes cur the previous holder. scratch is Step's buffer.
+func LegStep(cur medium.NodeID, dest geo.Point, deliverTo medium.NodeID, budget *int,
+	st *ForwardState, rangeM float64, h Holder, scratch []medium.Neighbor,
+) (Decision, []medium.Neighbor) {
+	if deliverTo != NoDeliverTo && cur == deliverTo {
+		return Decision{Next: NoDeliverTo, Outcome: Delivered}, scratch
+	}
+	nbrs, self, prevPos := h.View(cur, st.Prev)
+	next, verdict, entered, scratch := Step(cur, self, prevPos, dest,
+		deliverTo == NoDeliverTo, rangeM, GabrielGraph, nbrs, scratch, st)
+	dec := Decision{Next: NoDeliverTo, Entered: entered}
+	switch {
+	case verdict == StepArrived:
+		dec.Outcome = ArrivedClosest
+	case verdict == StepDeadEnd:
+		dec.Outcome = DroppedDeadEnd
+	case *budget <= 0:
+		dec.Outcome = DroppedTTL
+	default:
+		*budget--
+		st.Prev = cur
+		dec.Next = next
+	}
+	return dec, scratch
 }

@@ -24,7 +24,7 @@ func TestSimVsLiveComparison(t *testing.T) {
 	}
 	sc := experiment.DefaultScenario() // ALERT, N=200, rwp, 10 pairs, 100 s
 
-	simRes, _, err := experiment.RunWorld(sc, nil)
+	simRes, w, err := experiment.RunWorld(sc, nil)
 	if err != nil {
 		t.Fatalf("sim run: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestSimVsLiveComparison(t *testing.T) {
 		t.Fatalf("live run: %v", err)
 	}
 
-	cmp := Compare(simRes, liveSum)
+	cmp := Compare(simRes, w, liveSum)
 	t.Logf("\n%s", cmp)
 	if !cmp.OK {
 		for _, c := range cmp.Checks {

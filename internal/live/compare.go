@@ -48,15 +48,19 @@ type Comparison struct {
 	OK     bool    `json:"ok"`
 }
 
-// Compare verifies a live Summary against the sim Result for the same
-// scenario. The live transport reorders contention and ARQ timing relative
-// to the event queue, so latency and hops get relative bands; delivery on
-// a connected field should track closely, so it gets an absolute one.
-func Compare(sim experiment.Result, lv Summary) Comparison {
+// Compare verifies a live Summary against the sim run of the same
+// scenario, its Result and its World. The live transport reorders
+// contention and ARQ timing relative to the event queue, so latency and
+// hops get relative bands; delivery on a connected field should track
+// closely, so it gets an absolute one. Both sides count hops over their
+// delivered packets — a fleet does not see where an undelivered packet
+// ended — so the sim's side comes from the world's records, not from
+// Result.HopsPerPacket, which divides by packets sent.
+func Compare(sim experiment.Result, w *experiment.World, lv Summary) Comparison {
 	const (
 		deliveryAbs = 0.10 // |sim − live| delivery rate
 		latencyRel  = 0.30 // relative mean-latency deviation
-		hopsRel     = 0.30 // relative hops-per-packet deviation
+		hopsRel     = 0.30 // relative hops-per-delivered deviation
 	)
 	checks := []Check{
 		// The flow schedule is derived from the same rng stream on both
@@ -65,7 +69,7 @@ func Compare(sim experiment.Result, lv Summary) Comparison {
 		{Name: "sent", Sim: float64(sim.Sent), Live: float64(lv.Sent), Tol: 0},
 		{Name: "delivery-rate", Sim: sim.DeliveryRate, Live: lv.DeliveryRate, Tol: deliveryAbs},
 		{Name: "mean-latency", Sim: sim.MeanLatency, Live: lv.MeanLatency, Tol: latencyRel, Rel: true},
-		{Name: "hops-per-packet", Sim: sim.HopsPerPacket, Live: lv.HopsPerPkt, Tol: hopsRel, Rel: true},
+		{Name: "hops-per-delivered", Sim: w.Proto.Collector().HopsPerDelivered(), Live: lv.HopsPerPkt, Tol: hopsRel, Rel: true},
 	}
 	cmp := Comparison{OK: true}
 	for _, c := range checks {
@@ -79,13 +83,13 @@ func Compare(sim experiment.Result, lv Summary) Comparison {
 // String renders the comparison as a fixed-width table for logs.
 func (cmp Comparison) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-16s %12s %12s %10s %6s\n", "metric", "sim", "live", "tol", "ok")
+	fmt.Fprintf(&sb, "%-18s %12s %12s %10s %6s\n", "metric", "sim", "live", "tol", "ok")
 	for _, c := range cmp.Checks {
 		tol := fmt.Sprintf("%.3g", c.Tol)
 		if c.Rel {
 			tol = fmt.Sprintf("%.0f%%", c.Tol*100)
 		}
-		fmt.Fprintf(&sb, "%-16s %12.4f %12.4f %10s %6v\n", c.Name, c.Sim, c.Live, tol, c.OK)
+		fmt.Fprintf(&sb, "%-18s %12.4f %12.4f %10s %6v\n", c.Name, c.Sim, c.Live, tol, c.OK)
 	}
 	fmt.Fprintf(&sb, "overall: %v\n", cmp.OK)
 	return sb.String()

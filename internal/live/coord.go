@@ -4,10 +4,9 @@
 // emulated hello interval (out-of-emulated-range peers simply never appear
 // in a table, so the loopback fabric behaves like the radio medium), keeps
 // the location-service entries of every flow refreshed on the scenario's
-// update cadence, launches the exact flow schedule the simulator would run
-// (same pairs, same offsets, same packet counts — derived from the same
-// seeded streams), and finally scrapes every daemon's measurements into a
-// fleet Summary.
+// update cadence, launches the simulator's own flow schedule
+// (experiment's CBRFlows: same pairs, same offsets, same packet counts),
+// and finally scrapes every daemon's measurements into a fleet Summary.
 //
 // Wall-clock enters only as pacing: emulated time t maps to start +
 // t*timescale. Every measured quantity rides the frames' virtual-time
@@ -18,7 +17,6 @@ package live
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -28,15 +26,8 @@ import (
 	"alertmanet/internal/stats"
 )
 
-// Flow is one coordinator-derived flow: the live rendering of one sim S-D
-// pair and its CBR schedule.
-type Flow struct {
-	ID      uint32
-	Src     int
-	Dst     int
-	Offset  float64
-	Packets int
-}
+// Flow is one coordinator-run flow: one sim S-D pair and its CBR schedule.
+type Flow = experiment.Flow
 
 // Summary aggregates a live run across the fleet — the live counterpart of
 // experiment.Result, restricted to what live measures.
@@ -50,7 +41,7 @@ type Summary struct {
 	MeanLatency  float64      `json:"mean_latency"`
 	LatencyP50   float64      `json:"latency_p50"`
 	LatencyP95   float64      `json:"latency_p95"`
-	HopsPerPkt   float64      `json:"hops_per_packet"`
+	HopsPerPkt   float64      `json:"hops_per_packet"` // over delivered packets
 	Counters     Counters     `json:"counters"`
 	Flows        []Flow       `json:"flows"`
 	Sends        []SendRecord `json:"sends"`
@@ -95,39 +86,9 @@ func RunFleet(sc experiment.Scenario, timescale float64) (Summary, error) {
 	return NewCoordinator(fl.World, fl.Handles(), timescale).Run()
 }
 
-// DeriveFlows mirrors World.StartWorkload's randomness step for step —
-// same ChoosePairs draw, same payload read, same per-pair stream splits —
-// so the live fleet runs the identical flow schedule the simulator would.
-// Only the CBR workload (the paper's model, and the Scenario default) maps
-// onto live flow pacing.
-func DeriveFlows(w *experiment.World) ([]Flow, []byte, error) {
-	sc := w.Scenario
-	if sc.Workload != "" && sc.Workload != experiment.CBR {
-		return nil, nil, fmt.Errorf("live: only the CBR workload maps to live flows, got %q", sc.Workload)
-	}
-	pairs := w.ChoosePairs()
-	payload := make([]byte, 64)
-	w.Rand.Read(payload)
-	flows := make([]Flow, 0, len(pairs))
-	for i, pr := range pairs {
-		src := w.Rand.SplitIndex("pair", i)
-		offset := src.Uniform(0, sc.Interval/2)
-		if offset > sc.Duration {
-			continue
-		}
-		// sim.TickerUntil fires at offset + k*Interval for
-		// k = 0..floor((Duration-offset)/Interval).
-		packets := int(math.Floor((sc.Duration-offset)/sc.Interval)) + 1
-		if sc.Packets > 0 && packets > sc.Packets {
-			packets = sc.Packets
-		}
-		flows = append(flows, Flow{
-			ID: uint32(i), Src: int(pr.S), Dst: int(pr.D),
-			Offset: offset, Packets: packets,
-		})
-	}
-	return flows, payload, nil
-}
+// DeriveFlows is the world's CBR schedule, experiment's CBRFlows: the fleet
+// sends exactly the simulator's packets.
+func DeriveFlows(w *experiment.World) ([]Flow, []byte, error) { return w.CBRFlows() }
 
 // Run executes the scenario on the fleet and returns the aggregated
 // summary. It blocks for the compressed wall-clock duration of the run:
@@ -207,7 +168,7 @@ func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) err
 	}
 	rangeM := c.w.Med.Params().Range
 	for i, d := range c.nodes {
-		top := Topology{T: t, Self: pos[i]}
+		top := Topology{Self: pos[i]}
 		for j, other := range c.nodes {
 			if i == j || !pos[i].Within(pos[j], rangeM) {
 				continue

@@ -20,11 +20,11 @@
 // The radio medium is emulated at the endpoints (DESIGN.md, "Live mode"):
 // every frame carries the sender's position and a virtual-time accumulator.
 // A receiver drops frames whose sender is out of emulated range and draws
-// the medium's loss coin; a sender runs the medium's stop-and-wait ARQ with
-// its exact retry/backoff schedule, accumulating the emulated delay model
-// (size*8/Bitrate + Exp(MACDelayMean) per transmission, plus backoffs) into
-// VTime. Measured latency is therefore timescale-free: wall-clock speed
-// changes how fast the experiment runs, not what it measures.
+// the medium's loss coin; a sender runs the medium's stop-and-wait ARQ,
+// accumulating the medium's own charges — medium.Params.TxDelay per
+// transmission, Params.Backoff per retry — into VTime. Measured latency is
+// therefore timescale-free: wall-clock speed changes how fast the
+// experiment runs, not what it measures.
 
 package live
 
@@ -36,6 +36,7 @@ import (
 
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
+	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
 	"alertmanet/internal/rng"
 	"alertmanet/internal/telemetry"
@@ -55,12 +56,10 @@ type Config struct {
 	// Seed is the fleet-wide seed: every daemon derives its own streams
 	// and the shared key suite from it, so a fleet is reproducible.
 	Seed int64
-	// Hmax is ALERT's partition depth H.
+	// Hmax is ALERT's partition depth H (core.Config.Depth).
 	Hmax int
 	// FixedAxisPartition mirrors core.Config.
 	FixedAxisPartition bool
-	// PacketSize is the emulated on-air size of data packets.
-	PacketSize int
 	// ChargeSessionSetup mirrors core.Config (the evaluation harness
 	// runs with it off).
 	ChargeSessionSetup bool
@@ -150,19 +149,12 @@ type pending struct {
 
 // flowState is one source-side flow (live's session equivalent).
 type flowState struct {
-	spec    FlowSpec
-	sent    int
-	key     crypt.SymKey
-	encKey  []byte
-	encLZS  []byte
-	timer   *time.Timer
-	stopped bool
-}
-
-// destState is destination-side per-source-flow session state.
-type destState struct {
-	established bool
-	key         crypt.SymKey
+	spec   FlowSpec
+	sent   int
+	key    crypt.SymKey
+	encKey []byte
+	encLZS []byte
+	timer  *time.Timer
 }
 
 // outBuf is one encoded datagram headed for the socket.
@@ -192,22 +184,21 @@ type Daemon struct {
 	pool  sync.Pool // datagram buffers
 
 	// Loop-owned state (no locks; only the loop goroutine touches it).
-	now      float64 // emulated fleet time, steered by topology pushes
 	self     geo.Point
-	nbrs     []Neighbor
-	nbrIdx   map[int32]int
+	table    []medium.Neighbor      // the pushed neighbors, as gpsr.LegStep reads them
+	addrs    map[int32]*net.UDPAddr // their transport addresses
+	prevPos  geo.Point              // the frame in hand's sender stamp (topologyView)
 	sendSeq  uint64
 	pend     map[uint64]*pending
 	seen     *dedup
 	relayed  *dedup
 	deliverd *dedup
 	flows    map[uint32]*flowState
-	dsess    map[uint32]*destState
+	dsess    map[uint32]crypt.SymKey // opened session keys by flow
 	sends    []SendRecord
 	delivs   []Delivery
 	counts   Counters
-	scratch  []medium.Neighbor // planarization buffer for gpsr.Step
-	nbrBuf   []medium.Neighbor // neighbor-table view for gpsr.Step
+	scratch  []medium.Neighbor // planarization buffer for gpsr.LegStep
 	rxFrame  Frame             // pooled decode target
 	encBuf   []byte            // pooled encode buffer
 
@@ -219,8 +210,8 @@ type Daemon struct {
 // NewDaemon binds a UDP socket on addr ("127.0.0.1:0" for tests) and
 // builds the daemon. Start must be called before traffic flows.
 func NewDaemon(cfg Config, addr string) (*Daemon, error) {
-	if cfg.Protocol != "alert" && cfg.Protocol != "gpsr" {
-		return nil, fmt.Errorf("live: protocol %q does not run live (alert or gpsr)", cfg.Protocol)
+	if err := runsProtocol(cfg.Protocol); err != nil {
+		return nil, err
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -256,13 +247,13 @@ func newDaemon(cfg Config) *Daemon {
 		txq:      make(chan outBuf, queueDepth),
 		cmdq:     make(chan func(), queueDepth),
 		stopc:    make(chan struct{}),
-		nbrIdx:   make(map[int32]int),
+		addrs:    make(map[int32]*net.UDPAddr),
 		pend:     make(map[uint64]*pending),
 		seen:     newDedup(8192),
 		relayed:  newDedup(8192),
 		deliverd: newDedup(8192),
 		flows:    make(map[uint32]*flowState),
-		dsess:    make(map[uint32]*destState),
+		dsess:    make(map[uint32]crypt.SymKey),
 	}
 	d.pool.New = func() any { b := make([]byte, MaxFrame); return &b }
 	return d
@@ -488,7 +479,7 @@ func (d *Daemon) handleDatagram(buf []byte) {
 func (d *Daemon) trace(f *Frame) int { return int(f.Flow)<<20 | int(f.Seq) }
 
 func (d *Daemon) sendAck(f *Frame) {
-	nb, ok := d.neighbor(f.From)
+	addr, ok := d.addrs[f.From]
 	if !ok {
 		// Sender not in our steered table (asymmetric staleness): ack
 		// to the datagram's source address is impossible without the
@@ -505,7 +496,7 @@ func (d *Daemon) sendAck(f *Frame) {
 	if d.tap != nil {
 		d.tap.AckTx(f.VTime, d.cfg.ID, int(f.From), d.trace(f))
 	}
-	d.enqueue(nb.Addr, b)
+	d.enqueue(addr, b)
 }
 
 func (d *Daemon) handleAck(f *Frame) {
@@ -538,20 +529,15 @@ func (d *Daemon) retry(sendID uint64) {
 	if p.attempts > d.cfg.Medium.Retries {
 		delete(d.pend, sendID)
 		d.counts.SendsLost++
-		d.counts.LegDropLink++
 		if d.tap != nil {
 			d.tap.FrameLost(p.frame.VTime, d.cfg.ID, int(p.frame.To),
 				d.trace(&p.frame), "retries-exhausted")
 		}
+		// The leg ends here, at its last confirmed holder.
+		d.endLeg(&p.frame, gpsr.DroppedLink)
 		return
 	}
-	// Mirror medium.retryOrFail: attempt k waits RetryBackoff * 2^(k-1),
-	// then retransmits with a freshly drawn transmission delay.
-	backoff := d.cfg.Medium.RetryBackoff
-	for i := 1; i < p.attempts; i++ {
-		backoff *= 2
-	}
-	p.frame.VTime += backoff + d.txDelay(int(p.frame.Size))
+	p.frame.VTime += d.cfg.Medium.Backoff(p.attempts) + d.cfg.Medium.TxDelay(int(p.frame.Size), d.rnd)
 	p.attempts++
 	d.counts.Retries++
 	b, err := AppendFrame(d.encBuf[:0], &p.frame)
@@ -568,46 +554,32 @@ func (d *Daemon) retry(sendID uint64) {
 	p.timer = d.after(ackTimeout, func() { d.retry(sendID) })
 }
 
-// txDelay draws one emulated transmission delay, the medium's model.
-func (d *Daemon) txDelay(size int) float64 {
-	delay := float64(size*8) / d.cfg.Medium.Bitrate
-	if d.cfg.Medium.MACDelayMean > 0 {
-		delay += d.rnd.Exponential(d.cfg.Medium.MACDelayMean)
-	}
-	return delay
-}
-
-// transmit puts a data frame on the emulated air toward a neighbor: stamps
-// link identity, position and the emulated transmission delay, encodes,
-// enqueues, and (unless noAck) arms the ARQ.
-func (d *Daemon) transmit(nb Neighbor, f *Frame, noAck bool) {
+// transmit puts a data frame on the emulated air toward neighbor to at
+// addr: stamps link identity, position and the medium's transmission
+// delay, encodes, enqueues, and arms the ARQ.
+func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	d.sendSeq++
 	f.Kind = KindData
 	f.SendID = uint64(d.cfg.ID)<<32 | d.sendSeq
 	f.From = int32(d.cfg.ID)
 	f.SrcPos = d.self
-	if noAck {
-		f.Flags |= FlagNoAck
-		f.To = None
-	} else {
-		f.Flags &^= FlagNoAck
-		f.To = nb.ID
-	}
-	f.VTime += d.txDelay(int(f.Size))
+	f.Flags &^= FlagNoAck
+	f.To = to
+	f.VTime += d.cfg.Medium.TxDelay(int(f.Size), d.rnd)
 	b, err := AppendFrame(d.encBuf[:0], f)
 	if err != nil {
 		return
 	}
 	d.encBuf = b
 	if d.tap != nil {
-		d.tap.FrameTx(f.VTime, d.cfg.ID, int(nb.ID), d.trace(f), int(f.Size), 1)
+		d.tap.FrameTx(f.VTime, d.cfg.ID, int(to), d.trace(f), int(f.Size), 1)
 	}
-	d.enqueue(nb.Addr, b)
-	if noAck || d.cfg.Medium.Retries <= 0 {
+	d.enqueue(addr, b)
+	if d.cfg.Medium.Retries <= 0 {
 		return
 	}
 	id := f.SendID
-	p := &pending{frame: cloneFrame(f), addr: nb.Addr, attempts: 1}
+	p := &pending{frame: cloneFrame(f), addr: addr, attempts: 1}
 	p.timer = d.after(ackTimeout, func() { d.retry(id) })
 	d.pend[id] = p
 }
@@ -627,14 +599,6 @@ func cloneFrame(f *Frame) Frame {
 		c.Env = &e
 	}
 	return c
-}
-
-func (d *Daemon) neighbor(id int32) (Neighbor, bool) {
-	i, ok := d.nbrIdx[id]
-	if !ok {
-		return Neighbor{}, false
-	}
-	return d.nbrs[i], true
 }
 
 // dedup is a fixed-capacity set with FIFO eviction: large enough that

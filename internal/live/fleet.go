@@ -1,8 +1,8 @@
 // Fleet assembly: turn an experiment.Scenario into a set of running live
-// daemons whose configuration mirrors exactly what experiment.Build would
-// hand the simulator — same field, partition depth, medium parameters and
-// crypto charging — so a live run and a sim run of the same scenario
-// differ only in transport.
+// daemons whose configuration is what experiment.Build would hand the
+// simulator — same field, partition depth, medium parameters and crypto
+// charging — so a live run and a sim run of the same scenario differ only
+// in transport.
 
 package live
 
@@ -10,26 +10,46 @@ import (
 	"fmt"
 
 	"alertmanet/internal/experiment"
-	"alertmanet/internal/geo"
 	"alertmanet/internal/telemetry"
 )
 
+// CanRun reports why a fleet cannot run sc, or nil when it can: a fleet
+// runs ALERT or GPSR over the CBR workload, and none of ALERT's
+// notify-and-go, intersection guard, confirmations and NAKs. SpawnFleet
+// and alertsim refuse such a scenario before anything starts.
+func CanRun(sc experiment.Scenario) error {
+	if err := runsProtocol(string(sc.Protocol)); err != nil {
+		return err
+	}
+	if sc.Workload != "" && sc.Workload != experiment.CBR {
+		return fmt.Errorf("live: the %s workload does not run live (live paces CBR flows)", sc.Workload)
+	}
+	if a := sc.Alert; sc.Protocol == experiment.ALERT && (a.NotifyAndGo || a.IntersectionGuard || a.Confirm || a.NAKs) {
+		return fmt.Errorf("live: the daemon runs none of ALERT's notify-and-go, intersection guard, confirmations and NAKs")
+	}
+	return nil
+}
+
+// runsProtocol refuses the protocols no daemon runs: the comparators.
+func runsProtocol(p string) error {
+	if p != string(experiment.ALERT) && p != string(experiment.GPSR) {
+		return fmt.Errorf("live: protocol %q does not run live (alert or gpsr)", p)
+	}
+	return nil
+}
+
 // DaemonConfigFor derives the live daemon configuration for node id from a
 // scenario — the single place the sim-to-live parameter mapping lives; the
-// channel's comes from Scenario.MediumParams, as the simulator's does.
+// channel's comes from Scenario.MediumParams and the partition depth from
+// core.Config.Depth, as the simulator's do.
 func DaemonConfigFor(sc experiment.Scenario, id int, timescale float64) Config {
-	hmax := sc.Alert.H
-	if hmax <= 0 {
-		hmax = geo.PartitionsForK(sc.N, sc.Alert.K)
-	}
 	return Config{
 		ID:                 id,
 		Protocol:           string(sc.Protocol),
 		Field:              sc.Field,
 		Seed:               sc.Seed,
-		Hmax:               hmax,
+		Hmax:               sc.Alert.Depth(sc.N),
 		FixedAxisPartition: sc.Alert.FixedAxisPartition,
-		PacketSize:         sc.PacketSize,
 		ChargeSessionSetup: sc.Alert.ChargeSessionSetup,
 		Medium:             sc.MediumParams(),
 		Timescale:          timescale,
@@ -45,7 +65,8 @@ type Fleet struct {
 }
 
 // SpawnFleet builds the scenario's World, then one daemon per node bound
-// to a loopback UDP socket, all started. On any error the partial fleet is
+// to a loopback UDP socket, all started. A scenario CanRun refuses is an
+// error before anything is built; on any later error the partial fleet is
 // torn down.
 func SpawnFleet(sc experiment.Scenario, timescale float64) (*Fleet, error) {
 	return SpawnFleetWithTaps(sc, timescale, nil)
@@ -56,6 +77,9 @@ func SpawnFleet(sc experiment.Scenario, timescale float64) (*Fleet, error) {
 // event stream — frame tx/rx, hops, zone broadcasts, crypto charges — lands
 // in per-node JSONL files a tlmgrep query can slice like a sim stream.
 func SpawnFleetWithTaps(sc experiment.Scenario, timescale float64, tapFor func(id int) *telemetry.Tap) (*Fleet, error) {
+	if err := CanRun(sc); err != nil {
+		return nil, err
+	}
 	w, err := experiment.Build(sc)
 	if err != nil {
 		return nil, err

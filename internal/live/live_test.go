@@ -160,6 +160,72 @@ func TestNewDaemonRejectsComparators(t *testing.T) {
 	}
 }
 
+// TestSpawnFleetRefusesWhatLiveLacks: a fleet runs neither a comparator
+// nor a non-CBR workload nor ALERT's notify-and-go, intersection guard,
+// confirmations or NAKs, so SpawnFleet refuses each before it builds
+// anything, rather than running the scenario without it. GPSR ignores
+// ALERT's options in the simulator too, so a GPSR fleet takes them.
+func TestSpawnFleetRefusesWhatLiveLacks(t *testing.T) {
+	for name, mutate := range map[string]func(*experiment.Scenario){
+		"zap":                func(sc *experiment.Scenario) { sc.Protocol = experiment.ZAP },
+		"poisson":            func(sc *experiment.Scenario) { sc.Workload = experiment.Poisson },
+		"notify-and-go":      func(sc *experiment.Scenario) { sc.Alert.NotifyAndGo = true },
+		"intersection-guard": func(sc *experiment.Scenario) { sc.Alert.IntersectionGuard = true },
+		"confirm":            func(sc *experiment.Scenario) { sc.Alert.Confirm = true },
+		"naks":               func(sc *experiment.Scenario) { sc.Alert.NAKs = true },
+	} {
+		sc := smokeScenario(experiment.ALERT, 5, 1)
+		mutate(&sc)
+		if fl, err := SpawnFleet(sc, 0.01); err == nil {
+			fl.Close()
+			t.Errorf("SpawnFleet ran a fleet with %s", name)
+		}
+	}
+	sc := smokeScenario(experiment.GPSR, 5, 1)
+	sc.Alert.NotifyAndGo, sc.Alert.IntersectionGuard, sc.Alert.Confirm, sc.Alert.NAKs = true, true, true, true
+	if err := CanRun(sc); err != nil {
+		t.Errorf("GPSR with ALERT's options refused: %v", err)
+	}
+}
+
+// TestCompareHopsOverDelivered: both sides of the hops check count hops
+// over delivered packets. On this fast GPSR field many packets die far
+// from their destination, so hops over packets sent (Result's
+// HopsPerPacket) reads twice the delivered packets' mean, and a fleet
+// whose deliveries took the sim's own routes failed the band against it.
+func TestCompareHopsOverDelivered(t *testing.T) {
+	sc := experiment.DefaultScenario()
+	sc.Protocol, sc.Seed, sc.N, sc.Speed = experiment.GPSR, 7, 60, 8
+	sc.Field = geo.Rect{Max: geo.Point{X: 700, Y: 700}}
+	sc.Pairs, sc.Duration, sc.DrainTime, sc.LocUpdates = 6, 20, 4, false
+	res, w, err := experiment.RunWorld(sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := 0
+	for _, r := range w.Proto.Collector().Records() {
+		if r.Delivered {
+			hops += r.Hops
+		}
+	}
+	perDelivered := float64(hops) / float64(res.Delivered)
+	if res.HopsPerPacket < 1.5*perDelivered {
+		t.Fatalf("hops %.2f per packet sent, %.2f per delivered: too close to tell the definitions apart",
+			res.HopsPerPacket, perDelivered)
+	}
+	lv := Summary{Sent: res.Sent, Delivered: res.Delivered, DeliveryRate: res.DeliveryRate,
+		MeanLatency: res.MeanLatency, HopsPerPkt: perDelivered}
+	cmp := Compare(res, w, lv)
+	for _, c := range cmp.Checks {
+		if c.Name == "hops-per-delivered" && c.Sim != perDelivered {
+			t.Errorf("sim side of the hops check %.4f, want the delivered packets' %.4f", c.Sim, perDelivered)
+		}
+	}
+	if !cmp.OK {
+		t.Errorf("the sim's own deliveries fail the bands:\n%s", cmp)
+	}
+}
+
 // TestZoneDeliverAtAddresseeCountsBroadcast drives one daemon without
 // sockets: a frame whose last random forwarder is its own addressee D
 // zone-delivers there, and the delivery must count the zone broadcast as

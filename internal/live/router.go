@@ -1,9 +1,11 @@
-// The daemon's protocol logic: everything that runs once a data frame (or
-// a locally launched packet) is in the loop goroutine's hands. The routing
-// decisions are the simulator's own — every leg hop calls gpsr.Step, every
-// random forwarder calls core.Step on the envelope the frame carries, and
-// sessions are set up by core.NewSession — so sim and live diverge only
-// where the transport does (real sockets, wall-clock ARQ timeouts).
+// The daemon's packet handling: everything that runs once a data frame (or
+// a locally launched packet) is in the loop goroutine's hands. The
+// decisions are the simulator's own calls — every holder's leg step is
+// gpsr.LegStep, every random forwarder's partition core.Step, sessions
+// open and close with core.NewSession and core.OpenSession, and the crypto
+// charges are core.SourceCharge and core.DestCharge. Besides framing,
+// transport and measurement, this file keeps only the zone delivery,
+// relay-once and addressee check, which the daemon still does itself.
 
 package live
 
@@ -31,15 +33,14 @@ type FlowSpec struct {
 	Packets  int
 	Interval float64 // emulated seconds between sends
 	Offset   float64 // emulated delay before the first send
-	Size     int     // on-air data size; 0 means Config.PacketSize
+	Size     int     // on-air data size
 	Payload  []byte  // plaintext payload (sealed per packet for ALERT)
 }
 
-// Topology is one coordinator push: the emulated fleet time, this node's
-// position, who is in emulated radio range (and where), and refreshed
-// location-service entries for the flows this node sources.
+// Topology is one coordinator push: this node's position, who is in
+// emulated radio range (and where), and refreshed location-service
+// entries for the flows this node sources.
 type Topology struct {
-	T     float64
 	Self  geo.Point
 	Nbrs  []Neighbor
 	Dests []DestUpdate
@@ -61,14 +62,12 @@ type Report struct {
 // ApplyTopology installs a coordinator push. Safe from any goroutine.
 func (d *Daemon) ApplyTopology(t Topology) error {
 	return d.call(func() {
-		d.now = t.T
 		d.self = t.Self
-		d.nbrs = append(d.nbrs[:0], t.Nbrs...)
-		for k := range d.nbrIdx {
-			delete(d.nbrIdx, k)
-		}
-		for i, nb := range d.nbrs {
-			d.nbrIdx[nb.ID] = i
+		d.table = d.table[:0]
+		clear(d.addrs)
+		for _, nb := range t.Nbrs {
+			d.table = append(d.table, medium.Neighbor{ID: medium.NodeID(nb.ID), Pos: nb.Pos})
+			d.addrs[nb.ID] = nb.Addr
 		}
 		for _, du := range t.Dests {
 			if fl, ok := d.flows[du.Flow]; ok {
@@ -81,9 +80,6 @@ func (d *Daemon) ApplyTopology(t Topology) error {
 // StartFlow begins sourcing a flow. Safe from any goroutine.
 func (d *Daemon) StartFlow(spec FlowSpec) error {
 	return d.call(func() {
-		if spec.Size <= 0 {
-			spec.Size = d.cfg.PacketSize
-		}
 		if _, ok := d.flows[spec.Flow]; ok {
 			return
 		}
@@ -122,7 +118,7 @@ func (d *Daemon) Collect() (Report, error) {
 // Runs on the loop.
 func (d *Daemon) flowTick(flow uint32) {
 	fl, ok := d.flows[flow]
-	if !ok || fl.stopped || fl.sent >= fl.spec.Packets {
+	if !ok || fl.sent >= fl.spec.Packets {
 		return
 	}
 	seq := uint32(fl.sent)
@@ -147,41 +143,26 @@ func (d *Daemon) launch(fl *flowState, seq uint32) {
 		DeliverTo: None, Prev: None, FirstFrom: None, FirstTo: None,
 		Path: f.Path[:0],
 	}
-	trace := d.trace(f)
 	if d.tap != nil {
-		d.tap.PacketSent(sendT, trace, d.cfg.ID, spec.Dest.ID)
-		d.tap.RouteSend(sendT, trace, d.cfg.ID)
+		d.tap.PacketSent(sendT, d.trace(f), d.cfg.ID, spec.Dest.ID)
 	}
 	// The origin holds the packet from the start (Router.Send's Path
 	// seeding).
 	f.Path = append(f.Path, int32(d.cfg.ID))
 	if d.cfg.Protocol != "alert" {
-		f.Dest = spec.Dest.Pos
-		f.DeliverTo = int32(spec.Dest.ID)
-		f.HopBudget = gpsr.DefaultHopBudget
+		d.startLeg(f, spec.Dest.Pos, int32(spec.Dest.ID))
 		d.stepLoop(f)
 		return
 	}
-	// Source-side crypto charge: one symmetric seal per packet plus the
-	// session's two public-key operations on its first packet
-	// (core.Send's launch delay). VTime pays it; real time does not wait.
-	f.VTime += d.costs.SymEncrypt
-	if seq == 0 && d.cfg.ChargeSessionSetup {
-		f.VTime += 2 * d.costs.PubEncrypt
-	}
-	dir := geo.Vertical
-	if d.rnd.Bernoulli(0.5) {
-		dir = geo.Horizontal
-	}
+	// The source's crypto charge rides VTime; real time does not wait.
+	f.VTime += core.SourceCharge(d.costs, seq == 0 && d.cfg.ChargeSessionSetup)
+	st := core.NewPartition(geo.DestZone(d.cfg.Field, spec.Dest.Pos, d.cfg.Hmax, geo.Vertical),
+		d.cfg.Field, d.cfg.Hmax, d.rnd)
 	f.Flags |= FlagEnvelope
 	f.Env = &Envelope{
 		Kind: core.KindData,
 		PS:   d.pseud, PD: spec.Dest.Pseudonym,
-		LZD:       geo.DestZone(d.cfg.Field, spec.Dest.Pos, d.cfg.Hmax, geo.Vertical),
-		Dir:       dir,
-		Hdiv:      0,
-		Hmax:      d.cfg.Hmax,
-		Zone:      d.cfg.Field,
+		LZD: st.LZD, Dir: st.Dir, Hmax: st.Hmax, Zone: st.Zone,
 		DPubOwner: int32(spec.Dest.ID),
 		Seq:       int(seq),
 		EncLZS:    fl.encLZS,
@@ -196,10 +177,22 @@ func (d *Daemon) launch(fl *flowState, seq uint32) {
 	d.stepLoop(f)
 }
 
+// startLeg aims a fresh GPSR leg at dest from this node (Router.Send on
+// the frame): a full hop budget, a new forwarding state, one route send.
+func (d *Daemon) startLeg(f *Frame, dest geo.Point, deliverTo int32) {
+	f.Dest = dest
+	f.DeliverTo = deliverTo
+	f.HopBudget = gpsr.DefaultHopBudget
+	f.SetForwardState(gpsr.NewForwardState())
+	if d.tap != nil {
+		d.tap.RouteSend(f.VTime, d.trace(f), d.cfg.ID)
+	}
+}
+
 // routeEntry is core's route at this holder: core.Step on the frame's
 // partition state. Inside Z_D (or at the end of the final leg) the packet
-// zone-delivers here — report false, routing is over. Otherwise aim the
-// next leg at the drawn TD and report true so the caller steps it.
+// zone-delivers here — report false, routing is over. Otherwise start the
+// next leg toward the drawn TD and report true so the caller steps it.
 func (d *Daemon) routeEntry(f *Frame) bool {
 	env := f.Env
 	st := core.Partition{LZD: env.LZD, TD: env.TD, Dir: env.Dir, Hdiv: env.Hdiv,
@@ -212,10 +205,7 @@ func (d *Daemon) routeEntry(f *Frame) bool {
 	if st.FinalLeg {
 		f.Flags |= FlagFinalLeg
 	}
-	f.Dest = st.TD
-	f.DeliverTo = None
-	f.HopBudget = gpsr.DefaultHopBudget
-	f.SetForwardState(gpsr.NewForwardState())
+	d.startLeg(f, st.TD, None)
 	return true
 }
 
@@ -236,89 +226,97 @@ func (d *Daemon) handleFrame(f *Frame) {
 	d.stepLoop(f)
 }
 
-// stepLoop processes a leg packet held by this node: deliver, forward, or
-// — when a leg ends here with an envelope aboard — run the ALERT partition
-// and keep going. The loop bound covers the sim's recursive route() chain
+// topologyView is the daemon as its legs' gpsr.Holder: the neighbor table
+// and position of the last topology push, and the frame in hand's
+// transmit-time stamp for the previous holder (fwd.Prev is always the
+// node the frame arrived from).
+type topologyView Daemon
+
+func (v *topologyView) View(_, _ medium.NodeID) ([]medium.Neighbor, geo.Point, geo.Point) {
+	return v.table, v.self, v.prevPos
+}
+
+// stepLoop makes this holder's leg steps: deliver, forward, or — when a
+// leg ends here with an envelope aboard — run the ALERT partition and
+// keep going. The loop bound covers the sim's recursive route() chain
 // (several partition steps can resolve at one holder as zones shrink
 // around it: each iteration either forwards, terminates, or spends
 // partition divisions, of which there are at most Hmax plus a final leg).
 func (d *Daemon) stepLoop(f *Frame) {
 	for depth := 0; depth < 4*(d.cfg.Hmax+2); depth++ {
-		if f.DeliverTo != None && f.DeliverTo == int32(d.cfg.ID) {
-			d.deliverDirect(f)
-			return
-		}
 		st := f.ForwardState()
-		d.nbrBuf = d.nbrBuf[:0]
-		for _, nb := range d.nbrs {
-			d.nbrBuf = append(d.nbrBuf, medium.Neighbor{ID: medium.NodeID(nb.ID), Pos: nb.Pos})
-		}
-		// The previous holder's reference position is its transmit-time
-		// stamp: fwd.Prev is always the node the frame arrived from.
-		prevPos := f.SrcPos
-		next, verdict, entered, scratch := gpsr.Step(medium.NodeID(d.cfg.ID),
-			d.self, prevPos, f.Dest, f.DeliverTo == None, d.cfg.Medium.Range,
-			gpsr.GabrielGraph, d.nbrBuf, d.scratch[:0], &st)
+		budget := int(f.HopBudget)
+		d.prevPos = f.SrcPos
+		dec, scratch := gpsr.LegStep(medium.NodeID(d.cfg.ID), f.Dest, medium.NodeID(f.DeliverTo),
+			&budget, &st, d.cfg.Medium.Range, (*topologyView)(d), d.scratch[:0])
 		d.scratch = scratch
-		if entered {
+		f.HopBudget = uint16(budget)
+		f.SetForwardState(st)
+		if dec.Entered {
 			d.counts.PerimeterEntries++
 		}
-		switch verdict {
-		case gpsr.StepArrived:
-			// ALERT's closest-node arrival: this node is the next
-			// random forwarder.
-			d.counts.LegArrived++
-			if d.tap != nil {
-				d.tap.LegEnd(f.VTime, d.trace(f), d.cfg.ID, "arrived-closest")
-			}
-			if f.Env == nil {
+		if next := int32(dec.Next); next != None {
+			if addr, ok := d.addrs[next]; ok {
+				d.counts.Forwarded++
+				if d.tap != nil {
+					d.tap.Forward(f.VTime, d.trace(f), d.cfg.ID, int(next), f.Mode.String())
+				}
+				d.transmit(next, addr, f)
 				return
 			}
-			if d.tap != nil && f.Hops > 0 {
+			// Steered table changed under us; treat as a link loss.
+			dec.Outcome = gpsr.DroppedLink
+		}
+		d.endLeg(f, dec.Outcome)
+		switch {
+		case dec.Outcome == gpsr.Delivered:
+			d.deliverDirect(f)
+			return
+		case dec.Outcome != gpsr.ArrivedClosest || f.Env == nil:
+			return
+		}
+		// ALERT's closest-node arrival: this node is the next random
+		// forwarder, one that joins the path when the leg left its
+		// origin (core.route's rf != at).
+		if d.tap != nil {
+			if origin, ok := legOrigin(f); ok && origin != int32(d.cfg.ID) {
 				d.tap.RFSelected(f.VTime, d.trace(f), d.cfg.ID)
 			}
-			if !d.routeEntry(f) {
-				return
-			}
-			continue
-		case gpsr.StepDeadEnd:
-			d.counts.LegDropDeadEnd++
-			if d.tap != nil {
-				d.tap.LegEnd(f.VTime, d.trace(f), d.cfg.ID, "dead-end")
-			}
+		}
+		if !d.routeEntry(f) {
 			return
 		}
-		// Forward one hop: the budget is spent at send time
-		// (Router.forward), while Path and Hops grew on reception.
-		if f.HopBudget == 0 {
-			d.counts.LegDropTTL++
-			if d.tap != nil {
-				d.tap.LegEnd(f.VTime, d.trace(f), d.cfg.ID, "ttl")
-			}
-			return
-		}
-		f.HopBudget--
-		st.Prev = medium.NodeID(d.cfg.ID)
-		f.SetForwardState(st)
-		nb, ok := d.neighbor(int32(next))
-		if !ok {
-			// Steered table changed under us; treat as a link loss.
-			d.counts.LegDropLink++
-			return
-		}
-		d.counts.Forwarded++
-		if d.tap != nil {
-			mode := "greedy"
-			if st.Mode == gpsr.Perimeter {
-				mode = "perimeter"
-			}
-			d.tap.Forward(f.VTime, d.trace(f), d.cfg.ID, int(next), mode)
-		}
-		d.transmit(nb, f, false)
-		return
 	}
 	// Pathological partition chain; drop rather than spin.
-	d.counts.LegDropDeadEnd++
+	d.endLeg(f, gpsr.DroppedDeadEnd)
+}
+
+// legOrigin is the node the frame's current leg started at: each hop of a
+// leg spent one unit of its gpsr.DefaultHopBudget and appended its
+// receiver to Path. ok is false for a frame whose counts disagree.
+func legOrigin(f *Frame) (int32, bool) {
+	i := len(f.Path) - 1 - (gpsr.DefaultHopBudget - int(f.HopBudget))
+	if i < 0 || i >= len(f.Path) {
+		return None, false
+	}
+	return f.Path[i], true
+}
+
+// endLeg counts and logs a leg ending at this node, as Router.finish does.
+func (d *Daemon) endLeg(f *Frame, out gpsr.Outcome) {
+	switch out {
+	case gpsr.ArrivedClosest:
+		d.counts.LegArrived++
+	case gpsr.DroppedTTL:
+		d.counts.LegDropTTL++
+	case gpsr.DroppedDeadEnd:
+		d.counts.LegDropDeadEnd++
+	case gpsr.DroppedLink:
+		d.counts.LegDropLink++
+	}
+	if d.tap != nil {
+		d.tap.LegEnd(f.VTime, d.trace(f), d.cfg.ID, out.String())
+	}
 }
 
 // zoneDeliver runs at the last random forwarder: count the broadcast hop,
@@ -336,17 +334,21 @@ func (d *Daemon) zoneDeliver(f *Frame) {
 	d.broadcastZone(f)
 }
 
-// broadcastZone emits the per-neighbor copies of a step-one zone delivery:
-// FlagNoAck unicast datagrams sharing a single drawn transmission delay —
-// the live rendering of the simulator's Broadcast (no ARQ, one arrival
-// time, per-receiver range and loss checks at the far end).
+// broadcastZone puts one step-one zone delivery on the emulated air: one
+// medium broadcast, rendered as FlagNoAck unicast copies to every
+// neighbor that share a single drawn transmission delay — the simulator's
+// Broadcast (no ARQ, one arrival time, per-receiver range and loss checks
+// at the far end).
 func (d *Daemon) broadcastZone(f *Frame) {
 	f.ZoneStep = 1
 	f.DeliverTo = None
-	delay := d.txDelay(int(f.Size))
-	for _, nb := range d.nbrs {
+	vtime := f.VTime + d.cfg.Medium.TxDelay(int(f.Size), d.rnd)
+	if d.tap != nil {
+		d.tap.BroadcastTx(vtime, d.cfg.ID, d.trace(f), int(f.Size))
+	}
+	for _, nb := range d.table {
 		c := *f
-		c.VTime = f.VTime + delay
+		c.VTime = vtime
 		d.sendSeq++
 		c.SendID = uint64(d.cfg.ID)<<32 | d.sendSeq
 		c.From = int32(d.cfg.ID)
@@ -358,10 +360,7 @@ func (d *Daemon) broadcastZone(f *Frame) {
 			return
 		}
 		d.encBuf = b
-		if d.tap != nil {
-			d.tap.BroadcastTx(c.VTime, d.cfg.ID, d.trace(f), int(f.Size))
-		}
-		d.enqueue(nb.Addr, b)
+		d.enqueue(d.addrs[int32(nb.ID)], b)
 	}
 }
 
@@ -386,8 +385,8 @@ func (d *Daemon) handleZone(f *Frame) {
 
 // recognize checks the envelope's addressee pseudonym against ours and
 // delivers on match — core.recognize plus deliverData for the live data
-// path: establish the destination session (really decrypt K_s with our
-// private key), open the payload, charge the decryption costs to VTime.
+// path: open the session with our private key on its first packet, open
+// the payload, charge the destination's crypto to VTime.
 func (d *Daemon) recognize(f *Frame) {
 	env := f.Env
 	if env == nil || env.Kind != core.KindData || env.PD != d.pseud {
@@ -396,31 +395,20 @@ func (d *Daemon) recognize(f *Frame) {
 	if d.deliverd.contains(pairKey(f.Flow, f.Seq)) {
 		return
 	}
-	sess := d.dsess[f.Flow]
-	if sess == nil {
-		sess = &destState{}
-		d.dsess[f.Flow] = sess
-	}
-	// Destination-side crypto charges (core.deliverData): one symmetric
-	// open per packet, plus the session's two public-key decryptions on
-	// its first packet when session setup is billed.
-	vt := f.VTime + d.costs.SymDecrypt
-	if !sess.established {
-		keyRaw, err := d.suite.DecryptPub(d.priv, env.EncSymKey)
-		if err != nil || len(keyRaw) != len(sess.key) {
+	key, open := d.dsess[f.Flow]
+	if !open {
+		var err error
+		if key, _, err = core.OpenSession(d.suite, d.priv, env.EncSymKey, env.EncLZS); err != nil {
 			return // not actually for us
 		}
-		copy(sess.key[:], keyRaw)
-		sess.established = true
-		if d.cfg.ChargeSessionSetup {
-			vt += 2 * d.costs.PubDecrypt
-		}
+		d.dsess[f.Flow] = key
 	}
-	if _, err := crypt.SymOpen(sess.key, env.Payload); err != nil {
+	if _, err := crypt.SymOpen(key, env.Payload); err != nil {
 		return
 	}
 	d.deliverd.add(pairKey(f.Flow, f.Seq))
-	d.recordDelivery(f, vt)
+	// Live runs no intersection guard, so no packet is guarded.
+	d.recordDelivery(f, f.VTime+core.DestCharge(d.costs, !open && d.cfg.ChargeSessionSetup, false))
 }
 
 // deliverDirect is the gpsr-family arrival: DeliverTo matched this node.

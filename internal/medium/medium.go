@@ -64,6 +64,23 @@ type Params struct {
 	RetryBackoff float64
 }
 
+// TxDelay draws one frame's time on air, as the medium and the live
+// daemon both charge it: size*8/Bitrate plus an exponential contention
+// delay of mean MACDelayMean drawn from src.
+func (p *Params) TxDelay(size int, src *rng.Source) float64 {
+	d := float64(size*8) / p.Bitrate
+	if p.MACDelayMean > 0 {
+		d += src.Exponential(p.MACDelayMean)
+	}
+	return d
+}
+
+// Backoff is the ARQ's wait before retransmitting a frame already sent
+// attempts times: RetryBackoff doubled per earlier retransmission.
+func (p *Params) Backoff(attempts int) float64 {
+	return p.RetryBackoff * math.Pow(2, float64(attempts-1))
+}
+
 // DefaultParams returns the paper's channel configuration.
 func DefaultParams() Params {
 	return Params{
@@ -382,15 +399,6 @@ func (m *Medium) PositionNow(id NodeID) geo.Point {
 	return m.mob.Position(int(id), m.eng.Now())
 }
 
-// txDelay returns transmission plus contention delay for a payload size.
-func (m *Medium) txDelay(size int) float64 {
-	d := float64(size*8) / m.par.Bitrate
-	if m.par.MACDelayMean > 0 {
-		d += m.src.Exponential(m.par.MACDelayMean)
-	}
-	return d
-}
-
 // TapSend subscribes an observer to every transmission on the channel.
 func (m *Medium) TapSend(fn func(Transmission)) {
 	m.sendTaps = append(m.sendTaps, fn)
@@ -566,7 +574,7 @@ func (s *arqSend) attempt() float64 {
 	if m.tap != nil {
 		m.tap.FrameTx(m.eng.Now(), int(s.from), int(s.to), telemetry.TraceOf(s.payload), s.size, s.attempts)
 	}
-	at := m.eng.Now() + m.txDelay(s.size)
+	at := m.eng.Now() + m.par.TxDelay(s.size, m.src)
 	s.phase = arqPhaseArrive
 	m.eng.AtRunner(at, s)
 	return at
@@ -639,7 +647,7 @@ func (s *arqSend) sendAck() {
 		m.tap.AckTx(m.eng.Now(), int(s.to), int(s.from), telemetry.TraceOf(s.payload))
 	}
 	s.phase = arqPhaseAck
-	m.eng.ScheduleRunner(m.txDelay(m.par.AckSize), s)
+	m.eng.ScheduleRunner(m.par.TxDelay(m.par.AckSize, m.src), s)
 }
 
 // ackArrive is the ACK frame reaching (or missing) the original sender.
@@ -675,9 +683,8 @@ func (s *arqSend) retryOrFail() {
 		}
 		return
 	}
-	backoff := m.par.RetryBackoff * math.Pow(2, float64(s.attempts-1))
 	s.phase = arqPhaseRetry
-	m.eng.ScheduleRunner(backoff, s)
+	m.eng.ScheduleRunner(m.par.Backoff(s.attempts), s)
 }
 
 // Broadcast transmits payload to every node within Range of the sender at
@@ -697,7 +704,7 @@ func (m *Medium) Broadcast(from NodeID, payload any, size int) float64 {
 	if m.tap != nil {
 		m.tap.BroadcastTx(m.eng.Now(), int(from), telemetry.TraceOf(payload), size)
 	}
-	at := m.eng.Now() + m.txDelay(size)
+	at := m.eng.Now() + m.par.TxDelay(size, m.src)
 	var b *bcastSend
 	if n := len(m.bcastFree); n > 0 {
 		b = m.bcastFree[n-1]

@@ -247,6 +247,22 @@ func (c *Collector) HopsPerPacket() float64 {
 	return total / float64(len(c.records))
 }
 
+// HopsPerDelivered returns the mean hops of the delivered packets (0 for
+// none), the hop count a live fleet, seeing only deliveries, measures too.
+func (c *Collector) HopsPerDelivered() float64 {
+	hops, n := 0, 0
+	for _, r := range c.records {
+		if r.Delivered {
+			hops += r.Hops
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(hops) / float64(n)
+}
+
 // MeanRFs returns the average number of random forwarders per packet.
 func (c *Collector) MeanRFs() float64 {
 	if len(c.records) == 0 {
