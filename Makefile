@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/mobility -fuzz FuzzParseNS2 -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/rng -fuzz FuzzSource -fuzztime 30s
+	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s

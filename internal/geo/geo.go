@@ -34,21 +34,100 @@ const withinBand = 1e-9
 
 // Within reports whether q lies within distance r of p, with exactly the
 // answer of p.Dist(q) <= r but without the math.Hypot call away from the
-// boundary. Radii outside [2^-500, 2^500], negative and NaN included, take
-// the Dist path, because r*r could underflow or overflow there. Inside it a
-// Dist2 that overflows to +Inf still answers false correctly, and a NaN
-// Dist2 fails both comparisons and falls through to Dist.
+// boundary. It is BandOf(r).Within(p, q); a loop testing many pairs against
+// one radius hoists the band instead.
 func (p Point) Within(q Point, r float64) bool {
+	return BandOf(r).Within(p, q)
+}
+
+// Band is Within's test for one radius r, with r*r and the band around it
+// computed once. Radii outside [2^-500, 2^500], negative and NaN included,
+// get an empty band and always take the Dist path, because r*r could
+// underflow or overflow there. Inside it a Dist2 that overflows to +Inf
+// still answers false correctly, and a NaN Dist2 fails both comparisons
+// and falls through to Dist.
+type Band struct {
+	r, in2, out2 float64
+}
+
+// BandOf returns the band of radius r.
+func BandOf(r float64) Band {
 	if r >= 0x1p-500 && r <= 0x1p500 {
-		d2, r2 := p.Dist2(q), r*r
-		if d2 < r2*(1-withinBand) {
-			return true
-		}
-		if d2 > r2*(1+withinBand) {
-			return false
-		}
+		r2 := r * r
+		return Band{r: r, in2: r2 * (1 - withinBand), out2: r2 * (1 + withinBand)}
 	}
-	return p.Dist(q) <= r
+	return Band{r: r, in2: -1, out2: math.Inf(1)}
+}
+
+// Within reports p.Dist(q) <= r, exactly.
+func (b Band) Within(p, q Point) bool {
+	d2 := p.Dist2(q)
+	if d2 < b.in2 {
+		return true
+	}
+	if d2 > b.out2 {
+		return false
+	}
+	return p.Dist(q) <= b.r
+}
+
+// Nearest tracks which of the points offered to it in turn lies nearest a
+// target, starting from an incumbent. A candidate replaces the incumbent
+// only when it is strictly nearer, so of tied candidates the first wins:
+// exactly the choice of a loop that keeps c when c.Dist(target) < best.
+// It compares Dist2 against the withinBand band around the incumbent's
+// Dist2 and calls Dist only inside it, where rounding could order the
+// squares differently from the distances. An incumbent whose Dist2 lies
+// outside [2^-1000, 2^1000] (zero, subnormal, overflowing or NaN) has an
+// empty band, so every candidate takes the Dist path against it.
+type Nearest struct {
+	target, at Point
+	in2, out2  float64
+	d          float64 // at.Dist(target), valid when known
+	known      bool
+}
+
+// NewNearest starts tracking with incumbent as the nearest point so far.
+func NewNearest(target, incumbent Point) Nearest {
+	n := Nearest{target: target}
+	n.take(incumbent, incumbent.Dist2(target))
+	return n
+}
+
+func (n *Nearest) take(c Point, d2 float64) {
+	n.at, n.known = c, false
+	n.in2, n.out2 = -1, math.Inf(1)
+	if d2 >= 0x1p-1000 && d2 <= 0x1p1000 {
+		n.in2, n.out2 = d2*(1-withinBand), d2*(1+withinBand)
+	}
+}
+
+// Offer makes c the incumbent if c.Dist(target) < Dist() and reports
+// whether it did.
+func (n *Nearest) Offer(c Point) bool {
+	d2 := c.Dist2(n.target)
+	if d2 < n.in2 {
+		n.take(c, d2)
+		return true
+	}
+	if d2 > n.out2 {
+		return false
+	}
+	d := c.Dist(n.target)
+	if d < n.Dist() {
+		n.take(c, d2)
+		n.d, n.known = d, true
+		return true
+	}
+	return false
+}
+
+// Dist returns the incumbent's distance to the target.
+func (n *Nearest) Dist() float64 {
+	if !n.known {
+		n.d, n.known = n.at.Dist(n.target), true
+	}
+	return n.d
 }
 
 // Add returns p translated by (dx, dy).

@@ -64,8 +64,7 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 	closestTerminates bool, rangeM float64, planarization Planarization,
 	nbrs, scratch []medium.Neighbor, st *ForwardState,
 ) (next medium.NodeID, verdict StepVerdict, entered bool, scratchOut []medium.Neighbor) {
-	selfDist := selfPos.Dist(dest)
-	if st.Mode == Perimeter && selfDist < st.EntryDist {
+	if st.Mode == Perimeter && selfPos.Dist(dest) < st.EntryDist {
 		// Closer than where we entered recovery: back to greedy.
 		st.Mode = Greedy
 	}
@@ -75,21 +74,18 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 		// positions are up to a hello interval stale, so a neighbor at
 		// the very fringe may have drifted out by delivery time (see
 		// the commentary in Router.Handle).
-		safe := rangeM * SafeRangeFactor
+		safe := geo.BandOf(rangeM * SafeRangeFactor)
+		near := geo.NewNearest(dest, selfPos)
 		best := NoDeliverTo
-		bestDist := selfDist
 		for _, nb := range nbrs {
-			if !selfPos.Within(nb.Pos, safe) {
-				continue
-			}
-			if d := nb.Pos.Dist(dest); d < bestDist {
-				best, bestDist = nb.ID, d
+			if safe.Within(selfPos, nb.Pos) && near.Offer(nb.Pos) {
+				best = nb.ID
 			}
 		}
 		if best == NoDeliverTo {
 			for _, nb := range nbrs {
-				if d := nb.Pos.Dist(dest); d < bestDist {
-					best, bestDist = nb.ID, d
+				if near.Offer(nb.Pos) {
+					best = nb.ID
 				}
 			}
 		}
@@ -102,7 +98,7 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 			return NoDeliverTo, StepArrived, false, scratch
 		}
 		st.Mode = Perimeter
-		st.EntryDist = selfDist
+		st.EntryDist = near.Dist() // nothing beat the holder
 		st.FirstFrom, st.FirstTo = NoDeliverTo, NoDeliverTo
 		entered = true
 	}

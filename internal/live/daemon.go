@@ -443,8 +443,13 @@ func (d *Daemon) handleDatagram(buf []byte) {
 	// not a NAK — so the sender's ARQ retries and eventually charges the
 	// loss, exactly like the simulator's arqSend. A claimed position that
 	// is not a number is within no range, so such a frame is dropped too.
+	// Like the simulator, the tap logs a unicast's range loss and stays
+	// silent for a broadcast copy's.
 	if !d.self.Within(f.SrcPos, d.cfg.Medium.Range) {
 		d.counts.DroppedRange++
+		if d.tap != nil && f.To != None {
+			d.tap.FrameLost(f.VTime, int(f.From), d.cfg.ID, d.trace(f), "range")
+		}
 		return
 	}
 	if d.rnd.Bernoulli(d.cfg.Medium.LossRate) {
@@ -529,15 +534,13 @@ func (d *Daemon) retry(sendID uint64) {
 	if p.attempts > d.cfg.Medium.Retries {
 		delete(d.pend, sendID)
 		d.counts.SendsLost++
-		if d.tap != nil {
-			d.tap.FrameLost(p.frame.VTime, d.cfg.ID, int(p.frame.To),
-				d.trace(&p.frame), "retries-exhausted")
-		}
 		// The leg ends here, at its last confirmed holder.
 		d.endLeg(&p.frame, gpsr.DroppedLink)
 		return
 	}
-	p.frame.VTime += d.cfg.Medium.Backoff(p.attempts) + d.cfg.Medium.TxDelay(int(p.frame.Size), d.rnd)
+	backoff := d.cfg.Medium.Backoff(p.attempts)
+	sentAt := p.frame.VTime + backoff
+	p.frame.VTime += backoff + d.cfg.Medium.TxDelay(int(p.frame.Size), d.rnd)
 	p.attempts++
 	d.counts.Retries++
 	b, err := AppendFrame(d.encBuf[:0], &p.frame)
@@ -547,7 +550,7 @@ func (d *Daemon) retry(sendID uint64) {
 	}
 	d.encBuf = b
 	if d.tap != nil {
-		d.tap.FrameTx(p.frame.VTime, d.cfg.ID, int(p.frame.To),
+		d.tap.FrameTx(sentAt, d.cfg.ID, int(p.frame.To),
 			d.trace(&p.frame), int(p.frame.Size), p.attempts)
 	}
 	d.enqueue(p.addr, b)
@@ -556,7 +559,8 @@ func (d *Daemon) retry(sendID uint64) {
 
 // transmit puts a data frame on the emulated air toward neighbor to at
 // addr: stamps link identity, position and the medium's transmission
-// delay, encodes, enqueues, and arms the ARQ.
+// delay, encodes, enqueues, and arms the ARQ. Like the simulator's medium,
+// the tap logs the transmission at its send time, before the delay.
 func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	d.sendSeq++
 	f.Kind = KindData
@@ -565,6 +569,7 @@ func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	f.SrcPos = d.self
 	f.Flags &^= FlagNoAck
 	f.To = to
+	sentAt := f.VTime
 	f.VTime += d.cfg.Medium.TxDelay(int(f.Size), d.rnd)
 	b, err := AppendFrame(d.encBuf[:0], f)
 	if err != nil {
@@ -572,7 +577,7 @@ func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	}
 	d.encBuf = b
 	if d.tap != nil {
-		d.tap.FrameTx(f.VTime, d.cfg.ID, int(to), d.trace(f), int(f.Size), 1)
+		d.tap.FrameTx(sentAt, d.cfg.ID, int(to), d.trace(f), int(f.Size), 1)
 	}
 	d.enqueue(addr, b)
 	if d.cfg.Medium.Retries <= 0 {

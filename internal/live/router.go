@@ -342,10 +342,10 @@ func (d *Daemon) zoneDeliver(f *Frame) {
 func (d *Daemon) broadcastZone(f *Frame) {
 	f.ZoneStep = 1
 	f.DeliverTo = None
-	vtime := f.VTime + d.cfg.Medium.TxDelay(int(f.Size), d.rnd)
 	if d.tap != nil {
-		d.tap.BroadcastTx(vtime, d.cfg.ID, d.trace(f), int(f.Size))
+		d.tap.BroadcastTx(f.VTime, d.cfg.ID, d.trace(f), int(f.Size))
 	}
+	vtime := f.VTime + d.cfg.Medium.TxDelay(int(f.Size), d.rnd)
 	for _, nb := range d.table {
 		c := *f
 		c.VTime = vtime

@@ -21,6 +21,9 @@ type tlmEvent struct {
 	Trace  int     `json:"trace"`
 	Node   int     `json:"node"`
 	Detail string  `json:"detail"`
+	From   int     `json:"from"`
+	To     int     `json:"to"`
+	Size   int     `json:"size"`
 }
 
 // runTapped runs sc on a fleet whose daemons all write telemetry and
@@ -68,7 +71,10 @@ func runTapped(t *testing.T, sc experiment.Scenario) (Summary, map[int][]tlmEven
 // random forwarder is logged exactly when it is not its leg's origin
 // (core.route's rf != at); and each zone broadcast is one medium bcast.
 // At seed 2 two of the ALERT fleet's legs arrive where they started, so no
-// random forwarder may be logged for them.
+// random forwarder may be logged for them. The medium layer must use the
+// simulator's kinds and loss reasons, and, as the simulator's medium
+// stamps a unicast's tx at its send time, each tx must precede its rx,
+// dup or loss at the receiver by at least the frame's time on air.
 func TestTelemetryVocabulary(t *testing.T) {
 	outcomes := map[string]bool{}
 	for o := gpsr.Delivered; o <= gpsr.DroppedLink; o++ {
@@ -76,10 +82,12 @@ func TestTelemetryVocabulary(t *testing.T) {
 	}
 	for _, p := range []experiment.ProtocolName{experiment.ALERT, experiment.GPSR} {
 		t.Run(string(p), func(t *testing.T) {
-			sum, byTrace := runTapped(t, smokeScenario(p, 25, 2))
+			sc := smokeScenario(p, 25, 2)
+			sum, byTrace := runTapped(t, sc)
 			if sum.Delivered == 0 {
 				t.Fatal("no deliveries")
 			}
+			checkMediumVocabulary(t, byTrace, sc.MediumParams().Bitrate)
 			ends := map[string]int{}
 			totalRFs, totalBcasts, stayed := 0, 0, 0
 			for trace, evs := range byTrace {
@@ -145,13 +153,75 @@ func TestTelemetryVocabulary(t *testing.T) {
 	}
 }
 
+// mediumKinds and lossReasons are the medium-layer kinds and loss details
+// the simulator's medium writes (internal/medium).
+var (
+	mediumKinds = map[string]bool{"tx": true, "rx": true, "dup": true, "loss": true,
+		"bcast": true, "ack": true, "ackloss": true}
+	lossReasons = map[string]bool{"range": true, "loss": true, "compromised": true}
+)
+
+// checkMediumVocabulary checks every medium line's kind and loss reason,
+// and pairs each unicast tx, in time order, with the next rx, dup or loss
+// of the same trace on the same link: it must come at least the frame's
+// size·8/bitrate later. Receptions of a zone broadcast's copies (after the
+// sender's bcast of that trace) have no tx and are left out.
+func checkMediumVocabulary(t *testing.T, byTrace map[int][]tlmEvent, bitrate float64) {
+	t.Helper()
+	type link struct{ trace, from, to int }
+	paired := 0
+	for trace, evs := range byTrace {
+		bcastAt := map[int]float64{}
+		sent := map[link][]tlmEvent{}
+		for _, ev := range evs {
+			if ev.Layer != "medium" {
+				continue
+			}
+			if !mediumKinds[ev.Kind] {
+				t.Errorf("trace %d: medium kind %q, which the simulator never writes", trace, ev.Kind)
+			}
+			if ev.Kind == "loss" && !lossReasons[ev.Detail] {
+				t.Errorf("trace %d: loss reason %q, which the simulator never writes", trace, ev.Detail)
+			}
+			k := link{trace, ev.From, ev.To}
+			switch ev.Kind {
+			case "bcast":
+				if _, ok := bcastAt[ev.From]; !ok {
+					bcastAt[ev.From] = ev.T
+				}
+			case "tx":
+				sent[k] = append(sent[k], ev)
+			case "rx", "dup", "loss":
+				if at, ok := bcastAt[ev.From]; ok && ev.T >= at && len(sent[k]) == 0 {
+					continue // a broadcast copy
+				}
+				if len(sent[k]) == 0 {
+					t.Errorf("trace %d: medium %s %d→%d at %v with no tx before it", trace, ev.Kind, ev.From, ev.To, ev.T)
+					continue
+				}
+				tx := sent[k][0]
+				sent[k] = sent[k][1:]
+				if air := float64(tx.Size*8) / bitrate; ev.T-tx.T < air*(1-1e-9) {
+					t.Errorf("trace %d: medium tx %d→%d at %v, its %s at %v: %v apart, under the %v on air",
+						trace, ev.From, ev.To, tx.T, ev.Kind, ev.T, ev.T-tx.T, air)
+				}
+				paired++
+			}
+		}
+	}
+	if paired == 0 {
+		t.Error("no unicast tx paired with its reception: nothing to check")
+	}
+}
+
 // TestRetriesExhaustedEndLeg drives one daemon without sockets: a frame
 // whose ARQ spends its retry budget ends its leg dropped-link at the
-// sender, as the simulator's Router does on a lost send.
+// sender, as the simulator's Router does on a lost send, and, like the
+// simulator's ARQ, writes no medium line of its own for giving up.
 func TestRetriesExhaustedEndLeg(t *testing.T) {
 	d := newDaemon(DaemonConfigFor(smokeScenario(experiment.GPSR, 5, 1), 0, 0))
 	var b bytes.Buffer
-	d.SetTap(telemetry.New(&b, telemetry.LayerRoute))
+	d.SetTap(telemetry.New(&b, telemetry.LayerRoute|telemetry.LayerMedium))
 	d.pend[1] = &pending{frame: Frame{Kind: KindData, Flow: 2, Seq: 3, To: 1, Path: []int32{0}},
 		attempts: d.cfg.Medium.Retries + 1}
 	d.retry(1)
@@ -163,6 +233,9 @@ func TestRetriesExhaustedEndLeg(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"kind":"leg","trace":2097155,"node":0,"detail":"dropped-link"`) {
 		t.Errorf("stream lacks the dropped-link leg:\n%s", b.String())
+	}
+	if strings.Contains(b.String(), `"layer":"medium"`) {
+		t.Errorf("giving up wrote a medium line:\n%s", b.String())
 	}
 }
 

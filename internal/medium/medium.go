@@ -195,7 +195,7 @@ type Medium struct {
 	// beacons caches the current hello tick's position snapshot and a
 	// uniform spatial grid over it, so each Neighbors query touches only
 	// the 3x3 grid cells around the querier instead of every node, and a
-	// broadcast sweep skips the nodes whose beacon is out of its reach.
+	// broadcast sweep or zone query decides most nodes from their beacon.
 	beacons beaconCache
 	// arqFree and bcastFree recycle send state machines; a steady-state
 	// unicast or broadcast allocates nothing.
@@ -208,14 +208,23 @@ type Medium struct {
 	tap *telemetry.Tap
 }
 
-// beaconCache is one hello tick's position snapshot bucketed into cells of
-// side Range. The tick is the integer beacon index, so cache-hit detection
-// is an exact integer compare rather than a float one; at is the tick's
-// beacon instant. Buckets hold node ids in ascending order (rebuild inserts
-// ids 0..n-1), so any fixed cell-visit order yields a deterministic node
-// order. The grid is rebuilt in place: bucket slices are truncated and
-// refilled rather than reallocated, so steady-state rebuilds allocate
-// nothing once the map and buckets have reached their high-water capacity.
+// beaconCache is one hello tick's position snapshot bucketed into a dense
+// grid whose cells are at least Range on a side. The tick is the integer
+// beacon index (−1 before the first snapshot), so cache-hit detection is
+// an exact integer compare rather than a float one; at is the tick's
+// beacon instant.
+//
+// The grid is sized once per medium from the mobility model's field (see
+// gridAxis). Cells are numbered column-major, col*rows + row, so the three
+// cells of one column that a scan reads are one contiguous run of ids. A
+// coordinate outside the field is clamped to its edge before bucketing, so
+// an outside node lands in an edge cell, and since clamping never moves
+// two coordinates apart, every pair within Range still lands in the same
+// or adjacent cells. rebuild counting-sorts the ids by cell, visiting them
+// in ascending order, so ids are ascending within each cell and any fixed
+// cell-visit order yields a deterministic node order. Every array is
+// allocated with the snapshot and refilled in place, so rebuilds allocate
+// nothing.
 //
 // The cache also memoises the neighbor tables answered during the tick. A
 // table depends only on the tick and the node, so a node's first query
@@ -223,18 +232,32 @@ type Medium struct {
 // query in the tick copies them out. tables[id] locates node id's ids in
 // nbrs and is valid only while its tick equals the cache's; rebuild
 // truncates nbrs, and with it every table of the previous tick.
+//
+// now is the instant the cache last answered for (NaN before the first),
+// and drift bounds how far any node can have moved from its beacon by
+// then (see beaconsNow).
 type beaconCache struct {
-	tick  int
-	at    float64
-	valid bool
-	pos   []geo.Point
-	cell  float64
-	grid  map[[2]int][]NodeID
-	// live lists the keys of currently non-empty buckets, so rebuild can
-	// truncate exactly the buckets the previous snapshot populated.
-	live   [][2]int
-	nbrs   []int32
-	tables []nbrTable
+	tick int
+	at   float64
+	pos  []geo.Point
+	// Grid geometry: the field's lower corner and upper corner, each
+	// axis's cell side, and the column and row counts. scale is the
+	// field's largest absolute coordinate, the magnitude the mobility
+	// models' rounding is relative to.
+	lo, hi       geo.Point
+	cellX, cellY float64
+	cols, rows   int
+	scale        float64
+	// cellOf is each node's cell, ids the node ids grouped by cell, and
+	// ids[start[c]:start[c+1]] cell c's nodes.
+	cellOf    []int32
+	ids       []int32
+	start     []int32
+	nbrs      []int32
+	tables    []nbrTable
+	now       float64
+	drift     float64
+	zoneDrift float64 // InZoneNow's margin before the beacon's own slack
 }
 
 // nbrTable is one node's neighbor table in beaconCache.nbrs: the ids
@@ -244,71 +267,143 @@ type nbrTable struct {
 	lo, hi int32
 }
 
-func (b *beaconCache) rebuild(mob mobility.Model, at, cell float64) {
-	n := mob.N()
-	if b.pos == nil {
-		b.pos = make([]geo.Point, n)
-		b.tables = make([]nbrTable, n)
-		for id := range b.tables {
-			b.tables[id].tick = -1
-		}
+// maxGridAxis caps the cells along one grid axis: a field more than this
+// many ranges wide gets proportionally wider cells rather than a grid
+// larger than its nodes need.
+const maxGridAxis = 256
+
+// gridAxis sizes one grid axis of extent w for radio range r: cells of
+// side r, or wider ones when that would exceed maxGridAxis cells, or a
+// single infinite cell when the extent or the range is not finite (or the
+// extent is negative). The count is int(w/cell)+1, so a coordinate on the
+// field's upper edge has a cell of its own.
+func gridAxis(w, r float64) (cell float64, n int) {
+	if q := w / r; q >= 0 && q <= maxGridAxis {
+		return r, int(q) + 1
 	}
-	if b.grid == nil {
-		b.grid = make(map[[2]int][]NodeID, n)
+	if c := w / maxGridAxis; c >= r && c < math.Inf(1) {
+		return c, int(w/c) + 1
 	}
-	for _, k := range b.live {
-		b.grid[k] = b.grid[k][:0]
-	}
-	b.live = b.live[:0]
-	b.nbrs = b.nbrs[:0]
-	b.cell = cell
-	// Bucket ids 0..n-1 in order, so bucket contents stay in ascending id
-	// order — the determinism the query paths rely on.
-	for id := 0; id < n; id++ {
-		p := mob.Position(id, at)
-		b.pos[id] = p
-		key := b.key(p)
-		bucket := b.grid[key]
-		if len(bucket) == 0 {
-			b.live = append(b.live, key)
-		}
-		b.grid[key] = append(bucket, NodeID(id))
-	}
+	return math.Inf(1), 1
 }
 
-func (b *beaconCache) key(p geo.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / b.cell)), int(math.Floor(p.Y / b.cell))}
+// axisIndex is the grid index along one axis of coordinate v: v clamped
+// into [lo, hi], a NaN to lo, then counted in cells from lo.
+func axisIndex(v, lo, hi, cell float64) int {
+	if v > hi {
+		v = hi
+	}
+	if k := (v - lo) / cell; k > 0 {
+		return int(k)
+	}
+	return 0
+}
+
+func newBeaconCache(mob mobility.Model, rangeM float64) beaconCache {
+	n := mob.N()
+	f := mob.Field()
+	b := beaconCache{
+		pos:    make([]geo.Point, n),
+		tables: make([]nbrTable, n),
+		cellOf: make([]int32, n),
+		ids:    make([]int32, n),
+		tick:   -1,
+		now:    math.NaN(),
+		lo:     f.Min,
+		hi:     f.Max,
+		scale:  max(math.Abs(f.Min.X), math.Abs(f.Min.Y), math.Abs(f.Max.X), math.Abs(f.Max.Y)),
+	}
+	b.cellX, b.cols = gridAxis(f.Width(), rangeM)
+	b.cellY, b.rows = gridAxis(f.Height(), rangeM)
+	b.start = make([]int32, b.cols*b.rows+1)
+	for id := range b.tables {
+		b.tables[id].tick = -1
+	}
+	return b
+}
+
+// cell returns the grid cell of position p.
+func (b *beaconCache) cell(p geo.Point) int {
+	return axisIndex(p.X, b.lo.X, b.hi.X, b.cellX)*b.rows + axisIndex(p.Y, b.lo.Y, b.hi.Y, b.cellY)
+}
+
+func (b *beaconCache) rebuild(mob mobility.Model, at float64) {
+	b.nbrs = b.nbrs[:0]
+	clear(b.start)
+	for id := range b.pos {
+		p := mob.Position(id, at)
+		b.pos[id] = p
+		c := b.cell(p)
+		b.cellOf[id] = int32(c)
+		b.start[c]++
+	}
+	// Running sums turn start[c] into the end of cell c; filling each cell
+	// from its end with ids in descending order then leaves start[c] at
+	// the cell's beginning and its ids ascending.
+	sum := int32(0)
+	for c, k := range b.start {
+		sum += k
+		b.start[c] = sum
+	}
+	for id := len(b.pos) - 1; id >= 0; id-- {
+		c := b.cellOf[id]
+		b.start[c]--
+		b.ids[b.start[c]] = int32(id)
+	}
 }
 
 // scan appends to dst the ids of every node within radius of id in the
-// snapshot. It reads the 3x3 cell block covering every candidate within
-// one cell side of id; the fixed cell order plus ascending ids within
-// buckets keeps the order deterministic.
-func (b *beaconCache) scan(id NodeID, radius float64, dst []int32) []int32 {
+// snapshot, band being that radius's geo.Band. It reads the 3x3 cell block
+// covering every candidate within one cell side of id, column by column
+// and each column's rows in one run; the fixed cell order plus ascending
+// ids within cells keeps the order deterministic.
+func (b *beaconCache) scan(id NodeID, band geo.Band, dst []int32) []int32 {
 	self := b.pos[id]
-	k := b.key(self)
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for _, other := range b.grid[[2]int{k[0] + dx, k[1] + dy}] {
-				if other != id && self.Within(b.pos[other], radius) {
-					dst = append(dst, int32(other))
-				}
+	c := int(b.cellOf[id])
+	col, row := c/b.rows, c%b.rows
+	lo, hi := max(row-1, 0), min(row+1, b.rows-1)
+	for x := max(col-1, 0); x <= min(col+1, b.cols-1); x++ {
+		run := b.ids[b.start[x*b.rows+lo]:b.start[x*b.rows+hi+1]]
+		for _, other := range run {
+			if other != int32(id) && band.Within(self, b.pos[other]) {
+				dst = append(dst, other)
 			}
 		}
 	}
 	return dst
 }
 
+// driftSlack widens every bound the snapshot decides by, relatively, far
+// beyond the few ulp by which rounding can shorten a computed distance or
+// lengthen a node's computed move since its beacon.
+const driftSlack = 1e-9
+
 // beaconsNow returns the current hello tick's snapshot, building it on the
-// tick's first query.
+// tick's first query, with drift set for the current instant: a node's
+// position now lies within MaxSpeed·(now − beacon time) of its beacon, up
+// to the few ulp of the field's coordinates a model may add
+// (mobility.Model). An unbounded speed (+Inf) makes drift +Inf, or NaN at
+// a beacon instant, and every bound built on it decides nothing. Queries
+// at the instant the cache last answered for return at once.
 func (m *Medium) beaconsNow() *beaconCache {
+	if b := &m.beacons; m.eng.Now() == b.now { //lint:allowfloatcompare the clock's own value, stored unchanged: same instant, same tick and drift
+		return b
+	}
+	return m.advanceBeacons()
+}
+
+// advanceBeacons moves the cache to the engine's current instant.
+func (m *Medium) advanceBeacons() *beaconCache {
 	b := &m.beacons
-	if tick := m.helloTick(); !b.valid || b.tick != tick {
+	now := m.eng.Now()
+	if tick := m.helloTick(); b.tick != tick {
 		b.tick = tick
 		b.at = float64(tick) * m.par.HelloInterval
-		b.valid = true
-		b.rebuild(m.mob, b.at, m.par.Range)
+		b.rebuild(m.mob, b.at)
 	}
+	b.now = now
+	b.drift = m.mob.MaxSpeed() * (now - b.at)
+	b.zoneDrift = b.drift*(1+driftSlack) + driftSlack*b.scale
 	return b
 }
 
@@ -332,6 +427,7 @@ func New(eng *sim.Engine, mob mobility.Model, par Params, src *rng.Source) (*Med
 		src:      src.Split("medium"),
 		handlers: make([]Handler, mob.N()),
 		txByNode: make([]uint64, mob.N()),
+		beacons:  newBeaconCache(mob, par.Range),
 	}, nil
 }
 
@@ -728,35 +824,41 @@ type bcastSend struct {
 	size    int
 }
 
-// sweepSlack widens the broadcast prefilter's reach relatively, far beyond
-// the few ulp by which rounding can shorten a node's computed distance to
-// the sender or lengthen its computed move since the beacon.
-const sweepSlack = 1e-9
-
 // RunEvent implements sim.Runner: the frame reaches every node in range,
-// in ascending id order. A node's current position lies within
-// MaxSpeed·(now − beacon time) of its position in the tick's beacon
-// snapshot, so a node whose beacon is farther than Range plus that from
-// the sender cannot be in range: the sweep counts it as out of range
-// without asking the mobility model. A NaN reach (an unbounded speed over
-// zero time) prunes nothing. Every other node takes the exact test, and
-// skipping a Position query changes no trajectory, so receivers, their
-// order, loss draws and counters are those of the unpruned sweep. The sweep
-// stays serial even on large fields: forking its few ns of work per node
-// costs more than it saves (see EXPERIMENTS.md, "Parallel sweeps").
+// in ascending id order. A node's current position lies within the
+// snapshot's drift of its beacon (beaconsNow), so the beacon alone decides
+// most nodes: one whose beacon lies within
+// Range·(1−driftSlack) − drift·(1+driftSlack) of the sender is in range and
+// receives without a Position query, and one whose beacon lies farther
+// than (Range + drift)·(1+driftSlack) is out of range. The slack on Range
+// also covers the models' few ulp of the field's coordinates on any field
+// less than 10^8 ranges across. Only the nodes between the two radii take
+// the exact Position + Within test. A radius that is not a number, or
+// outside the [2^-500, 2^500] where its square is exact, decides nothing;
+// an unbounded speed makes both radii so. Skipping a Position query
+// changes no trajectory, so receivers, their order, loss draws and
+// counters are those of the exact sweep. The sweep stays serial even on
+// large fields: forking its few ns of work per node costs more than it
+// saves (see EXPERIMENTS.md, "Parallel sweeps").
 func (b *bcastSend) RunEvent() {
 	m := b.m
 	from, payload, size := b.from, b.payload, b.size
 	now := m.eng.Now()
 	pf := m.mob.Position(int(from), now)
 	beacons := m.beaconsNow()
-	reach := (m.par.Range + m.mob.MaxSpeed()*(now-beacons.at)) * (1 + sweepSlack)
-	reach2 := reach * reach
+	in2, out2 := -1.0, math.Inf(1)
+	if r := m.par.Range*(1-driftSlack) - beacons.drift*(1+driftSlack); r >= 0x1p-500 && r <= 0x1p500 {
+		in2 = r * r
+	}
+	if r := (m.par.Range + beacons.drift) * (1 + driftSlack); r >= 0x1p-500 && r <= 0x1p500 {
+		out2 = r * r
+	}
 	for id := range m.handlers {
 		if NodeID(id) == from {
 			continue
 		}
-		if pf.Dist2(beacons.pos[id]) > reach2 || !pf.Within(m.mob.Position(id, now), m.par.Range) {
+		if d2 := pf.Dist2(beacons.pos[id]); !(d2 < in2) &&
+			(d2 > out2 || !pf.Within(m.mob.Position(id, now), m.par.Range)) {
 			// Out-of-range receivers of a broadcast are physics, not
 			// loss: emitting one event per distant node would add
 			// ~N lines per broadcast with no diagnostic value, so
@@ -832,7 +934,7 @@ func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
 	t := &b.tables[id]
 	if t.tick != b.tick {
 		lo := len(b.nbrs)
-		b.nbrs = b.scan(id, m.par.Range, b.nbrs)
+		b.nbrs = b.scan(id, geo.BandOf(m.par.Range), b.nbrs)
 		*t = nbrTable{tick: b.tick, lo: int32(lo), hi: int32(len(b.nbrs))}
 	}
 	out := dst[:0]
@@ -850,16 +952,39 @@ func (m *Medium) TruePosition(id NodeID, t float64) geo.Point {
 
 // NodesWithinInto appends to dst[:0] the ids of every node whose true
 // current position lies in zone, in ascending id order, and returns the
-// (possibly regrown) slice.
+// (possibly regrown) slice. Each node is tested by InZoneNow.
 func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
-	now := m.eng.Now()
 	out := dst[:0]
 	for id := range m.handlers {
-		if zone.Contains(m.mob.Position(id, now)) {
+		if m.InZoneNow(NodeID(id), zone) {
 			out = append(out, NodeID(id))
 		}
 	}
 	return out
+}
+
+// InZoneNow reports whether node id's true current position lies in zone:
+// exactly zone.Contains(m.PositionNow(id)), decided from the node's beacon
+// where that can. The position lies within the snapshot's drift of the
+// beacon, so a beacon inside zone shrunk by the drift lies in it, and one
+// outside zone grown by the drift does not. Each axis's margin widens the
+// drift by driftSlack and adds driftSlack times the field's largest
+// coordinate and the beacon's own, which covers the models' few ulp and
+// the rounding of the grown and shrunk edges. Only a beacon within the
+// margin of an edge, or one the bounds cannot place (an unbounded speed, a
+// NaN coordinate), costs a Position query.
+func (m *Medium) InZoneNow(id NodeID, zone geo.Rect) bool {
+	b := m.beaconsNow()
+	p := b.pos[id]
+	gx := b.zoneDrift + driftSlack*math.Abs(p.X)
+	gy := b.zoneDrift + driftSlack*math.Abs(p.Y)
+	if p.X-gx >= zone.Min.X && p.X+gx <= zone.Max.X && p.Y-gy >= zone.Min.Y && p.Y+gy <= zone.Max.Y {
+		return true
+	}
+	if p.X+gx < zone.Min.X || p.X-gx > zone.Max.X || p.Y+gy < zone.Min.Y || p.Y-gy > zone.Max.Y {
+		return false
+	}
+	return zone.Contains(m.mob.Position(int(id), m.eng.Now()))
 }
 
 // Engine exposes the simulation engine (protocols schedule timers on it).

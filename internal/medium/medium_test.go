@@ -404,19 +404,67 @@ func TestTxRxByteCounters(t *testing.T) {
 	}
 }
 
+// gridEdgeModel puts nodes where the beacon grid's bucketing is most
+// delicate: exactly on cell boundaries (multiples of Range), on the
+// field's Max edges and corner, and outside Field() on every side, some
+// static and some drifting across those lines between hello ticks.
+func gridEdgeModel() *movingModel {
+	m := &movingModel{}
+	add := func(x, y, vx, vy float64) {
+		m.start = append(m.start, geo.Point{X: x, Y: y})
+		m.vel = append(m.vel, geo.Point{X: vx, Y: vy})
+	}
+	for _, x := range []float64{0, 250, 500, 750, 1000} {
+		for _, y := range []float64{0, 250, 500, 750, 1000} {
+			add(x, y, 0, 0)
+			add(x, math.Nextafter(y, 2000), 0, 0)
+			add(math.Nextafter(x, -1), y+125, 0, 0)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		f := float64(i)
+		add(1000, 100*f, 0, 0)     // on the Max.X edge
+		add(90*f, 1000, 0, 0)      // on the Max.Y edge
+		add(-30-f, 100*f, 0, 0)    // left of the field
+		add(1020+f, 100*f+7, 0, 0) // right of it
+		add(100*f+3, -45, 0, 0)    // below it
+		add(100*f+11, 1200, 0, 0)  // above it
+		add(990, 100*f, 2, 0)      // drifting out across Max.X
+		add(100*f, 10, 0, -2)      // drifting out across Min.Y
+		add(-60, 100*f+50, 15, 0)  // drifting in from outside
+		add(240+f, 760-f, 1.5, -1) // across cell boundaries
+	}
+	return m
+}
+
 func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	// The grid-accelerated Neighbors must agree exactly with an O(N^2)
-	// scan, including at cell boundaries. A node queried again within the
-	// tick must get the uncached grid scan entry for entry, order included,
-	// copied into dst[:0].
+	// scan, including on cell boundaries, on the field's Max edges and for
+	// nodes outside Field(). A node queried again within the tick must get
+	// the uncached grid scan entry for entry, order included, copied into
+	// dst[:0].
+	for _, mc := range []struct {
+		name string
+		mob  mobility.Model
+	}{
+		{"rwp", mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))},
+		{"edges", gridEdgeModel()},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			checkNeighborsGrid(t, mc.mob)
+		})
+	}
+}
+
+func checkNeighborsGrid(t *testing.T, mob mobility.Model) {
 	eng := sim.NewEngine()
-	mob := mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(78))
 	shuffle := rng.New(79)
+	n := mob.N()
 	var dst []Neighbor
 	check := func() {
 		tNow := float64(med.helloTick()) * med.par.HelloInterval
-		for id := 0; id < 150; id++ {
+		for id := 0; id < n; id++ {
 			got := med.Neighbors(NodeID(id))
 			gotSet := map[NodeID]geo.Point{}
 			for _, nb := range got {
@@ -424,7 +472,7 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 			}
 			self := mob.Position(id, tNow)
 			want := 0
-			for other := 0; other < 150; other++ {
+			for other := 0; other < n; other++ {
 				if other == id {
 					continue
 				}
@@ -432,7 +480,7 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 				if self.Dist(p) <= med.Params().Range {
 					want++
 					if gp, ok := gotSet[NodeID(other)]; !ok || gp != p {
-						t.Fatalf("t=%v node %d: neighbor %d missing or wrong pos", tNow, id, other)
+						t.Fatalf("t=%v node %d at %v: neighbor %d at %v missing or wrong pos", tNow, id, self, other, p)
 					}
 				}
 			}
@@ -441,10 +489,10 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 			}
 		}
 		b := &med.beacons
-		for _, id := range append(shuffle.Perm(150), shuffle.Perm(150)...) {
+		for _, id := range append(shuffle.Perm(n), shuffle.Perm(n)...) {
 			dst = append(dst[:0], Neighbor{ID: -1}, Neighbor{ID: 7, Pos: geo.Point{X: 1, Y: 2}})
 			got := med.NeighborsInto(NodeID(id), dst)
-			want := b.scan(NodeID(id), med.Params().Range, nil)
+			want := b.scan(NodeID(id), geo.BandOf(med.Params().Range), nil)
 			if len(got) != len(want) {
 				t.Fatalf("t=%v node %d: %d neighbors, uncached scan has %d", tNow, id, len(got), len(want))
 			}
@@ -464,16 +512,21 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// BenchmarkNeighborsGrid measures the cached grid lookup at evaluation
-// scale (one hello tick, 200 queries).
+// BenchmarkNeighborsGrid times the beacon grid at evaluation scale: each
+// op advances the clock one hello interval, so the snapshot is rebuilt,
+// and queries all 200 nodes once, so every query scans the grid (a query
+// repeated within the tick would only copy its memoised table).
 func BenchmarkNeighborsGrid(b *testing.B) {
 	eng := sim.NewEngine()
 	mob := mobility.NewStatic(field, 200, rng.New(1))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(2))
+	var dst []Neighbor
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng.RunUntil(float64(i+1) * med.par.HelloInterval)
 		for id := 0; id < 200; id++ {
-			_ = med.Neighbors(NodeID(id))
+			dst = med.NeighborsInto(NodeID(id), dst)
 		}
 	}
 }

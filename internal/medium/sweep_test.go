@@ -65,6 +65,40 @@ func (r *ringModel) N() int            { return r.n }
 func (r *ringModel) Field() geo.Rect   { return field }
 func (r *ringModel) MaxSpeed() float64 { return ringSpeed }
 
+// tightRing is a static world around node 0 at the field's centre: nodes
+// exactly Range away along both axes, nodes at Range·(1±1e-12), and nodes
+// on the range circle nudged a few math.Nextafter steps either way, kept
+// where the squared distance and the distance disagree about Range (about
+// one nudge in twenty).
+func tightRing() *fixedModel {
+	c := geo.Point{X: 500, Y: 500}
+	r := DefaultParams().Range
+	pos := []geo.Point{c, {X: c.X + r, Y: c.Y}, {X: c.X - r, Y: c.Y}, {X: c.X, Y: c.Y + r}, {X: c.X, Y: c.Y - r}}
+	for i := 0; i < 60; i++ {
+		theta := 2 * math.Pi * float64(i) / 60
+		for _, f := range []float64{1 + 1e-12, 1 - 1e-12} {
+			pos = append(pos, geo.Point{X: c.X + r*f*math.Cos(theta), Y: c.Y + r*f*math.Sin(theta)})
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		theta := 2 * math.Pi * float64(i) / 1000
+		for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+			p := geo.Point{X: c.X + r*math.Cos(theta), Y: c.Y + r*math.Sin(theta)}
+			for step := 0; step < 4; step++ {
+				if (c.Dist2(p) < r*r) != (c.Dist(p) <= r) {
+					pos = append(pos, p)
+				}
+				if step%2 == 0 {
+					p.X = math.Nextafter(p.X, dir)
+				} else {
+					p.Y = math.Nextafter(p.Y, dir)
+				}
+			}
+		}
+	}
+	return &fixedModel{pos: pos}
+}
+
 // sweepRun is what one run of sweepWorld exposes to the comparison.
 type sweepRun struct {
 	receptions []sweepRx
@@ -155,6 +189,20 @@ func TestBroadcastPrefilterExact(t *testing.T) {
 		{"static", func() mobility.Model { return mobility.NewStatic(field, 60, rng.New(84)) }, 60},
 		// Only node 0 sends, so every ring node is within a metre of Range.
 		{"ring", func() mobility.Model { return &ringModel{n: 50, ring: 40} }, 1},
+		{"tight", func() mobility.Model { return tightRing() }, 1},
+	}
+	// The tight ring must hold nodes whose squared distance to node 0 lies
+	// under Range² while their distance exceeds Range: the inner radius
+	// must keep its slack to send those to the exact test.
+	tight, discord := tightRing(), 0
+	for _, p := range tight.pos[1:] {
+		r := DefaultParams().Range
+		if tight.pos[0].Dist2(p) < r*r && tight.pos[0].Dist(p) > r {
+			discord++
+		}
+	}
+	if discord == 0 {
+		t.Fatal("tight ring: no node where Dist2 and Dist disagree about Range")
 	}
 	for _, mc := range models {
 		for _, hello := range []float64{0.3, 1, 2.5} {
@@ -176,7 +224,7 @@ func TestBroadcastPrefilterExact(t *testing.T) {
 					if bounded.later != full.later {
 						t.Error("the medium stream drew differently after the run")
 					}
-					if bounded.queries >= full.queries {
+					if bounded.queries >= full.queries && mc.name != "tight" {
 						t.Errorf("%d Position queries, %d without the prefilter: nothing was pruned",
 							bounded.queries, full.queries)
 					}
@@ -187,4 +235,54 @@ func TestBroadcastPrefilterExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBroadcastSweepDecidesFromBeacons counts the Position queries a sweep
+// makes for its receivers at the paper default (200 random-waypoint nodes
+// at 2 m/s, 1 s hello): the inner radius decides almost every in-range
+// node from its beacon, so fewer than one receiver per sweep is asked,
+// while an unbounded speed asks all 199. Both runs deliver the same
+// receptions.
+func TestBroadcastSweepDecidesFromBeacons(t *testing.T) {
+	run := func(unbounded bool) (perSweep float64, rx []sweepRx) {
+		mob := &sweepModel{Model: mobility.NewRandomWaypoint(field, 200, 2, nil, rng.New(86)), unbounded: unbounded}
+		par := DefaultParams()
+		par.MACDelayMean = 0 // a known delivery instant, primed below
+		eng := sim.NewEngine()
+		med := MustNew(eng, mob, par, rng.New(87))
+		for id := 0; id < mob.N(); id++ {
+			to := NodeID(id)
+			med.Attach(to, func(from NodeID, _ any, _ int) { rx = append(rx, sweepRx{eng.Now(), from, to}) })
+		}
+		const sweeps = 300
+		asked := 0
+		draw := rng.New(88)
+		for k := 0; k < sweeps; k++ {
+			t0, from := float64(k)*0.37, NodeID(draw.Intn(mob.N()))
+			at := t0 + float64(512*8)/par.Bitrate
+			before := 0
+			// Runs at the delivery instant ahead of the sweep: the snapshot
+			// is built, so the sweep's own queries are the sender's and the
+			// receivers' it could not decide.
+			eng.At(at, func() { med.beaconsNow(); before = mob.queries })
+			eng.At(t0, func() {
+				med.Broadcast(from, "frame", 512)
+				eng.At(at, func() { asked += mob.queries - before - 1 })
+			})
+		}
+		eng.Run()
+		return float64(asked) / sweeps, rx
+	}
+	bounded, rxBounded := run(false)
+	full, rxFull := run(true)
+	if !reflect.DeepEqual(rxBounded, rxFull) {
+		t.Errorf("%d receptions, %d with an unbounded speed, or in another order", len(rxBounded), len(rxFull))
+	}
+	if bounded >= 1 {
+		t.Errorf("%.2f receiver Position queries per sweep, want under 1", bounded)
+	}
+	if full != 199 {
+		t.Errorf("%.2f receiver Position queries per sweep with an unbounded speed, want 199", full)
+	}
+	t.Logf("receiver Position queries per sweep: %.3f (unbounded speed: %.0f); %d receptions", bounded, full, len(rxBounded))
 }

@@ -23,6 +23,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,16 +124,31 @@ type Tap struct {
 	reg    *Registry
 	events uint64
 	line   []byte // reused per-event scratch buffer
+	// stamp holds the formatted bytes of the instant stampAt (as bits),
+	// stampN long: the lines of one instant, such as a broadcast's
+	// receptions, share one formatting.
+	stamp   [32]byte
+	stampN  int
+	stampAt uint64
 }
 
 // New creates a tap writing JSONL to w, recording the masked layers.
 func New(w io.Writer, mask Layer) *Tap {
-	return &Tap{
+	t := &Tap{
 		mask: mask,
 		w:    bufio.NewWriterSize(w, 1<<16),
 		reg:  NewRegistry(),
 		line: make([]byte, 0, 256),
 	}
+	t.setStamp(0)
+	return t
+}
+
+// setStamp formats now into stamp. Every float64 formats in at most 24
+// bytes ('g', shortest), so the array never spills.
+func (t *Tap) setStamp(now float64) {
+	t.stampAt = math.Float64bits(now)
+	t.stampN = len(strconv.AppendFloat(t.stamp[:0], now, 'g', -1, 64))
 }
 
 // Registry returns the tap's counters/histograms registry (nil tap: nil).
@@ -164,9 +180,12 @@ func (t *Tap) on(l Layer) bool { return t != nil && t.mask&l != 0 }
 
 // begin starts an event line with the three universal fields.
 func (t *Tap) begin(now float64, layer, kind string) []byte {
+	if math.Float64bits(now) != t.stampAt {
+		t.setStamp(now)
+	}
 	b := t.line[:0]
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, now, 'g', -1, 64)
+	b = append(b, t.stamp[:t.stampN]...)
 	b = append(b, `,"layer":"`...)
 	b = append(b, layer...)
 	b = append(b, `","kind":"`...)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -446,5 +447,37 @@ func BenchmarkEnabledEmit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tap.FrameTx(float64(i), 2, 3, 4, 512, 1)
+	}
+}
+
+// TestStampMemo: lines that share an instant reuse its formatted bytes, and
+// every line still carries exactly strconv's shortest form of its own
+// instant, across repeats, signed zeros, subnormals and a return to an
+// earlier instant. A repeated instant allocates nothing.
+func TestStampMemo(t *testing.T) {
+	var buf bytes.Buffer
+	tap := New(&buf, LayerMedium)
+	instants := []float64{0, 0, 1.5, 1.5, 1.5, math.Copysign(0, -1), 0, 5e-324, 0.1 + 0.2,
+		0.30000000000000004, 1.5, -1.7976931348623157e308, math.Inf(1)}
+	for _, at := range instants {
+		tap.FrameRx(at, 1, 2, 3, 512)
+	}
+	if err := tap.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(instants) {
+		t.Fatalf("%d lines for %d events", len(lines), len(instants))
+	}
+	for i, at := range instants {
+		want := `{"t":` + strconv.FormatFloat(at, 'g', -1, 64) + `,"layer":"medium"`
+		if !strings.HasPrefix(lines[i], want) {
+			t.Errorf("line %d = %s, want prefix %s", i, lines[i], want)
+		}
+	}
+	tap = New(io.Discard, LayerMedium)
+	tap.FrameRx(2.25, 1, 2, 3, 512)
+	if allocs := testing.AllocsPerRun(100, func() { tap.FrameRx(2.25, 1, 2, 3, 512) }); allocs != 0 {
+		t.Errorf("a line at a repeated instant allocates %v", allocs)
 	}
 }
