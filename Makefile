@@ -116,14 +116,16 @@ experiments:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
+# Every fuzz target, 30 s each; CI runs this list. -run NONE skips the
+# packages' unit tests, which `make test` runs.
 fuzz:
-	$(GO) test ./internal/mobility -fuzz FuzzParseNS2 -fuzztime 30s
-	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
-	$(GO) test ./internal/rng -fuzz FuzzSource -fuzztime 30s
-	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s
-	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s
-	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
-	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s
+	$(GO) test ./internal/mobility -fuzz FuzzParseNS2 -fuzztime 30s -run NONE
+	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s -run NONE
+	$(GO) test ./internal/rng -fuzz FuzzSource -fuzztime 30s -run NONE
+	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s -run NONE
+	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s -run NONE
+	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s -run NONE
+	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s -run NONE
 
 clean:
 	rm -f test_output.txt bench_output.txt

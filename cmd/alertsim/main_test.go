@@ -137,6 +137,14 @@ func TestRejectsBeforeRunning(t *testing.T) {
 		{"-nodes", "1"},
 		{"-packet-size", "-1000"},
 		{"-packet-size", "0"},
+		{"-field", "NaNx1000"},
+		{"-field", "Infx1000"},
+		{"-speed", "NaN"},
+		{"-speed", "Inf"},
+		{"-mobility", "group", "-grouprange", "NaN"},
+		{"-interval", "NaN"},
+		{"-drain", "NaN"},
+		{"-loss", "NaN"},
 		{"-preset", "nonesuch"},
 		{"-tlm-layers", "radio"},
 	} {

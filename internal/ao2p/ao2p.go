@@ -141,7 +141,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	}
 	m := &meta{rec: rec, dst: dst}
 	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
-	vd := p.virtualDest(p.net.Med.PositionNow(src), entry.Pos)
+	vd := p.virtualDest(p.net.Med.BeaconPosition(src), entry.Pos)
 	pkt := p.router.NewPacket()
 	pkt.Dest = vd
 	pkt.DeliverTo = gpsr.NoDeliverTo

@@ -132,7 +132,7 @@ func (p *Protocol) handleZone(at medium.NodeID, _ medium.NodeID, zdl *ZoneDelive
 	// (Fig. 16b). The intersection guard replaces this with its own
 	// two-step delivery.
 	if env.Kind == KindData && zdl.Step == 1 && !p.cfg.IntersectionGuard &&
-		p.net.Med.InZoneNow(at, env.LZD) {
+		env.LZD.Contains(p.net.Med.BeaconPosition(at)) {
 		if env.relayed == nil {
 			env.relayed = make(map[medium.NodeID]bool)
 		}

@@ -39,7 +39,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	if !sess.estCharge {
 		// Establish the session (two public-key operations, charged to
 		// the first packet).
-		zs := geo.DestZone(p.field, p.net.Med.PositionNow(src), p.hDef, geo.Vertical)
+		zs := geo.DestZone(p.field, p.net.Med.BeaconPosition(src), p.hDef, geo.Vertical)
 		key, encKey, encLZS, err := NewSession(p.net.Suite, entry.Pub, zs, p.rnd)
 		if err != nil {
 			p.col.Complete(rec, 0, false)
@@ -227,7 +227,7 @@ func Step(st *Partition, pos geo.Point, field geo.Rect, alternate bool, rnd *rng
 // zone delivery and the next leg, which rides GPSR to the node closest to
 // the TD — the next RF.
 func (p *Protocol) route(at medium.NodeID, env *Envelope) {
-	if Step(&env.Partition, p.net.Med.PositionNow(at), p.field, !p.cfg.FixedAxisPartition, p.rnd) {
+	if Step(&env.Partition, p.net.Med.BeaconPosition(at), p.field, !p.cfg.FixedAxisPartition, p.rnd) {
 		p.zoneDeliver(at, env)
 		return
 	}

@@ -177,6 +177,19 @@ func (sc Scenario) Validate() error {
 	default:
 		return fmt.Errorf("experiment: unknown mobility %q", sc.Mobility)
 	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{
+		{"field", sc.Field.Min.X}, {"field", sc.Field.Min.Y}, {"field", sc.Field.Max.X}, {"field", sc.Field.Max.Y},
+		{"speed", sc.Speed}, {"group range", sc.GroupRange}, {"duration", sc.Duration},
+		{"drain time", sc.DrainTime}, {"send interval", sc.Interval},
+		{"loss rate", sc.LossRate}, {"hello interval", sc.HelloInterval},
+	} {
+		if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+			return fmt.Errorf("experiment: %s must be finite, got %v", v.name, v.x)
+		}
+	}
 	if sc.Field.Empty() {
 		return fmt.Errorf("experiment: empty field %v", sc.Field)
 	}

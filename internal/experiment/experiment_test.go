@@ -711,6 +711,16 @@ func TestValidateRejectsEachBadField(t *testing.T) {
 		{"negative speed", func(sc *Scenario) { sc.Speed = -2 }},
 		{"loss rate above 1", func(sc *Scenario) { sc.LossRate = 1.5 }},
 		{"negative loss rate", func(sc *Scenario) { sc.LossRate = -0.1 }},
+		{"NaN field", func(sc *Scenario) { sc.Field.Max.X = math.NaN() }},
+		{"infinite field", func(sc *Scenario) { sc.Field.Max.Y = math.Inf(1) }},
+		{"NaN speed", func(sc *Scenario) { sc.Speed = math.NaN() }},
+		{"infinite speed", func(sc *Scenario) { sc.Speed = math.Inf(1) }},
+		{"NaN group range", func(sc *Scenario) { sc.Mobility = GroupMobility; sc.GroupRange = math.NaN() }},
+		{"infinite duration", func(sc *Scenario) { sc.Duration = math.Inf(1) }},
+		{"NaN drain", func(sc *Scenario) { sc.DrainTime = math.NaN() }},
+		{"NaN interval", func(sc *Scenario) { sc.Interval = math.NaN() }},
+		{"NaN loss rate", func(sc *Scenario) { sc.LossRate = math.NaN() }},
+		{"NaN hello interval", func(sc *Scenario) { sc.HelloInterval = math.NaN() }},
 	}
 	for _, c := range cases {
 		sc := DefaultScenario()

@@ -264,7 +264,8 @@ const DefaultHopBudget = 10
 const CompleteTimeout = 8.0
 
 // SafeRangeFactor is the fraction of the radio range greedy forwarding
-// prefers to stay within (see the comment in Handle).
+// prefers to stay within: routing reads beacon positions, reception exact
+// ones, so a neighbor that beaconed at the fringe may be out of range.
 const SafeRangeFactor = 0.9
 
 // Send begins routing pkt from the given node. The packet is processed at
@@ -352,16 +353,17 @@ func (r *Router) Handle(cur medium.NodeID, pkt *Packet) {
 	r.UnicastPacket(cur, dec.Next, pkt)
 }
 
-// mediumView is the router's Holder: beaconed neighbors, exact positions.
+// mediumView is the router's Holder: the medium's hello snapshot gives the
+// neighbor table, the holder's own position and the previous holder's.
 type mediumView Router
 
 func (v *mediumView) View(cur, prev medium.NodeID) ([]medium.Neighbor, geo.Point, geo.Point) {
 	r := (*Router)(v)
 	r.nbrScratch = r.net.Med.NeighborsInto(cur, r.nbrScratch)
-	self := r.net.Med.PositionNow(cur)
+	self := r.net.Med.BeaconPosition(cur)
 	var prevPos geo.Point
 	if prev != NoDeliverTo {
-		prevPos = r.net.Med.PositionNow(prev)
+		prevPos = r.net.Med.BeaconPosition(prev)
 	}
 	return r.nbrScratch, self, prevPos
 }
@@ -421,7 +423,7 @@ func (r *Router) finish(at medium.NodeID, pkt *Packet, out Outcome) {
 func (r *Router) NextGreedy(from medium.NodeID, dest geo.Point) (medium.NodeID, bool) {
 	r.nbrScratch = r.net.Med.NeighborsInto(from, r.nbrScratch)
 	st := NewForwardState()
-	next, verdict, _, _ := Step(from, r.net.Med.PositionNow(from), geo.Point{}, dest, true,
+	next, verdict, _, _ := Step(from, r.net.Med.BeaconPosition(from), geo.Point{}, dest, true,
 		r.net.Med.Params().Range, GabrielGraph, r.nbrScratch, nil, &st)
 	return next, verdict == StepForward
 }

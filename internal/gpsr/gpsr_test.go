@@ -128,6 +128,42 @@ func TestArrivedClosestImmediate(t *testing.T) {
 	}
 }
 
+// driftModel moves each node linearly from its start position.
+type driftModel struct{ start, vel []geo.Point }
+
+func (m *driftModel) Position(id int, t float64) geo.Point {
+	return geo.Point{X: m.start[id].X + m.vel[id].X*t, Y: m.start[id].Y + m.vel[id].Y*t}
+}
+func (m *driftModel) N() int            { return len(m.start) }
+func (m *driftModel) Field() geo.Rect   { return field }
+func (m *driftModel) MaxSpeed() float64 { return 20 }
+
+// TestStaleSnapshotLegEnds: two nodes straddle a leg's target and have
+// moved away from it since they beaconed at t=0. Measured from its exact
+// position, each holder would find the other's beacon closer and hand the
+// packet back, until the hop budget ran out (dropped-ttl). On the hello
+// snapshot node 0, beaconed 10 m from the target against node 1's 20 m, is
+// the closest, and the leg ends there.
+func TestStaleSnapshotLegEnds(t *testing.T) {
+	eng, _, r := netFromModel(&driftModel{
+		start: []geo.Point{{X: 490, Y: 500}, {X: 520, Y: 500}},
+		vel:   []geo.Point{{X: -20}, {X: 20}},
+	}, 7)
+	var out Outcome
+	at := NoDeliverTo
+	pkt := &Packet{
+		Dest:      geo.Point{X: 500, Y: 500},
+		DeliverTo: NoDeliverTo,
+		HopBudget: DefaultHopBudget,
+		OnOutcome: func(a medium.NodeID, _ *Packet, o Outcome) { at, out = a, o },
+	}
+	eng.At(0.9, func() { r.Send(0, pkt) }) // exact positions 28 m and 38 m out
+	eng.Run()
+	if out != ArrivedClosest || at != 0 || pkt.Hops != 0 {
+		t.Fatalf("leg ended %v at node %d after %d hops, want %v at node 0 after none", out, at, pkt.Hops, ArrivedClosest)
+	}
+}
+
 func TestTTLExhaustion(t *testing.T) {
 	eng, _, r := netFromModel(lineTopology(8, 200), 5)
 	var out Outcome

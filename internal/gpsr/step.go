@@ -72,8 +72,8 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 	if st.Mode == Greedy {
 		// Prefer links comfortably inside the radio range: beacon
 		// positions are up to a hello interval stale, so a neighbor at
-		// the very fringe may have drifted out by delivery time (see
-		// the commentary in Router.Handle).
+		// the very fringe may have drifted out by delivery time
+		// (SafeRangeFactor).
 		safe := geo.BandOf(rangeM * SafeRangeFactor)
 		near := geo.NewNearest(dest, selfPos)
 		best := NoDeliverTo
@@ -129,8 +129,8 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 
 // Holder is a leg step's view of the node holding a packet: cur's
 // neighbor table and position and, when prev is not NoDeliverTo, the
-// previous holder's position. The simulator answers from its medium, the
-// live daemon from its topology push and the frame's sender stamp.
+// previous holder's position, all from one hello snapshot: the simulator's
+// medium, or the daemon's topology push and the frame's sender stamp.
 type Holder interface {
 	View(cur, prev medium.NodeID) (nbrs []medium.Neighbor, self, prevPos geo.Point)
 }

@@ -1,10 +1,9 @@
 // The coordinator: the piece that turns a daemon fleet into the paper's
-// field. It replays the scenario's mobility trajectories onto the fleet by
-// pushing each daemon a fresh position and steered neighbor table every
-// emulated hello interval (out-of-emulated-range peers simply never appear
-// in a table, so the loopback fabric behaves like the radio medium), keeps
-// the location-service entries of every flow refreshed on the scenario's
-// update cadence, launches the simulator's own flow schedule
+// field. At each beacon instant it pushes every daemon what its World's
+// medium and location service hold: the daemon's neighbor table and beacon
+// position (out-of-range peers simply never appear in a table, so the
+// loopback fabric behaves like the radio medium) and the location entries
+// of the flows it sources. It launches the simulator's own flow schedule
 // (experiment's CBRFlows: same pairs, same offsets, same packet counts),
 // and finally scrapes every daemon's measurements into a fleet Summary.
 //
@@ -21,8 +20,7 @@ import (
 	"time"
 
 	"alertmanet/internal/experiment"
-	"alertmanet/internal/geo"
-	"alertmanet/internal/locservice"
+	"alertmanet/internal/medium"
 	"alertmanet/internal/stats"
 )
 
@@ -105,7 +103,7 @@ func (c *Coordinator) Run() (Summary, error) {
 
 	// Initial topology: daemons must know their position and neighbors
 	// (and ALERT sources their own zone) before any flow starts.
-	if err := c.pushTopology(0, flows, true); err != nil {
+	if err := c.push(0, flows); err != nil {
 		return Summary{}, err
 	}
 	for _, fl := range flows {
@@ -114,11 +112,12 @@ func (c *Coordinator) Run() (Summary, error) {
 		if !ok || !okD {
 			return Summary{}, fmt.Errorf("live: flow %d references unknown node %d->%d", fl.ID, fl.Src, fl.Dst)
 		}
+		entry, _ := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
 		spec := FlowSpec{
 			Flow: fl.ID,
 			Dest: DestEntry{
 				ID:        fl.Dst,
-				Pos:       c.w.Mob.Position(fl.Dst, 0),
+				Pos:       entry.Pos,
 				Pseudonym: dst.Pseudonym(),
 			},
 			Packets:  fl.Packets,
@@ -132,23 +131,16 @@ func (c *Coordinator) Run() (Summary, error) {
 		}
 	}
 
-	// March emulated time: topology every hello interval, location
-	// entries every locservice.UpdateInterval (when updates are on), like
-	// the sim's beacon and location-service cadences.
-	hello := sc.MediumParams().HelloInterval
+	// March emulated time one beacon at a time.
+	hello := c.w.Med.Params().HelloInterval
 	horizon := sc.Duration + sc.DrainTime
 	start := time.Now()
-	lastLoc := 0.0
-	for t := hello; t <= horizon+1e-9; t += hello {
-		target := time.Duration(t * c.Timescale * float64(time.Second))
+	for k := 1; float64(k)*hello <= horizon; k++ {
+		target := time.Duration(float64(k) * hello * c.Timescale * float64(time.Second))
 		if d := target - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
-		refreshLoc := sc.LocUpdates && t-lastLoc >= locservice.UpdateInterval-1e-9
-		if refreshLoc {
-			lastLoc = t
-		}
-		if err := c.pushTopology(t, flows, refreshLoc); err != nil {
+		if err := c.push(k, flows); err != nil {
 			return Summary{}, err
 		}
 	}
@@ -156,41 +148,36 @@ func (c *Coordinator) Run() (Summary, error) {
 	return c.collect(flows)
 }
 
-// pushTopology computes every node's position at emulated time t, builds
-// the steered neighbor tables (emulated radio range over the loopback
-// fabric), and pushes them — including refreshed location entries for the
-// flows each node sources when refreshLoc is set.
-func (c *Coordinator) pushTopology(t float64, flows []Flow, refreshLoc bool) error {
-	n := len(c.nodes)
-	pos := make([]geo.Point, n)
-	for i, d := range c.nodes {
-		pos[i] = c.w.Mob.Position(d.ID(), t)
+// push runs the world's engine to beacon instant k·HelloInterval (hello
+// tick k) and pushes every daemon its medium neighbor table, its beacon
+// position and the location entries of the flows it sources. The fleet
+// switches at once, as the simulator's field does: each daemon holds its
+// loop after its install until all have installed, since two daemons on
+// different snapshots can hand a packet back and forth until its hop
+// budget runs out.
+func (c *Coordinator) push(k int, flows []Flow) error {
+	if err := c.w.Eng.RunUntil(float64(k) * c.w.Med.Params().HelloInterval); err != nil {
+		return err
 	}
-	rangeM := c.w.Med.Params().Range
-	for i, d := range c.nodes {
-		top := Topology{Self: pos[i]}
-		for j, other := range c.nodes {
-			if i == j || !pos[i].Within(pos[j], rangeM) {
-				continue
-			}
-			top.Nbrs = append(top.Nbrs, Neighbor{
-				ID:   int32(other.ID()),
-				Pos:  pos[j],
-				Addr: other.UDPAddr(),
-			})
-		}
-		if refreshLoc {
-			for _, fl := range flows {
-				if fl.Src != d.ID() {
-					continue
-				}
-				top.Dests = append(top.Dests, DestUpdate{
-					Flow: fl.ID,
-					Pos:  c.w.Mob.Position(fl.Dst, t),
-				})
+	release := make(chan struct{})
+	defer close(release)
+	var nbrs []medium.Neighbor
+	for _, d := range c.nodes {
+		id := medium.NodeID(d.ID())
+		nbrs = c.w.Med.NeighborsInto(id, nbrs)
+		top := Topology{Self: c.w.Med.BeaconPosition(id), Nbrs: make([]Neighbor, 0, len(nbrs))}
+		for _, nb := range nbrs {
+			if other, ok := c.byID[int(nb.ID)]; ok {
+				top.Nbrs = append(top.Nbrs, Neighbor{ID: int32(nb.ID), Pos: nb.Pos, Addr: other.UDPAddr()})
 			}
 		}
-		if err := d.ApplyTopology(top); err != nil {
+		for _, fl := range flows {
+			if fl.Src == d.ID() {
+				entry, _ := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
+				top.Dests = append(top.Dests, DestUpdate{Flow: fl.ID, Pos: entry.Pos})
+			}
+		}
+		if err := d.call(func() { d.install(top) }, release); err != nil {
 			return err
 		}
 	}

@@ -313,10 +313,21 @@ func (d *Daemon) post(fn func()) bool {
 }
 
 // call posts fn and waits for it to finish — the synchronous entry point
-// of the coordinator's methods.
-func (d *Daemon) call(fn func()) error {
+// of the coordinator's methods. With a non-nil hold the loop then runs
+// nothing else until hold closes, so a coordinator can switch the whole
+// fleet to a new snapshot while no daemon routes (Coordinator.push).
+func (d *Daemon) call(fn func(), hold <-chan struct{}) error {
 	ch := make(chan struct{})
-	if !d.post(func() { fn(); close(ch) }) {
+	if !d.post(func() {
+		fn()
+		close(ch)
+		if hold != nil {
+			select {
+			case <-hold:
+			case <-d.stopc:
+			}
+		}
+	}) {
 		return fmt.Errorf("live: daemon %d is shut down", d.cfg.ID)
 	}
 	select {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
+	"alertmanet/internal/medium"
 	"alertmanet/internal/rng"
 	"alertmanet/internal/stats"
 )
@@ -123,6 +125,70 @@ func TestDaemonMediumMatchesSim(t *testing.T) {
 		if got, want := DaemonConfigFor(sc, 0, 1).Medium, w.Med.Params(); got != want {
 			t.Errorf("daemon medium %+v, sim medium %+v", got, want)
 		}
+	}
+}
+
+// TestCoordinatorPushesWorldSnapshot: after each push every daemon holds
+// its world's hello snapshot at the push's beacon instant k·HelloInterval,
+// its table exactly the medium's NeighborsInto (ids, order, beacon
+// positions) and its own position the medium's BeaconPosition. The nodes
+// move, so every push differs from the last, and the 0.3 s interval is
+// one an accumulated clock would drift off.
+func TestCoordinatorPushesWorldSnapshot(t *testing.T) {
+	sc := smokeScenario(experiment.ALERT, 30, 3)
+	sc.Mobility, sc.Speed, sc.HelloInterval = experiment.RandomWaypoint, 8, 0.3
+	fl, err := SpawnFleet(sc, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	c, w := NewCoordinator(fl.World, fl.Handles(), 0.01), fl.World
+	for k := 0; k <= 12; k++ {
+		if err := c.push(k, nil); err != nil {
+			t.Fatal(err)
+		}
+		if now, want := w.Eng.Now(), float64(k)*sc.HelloInterval; now != want {
+			t.Fatalf("push %d ran the world to %v, want %v", k, now, want)
+		}
+		for _, d := range fl.Daemons {
+			var self geo.Point
+			var table []medium.Neighbor
+			if err := d.call(func() { self, table = d.self, slices.Clone(d.table) }, nil); err != nil {
+				t.Fatal(err)
+			}
+			id := medium.NodeID(d.ID())
+			if want := w.Med.NeighborsInto(id, nil); !slices.Equal(table, want) {
+				t.Fatalf("push %d, node %d: table %v, world's %v", k, id, table, want)
+			}
+			if want := w.Med.BeaconPosition(id); self != want {
+				t.Fatalf("push %d, node %d: self %v, beacon %v", k, id, self, want)
+			}
+		}
+	}
+}
+
+// TestHeldCallParksLoop: a held call returns once its function has run
+// and then parks the daemon's loop, which runs nothing else (a frame, a
+// timer, a call) until the coordinator releases it.
+func TestHeldCallParksLoop(t *testing.T) {
+	d := newDaemon(DaemonConfigFor(smokeScenario(experiment.ALERT, 2, 1), 0, 0))
+	d.done.Add(1)
+	go d.loop()
+	defer func() { close(d.stopc); d.done.Wait() }()
+	release := make(chan struct{})
+	if err := d.call(func() { d.install(Topology{Self: geo.Point{X: 7, Y: 9}}) }, release); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan geo.Point, 1)
+	d.post(func() { ran <- d.self })
+	select {
+	case <-ran:
+		t.Fatal("the loop ran a command before its release")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if self := <-ran; self != (geo.Point{X: 7, Y: 9}) {
+		t.Fatalf("self %v after the install", self)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 )
 
 // DestEntry is a location-service entry as the coordinator hands it to a
-// source daemon: position (hello-interval stale, like the sim's service),
-// pseudonym, and the key-owner id standing in for K_pub^D.
+// source daemon: the world's location-service position, pseudonym, and the
+// key-owner id standing in for K_pub^D.
 type DestEntry struct {
 	ID        int
 	Pos       geo.Point
@@ -37,9 +37,9 @@ type FlowSpec struct {
 	Payload  []byte  // plaintext payload (sealed per packet for ALERT)
 }
 
-// Topology is one coordinator push: this node's position, who is in
-// emulated radio range (and where), and refreshed location-service
-// entries for the flows this node sources.
+// Topology is one coordinator push: this node's beacon position, its
+// neighbor table (who is in emulated radio range, where they beaconed),
+// and the location-service entries of the flows this node sources.
 type Topology struct {
 	Self  geo.Point
 	Nbrs  []Neighbor
@@ -60,21 +60,22 @@ type Report struct {
 }
 
 // ApplyTopology installs a coordinator push. Safe from any goroutine.
-func (d *Daemon) ApplyTopology(t Topology) error {
-	return d.call(func() {
-		d.self = t.Self
-		d.table = d.table[:0]
-		clear(d.addrs)
-		for _, nb := range t.Nbrs {
-			d.table = append(d.table, medium.Neighbor{ID: medium.NodeID(nb.ID), Pos: nb.Pos})
-			d.addrs[nb.ID] = nb.Addr
+func (d *Daemon) ApplyTopology(t Topology) error { return d.call(func() { d.install(t) }, nil) }
+
+// install makes t the daemon's view. Runs on the loop.
+func (d *Daemon) install(t Topology) {
+	d.self = t.Self
+	d.table = d.table[:0]
+	clear(d.addrs)
+	for _, nb := range t.Nbrs {
+		d.table = append(d.table, medium.Neighbor{ID: medium.NodeID(nb.ID), Pos: nb.Pos})
+		d.addrs[nb.ID] = nb.Addr
+	}
+	for _, du := range t.Dests {
+		if fl, ok := d.flows[du.Flow]; ok {
+			fl.spec.Dest.Pos = du.Pos
 		}
-		for _, du := range t.Dests {
-			if fl, ok := d.flows[du.Flow]; ok {
-				fl.spec.Dest.Pos = du.Pos
-			}
-		}
-	})
+	}
 }
 
 // StartFlow begins sourcing a flow. Safe from any goroutine.
@@ -96,7 +97,7 @@ func (d *Daemon) StartFlow(spec FlowSpec) error {
 		}
 		d.flows[spec.Flow] = fl
 		fl.timer = d.after(d.real(spec.Offset), func() { d.flowTick(spec.Flow) })
-	})
+	}, nil)
 }
 
 // Collect scrapes the daemon's measurements. Safe from any goroutine.
@@ -110,7 +111,7 @@ func (d *Daemon) Collect() (Report, error) {
 			dv.Path = append([]int(nil), dv.Path...)
 			r.Deliveries[i] = dv
 		}
-	})
+	}, nil)
 	return r, err
 }
 
@@ -144,7 +145,8 @@ func (d *Daemon) launch(fl *flowState, seq uint32) {
 		Path: f.Path[:0],
 	}
 	if d.tap != nil {
-		d.tap.PacketSent(sendT, d.trace(f), d.cfg.ID, spec.Dest.ID)
+		// Like every later line of the packet, on its virtual clock.
+		d.tap.PacketSent(f.VTime, d.trace(f), d.cfg.ID, spec.Dest.ID)
 	}
 	// The origin holds the packet from the start (Router.Send's Path
 	// seeding).

@@ -74,7 +74,9 @@ func runTapped(t *testing.T, sc experiment.Scenario) (Summary, map[int][]tlmEven
 // random forwarder may be logged for them. The medium layer must use the
 // simulator's kinds and loss reasons, and, as the simulator's medium
 // stamps a unicast's tx at its send time, each tx must precede its rx,
-// dup or loss at the receiver by at least the frame's time on air.
+// dup or loss at the receiver by at least the frame's time on air. Every
+// line of a packet is on its virtual clock, so by t each trace opens with
+// its packet sent.
 func TestTelemetryVocabulary(t *testing.T) {
 	outcomes := map[string]bool{}
 	for o := gpsr.Delivered; o <= gpsr.DroppedLink; o++ {
@@ -91,6 +93,9 @@ func TestTelemetryVocabulary(t *testing.T) {
 			ends := map[string]int{}
 			totalRFs, totalBcasts, stayed := 0, 0, 0
 			for trace, evs := range byTrace {
+				if first := evs[0]; first.Layer != "packet" || first.Kind != "sent" {
+					t.Errorf("trace %d opens with %s %s at t=%v, not its packet sent", trace, first.Layer, first.Kind, first.T)
+				}
 				open, origin, lastEnd := false, -1, tlmEvent{}
 				wantRF, rfs, zonecasts, bcasts := 0, 0, 0, 0
 				for _, ev := range evs {

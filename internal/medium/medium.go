@@ -195,7 +195,7 @@ type Medium struct {
 	// beacons caches the current hello tick's position snapshot and a
 	// uniform spatial grid over it, so each Neighbors query touches only
 	// the 3x3 grid cells around the querier instead of every node, and a
-	// broadcast sweep or zone query decides most nodes from their beacon.
+	// broadcast sweep decides most nodes from their beacon.
 	beacons beaconCache
 	// arqFree and bcastFree recycle send state machines; a steady-state
 	// unicast or broadcast allocates nothing.
@@ -241,23 +241,19 @@ type beaconCache struct {
 	at   float64
 	pos  []geo.Point
 	// Grid geometry: the field's lower corner and upper corner, each
-	// axis's cell side, and the column and row counts. scale is the
-	// field's largest absolute coordinate, the magnitude the mobility
-	// models' rounding is relative to.
+	// axis's cell side, and the column and row counts.
 	lo, hi       geo.Point
 	cellX, cellY float64
 	cols, rows   int
-	scale        float64
 	// cellOf is each node's cell, ids the node ids grouped by cell, and
 	// ids[start[c]:start[c+1]] cell c's nodes.
-	cellOf    []int32
-	ids       []int32
-	start     []int32
-	nbrs      []int32
-	tables    []nbrTable
-	now       float64
-	drift     float64
-	zoneDrift float64 // InZoneNow's margin before the beacon's own slack
+	cellOf []int32
+	ids    []int32
+	start  []int32
+	nbrs   []int32
+	tables []nbrTable
+	now    float64
+	drift  float64
 }
 
 // nbrTable is one node's neighbor table in beaconCache.nbrs: the ids
@@ -311,7 +307,6 @@ func newBeaconCache(mob mobility.Model, rangeM float64) beaconCache {
 		now:    math.NaN(),
 		lo:     f.Min,
 		hi:     f.Max,
-		scale:  max(math.Abs(f.Min.X), math.Abs(f.Min.Y), math.Abs(f.Max.X), math.Abs(f.Max.Y)),
 	}
 	b.cellX, b.cols = gridAxis(f.Width(), rangeM)
 	b.cellY, b.rows = gridAxis(f.Height(), rangeM)
@@ -403,14 +398,13 @@ func (m *Medium) advanceBeacons() *beaconCache {
 	}
 	b.now = now
 	b.drift = m.mob.MaxSpeed() * (now - b.at)
-	b.zoneDrift = b.drift*(1+driftSlack) + driftSlack*b.scale
 	return b
 }
 
-// New creates a medium over the given mobility model. Non-positive radio
-// parameters (Range, Bitrate, HelloInterval) are an error.
+// New creates a medium over the given mobility model. Radio parameters
+// (Range, Bitrate, HelloInterval) not above zero, NaN included, are an error.
 func New(eng *sim.Engine, mob mobility.Model, par Params, src *rng.Source) (*Medium, error) {
-	if par.Range <= 0 || par.Bitrate <= 0 || par.HelloInterval <= 0 {
+	if !(par.Range > 0) || !(par.Bitrate > 0) || !(par.HelloInterval > 0) {
 		return nil, fmt.Errorf("medium: invalid params %+v", par)
 	}
 	if par.Retries < 0 {
@@ -490,7 +484,8 @@ func (m *Medium) Attach(id NodeID, h Handler) { m.handlers[id] = h }
 // N returns the number of nodes on the channel.
 func (m *Medium) N() int { return len(m.handlers) }
 
-// PositionNow returns a node's true position at the current simulation time.
+// PositionNow returns a node's true position at the current simulation
+// time, as physics and observers see it (routing reads BeaconPosition).
 func (m *Medium) PositionNow(id NodeID) geo.Point {
 	return m.mob.Position(int(id), m.eng.Now())
 }
@@ -950,41 +945,24 @@ func (m *Medium) TruePosition(id NodeID, t float64) geo.Point {
 	return m.mob.Position(int(id), t)
 }
 
-// NodesWithinInto appends to dst[:0] the ids of every node whose true
-// current position lies in zone, in ascending id order, and returns the
-// (possibly regrown) slice. Each node is tested by InZoneNow.
+// BeaconPosition returns node id's position in the hello snapshot its
+// neighbors' tables hold. Every routing decision reads positions here, so
+// greedy forwarding compares positions taken at one instant.
+func (m *Medium) BeaconPosition(id NodeID) geo.Point {
+	return m.beaconsNow().pos[id]
+}
+
+// NodesWithinInto appends to dst[:0] the ids of every node whose beacon
+// position lies in zone, in ascending id order, and returns the (possibly
+// regrown) slice: the zone's members as routing sees them.
 func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
 	out := dst[:0]
-	for id := range m.handlers {
-		if m.InZoneNow(NodeID(id), zone) {
+	for id, p := range m.beaconsNow().pos {
+		if zone.Contains(p) {
 			out = append(out, NodeID(id))
 		}
 	}
 	return out
-}
-
-// InZoneNow reports whether node id's true current position lies in zone:
-// exactly zone.Contains(m.PositionNow(id)), decided from the node's beacon
-// where that can. The position lies within the snapshot's drift of the
-// beacon, so a beacon inside zone shrunk by the drift lies in it, and one
-// outside zone grown by the drift does not. Each axis's margin widens the
-// drift by driftSlack and adds driftSlack times the field's largest
-// coordinate and the beacon's own, which covers the models' few ulp and
-// the rounding of the grown and shrunk edges. Only a beacon within the
-// margin of an edge, or one the bounds cannot place (an unbounded speed, a
-// NaN coordinate), costs a Position query.
-func (m *Medium) InZoneNow(id NodeID, zone geo.Rect) bool {
-	b := m.beaconsNow()
-	p := b.pos[id]
-	gx := b.zoneDrift + driftSlack*math.Abs(p.X)
-	gy := b.zoneDrift + driftSlack*math.Abs(p.Y)
-	if p.X-gx >= zone.Min.X && p.X+gx <= zone.Max.X && p.Y-gy >= zone.Min.Y && p.Y+gy <= zone.Max.Y {
-		return true
-	}
-	if p.X+gx < zone.Min.X || p.X-gx > zone.Max.X || p.Y+gy < zone.Min.Y || p.Y-gy > zone.Max.Y {
-		return false
-	}
-	return zone.Contains(m.mob.Position(int(id), m.eng.Now()))
 }
 
 // Engine exposes the simulation engine (protocols schedule timers on it).

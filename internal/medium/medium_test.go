@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"alertmanet/internal/geo"
@@ -300,24 +301,57 @@ func TestNeighborsExactBeaconInstant(t *testing.T) {
 	eng.Run()
 }
 
+// TestNodesWithin holds NodesWithinInto and BeaconPosition to the hello
+// snapshot: node 3 leaves the zone and node 4 enters it between beacons,
+// so until the next beacon each is placed where it last beaconed, on the
+// other side of the edge from its exact position.
 func TestNodesWithin(t *testing.T) {
-	mob := newFixed(
-		geo.Point{X: 100, Y: 100},
-		geo.Point{X: 200, Y: 200},
-		geo.Point{X: 900, Y: 900},
-	)
-	_, med := setup(mob, DefaultParams())
-	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 500, Y: 500}}
-	in := med.NodesWithinInto(zone, []NodeID{7, 7, 7})
-	if len(in) != 2 || in[0] != 0 || in[1] != 1 {
-		t.Fatalf("NodesWithinInto = %v, want [0 1]", in)
+	mob := &movingModel{
+		start: []geo.Point{{X: 100, Y: 100}, {X: 200, Y: 200}, {X: 900, Y: 900}, {X: 490, Y: 250}, {X: 510, Y: 300}},
+		vel:   []geo.Point{{}, {}, {}, {X: 20}, {X: -20}},
 	}
+	eng, med := setup(mob, DefaultParams())
+	zone := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 500, Y: 500}}
+	check := func(at float64, want []NodeID) {
+		eng.At(at, func() {
+			if in := med.NodesWithinInto(zone, []NodeID{7, 7, 7}); !slices.Equal(in, want) {
+				t.Errorf("t=%v: NodesWithinInto = %v, want %v", at, in, want)
+			}
+			beacon := float64(med.helloTick()) * med.Params().HelloInterval
+			for id := range mob.start {
+				if got, want := med.BeaconPosition(NodeID(id)), mob.Position(id, beacon); got != want {
+					t.Errorf("t=%v: BeaconPosition(%d) = %v, want %v", at, id, got, want)
+				}
+			}
+		})
+	}
+	check(0, []NodeID{0, 1, 3})
+	check(0.9, []NodeID{0, 1, 3})
+	check(1, []NodeID{0, 1, 4})
+	eng.At(0.9, func() {
+		if zone.Contains(med.PositionNow(3)) || !zone.Contains(med.PositionNow(4)) {
+			t.Fatalf("nodes 3 and 4 at %v and %v: they must have crossed the edge", med.PositionNow(3), med.PositionNow(4))
+		}
+	})
+	eng.Run()
 }
 
 func TestInvalidParamsError(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := New(eng, newFixed(geo.Point{}), Params{}, rng.New(1)); err == nil {
 		t.Fatal("zero range should be an error")
+	}
+	nan := math.NaN()
+	for name, edit := range map[string]func(*Params){
+		"Range":         func(p *Params) { p.Range = nan },
+		"Bitrate":       func(p *Params) { p.Bitrate = nan },
+		"HelloInterval": func(p *Params) { p.HelloInterval = nan },
+	} {
+		par := DefaultParams()
+		edit(&par)
+		if _, err := New(eng, newFixed(geo.Point{}), par, rng.New(1)); err == nil {
+			t.Errorf("NaN %s should be an error", name)
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func (p *Protocol) broadcastZone(at medium.NodeID, m *meta) {
 func (p *Protocol) handleFlood(at medium.NodeID, f *flood) {
 	m := f.m
 	p.receive(at, m)
-	if p.net.Med.InZoneNow(at, f.Zone) && !m.relayed[at] {
+	if f.Zone.Contains(p.net.Med.BeaconPosition(at)) && !m.relayed[at] {
 		m.relayed[at] = true
 		m.rec.Hops++
 		p.net.Med.Broadcast(at, f, p.packetSize)
