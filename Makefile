@@ -34,7 +34,7 @@ test:
 # (TestSeedDeterminismParallel pins four workers), the sim fork-join and the
 # packages it fans out over on large fields (medium position sweeps, node
 # construction, mobility walkers; experiment's TestParallelSweepsIdentical
-# forces a real fork), and the live UDP daemons (pump goroutines,
+# forces a real fork), and the live UDP daemons (read pump, loop,
 # coordinator).
 race:
 	$(GO) test -race ./internal/experiment ./internal/campaign ./internal/sim \

@@ -251,7 +251,6 @@ func addCounters(dst *Counters, src Counters) {
 	dst.RxDatagrams += src.RxDatagrams
 	dst.TxDatagrams += src.TxDatagrams
 	dst.RxDropsFull += src.RxDropsFull
-	dst.TxDropsFull += src.TxDropsFull
 	dst.DecodeErrors += src.DecodeErrors
 	dst.DroppedRange += src.DroppedRange
 	dst.DroppedLoss += src.DroppedLoss

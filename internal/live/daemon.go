@@ -3,19 +3,22 @@
 // Concurrency model: a single processing loop goroutine owns ALL protocol
 // and emulation state (neighbor table, ARQ windows, flows, telemetry tap),
 // mirroring the simulator's single-threaded event engine, so the routing
-// code needs no locks and stays deterministic given a message order. Around
-// it sit the socket pumps:
+// code needs no locks and stays deterministic given a message order. Beside
+// it sits one socket pump:
 //
-//	readPump:  socket -> rxq   (bounded; overflow drops + counts)
-//	loop:      rxq/cmdq -> route/forward/deliver -> txq
-//	writePump: txq -> socket   (bounded; overflow drops + counts)
+//	readPump: socket -> rxq   (bounded; overflow drops + counts)
+//	loop:     rxq/cmdq -> route/forward/deliver -> socket
 //
-// Coordinator calls (topology pushes, flow starts, report scrapes) enter
-// as closures on cmdq and run on the loop goroutine. Timers
-// (ARQ retransmissions, flow pacing) fire as closures posted back to cmdq.
-// Datagram buffers are pooled across the pump boundary so the receive path
-// stays allocation-lean at steady state (the PR 6 discipline, adapted to a
-// concurrent process).
+// The loop writes its own datagrams: a loopback UDP write does not wait for
+// the receiver, and should the send buffer ever fill, the write waits
+// rather than drops. Coordinator calls (topology pushes, flow starts,
+// report scrapes) enter as closures on cmdq and run on the loop goroutine.
+// Timers (ARQ retransmissions, flow pacing) fire as closures posted back to
+// cmdq. Receive buffers are pooled across the pump boundary so the receive
+// path stays allocation-lean at steady state.
+//
+// A daemon's memory grows with the packets it deduplicates: each dedup set
+// starts empty and holds at most 8 192 keys.
 //
 // The radio medium is emulated at the endpoints (DESIGN.md, "Live mode"):
 // every frame carries the sender's position and a virtual-time accumulator.
@@ -76,7 +79,7 @@ const (
 	// retransmission. It is a transport liveness bound, not part of the
 	// emulated model, so it is real time, not emulated time.
 	ackTimeout = 25 * time.Millisecond
-	// queueDepth bounds the rx/tx/cmd queues.
+	// queueDepth bounds the rx and cmd queues.
 	queueDepth = 512
 )
 
@@ -85,7 +88,6 @@ type Counters struct {
 	RxDatagrams  uint64
 	TxDatagrams  uint64
 	RxDropsFull  uint64
-	TxDropsFull  uint64
 	DecodeErrors uint64
 
 	DroppedRange uint64
@@ -157,15 +159,9 @@ type flowState struct {
 	timer  *time.Timer
 }
 
-// outBuf is one encoded datagram headed for the socket.
-type outBuf struct {
-	addr *net.UDPAddr
-	buf  []byte
-}
-
 // Daemon is one live node. Construct with NewDaemon, start with Start,
-// stop with Close. The coordinator's methods (ApplyTopology, StartFlow,
-// Collect) are safe from any goroutine: they post onto the loop.
+// stop with Close. The coordinator's methods (StartFlow, Collect) are safe
+// from any goroutine: they post onto the loop.
 type Daemon struct {
 	cfg   Config
 	conn  *net.UDPConn
@@ -177,11 +173,10 @@ type Daemon struct {
 	rnd   *rng.Source
 
 	rxq   chan []byte
-	txq   chan outBuf
 	cmdq  chan func()
 	stopc chan struct{}
 	done  sync.WaitGroup
-	pool  sync.Pool // datagram buffers
+	pool  sync.Pool // receive buffers
 
 	// Loop-owned state (no locks; only the loop goroutine touches it).
 	self     geo.Point
@@ -244,7 +239,6 @@ func newDaemon(cfg Config) *Daemon {
 		costs:    crypt.DefaultCostModel(),
 		rnd:      nodeRnd,
 		rxq:      make(chan []byte, queueDepth),
-		txq:      make(chan outBuf, queueDepth),
 		cmdq:     make(chan func(), queueDepth),
 		stopc:    make(chan struct{}),
 		addrs:    make(map[int32]*net.UDPAddr),
@@ -274,11 +268,10 @@ func (d *Daemon) Pseudonym() crypt.Pseudonym { return d.pseud }
 // UDPAddr returns the bound data-plane address.
 func (d *Daemon) UDPAddr() *net.UDPAddr { return d.conn.LocalAddr().(*net.UDPAddr) }
 
-// Start launches the pumps and the processing loop.
+// Start launches the read pump and the processing loop.
 func (d *Daemon) Start() {
-	d.done.Add(3)
+	d.done.Add(2)
 	go d.readPump()
-	go d.writePump()
 	go d.loop()
 }
 
@@ -292,7 +285,7 @@ func (d *Daemon) Close() error {
 	d.closed = true
 	close(d.stopc)
 	d.closeMu.Unlock()
-	err := d.conn.Close() // unblocks readPump
+	err := d.conn.Close() // unblocks readPump and any write in the loop
 	d.done.Wait()
 	if d.tap != nil {
 		// The loop has exited; flushing here is teardown, not an emit.
@@ -378,32 +371,11 @@ func (d *Daemon) readPump() {
 	}
 }
 
-func (d *Daemon) writePump() {
-	defer d.done.Done()
-	for {
-		select {
-		case ob := <-d.txq:
-			_, err := d.conn.WriteToUDP(ob.buf, ob.addr)
-			full := ob.buf[:MaxFrame]
-			d.pool.Put(&full)
-			if err == nil {
-				d.post(func() { d.counts.TxDatagrams++ })
-			}
-		case <-d.stopc:
-			return
-		}
-	}
-}
-
-// enqueue hands an encoded datagram to the write pump; overflow drops.
-func (d *Daemon) enqueue(addr *net.UDPAddr, frame []byte) {
-	bp := d.pool.Get().(*[]byte)
-	buf := append((*bp)[:0], frame...)
-	select {
-	case d.txq <- outBuf{addr: addr, buf: buf}:
-	default:
-		d.pool.Put(bp)
-		d.counts.TxDropsFull++
+// send writes an encoded datagram to addr. Runs on the loop, so frame (the
+// loop's encode buffer) is free to reuse once it returns.
+func (d *Daemon) send(addr *net.UDPAddr, frame []byte) {
+	if _, err := d.conn.WriteToUDP(frame, addr); err == nil {
+		d.counts.TxDatagrams++
 	}
 }
 
@@ -512,7 +484,7 @@ func (d *Daemon) sendAck(f *Frame) {
 	if d.tap != nil {
 		d.tap.AckTx(f.VTime, d.cfg.ID, int(f.From), d.trace(f))
 	}
-	d.enqueue(addr, b)
+	d.send(addr, b)
 }
 
 func (d *Daemon) handleAck(f *Frame) {
@@ -564,13 +536,13 @@ func (d *Daemon) retry(sendID uint64) {
 		d.tap.FrameTx(sentAt, d.cfg.ID, int(p.frame.To),
 			d.trace(&p.frame), int(p.frame.Size), p.attempts)
 	}
-	d.enqueue(p.addr, b)
+	d.send(p.addr, b)
 	p.timer = d.after(ackTimeout, func() { d.retry(sendID) })
 }
 
 // transmit puts a data frame on the emulated air toward neighbor to at
 // addr: stamps link identity, position and the medium's transmission
-// delay, encodes, enqueues, and arms the ARQ. Like the simulator's medium,
+// delay, encodes, sends, and arms the ARQ. Like the simulator's medium,
 // the tap logs the transmission at its send time, before the delay.
 func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	d.sendSeq++
@@ -590,7 +562,7 @@ func (d *Daemon) transmit(to int32, addr *net.UDPAddr, f *Frame) {
 	if d.tap != nil {
 		d.tap.FrameTx(sentAt, d.cfg.ID, int(to), d.trace(f), int(f.Size), 1)
 	}
-	d.enqueue(addr, b)
+	d.send(addr, b)
 	if d.cfg.Medium.Retries <= 0 {
 		return
 	}
@@ -617,17 +589,20 @@ func cloneFrame(f *Frame) Frame {
 	return c
 }
 
-// dedup is a fixed-capacity set with FIFO eviction: large enough that
-// in-window duplicates always hit, bounded so a long run cannot grow
-// memory without limit.
+// dedup is a set of at most capacity keys with FIFO eviction: large enough
+// that in-window duplicates always hit, bounded so a long run cannot grow
+// memory without limit. It grows with use: the ring takes keys by append
+// until it holds capacity of them, and only then does each new key
+// overwrite the oldest.
 type dedup struct {
-	set  map[uint64]struct{}
-	ring []uint64
-	next int
+	set      map[uint64]struct{}
+	ring     []uint64 // keys in insertion order, the oldest at next once full
+	capacity int
+	next     int
 }
 
 func newDedup(capacity int) *dedup {
-	return &dedup{set: make(map[uint64]struct{}, capacity), ring: make([]uint64, capacity)}
+	return &dedup{set: make(map[uint64]struct{}), capacity: capacity}
 }
 
 func (s *dedup) contains(k uint64) bool { _, ok := s.set[k]; return ok }
@@ -636,12 +611,13 @@ func (s *dedup) add(k uint64) {
 	if _, ok := s.set[k]; ok {
 		return
 	}
-	old := s.ring[s.next]
-	if _, ok := s.set[old]; ok && old != 0 {
-		delete(s.set, old)
+	if len(s.ring) < s.capacity {
+		s.ring = append(s.ring, k)
+	} else {
+		delete(s.set, s.ring[s.next])
+		s.ring[s.next] = k
+		s.next = (s.next + 1) % s.capacity
 	}
-	s.ring[s.next] = k
-	s.next = (s.next + 1) % len(s.ring)
 	s.set[k] = struct{}{}
 }
 

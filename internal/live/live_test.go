@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -189,6 +190,73 @@ func TestHeldCallParksLoop(t *testing.T) {
 	close(release)
 	if self := <-ran; self != (geo.Point{X: 7, Y: 9}) {
 		t.Fatalf("self %v after the install", self)
+	}
+}
+
+// TestDaemonFootprint: a daemon allocates for the packets it deduplicates,
+// not for its sets' bound, so building one at the paper default costs tens
+// of KiB. Three sets sized to their 8 192-key bound up front would cost
+// about 1.1 MB a daemon, most of a 50-daemon fleet's spawn time and heap.
+func TestDaemonFootprint(t *testing.T) {
+	cfg := DaemonConfigFor(experiment.DefaultScenario(), 0, 0.2)
+	const limit = 128 << 10
+	// The least of three builds: TotalAlloc also counts whatever another
+	// goroutine allocates meanwhile.
+	least := uint64(1 << 62)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := newDaemon(cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(d)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("newDaemon allocated %d B", least)
+	if least > limit {
+		t.Errorf("want at most %d B", limit)
+	}
+}
+
+// TestDedupFIFO: a dedup set holds the last capacity distinct keys it was
+// given and nothing else, key 0 (flow 0's first packet) included.
+func TestDedupFIFO(t *testing.T) {
+	const capacity = 3
+	s := newDedup(capacity)
+	var fifo []uint64 // the reference: distinct keys, oldest first
+	for i, k := range []uint64{0, 1, 0, 2, 3, 4, 0, 1, 5, 5, 6, 0, 7, 8, 9} {
+		s.add(k)
+		if !slices.Contains(fifo, k) {
+			if len(fifo) == capacity {
+				fifo = fifo[1:]
+			}
+			fifo = append(fifo, k)
+		}
+		for key := uint64(0); key <= 9; key++ {
+			if got, want := s.contains(key), slices.Contains(fifo, key); got != want {
+				t.Fatalf("add #%d (%d): contains(%d) = %v, want %v (FIFO %v)", i, k, key, got, want, fifo)
+			}
+		}
+		if len(s.set) > capacity {
+			t.Fatalf("add #%d (%d): set holds %d keys, capacity %d", i, k, len(s.set), capacity)
+		}
+	}
+}
+
+// TestFleetCountsEveryDatagram: on TestFiveNodeExactPath's frozen fleet
+// every datagram a daemon writes reaches its addressee's read pump, so
+// once the run drains the fleet has written as many datagrams as it read
+// or dropped from a full receive queue.
+func TestFleetCountsEveryDatagram(t *testing.T) {
+	for _, p := range []experiment.ProtocolName{experiment.GPSR, experiment.ALERT} {
+		sum, err := RunFleet(smokeScenario(p, 5, 15), 0.01)
+		if err != nil {
+			t.Fatalf("%s: RunFleet: %v", p, err)
+		}
+		c := sum.Counters
+		if c.TxDatagrams == 0 || c.TxDatagrams != c.RxDatagrams+c.RxDropsFull {
+			t.Errorf("%s: %d datagrams written, %d read and %d dropped by full receive queues",
+				p, c.TxDatagrams, c.RxDatagrams, c.RxDropsFull)
+		}
 	}
 }
 

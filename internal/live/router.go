@@ -59,9 +59,6 @@ type Report struct {
 	Deliveries []Delivery
 }
 
-// ApplyTopology installs a coordinator push. Safe from any goroutine.
-func (d *Daemon) ApplyTopology(t Topology) error { return d.call(func() { d.install(t) }, nil) }
-
 // install makes t the daemon's view. Runs on the loop.
 func (d *Daemon) install(t Topology) {
 	d.self = t.Self
@@ -362,7 +359,7 @@ func (d *Daemon) broadcastZone(f *Frame) {
 			return
 		}
 		d.encBuf = b
-		d.enqueue(d.addrs[int32(nb.ID)], b)
+		d.send(d.addrs[int32(nb.ID)], b)
 	}
 }
 
