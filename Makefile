@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/rng -fuzz FuzzSource -fuzztime 30s -run NONE
 	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s -run NONE
+	$(GO) test ./internal/core -fuzz FuzzOpenData -fuzztime 30s -run NONE
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s -run NONE
 	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s -run NONE
 

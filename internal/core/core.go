@@ -139,8 +139,8 @@ type flight struct {
 	env        *Envelope
 	rec        *metrics.PacketRecord
 	src, dst   medium.NodeID
-	data       []byte // original plaintext, retained for retransmission
 	completed  bool
+	taken      bool // D has taken a copy; every later one is a duplicate
 	delivered  bool
 	acked      bool
 	retries    int
@@ -150,7 +150,7 @@ type flight struct {
 	hasRetry   bool
 	// request/reply state
 	onReply ReplyFunc
-	replied bool
+	replied bool // S has taken a copy of the reply
 }
 
 type sessKey struct {
@@ -164,17 +164,13 @@ type session struct {
 	key       crypt.SymKey
 	encKey    []byte
 	encLZS    []byte
-	zs        geo.Rect
 	nextSeq   int
 	flights   map[int]*flight // outstanding, for ack/NAK handling
 	estCharge bool            // whether setup cost was charged already
 
 	// destination-side state
-	dEstablished bool // D has decrypted the session key
-	dKey         crypt.SymKey
-	dZS          geo.Rect
-	dLastSeq     int
-	dReceived    map[int]bool
+	dest     DestSession
+	dLastSeq int // the highest seq D has delivered
 }
 
 // DeliverFunc observes application-level deliveries (experiments hook it).
@@ -301,9 +297,8 @@ func (p *Protocol) session(src, dst medium.NodeID) *session {
 		return s
 	}
 	s := &session{
-		flights:   make(map[int]*flight),
-		dReceived: make(map[int]bool),
-		dLastSeq:  -1,
+		flights:  make(map[int]*flight),
+		dLastSeq: -1,
 	}
 	p.sessions[k] = s
 	return s

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"alertmanet/internal/crypt"
+	"alertmanet/internal/geo"
+	"alertmanet/internal/locservice"
+	"alertmanet/internal/medium"
+	"alertmanet/internal/node"
+	"alertmanet/internal/rng"
+	"alertmanet/internal/sim"
+)
+
+// twoClusters is a static field at H = 1: a source cluster in the left
+// half, a destination cluster in the right half and a two-node bridge.
+// Every zone member lies within range of its cluster's addressee, so the
+// addressee hears each zone broadcast from its origin and from several
+// relays.
+func twoClusters(t *testing.T) (*sim.Engine, *node.Network, *Protocol) {
+	t.Helper()
+	const s, d = 0, 7
+	pos := []geo.Point{
+		{X: 100, Y: 500}, {X: 150, Y: 420}, {X: 150, Y: 580}, {X: 330, Y: 500}, // S's cluster
+		{X: 560, Y: 500},                                     // bridge
+		{X: 720, Y: 450}, {X: 720, Y: 550}, {X: 800, Y: 500}, // D's cluster
+		{X: 880, Y: 450}, {X: 880, Y: 550},
+	}
+	eng := sim.NewEngine()
+	src := rng.New(7)
+	med := medium.MustNew(eng, &pinned{pos: pos}, medium.DefaultParams(), src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
+	cfg := DefaultConfig()
+	cfg.H = 1
+	prot := MustNew(net, locservice.New(net, true), cfg, 512, src)
+	if zd := prot.DestZoneFor(d); zd.Contains(pos[s]) || !zd.Contains(pos[d]) {
+		t.Fatalf("Z_D %v does not split the clusters", zd)
+	}
+	return eng, net, prot
+}
+
+// copiesHeard counts, per sequence number, the zone-delivery copies that
+// node at receives from distinct senders, replies or data as asked.
+func copiesHeard(med *medium.Medium, at medium.NodeID, replies bool) map[int]map[medium.NodeID]bool {
+	heard := map[int]map[medium.NodeID]bool{}
+	med.TapRecv(func(r medium.Reception) {
+		zd, ok := r.Payload.(*ZoneDelivery)
+		if !ok || r.To != at || zd.Env.isReply != replies {
+			return
+		}
+		if heard[zd.Env.Seq] == nil {
+			heard[zd.Env.Seq] = map[medium.NodeID]bool{}
+		}
+		heard[zd.Env.Seq][r.From] = true
+	})
+	return heard
+}
+
+// TestAddresseeOpensOnce: the destination hears every packet's zone
+// broadcast from the origin and from at least two relays, and opens one
+// copy of each — one symmetric open per packet and the session's two
+// public-key decryptions once, the cost model's DestCharge. The source of
+// a request opens each reply once in the same way.
+func TestAddresseeOpensOnce(t *testing.T) {
+	const s, d, packets = 0, 7, 5
+	t.Run("data", func(t *testing.T) {
+		eng, net, prot := twoClusters(t)
+		heard := copiesHeard(net.Med, d, false)
+		for i := 0; i < packets; i++ {
+			eng.At(float64(2*i)+0.01, func() { prot.Send(s, d, []byte("x")) })
+		}
+		eng.RunUntil(20)
+		for seq := 0; seq < packets; seq++ {
+			if len(heard[seq]) < 3 {
+				t.Fatalf("D heard packet %d from %d senders; the field must give it at least 3", seq, len(heard[seq]))
+			}
+		}
+		if got := prot.Counters().Delivered; got != packets {
+			t.Fatalf("delivered %d of %d", got, packets)
+		}
+		// S seals each packet and D opens it; the session's key and
+		// source zone are sealed and opened once.
+		if net.Ops.Sym != 2*packets || net.Ops.Pub != 4 {
+			t.Fatalf("crypto ops sym %d pub %d, want %d and 4", net.Ops.Sym, net.Ops.Pub, 2*packets)
+		}
+	})
+	t.Run("reply", func(t *testing.T) {
+		eng, net, prot := twoClusters(t)
+		heard := copiesHeard(net.Med, s, true)
+		prot.OnRequest = func(_ medium.NodeID, q []byte) []byte { return q }
+		replies := make([]int, packets)
+		for i := 0; i < packets; i++ {
+			eng.At(float64(2*i)+0.01, func() {
+				prot.Request(s, d, []byte("q"), func([]byte, float64) { replies[i]++ })
+			})
+		}
+		eng.RunUntil(20)
+		for seq := 0; seq < packets; seq++ {
+			if len(heard[seq]) < 3 {
+				t.Fatalf("S heard reply %d from %d senders; the field must give it at least 3", seq, len(heard[seq]))
+			}
+			if replies[seq] != 1 {
+				t.Fatalf("reply %d delivered %d times", seq, replies[seq])
+			}
+		}
+		// Requests: S seals, D opens. Replies: D seals, S opens.
+		if net.Ops.Sym != 4*packets || net.Ops.Pub != 4 {
+			t.Fatalf("crypto ops sym %d pub %d, want %d and 4", net.Ops.Sym, net.Ops.Pub, 4*packets)
+		}
+	})
+}
+
+// TestOpenData walks one destination session through the shared open: a
+// failed open leaves the session as it was, the first good packet opens
+// K_s and Z_S, and later packets, guarded or not, open under the key.
+func TestOpenData(t *testing.T) {
+	src := rng.New(3)
+	suite := crypt.NewFastSuite(src)
+	dPub, dPriv := suite.GenerateKeyPair(1)
+	otherPub, _ := suite.GenerateKeyPair(2)
+	zs := geo.Rect{Min: geo.Point{X: 0, Y: 500}, Max: geo.Point{X: 250, Y: 750}}
+	key, encKey, encLZS, err := NewSession(suite, dPub, zs, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, foreignKey, foreignLZS, err := NewSession(suite, otherPub, zs, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := []byte("voice frame")
+	sealed := crypt.SymSeal(key, plain, src)
+	mask := crypt.NewBitmap(len(sealed), bitmapBits, src)
+	encMask, err := suite.EncryptPub(dPub, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortMask, err := suite.EncryptPub(dPub, mask[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := DestSession{key: key, zs: zs, opened: true}
+
+	for _, tc := range []struct {
+		name                        string
+		sess                        DestSession
+		encKey, encLZS, bitmap, pay []byte
+		ok                          bool
+		zs                          geo.Rect // Z_S after a good open
+	}{
+		{"first packet", DestSession{}, encKey, encLZS, nil, sealed, true, zs},
+		{"first packet, source zone unreadable", DestSession{}, encKey, foreignLZS, nil, sealed, true, geo.Rect{}},
+		{"later packet ignores the session fields", opened, nil, nil, nil, sealed, true, zs},
+		{"guarded packet", opened, nil, nil, encMask, mask.Apply(sealed), true, zs},
+		{"guarded first packet", DestSession{}, encKey, encLZS, encMask, mask.Apply(sealed), true, zs},
+		{"sealed to another key", DestSession{}, foreignKey, foreignLZS, nil, sealed, false, geo.Rect{}},
+		{"session key truncated", DestSession{}, encKey[:7], encLZS, nil, sealed, false, geo.Rect{}},
+		{"short ciphertext, first packet", DestSession{}, encKey, encLZS, nil, sealed[:15], false, geo.Rect{}},
+		{"short ciphertext, later packet", opened, nil, nil, nil, sealed[:15], false, geo.Rect{}},
+		{"bitmap sealed to another key", opened, nil, nil, foreignKey, sealed, false, geo.Rect{}},
+		{"bitmap shorter than the payload", opened, nil, nil, shortMask, sealed, false, geo.Rect{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.sess
+			got, err := s.OpenData(suite, dPriv, tc.encKey, tc.encLZS, tc.bitmap, tc.pay)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("opened %q", got)
+				}
+				if s != tc.sess {
+					t.Fatalf("failed open changed the session: %+v -> %+v", tc.sess, s)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, plain) {
+				t.Fatalf("plaintext %q, want %q", got, plain)
+			}
+			if want := (DestSession{key: key, zs: tc.zs, opened: true}); s != want {
+				t.Fatalf("session %+v, want %+v", s, want)
+			}
+		})
+	}
+}
+
+// FuzzOpenData feeds the shared open arbitrary ciphertext fields, as a
+// daemon reads them off the network, with the session open or not. The
+// open must never panic, and a failed open must leave the session as it
+// was.
+func FuzzOpenData(f *testing.F) {
+	src := rng.New(5)
+	suite := crypt.NewFastSuite(src)
+	dPub, dPriv := suite.GenerateKeyPair(1)
+	key, encKey, encLZS, err := NewSession(suite, dPub, field, src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sealed := crypt.SymSeal(key, []byte("payload"), src)
+	mask := crypt.NewBitmap(len(sealed), bitmapBits, src)
+	encMask, err := suite.EncryptPub(dPub, mask)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, encKey, encLZS, []byte(nil), sealed)
+	f.Add(true, []byte(nil), []byte(nil), encMask, mask.Apply(sealed))
+	f.Add(false, encKey, encLZS, encMask, sealed[:3])
+	f.Add(true, []byte{0}, []byte{}, encMask[:9], []byte{})
+	f.Fuzz(func(t *testing.T, open bool, encSymKey, encLZS, encBitmap, payload []byte) {
+		s := DestSession{}
+		if open {
+			s = DestSession{key: key, zs: field, opened: true}
+		}
+		before := s
+		if _, err := s.OpenData(suite, dPriv, encSymKey, encLZS, encBitmap, payload); err != nil && s != before {
+			t.Fatalf("failed open changed the session: %+v -> %+v", before, s)
+		}
+	})
+}

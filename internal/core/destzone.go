@@ -32,7 +32,19 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 	// and still performs the zone broadcast below, so observers see the
 	// same k-anonymity traffic pattern either way.
 	p.recognize(at, env)
-	if env.Kind != KindData || env.isReply || !p.cfg.IntersectionGuard {
+	// Intersection guard: pick m holder nodes from the neighbors inside
+	// Z_D (the last RF knows zone membership from hello beacons).
+	var candidates []medium.NodeID
+	if env.Kind == KindData && !env.isReply && p.cfg.IntersectionGuard {
+		for _, nb := range p.net.Med.Neighbors(at) {
+			if env.LZD.Contains(nb.Pos) {
+				candidates = append(candidates, nb.ID)
+			}
+		}
+	}
+	if len(candidates) == 0 {
+		// The plain k-anonymity broadcast, and the guard's fallback when
+		// nobody else is visible in the zone.
 		if f != nil {
 			f.rec.Hops++
 		}
@@ -44,27 +56,6 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 			env.relayed = make(map[medium.NodeID]bool)
 		}
 		env.relayed[at] = true // the origin never re-relays its own broadcast
-		if p.tap != nil {
-			p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)
-		}
-		p.net.Med.Broadcast(at, &ZoneDelivery{Env: env, Step: 1}, p.sizeOf(env))
-		return
-	}
-
-	// Intersection guard: pick m holder nodes from the neighbors inside
-	// Z_D (the last RF knows zone membership from hello beacons).
-	var candidates []medium.NodeID
-	for _, nb := range p.net.Med.Neighbors(at) {
-		if env.LZD.Contains(nb.Pos) {
-			candidates = append(candidates, nb.ID)
-		}
-	}
-	if len(candidates) == 0 {
-		// Nobody else visible in the zone: fall back to broadcast.
-		if f != nil {
-			f.rec.Hops++
-		}
-		p.counts.ZoneBroadcasts++
 		if p.tap != nil {
 			p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)
 		}
@@ -220,52 +211,40 @@ func (p *Protocol) release(item *heldItem) {
 	p.net.Med.Broadcast(item.holder, &ZoneDelivery{Env: env, Step: 2}, p.sizeOf(env))
 }
 
-// deliverData runs at the destination: decrypt, dedup, record, confirm.
+// deliverData runs at the destination: take, charge, open, record,
+// confirm. D hears the zone broadcast from its origin and from each relay:
+// it takes the packet's first copy, and every later one returns here at
+// once, before any charge.
 func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 	f := env.flight
-	if f == nil || f.delivered {
+	if f == nil || f.taken {
 		return
 	}
+	f.taken = true
 	sess := p.session(f.src, f.dst)
 	nd := p.net.Node(at)
 
 	// Count the operations: every packet one symmetric open, a session's
 	// first packet the public-key decryptions of K_s and L_{Z_S}, a
 	// guarded packet the bitmap decryption.
+	setup := !sess.dest.Opened()
 	p.net.NoteSym(1)
-	if !sess.dEstablished {
+	if setup {
 		p.net.NotePub(2)
 	}
-	guarded := env.EncBitmap != nil
+	guarded := len(env.EncBitmap) > 0
 	if guarded {
 		p.net.NotePub(1)
 	}
-	charge := DestCharge(p.net.Costs, !sess.dEstablished && p.cfg.ChargeSessionSetup, guarded)
+	charge := DestCharge(p.net.Costs, setup && p.cfg.ChargeSessionSetup, guarded)
 
 	p.net.Eng.Schedule(charge, func() {
-		if f.delivered || (f.completed && !f.delivered) {
-			// Duplicate, or already written off as undelivered.
-			return
+		if f.completed {
+			return // written off as undelivered
 		}
-		if !sess.dEstablished {
-			key, zs, err := OpenSession(p.net.Suite, nd.Priv, env.EncSymKey, env.EncLZS)
-			if err != nil {
-				return // not actually for us
-			}
-			sess.dKey, sess.dZS = key, zs
-			sess.dEstablished = true
-		}
-		payload := env.Payload
-		if env.EncBitmap != nil {
-			maskRaw, err := p.net.Suite.DecryptPub(nd.Priv, env.EncBitmap)
-			if err != nil || len(maskRaw) != len(payload) {
-				return
-			}
-			payload = crypt.Bitmap(maskRaw).Apply(payload)
-		}
-		plain, err := crypt.SymOpen(sess.dKey, payload)
+		plain, err := sess.dest.OpenData(p.net.Suite, nd.Priv, env.EncSymKey, env.EncLZS, env.EncBitmap, env.Payload)
 		if err != nil {
-			return
+			return // not actually for us
 		}
 		f.delivered = true
 		f.rec.Path = append(f.rec.Path, at)
@@ -284,40 +263,38 @@ func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 
 // destFeedback sends the confirmation and, on sequence gaps, a NAK, both
 // routed anonymously back to the source zone Z_S (decrypted from EncLZS).
+// D has delivered nothing above dLastSeq, so the NAK lists every seq
+// between it and this packet.
 func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, f *flight) {
-	sess.dReceived[env.Seq] = true
-	if p.cfg.Confirm && !sess.dZS.Empty() {
+	zs := sess.dest.zs
+	if p.cfg.Confirm && !zs.Empty() {
 		ack := &Envelope{
 			Kind:      KindAck,
 			PS:        p.net.Node(at).Pseudonym,
 			PD:        env.PS,
-			Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
+			Partition: NewPartition(zs, p.field, p.hDef, p.rnd),
 			Seq:       env.Seq,
 			ackFor:    f,
 		}
 		p.counts.Acks++
 		p.route(at, ack)
 	}
-	if p.cfg.NAKs && !sess.dZS.Empty() && env.Seq > sess.dLastSeq+1 {
+	if p.cfg.NAKs && !zs.Empty() && env.Seq > sess.dLastSeq+1 {
 		var missing []int
 		for s := sess.dLastSeq + 1; s < env.Seq; s++ {
-			if !sess.dReceived[s] {
-				missing = append(missing, s)
-			}
+			missing = append(missing, s)
 		}
-		if len(missing) > 0 {
-			nak := &Envelope{
-				Kind:      KindNAK,
-				PS:        p.net.Node(at).Pseudonym,
-				PD:        env.PS,
-				Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
-				Seq:       env.Seq,
-				ackFor:    f,
-				nakSeqs:   missing,
-			}
-			p.counts.NAKs++
-			p.route(at, nak)
+		nak := &Envelope{
+			Kind:      KindNAK,
+			PS:        p.net.Node(at).Pseudonym,
+			PD:        env.PS,
+			Partition: NewPartition(zs, p.field, p.hDef, p.rnd),
+			Seq:       env.Seq,
+			ackFor:    f,
+			nakSeqs:   missing,
 		}
+		p.counts.NAKs++
+		p.route(at, nak)
 	}
 	if env.Seq > sess.dLastSeq {
 		sess.dLastSeq = env.Seq

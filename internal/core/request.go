@@ -44,7 +44,7 @@ func (p *Protocol) Request(src, dst medium.NodeID, query []byte, onReply ReplyFu
 // respond runs at the destination after a request is delivered: build the
 // RREP and route it to the source zone.
 func (p *Protocol) respond(at medium.NodeID, env *Envelope, sess *session, query []byte) {
-	if p.OnRequest == nil || sess.dZS.Empty() {
+	if p.OnRequest == nil || sess.dest.zs.Empty() {
 		return
 	}
 	response := p.OnRequest(at, query)
@@ -56,9 +56,9 @@ func (p *Protocol) respond(at medium.NodeID, env *Envelope, sess *session, query
 		PS:   p.net.Node(at).Pseudonym,
 		PD:   env.PS, // the requester's pseudonym
 		// The cut direction is drawn before the seal below: rng order.
-		Partition: NewPartition(sess.dZS, p.field, p.hDef, p.rnd),
+		Partition: NewPartition(sess.dest.zs, p.field, p.hDef, p.rnd),
 		Seq:       env.Seq,
-		Payload:   crypt.SymSeal(sess.dKey, response, p.rnd),
+		Payload:   crypt.SymSeal(sess.dest.key, response, p.rnd),
 		isReply:   true,
 		replyFor:  env.flight,
 	}
@@ -67,33 +67,25 @@ func (p *Protocol) respond(at medium.NodeID, env *Envelope, sess *session, query
 	p.net.Eng.Schedule(p.net.Costs.SymEncrypt, func() { p.route(at, reply) })
 }
 
-// deliverReply runs at the source when a response envelope reaches it.
+// deliverReply runs at the source when a response envelope reaches it. S
+// hears the zone broadcast from its origin and from each relay: it takes
+// the first copy, and every later one returns here at once.
 func (p *Protocol) deliverReply(at medium.NodeID, env *Envelope) {
 	f := env.replyFor
 	if f == nil || f.replied || f.src != at {
 		return
 	}
+	f.replied = true
 	sess := p.session(f.src, f.dst)
 	p.net.NoteSym(1)
 	p.net.Eng.Schedule(p.net.Costs.SymDecrypt, func() {
-		if f.replied {
-			return
-		}
 		plain, err := crypt.SymOpen(sess.key, env.Payload)
 		if err != nil {
 			return
 		}
-		f.replied = true
-		now := p.net.Eng.Now()
 		f.rec.Hops += env.replyHops
 		if f.onReply != nil {
-			f.onReply(plain, now)
+			f.onReply(plain, p.net.Eng.Now())
 		}
 	})
-}
-
-// replyHopsInto accumulates a reply leg's hops onto the envelope for later
-// attribution to the originating request's record.
-func replyHopsInto(env *Envelope, hops int) {
-	env.replyHops += hops
 }

@@ -46,7 +46,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 			return rec, err
 		}
 		sess.estCharge = true
-		sess.key, sess.encKey, sess.zs, sess.encLZS = key, encKey, zs, encLZS
+		sess.key, sess.encKey, sess.encLZS = key, encKey, encLZS
 		p.net.NotePub(2) // the ops happen regardless of latency billing
 		chargeSetup = p.cfg.ChargeSessionSetup
 	}
@@ -67,7 +67,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	}
 	sess.nextSeq++
 
-	f := &flight{env: env, rec: rec, src: src, dst: dst, data: data}
+	f := &flight{env: env, rec: rec, src: src, dst: dst}
 	env.flight = f
 	sess.flights[env.Seq] = f
 
@@ -111,23 +111,58 @@ func NewSession(suite *crypt.FastSuite, destPub crypt.PubKey, zs geo.Rect, rnd *
 	return key, encKey, encLZS, nil
 }
 
-// OpenSession is the destination's half of NewSession: it decrypts K_s
-// and the source zone with the destination's private key. An error means
-// the session was not sealed to this key; a source zone that does not
-// open is left empty, so feedback to Z_S has nowhere to go.
-func OpenSession(suite *crypt.FastSuite, priv crypt.PrivKey, encKey, encLZS []byte) (key crypt.SymKey, zs geo.Rect, err error) {
-	raw, err := suite.DecryptPub(priv, encKey)
-	if err == nil && len(raw) != len(key) {
-		err = fmt.Errorf("core: session key of %d bytes", len(raw))
+// DestSession is the destination's half of an S-D session: K_s and the
+// source zone Z_S, and whether a packet has opened them yet. The simulator
+// keeps one per session and the live daemon one per flow; both open every
+// data envelope through OpenData.
+type DestSession struct {
+	key    crypt.SymKey
+	zs     geo.Rect
+	opened bool
+}
+
+// Opened reports whether the session's first packet has opened K_s and
+// Z_S, so a packet no longer pays their public-key decryptions.
+func (s *DestSession) Opened() bool { return s.opened }
+
+// OpenData opens a data envelope's ciphertext fields at the destination in
+// three steps: on the session's first packet the public-key decryptions of
+// K_s (encSymKey) and the source zone (encLZS), then a guarded packet's
+// bitmap (encBitmap, empty when unguarded), then the payload under K_s. It
+// returns the plaintext. An error means the envelope was not sealed to
+// priv or is malformed, and leaves the session as it was. A source zone
+// that does not open is left empty, so feedback to Z_S has nowhere to go.
+func (s *DestSession) OpenData(suite *crypt.FastSuite, priv crypt.PrivKey, encSymKey, encLZS, encBitmap, payload []byte) ([]byte, error) {
+	key, zs := s.key, s.zs
+	if !s.opened {
+		raw, err := suite.DecryptPub(priv, encSymKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: session key: %w", err)
+		}
+		if len(raw) != len(key) {
+			return nil, fmt.Errorf("core: session key of %d bytes", len(raw))
+		}
+		copy(key[:], raw)
+		if raw, err := suite.DecryptPub(priv, encLZS); err == nil {
+			zs, _ = decodeRect(raw)
+		}
 	}
+	if len(encBitmap) > 0 {
+		mask, err := suite.DecryptPub(priv, encBitmap)
+		if err != nil {
+			return nil, fmt.Errorf("core: bitmap: %w", err)
+		}
+		if len(mask) != len(payload) {
+			return nil, fmt.Errorf("core: bitmap of %d bytes for a %d-byte payload", len(mask), len(payload))
+		}
+		payload = crypt.Bitmap(mask).Apply(payload)
+	}
+	plain, err := crypt.SymOpen(key, payload)
 	if err != nil {
-		return key, zs, err
+		return nil, fmt.Errorf("core: payload: %w", err)
 	}
-	copy(key[:], raw)
-	if raw, err := suite.DecryptPub(priv, encLZS); err == nil {
-		zs, _ = decodeRect(raw)
-	}
-	return key, zs, nil
+	s.key, s.zs, s.opened = key, zs, true
+	return plain, nil
 }
 
 // SourceCharge is the latency a source charges a data packet before it
@@ -261,7 +296,7 @@ func (p *Protocol) route(at medium.NodeID, env *Envelope) {
 			f.rec.Hops += gp.Hops
 			f.rec.Path = append(f.rec.Path, gp.Path...)
 		} else if env.isReply {
-			replyHopsInto(env, gp.Hops)
+			env.replyHops += gp.Hops
 		}
 		// Each leg rides its own frame; this one is finished regardless
 		// of how the leg ended (route() takes a fresh frame per leg).

@@ -2,7 +2,7 @@ package core_test
 
 // The on-air form of ALERT's packet format (Fig. 4). core keeps the format
 // — Envelope and its embedded Partition — and internal/live's frame codec
-// is its one encoding: EnvelopeFromCore takes an envelope's wire-visible
+// is its one encoding: envelopeFromCore takes an envelope's wire-visible
 // fields into an envelope frame. These tests hold core envelopes to that
 // codec: every wire field survives it bit for bit, the decoder rejects
 // values outside core's domains, and a data packet fits the configured
@@ -52,11 +52,39 @@ func sampleEnvelope() *core.Envelope {
 	}
 }
 
+// envelopeFromCore fills dst from a simulator envelope's wire-visible
+// fields. Ciphertext slices are copied, not aliased — the simulator reuses
+// its buffers.
+func envelopeFromCore(dst *live.Envelope, env *core.Envelope) {
+	owner := live.None
+	if env.DPub != nil {
+		owner = int32(env.DPub.Owner())
+	}
+	*dst = live.Envelope{
+		Kind:      env.Kind,
+		PS:        env.PS,
+		PD:        env.PD,
+		LZD:       env.LZD,
+		TD:        env.TD,
+		Dir:       env.Dir,
+		Hdiv:      env.Hdiv,
+		Hmax:      env.Hmax,
+		Zone:      env.Zone,
+		DPubOwner: owner,
+		Seq:       env.Seq,
+		EncLZS:    append([]byte(nil), env.EncLZS...),
+		EncSymKey: append([]byte(nil), env.EncSymKey...),
+		EncTTL:    append([]byte(nil), env.EncTTL...),
+		EncBitmap: append([]byte(nil), env.EncBitmap...),
+		Payload:   append([]byte(nil), env.Payload...),
+	}
+}
+
 // encode frames env alone, as a daemon sends it, and returns the datagram.
 func encode(t testing.TB, env *core.Envelope) []byte {
 	t.Helper()
 	var we live.Envelope
-	live.EnvelopeFromCore(&we, env)
+	envelopeFromCore(&we, env)
 	b, err := live.AppendFrame(nil, &live.Frame{Kind: live.KindData, Flags: live.FlagEnvelope, Env: &we})
 	if err != nil {
 		t.Fatalf("AppendFrame: %v", err)
@@ -343,7 +371,7 @@ func TestLiveEnvelopesFitWire(t *testing.T) {
 			return
 		}
 		checked++
-		live.EnvelopeFromCore(&we, env)
+		envelopeFromCore(&we, env)
 		b, err := live.AppendFrame(buf[:0], &live.Frame{Kind: live.KindData, Flags: live.FlagEnvelope, Env: &we})
 		if err != nil {
 			t.Fatalf("encode: %v", err)

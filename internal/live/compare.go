@@ -50,17 +50,23 @@ type Comparison struct {
 
 // Compare verifies a live Summary against the sim run of the same
 // scenario, its Result and its World. The live transport reorders
-// contention and ARQ timing relative to the event queue, so latency and
-// hops get relative bands; delivery on a connected field should track
-// closely, so it gets an absolute one. Both sides count hops over their
-// delivered packets — a fleet does not see where an undelivered packet
-// ended — so the sim's side comes from the world's records, not from
-// Result.HopsPerPacket, which divides by packets sent.
+// contention and ARQ timing relative to the event queue, and each daemon
+// draws its random forwarders from its own stream, so latency and hops get
+// relative bands and delivery an absolute one. Both sides count hops over
+// their delivered packets — a fleet does not see where an undelivered
+// packet ended — so the sim's side comes from the world's records, not
+// from Result.HopsPerPacket, which divides by packets sent.
+//
+// Each band is the largest deviation measured on EXPERIMENTS.md's three
+// "Sim versus live" rows (seeds 1–5, three runs each) plus a margin at
+// least that large again. The largest deviations all came from the sparse
+// 50-node ALERT row; at its seed 1, twenty draws of the sim's own
+// forwarder stream delivered 66–74 of 75 packets.
 func Compare(sim experiment.Result, w *experiment.World, lv Summary) Comparison {
 	const (
-		deliveryAbs = 0.10 // |sim − live| delivery rate
-		latencyRel  = 0.30 // relative mean-latency deviation
-		hopsRel     = 0.30 // relative hops-per-delivered deviation
+		deliveryAbs = 0.22 // |sim − live| delivery rate; measured up to 0.107
+		latencyRel  = 0.19 // relative mean-latency deviation; measured up to 9.3%
+		hopsRel     = 0.25 // relative hops-per-delivered deviation; measured up to 12.1%
 	)
 	checks := []Check{
 		// The flow schedule is derived from the same rng stream on both

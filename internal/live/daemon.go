@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"alertmanet/internal/core"
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/gpsr"
@@ -189,7 +190,7 @@ type Daemon struct {
 	relayed  *dedup
 	deliverd *dedup
 	flows    map[uint32]*flowState
-	dsess    map[uint32]crypt.SymKey // opened session keys by flow
+	dsess    map[uint32]core.DestSession // the destination's sessions by flow
 	sends    []SendRecord
 	delivs   []Delivery
 	counts   Counters
@@ -247,7 +248,7 @@ func newDaemon(cfg Config) *Daemon {
 		relayed:  newDedup(8192),
 		deliverd: newDedup(8192),
 		flows:    make(map[uint32]*flowState),
-		dsess:    make(map[uint32]crypt.SymKey),
+		dsess:    make(map[uint32]core.DestSession),
 	}
 	d.pool.New = func() any { b := make([]byte, MaxFrame); return &b }
 	return d

@@ -1,11 +1,12 @@
 // The daemon's packet handling: everything that runs once a data frame (or
 // a locally launched packet) is in the loop goroutine's hands. The
 // decisions are the simulator's own calls — every holder's leg step is
-// gpsr.LegStep, every random forwarder's partition core.Step, sessions
-// open and close with core.NewSession and core.OpenSession, and the crypto
-// charges are core.SourceCharge and core.DestCharge. Besides framing,
-// transport and measurement, this file keeps only the zone delivery,
-// relay-once and addressee check, which the daemon still does itself.
+// gpsr.LegStep, every random forwarder's partition core.Step, a session
+// is set up with core.NewSession and every data packet opened through a
+// core.DestSession, and the crypto charges are core.SourceCharge and
+// core.DestCharge. Besides framing, transport and measurement, this file
+// keeps the zone delivery and relay-once, each one LZD.Contains test
+// around the daemon's own relayed set.
 
 package live
 
@@ -384,8 +385,8 @@ func (d *Daemon) handleZone(f *Frame) {
 
 // recognize checks the envelope's addressee pseudonym against ours and
 // delivers on match — core.recognize plus deliverData for the live data
-// path: open the session with our private key on its first packet, open
-// the payload, charge the destination's crypto to VTime.
+// path: take each packet once, open it through the flow's
+// core.DestSession, charge the destination's crypto to VTime.
 func (d *Daemon) recognize(f *Frame) {
 	env := f.Env
 	if env == nil || env.Kind != core.KindData || env.PD != d.pseud {
@@ -394,20 +395,15 @@ func (d *Daemon) recognize(f *Frame) {
 	if d.deliverd.contains(pairKey(f.Flow, f.Seq)) {
 		return
 	}
-	key, open := d.dsess[f.Flow]
-	if !open {
-		var err error
-		if key, _, err = core.OpenSession(d.suite, d.priv, env.EncSymKey, env.EncLZS); err != nil {
-			return // not actually for us
-		}
-		d.dsess[f.Flow] = key
+	ds := d.dsess[f.Flow]
+	setup := !ds.Opened()
+	if _, err := ds.OpenData(d.suite, d.priv, env.EncSymKey, env.EncLZS, env.EncBitmap, env.Payload); err != nil {
+		return // not actually for us
 	}
-	if _, err := crypt.SymOpen(key, env.Payload); err != nil {
-		return
-	}
+	d.dsess[f.Flow] = ds
 	d.deliverd.add(pairKey(f.Flow, f.Seq))
-	// Live runs no intersection guard, so no packet is guarded.
-	d.recordDelivery(f, f.VTime+core.DestCharge(d.costs, !open && d.cfg.ChargeSessionSetup, false))
+	charge := core.DestCharge(d.costs, setup && d.cfg.ChargeSessionSetup, len(env.EncBitmap) > 0)
+	d.recordDelivery(f, f.VTime+charge)
 }
 
 // deliverDirect is the gpsr-family arrival: DeliverTo matched this node.

@@ -453,34 +453,6 @@ func DecodeFrame(data []byte, f *Frame) error {
 	return nil
 }
 
-// EnvelopeFromCore fills dst from a simulator envelope's wire-visible
-// fields. Ciphertext slices are copied, not aliased — the simulator reuses
-// its buffers.
-func EnvelopeFromCore(dst *Envelope, env *core.Envelope) {
-	owner := None
-	if env.DPub != nil {
-		owner = int32(env.DPub.Owner())
-	}
-	*dst = Envelope{
-		Kind:      env.Kind,
-		PS:        env.PS,
-		PD:        env.PD,
-		LZD:       env.LZD,
-		TD:        env.TD,
-		Dir:       env.Dir,
-		Hdiv:      env.Hdiv,
-		Hmax:      env.Hmax,
-		Zone:      env.Zone,
-		DPubOwner: owner,
-		Seq:       env.Seq,
-		EncLZS:    append([]byte(nil), env.EncLZS...),
-		EncSymKey: append([]byte(nil), env.EncSymKey...),
-		EncTTL:    append([]byte(nil), env.EncTTL...),
-		EncBitmap: append([]byte(nil), env.EncBitmap...),
-		Payload:   append([]byte(nil), env.Payload...),
-	}
-}
-
 // ForwardState converts the frame's carried GPSR decision state.
 func (f *Frame) ForwardState() gpsr.ForwardState {
 	return gpsr.ForwardState{
