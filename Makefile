@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzOpenData -fuzztime 30s -run NONE
+	$(GO) test ./internal/core -fuzz FuzzZoneReach -fuzztime 30s -run NONE
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s -run NONE
 	$(GO) test ./internal/campaign -fuzz FuzzStoreReopen -fuzztime 30s -run NONE
 

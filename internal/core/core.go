@@ -123,6 +123,7 @@ type Counters struct {
 	DataSent        uint64
 	Delivered       uint64
 	ZoneBroadcasts  uint64
+	ZoneRelays      uint64
 	Step1Multicasts uint64
 	Step2Releases   uint64
 	CoversSent      uint64
@@ -198,6 +199,12 @@ type Protocol struct {
 	sessions map[sessKey]*session
 	held     map[medium.NodeID][]*heldItem
 	counts   Counters
+
+	// zoneIDs and zoneNbrs are zoneMembers' scratch. They live on the
+	// Protocol, not at package level, because campaign cells run
+	// protocols concurrently.
+	zoneIDs  []medium.NodeID
+	zoneNbrs []medium.Neighbor
 
 	// OnDeliver, when set, observes every first delivery at D.
 	OnDeliver DeliverFunc

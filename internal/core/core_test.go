@@ -681,12 +681,11 @@ func TestCoverPacketsAreNotForwarded(t *testing.T) {
 		t.Fatal("no covers sent")
 	}
 	// Each cover is exactly one broadcast: total broadcasts =
-	// covers + zone broadcasts (+ relays). No cover multiplies.
+	// covers + zone broadcasts + zone relays. No cover multiplies.
 	mc := w.net.Med.Counters()
-	maxExpected := c.CoversSent + c.ZoneBroadcasts + 40 // zone relays slack
-	if mc.BroadcastsSent > maxExpected {
-		t.Fatalf("broadcasts %d exceed covers+zone budget %d",
-			mc.BroadcastsSent, maxExpected)
+	if want := c.CoversSent + c.ZoneBroadcasts + c.ZoneRelays; mc.BroadcastsSent != want {
+		t.Fatalf("broadcasts %d, want covers %d + zone broadcasts %d + relays %d",
+			mc.BroadcastsSent, c.CoversSent, c.ZoneBroadcasts, c.ZoneRelays)
 	}
 }
 

@@ -13,19 +13,20 @@ import (
 	"alertmanet/internal/sim"
 )
 
-// twoClusters is a static field at H = 1: a source cluster in the left
-// half, a destination cluster in the right half and a two-node bridge.
-// Every zone member lies within range of its cluster's addressee, so the
-// addressee hears each zone broadcast from its origin and from several
-// relays.
+// twoClusters is a static field at H = 1: a 5 × 5 grid 200 m apart, so a
+// node reaches only its row and column neighbours. The source sits mid-row
+// in the left half and the destination mid-row in the right half, each
+// with three zone members in range. Every zone member that hears a zone
+// broadcast has a zone neighbour beyond the sender's reach, so it relays,
+// and each addressee hears every broadcast from at least three senders.
 func twoClusters(t *testing.T) (*sim.Engine, *node.Network, *Protocol) {
 	t.Helper()
-	const s, d = 0, 7
-	pos := []geo.Point{
-		{X: 100, Y: 500}, {X: 150, Y: 420}, {X: 150, Y: 580}, {X: 330, Y: 500}, // S's cluster
-		{X: 560, Y: 500},                                     // bridge
-		{X: 720, Y: 450}, {X: 720, Y: 550}, {X: 800, Y: 500}, // D's cluster
-		{X: 880, Y: 450}, {X: 880, Y: 550},
+	const s, d = 7, 17
+	var pos []geo.Point
+	for col := 0; col < 5; col++ {
+		for row := 0; row < 5; row++ {
+			pos = append(pos, geo.Point{X: 90 + 200*float64(col), Y: 100 + 200*float64(row)})
+		}
 	}
 	eng := sim.NewEngine()
 	src := rng.New(7)
@@ -35,7 +36,7 @@ func twoClusters(t *testing.T) (*sim.Engine, *node.Network, *Protocol) {
 	cfg.H = 1
 	prot := MustNew(net, locservice.New(net, true), cfg, 512, src)
 	if zd := prot.DestZoneFor(d); zd.Contains(pos[s]) || !zd.Contains(pos[d]) {
-		t.Fatalf("Z_D %v does not split the clusters", zd)
+		t.Fatalf("Z_D %v does not split S from D", zd)
 	}
 	return eng, net, prot
 }
@@ -63,7 +64,7 @@ func copiesHeard(med *medium.Medium, at medium.NodeID, replies bool) map[int]map
 // public-key decryptions once, the cost model's DestCharge. The source of
 // a request opens each reply once in the same way.
 func TestAddresseeOpensOnce(t *testing.T) {
-	const s, d, packets = 0, 7, 5
+	const s, d, packets = 7, 17, 5
 	t.Run("data", func(t *testing.T) {
 		eng, net, prot := twoClusters(t)
 		heard := copiesHeard(net.Med, d, false)

@@ -9,6 +9,7 @@ package core
 
 import (
 	"alertmanet/internal/crypt"
+	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
 )
 
@@ -56,6 +57,11 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 			env.relayed = make(map[medium.NodeID]bool)
 		}
 		env.relayed[at] = true // the origin never re-relays its own broadcast
+		if p.OnZoneRecipients != nil && env.LZD.Contains(p.net.Med.BeaconPosition(at)) {
+			// A zone member holds the packet it broadcasts, whether or
+			// not a relay's copy reaches it again.
+			p.OnZoneRecipients(env.Seq, 1, env.LZD, []medium.NodeID{at}, p.net.Eng.Now())
+		}
 		if p.tap != nil {
 			p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)
 		}
@@ -104,9 +110,27 @@ func (p *Protocol) sizeOf(env *Envelope) int {
 	return 64 // control packets: NAK/ack with empty data field
 }
 
+// RelayAddsReach is a zone member's relay decision for a step-one zone
+// broadcast it hears for the first time: relay only when some Z_D member
+// among candidates (not the sender) lies within rangeM of self and beyond
+// rangeM of the sender. Otherwise every zone member self could reach has
+// already heard the sender, so a relay would add no reach. self and
+// sender are hello-snapshot positions, and so are the candidates'. The
+// simulator and the live daemon both call it, each with its own
+// relay-once bookkeeping around it.
+func RelayAddsReach(self, sender geo.Point, senderID medium.NodeID, candidates []medium.Neighbor, zone geo.Rect, rangeM float64) bool {
+	band := geo.BandOf(rangeM)
+	for _, c := range candidates {
+		if c.ID != senderID && zone.Contains(c.Pos) && band.Within(self, c.Pos) && !band.Within(sender, c.Pos) {
+			return true
+		}
+	}
+	return false
+}
+
 // handleZone runs at every node that receives a zone delivery (step one
 // multicast/broadcast or a step-two release).
-func (p *Protocol) handleZone(at medium.NodeID, _ medium.NodeID, zdl *ZoneDelivery) {
+func (p *Protocol) handleZone(at, from medium.NodeID, zdl *ZoneDelivery) {
 	env := zdl.Env
 	if p.OnZoneRecipients != nil {
 		p.OnZoneRecipients(env.Seq, zdl.Step, env.LZD, []medium.NodeID{at}, p.net.Eng.Now())
@@ -115,27 +139,49 @@ func (p *Protocol) handleZone(at medium.NodeID, _ medium.NodeID, zdl *ZoneDelive
 		p.releaseHeld(at, env)
 		p.hold(at, zdl)
 	}
-	// Zone broadcast propagation: a step-one broadcast is relayed once by
-	// every zone member that newly hears it, so the packet reaches all k
-	// nodes of Z_D even when the broadcaster sits near (or beyond) the
-	// zone edge — the "broadcasts the pkt to the k nodes" of Section 2.3,
-	// and the reason ALERT out-delivers GPSR when destinations drift
-	// (Fig. 16b). The intersection guard replaces this with its own
-	// two-step delivery.
-	if env.Kind == KindData && zdl.Step == 1 && !p.cfg.IntersectionGuard &&
-		env.LZD.Contains(p.net.Med.BeaconPosition(at)) {
-		if env.relayed == nil {
-			env.relayed = make(map[medium.NodeID]bool)
-		}
-		if !env.relayed[at] {
-			env.relayed[at] = true
-			if p.tap != nil {
-				p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)
+	// Zone broadcast propagation: a zone member decides once, when it
+	// first hears a step-one broadcast, and relays only where
+	// RelayAddsReach finds a zone member in its range that the sender's
+	// broadcast could not reach. On a static lossless field the packet
+	// so reaches every Z_D member that relaying at every member would
+	// (the "broadcasts the pkt to the k nodes" of Section 2.3). A relay
+	// reaches nodes outside Z_D only in passing, so a destination that
+	// has drifted out of its zone is reached less often (Fig. 16b
+	// without location updates). The intersection guard replaces this
+	// with its own two-step delivery.
+	if env.Kind == KindData && zdl.Step == 1 && !p.cfg.IntersectionGuard {
+		med := p.net.Med
+		self := med.BeaconPosition(at)
+		if env.LZD.Contains(self) && !env.relayed[at] {
+			if env.relayed == nil {
+				env.relayed = make(map[medium.NodeID]bool)
 			}
-			p.net.Med.Broadcast(at, zdl, p.sizeOf(env))
+			env.relayed[at] = true
+			if RelayAddsReach(self, med.BeaconPosition(from), from, p.zoneMembers(at, env.LZD), env.LZD, med.Params().Range) {
+				p.counts.ZoneRelays++
+				if p.tap != nil {
+					p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)
+				}
+				med.Broadcast(at, zdl, p.sizeOf(env))
+			}
 		}
 	}
 	p.recognize(at, env)
+}
+
+// zoneMembers returns the nodes other than at whose hello-snapshot
+// position lies in zone, with those positions, in the Protocol's scratch
+// slices: valid until the next call.
+func (p *Protocol) zoneMembers(at medium.NodeID, zone geo.Rect) []medium.Neighbor {
+	med := p.net.Med
+	p.zoneIDs = med.NodesWithinInto(zone, p.zoneIDs)
+	p.zoneNbrs = p.zoneNbrs[:0]
+	for _, id := range p.zoneIDs {
+		if id != at {
+			p.zoneNbrs = append(p.zoneNbrs, medium.Neighbor{ID: id, Pos: med.BeaconPosition(id)})
+		}
+	}
+	return p.zoneNbrs
 }
 
 // recognize checks whether the node holding or receiving the envelope is

@@ -403,3 +403,34 @@ func TestZoneDeliverAtAddresseeCountsBroadcast(t *testing.T) {
 		t.Errorf("%d zone broadcasts, want 1", d.counts.ZoneBroadcasts)
 	}
 }
+
+// TestZoneRelayDecidesOnce drives one unstarted daemon's handleZone: a
+// zone member relays a packet's zone broadcast only when its table holds
+// a zone member beyond the sender's stamped range, decides once per
+// packet, and a node outside Z_D never relays.
+func TestZoneRelayDecidesOnce(t *testing.T) {
+	d, err := NewDaemon(DaemonConfigFor(smokeScenario(experiment.ALERT, 200, 15), 4, 0), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.self = geo.Point{X: 250, Y: 250}
+	d.table = []medium.Neighbor{{ID: 1, Pos: geo.Point{X: 450, Y: 250}}, {ID: 2, Pos: geo.Point{X: 100, Y: 250}}}
+	zone := geo.Rect{Max: geo.Point{X: 500, Y: 500}}
+	heard := func(seq uint32, from int32, at geo.Point, zone geo.Rect) {
+		d.handleZone(&Frame{
+			Kind: KindData, Flow: 1, Seq: seq, ZoneStep: 1, Flags: FlagEnvelope | FlagNoAck,
+			From: from, SrcPos: at, Env: &Envelope{Kind: core.KindData, LZD: zone},
+		})
+	}
+	heard(0, 1, geo.Point{X: 450, Y: 250}, zone) // node 2 lies 350 m from the sender: relay
+	heard(0, 2, geo.Point{X: 100, Y: 250}, zone) // the same packet again: decided
+	if d.counts.ZoneRelays != 1 {
+		t.Fatalf("%d relays after packet 0, want 1", d.counts.ZoneRelays)
+	}
+	heard(1, 7, geo.Point{X: 250, Y: 300}, zone) // the sender's range covers both members
+	heard(2, 1, geo.Point{X: 450, Y: 250}, geo.Rect{Min: geo.Point{X: 300}, Max: geo.Point{X: 500, Y: 500}})
+	if d.counts.ZoneRelays != 1 {
+		t.Fatalf("%d relays after packets 1 and 2, want 1", d.counts.ZoneRelays)
+	}
+}

@@ -4,9 +4,10 @@
 // gpsr.LegStep, every random forwarder's partition core.Step, a session
 // is set up with core.NewSession and every data packet opened through a
 // core.DestSession, and the crypto charges are core.SourceCharge and
-// core.DestCharge. Besides framing, transport and measurement, this file
-// keeps the zone delivery and relay-once, each one LZD.Contains test
-// around the daemon's own relayed set.
+// core.DestCharge, and a zone member's relay decision is
+// core.RelayAddsReach. Besides framing, transport and measurement, this
+// file keeps the zone delivery and relay-once bookkeeping, each around the
+// daemon's own relayed set.
 
 package live
 
@@ -364,21 +365,23 @@ func (d *Daemon) broadcastZone(f *Frame) {
 	}
 }
 
-// handleZone runs at every node hearing a zone delivery: relay once if we
-// are a zone member that newly heard it (so the packet reaches all k nodes
-// of Z_D even when the broadcaster sits near the zone edge), then check
-// whether we are the addressee.
+// handleZone runs at every node hearing a zone delivery: a zone member
+// that newly heard it decides once whether to relay, by
+// core.RelayAddsReach over its pushed table and the sender's stamped
+// position, then every hearer checks whether it is the addressee.
 func (d *Daemon) handleZone(f *Frame) {
 	if f.Env == nil {
 		return
 	}
 	if f.Env.LZD.Contains(d.self) && !d.relayed.contains(pairKey(f.Flow, f.Seq)) {
 		d.relayed.add(pairKey(f.Flow, f.Seq))
-		d.counts.ZoneRelays++
-		if d.tap != nil {
-			d.tap.ZoneBroadcast(f.VTime, d.trace(f), d.cfg.ID, 1)
+		if core.RelayAddsReach(d.self, f.SrcPos, medium.NodeID(f.From), d.table, f.Env.LZD, d.cfg.Medium.Range) {
+			d.counts.ZoneRelays++
+			if d.tap != nil {
+				d.tap.ZoneBroadcast(f.VTime, d.trace(f), d.cfg.ID, 1)
+			}
+			d.broadcastZone(f)
 		}
-		d.broadcastZone(f)
 	}
 	d.recognize(f)
 }
