@@ -111,17 +111,28 @@ func (p *Protocol) sizeOf(env *Envelope) int {
 }
 
 // RelayAddsReach is a zone member's relay decision for a step-one zone
-// broadcast it hears for the first time: relay only when some Z_D member
-// among candidates (not the sender) lies within rangeM of self and beyond
-// rangeM of the sender. Otherwise every zone member self could reach has
-// already heard the sender, so a relay would add no reach. self and
-// sender are hello-snapshot positions, and so are the candidates'. The
-// simulator and the live daemon both call it, each with its own
-// relay-once bookkeeping around it.
-func RelayAddsReach(self, sender geo.Point, senderID medium.NodeID, candidates []medium.Neighbor, zone geo.Rect, rangeM float64) bool {
-	band := geo.BandOf(rangeM)
-	for _, c := range candidates {
-		if c.ID != senderID && zone.Contains(c.Pos) && band.Within(self, c.Pos) && !band.Within(sender, c.Pos) {
+// broadcast it hears for the first time. On a lossy channel
+// (par.LossRate > 0) it always relays: a broadcast gets no ARQ and every
+// receiver draws its own loss, so a member within the sender's range may
+// have missed it, and the other members' relays are its further chances.
+// On a lossless channel it relays only when some Z_D member among
+// members() (not the sender) lies within par.Range of self and beyond
+// coverM of the sender; otherwise every zone member self could reach has
+// already heard the sender, so a relay would add no reach. members is
+// called only then, so a lossy channel gathers no candidates. self,
+// sender and the members' positions come from the hello snapshot, so
+// coverM is the radius within which the sender surely reached a member
+// whose snapshot position lies there: par.Range where delivery reads the
+// same snapshot, less where nodes have moved since it (a coverM that is
+// not a number covers nobody). The simulator and the live daemon both
+// call it, each with its own relay-once bookkeeping around it.
+func RelayAddsReach(self, sender geo.Point, senderID medium.NodeID, members func() []medium.Neighbor, zone geo.Rect, par medium.Params, coverM float64) bool {
+	if par.LossRate > 0 {
+		return true
+	}
+	reach, cover := geo.BandOf(par.Range), geo.BandOf(coverM)
+	for _, c := range members() {
+		if c.ID != senderID && zone.Contains(c.Pos) && reach.Within(self, c.Pos) && !cover.Within(sender, c.Pos) {
 			return true
 		}
 	}
@@ -140,15 +151,19 @@ func (p *Protocol) handleZone(at, from medium.NodeID, zdl *ZoneDelivery) {
 		p.hold(at, zdl)
 	}
 	// Zone broadcast propagation: a zone member decides once, when it
-	// first hears a step-one broadcast, and relays only where
-	// RelayAddsReach finds a zone member in its range that the sender's
-	// broadcast could not reach. On a static lossless field the packet
-	// so reaches every Z_D member that relaying at every member would
-	// (the "broadcasts the pkt to the k nodes" of Section 2.3). A relay
-	// reaches nodes outside Z_D only in passing, so a destination that
-	// has drifted out of its zone is reached less often (Fig. 16b
-	// without location updates). The intersection guard replaces this
-	// with its own two-step delivery.
+	// first hears a step-one broadcast, and on a lossless channel relays
+	// only where RelayAddsReach finds a zone member in its range that the
+	// sender's broadcast may have missed. The medium delivers on true
+	// positions, and the sender and a member can each have moved the
+	// snapshot's drift from their beacons, so the sender surely covered
+	// only members within Range − 2·drift of its beacon. On a static
+	// lossless field the packet so reaches every Z_D member that relaying
+	// at every member would (the "broadcasts the pkt to the k nodes" of
+	// Section 2.3). A relay reaches nodes outside Z_D only in passing, so
+	// a destination that has drifted out of its zone is reached less
+	// often (Fig. 16b without location updates). On a lossy channel every
+	// member relays. The intersection guard replaces this with its own
+	// two-step delivery.
 	if env.Kind == KindData && zdl.Step == 1 && !p.cfg.IntersectionGuard {
 		med := p.net.Med
 		self := med.BeaconPosition(at)
@@ -157,7 +172,9 @@ func (p *Protocol) handleZone(at, from medium.NodeID, zdl *ZoneDelivery) {
 				env.relayed = make(map[medium.NodeID]bool)
 			}
 			env.relayed[at] = true
-			if RelayAddsReach(self, med.BeaconPosition(from), from, p.zoneMembers(at, env.LZD), env.LZD, med.Params().Range) {
+			par := med.Params()
+			members := func() []medium.Neighbor { return p.zoneMembers(at, env.LZD) }
+			if RelayAddsReach(self, med.BeaconPosition(from), from, members, env.LZD, par, par.Range-2*med.BeaconDrift()) {
 				p.counts.ZoneRelays++
 				if p.tap != nil {
 					p.tap.ZoneBroadcast(p.net.Eng.Now(), envTrace(env), int(at), 1)

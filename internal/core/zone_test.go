@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -149,30 +150,126 @@ func TestZoneRecipientsIncludeOrigin(t *testing.T) {
 	}
 }
 
-// TestRelayAddsReach: a member relays only for a zone member in its range
-// that the sender's range misses; the sender and nodes outside Z_D never
-// count.
+// TestRelayAddsReach: on a lossless channel a member relays only for a
+// zone member in its range that lies beyond the sender's coverage; the
+// sender and nodes outside Z_D never count, and a coverage that is not a
+// number covers nobody. On a lossy channel it always relays.
 func TestRelayAddsReach(t *testing.T) {
 	zone := geo.Rect{Min: geo.Point{X: -250, Y: -250}, Max: geo.Point{X: 250, Y: 250}}
 	self, sender := geo.Point{}, geo.Point{X: 200}
+	par := medium.DefaultParams()
+	par.Range = 250
 	const senderID = 9
 	for _, tc := range []struct {
-		name string
-		c    medium.Neighbor
-		want bool
+		name  string
+		c     medium.Neighbor
+		cover float64
+		want  bool
 	}{
-		{"member beyond the sender's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -200}}, true},
-		{"member within both ranges", medium.Neighbor{ID: 1, Pos: geo.Point{X: 100, Y: 100}}, false},
-		{"member beyond self's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -240, Y: 240}}, false},
-		{"non-member beyond the sender's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -200, Y: 251}}, false},
-		{"the sender, wherever it stands", medium.Neighbor{ID: senderID, Pos: geo.Point{X: -200}}, false},
+		{"member beyond the sender's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -200}}, 250, true},
+		{"member within both ranges", medium.Neighbor{ID: 1, Pos: geo.Point{X: 100, Y: 100}}, 250, false},
+		{"member in the sender's range, beyond its coverage", medium.Neighbor{ID: 1, Pos: geo.Point{Y: 100}}, 150, true},
+		{"member beyond self's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -240, Y: 240}}, 250, false},
+		{"non-member beyond the sender's range", medium.Neighbor{ID: 1, Pos: geo.Point{X: -200, Y: 251}}, 250, false},
+		{"the sender, wherever it stands", medium.Neighbor{ID: senderID, Pos: geo.Point{X: -200}}, 250, false},
+		{"unbounded drift: coverage covers nobody", medium.Neighbor{ID: 1, Pos: geo.Point{X: 100, Y: 100}}, math.NaN(), true},
 	} {
-		cands := []medium.Neighbor{{ID: 2, Pos: geo.Point{X: 50}}, tc.c}
-		if got := RelayAddsReach(self, sender, senderID, cands, zone, 250); got != tc.want {
+		cands := func() []medium.Neighbor { return []medium.Neighbor{{ID: 2, Pos: geo.Point{X: 200, Y: 10}}, tc.c} }
+		if got := RelayAddsReach(self, sender, senderID, cands, zone, par, tc.cover); got != tc.want {
 			t.Errorf("%s: RelayAddsReach = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if RelayAddsReach(self, sender, senderID, nil, zone, 250) {
+	none := func() []medium.Neighbor { return nil }
+	if RelayAddsReach(self, sender, senderID, none, zone, par, 250) {
 		t.Error("no candidates: RelayAddsReach = true")
+	}
+	par.LossRate = 0.2
+	if !RelayAddsReach(self, sender, senderID, none, zone, par, 250) {
+		t.Error("lossy channel, no candidates: RelayAddsReach = false")
+	}
+}
+
+// drifting moves each node from its start at its own constant velocity.
+type drifting struct{ start, vel []geo.Point }
+
+func (m *drifting) Position(id int, t float64) geo.Point {
+	return geo.Point{X: m.start[id].X + m.vel[id].X*t, Y: m.start[id].Y + m.vel[id].Y*t}
+}
+func (m *drifting) N() int          { return len(m.start) }
+func (m *drifting) Field() geo.Rect { return field }
+func (m *drifting) MaxSpeed() float64 {
+	top := 0.0
+	for _, v := range m.vel {
+		top = math.Max(top, math.Hypot(v.X, v.Y))
+	}
+	return top
+}
+
+// TestZoneRelayAllowsForDrift: the simulator's medium delivers on true
+// positions, so a zone member whose beacon lies within the sender's range
+// may since have moved out of it. Node 2 beaconed 240 m from the sender,
+// node 0; moving at 20 m/s it stands 258 m away 0.9 s later, so node 1,
+// hearing node 0 then, relays for it. Standing still, node 2 heard node 0
+// and node 1 stays silent.
+func TestZoneRelayAllowsForDrift(t *testing.T) {
+	for _, tc := range []struct {
+		speed  float64
+		relays uint64
+	}{{0, 0}, {20, 1}} {
+		mob := &drifting{
+			start: []geo.Point{{X: 100, Y: 500}, {X: 200, Y: 500}, {X: 340, Y: 500}},
+			vel:   []geo.Point{{}, {}, {X: tc.speed}},
+		}
+		eng := sim.NewEngine()
+		src := rng.New(1)
+		med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
+		net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
+		prot := MustNew(net, locservice.New(net, true), DefaultConfig(), 512, src)
+		env := &Envelope{Kind: KindData, PD: crypt.Pseudonym{1}, relayed: map[medium.NodeID]bool{0: true}}
+		env.LZD = geo.Rect{Min: geo.Point{X: 50, Y: 450}, Max: geo.Point{X: 450, Y: 550}}
+		eng.At(0.9, func() { prot.handleZone(1, 0, &ZoneDelivery{Step: 1, Env: env}) })
+		eng.RunUntil(2)
+		if got := prot.Counters().ZoneRelays; got != tc.relays {
+			t.Errorf("node 2 at %v m/s: %d zone relays, want %d", tc.speed, got, tc.relays)
+		}
+	}
+}
+
+// TestZoneRelayOnLossyChannel: where each receiver draws its own loss, a
+// member within the sender's range may have missed its broadcast, so every
+// Z_D member that first hears a packet relays it, the origin excepted.
+func TestZoneRelayOnLossyChannel(t *testing.T) {
+	w := build(2, 200, 0, DefaultConfig())
+	w.net.Med.SetLossRate(0.2)
+	s, d := w.farPair(500)
+	origin := map[*Envelope]medium.NodeID{}
+	heard := map[*Envelope][]medium.NodeID{}
+	w.net.Med.TapSend(func(tx medium.Transmission) {
+		if zd, ok := tx.Payload.(*ZoneDelivery); ok {
+			if _, seen := origin[zd.Env]; !seen {
+				origin[zd.Env] = tx.From
+			}
+		}
+	})
+	w.net.Med.TapRecv(func(r medium.Reception) {
+		zd, ok := r.Payload.(*ZoneDelivery)
+		if ok && zd.Step == 1 && zd.Env.Kind == KindData && r.To != origin[zd.Env] &&
+			zd.Env.LZD.Contains(w.net.Med.BeaconPosition(r.To)) && !slices.Contains(heard[zd.Env], r.To) {
+			heard[zd.Env] = append(heard[zd.Env], r.To)
+		}
+	})
+	for i := 0; i < 6; i++ {
+		w.eng.At(float64(i)+0.01, func() { w.prot.Send(s, d, []byte("x")) })
+	}
+	w.eng.RunUntil(6 + w.prot.cfg.CompleteTimeout)
+	want := 0
+	for _, ids := range heard {
+		want += len(ids)
+	}
+	if len(heard) < 3 {
+		t.Fatalf("only %d packets reached a zone member", len(heard))
+	}
+	if got := w.prot.Counters().ZoneRelays; got != uint64(want) {
+		t.Fatalf("%d zone relays, want %d: one per Z_D member that heard a packet", got, want)
 	}
 }

@@ -173,7 +173,7 @@ type Daemon struct {
 	costs crypt.CostModel
 	rnd   *rng.Source
 
-	rxq   chan *[]byte // read buffers, resliced to the datagram
+	rxq   chan []byte
 	cmdq  chan func()
 	stopc chan struct{}
 	done  sync.WaitGroup
@@ -239,7 +239,7 @@ func newDaemon(cfg Config) *Daemon {
 		pseud:    crypt.NewPseudonym(uint64(cfg.ID), 0, nodeRnd),
 		costs:    crypt.DefaultCostModel(),
 		rnd:      nodeRnd,
-		rxq:      make(chan *[]byte, queueDepth),
+		rxq:      make(chan []byte, queueDepth),
 		cmdq:     make(chan func(), queueDepth),
 		stopc:    make(chan struct{}),
 		addrs:    make(map[int32]*net.UDPAddr),
@@ -361,9 +361,8 @@ func (d *Daemon) readPump() {
 				continue
 			}
 		}
-		*bp = buf[:n]
 		select {
-		case d.rxq <- bp:
+		case d.rxq <- buf[:n]:
 		default:
 			// Bounded queue full: drop on the floor, like a NIC ring.
 			// The sender's ARQ recovers or charges the loss.
@@ -385,9 +384,10 @@ func (d *Daemon) loop() {
 	defer d.done.Done()
 	for {
 		select {
-		case bp := <-d.rxq:
-			d.handleDatagram(*bp)
-			d.pool.Put(bp)
+		case buf := <-d.rxq:
+			d.handleDatagram(buf)
+			full := buf[:MaxFrame]
+			d.pool.Put(&full)
 		case fn := <-d.cmdq:
 			fn()
 		case <-d.stopc:

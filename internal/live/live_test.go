@@ -404,10 +404,11 @@ func TestZoneDeliverAtAddresseeCountsBroadcast(t *testing.T) {
 	}
 }
 
-// TestZoneRelayDecidesOnce drives one unstarted daemon's handleZone: a
-// zone member relays a packet's zone broadcast only when its table holds
-// a zone member beyond the sender's stamped range, decides once per
-// packet, and a node outside Z_D never relays.
+// TestZoneRelayDecidesOnce drives one unstarted daemon's handleZone: on a
+// lossless channel a zone member relays a packet's zone broadcast only
+// when its table holds a zone member beyond the sender's stamped range,
+// decides once per packet, and a node outside Z_D never relays; on a
+// lossy channel it relays every packet it first hears.
 func TestZoneRelayDecidesOnce(t *testing.T) {
 	d, err := NewDaemon(DaemonConfigFor(smokeScenario(experiment.ALERT, 200, 15), 4, 0), "127.0.0.1:0")
 	if err != nil {
@@ -432,5 +433,10 @@ func TestZoneRelayDecidesOnce(t *testing.T) {
 	heard(2, 1, geo.Point{X: 450, Y: 250}, geo.Rect{Min: geo.Point{X: 300}, Max: geo.Point{X: 500, Y: 500}})
 	if d.counts.ZoneRelays != 1 {
 		t.Fatalf("%d relays after packets 1 and 2, want 1", d.counts.ZoneRelays)
+	}
+	d.cfg.Medium.LossRate = 0.2
+	heard(3, 7, geo.Point{X: 250, Y: 300}, zone) // covered, but a lossy channel may have dropped it
+	if d.counts.ZoneRelays != 2 {
+		t.Fatalf("%d relays after packet 3 on a lossy channel, want 2", d.counts.ZoneRelays)
 	}
 }

@@ -368,14 +368,17 @@ func (d *Daemon) broadcastZone(f *Frame) {
 // handleZone runs at every node hearing a zone delivery: a zone member
 // that newly heard it decides once whether to relay, by
 // core.RelayAddsReach over its pushed table and the sender's stamped
-// position, then every hearer checks whether it is the addressee.
+// position, then every hearer checks whether it is the addressee. The
+// sender surely covered every member within Range of its stamped
+// position, because the daemons' range check reads that same snapshot.
 func (d *Daemon) handleZone(f *Frame) {
 	if f.Env == nil {
 		return
 	}
 	if f.Env.LZD.Contains(d.self) && !d.relayed.contains(pairKey(f.Flow, f.Seq)) {
 		d.relayed.add(pairKey(f.Flow, f.Seq))
-		if core.RelayAddsReach(d.self, f.SrcPos, medium.NodeID(f.From), d.table, f.Env.LZD, d.cfg.Medium.Range) {
+		members := func() []medium.Neighbor { return d.table }
+		if core.RelayAddsReach(d.self, f.SrcPos, medium.NodeID(f.From), members, f.Env.LZD, d.cfg.Medium, d.cfg.Medium.Range) {
 			d.counts.ZoneRelays++
 			if d.tap != nil {
 				d.tap.ZoneBroadcast(f.VTime, d.trace(f), d.cfg.ID, 1)

@@ -952,6 +952,13 @@ func (m *Medium) BeaconPosition(id NodeID) geo.Point {
 	return m.beaconsNow().pos[id]
 }
 
+// BeaconDrift bounds how far any node can have moved from its
+// BeaconPosition by now: +Inf or NaN when the mobility model's speed is
+// unbounded.
+func (m *Medium) BeaconDrift() float64 {
+	return m.beaconsNow().drift
+}
+
 // NodesWithinInto appends to dst[:0] the ids of every node whose beacon
 // position lies in zone, in ascending id order, and returns the (possibly
 // regrown) slice: the zone's members as routing sees them.

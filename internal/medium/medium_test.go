@@ -304,7 +304,8 @@ func TestNeighborsExactBeaconInstant(t *testing.T) {
 // TestNodesWithin holds NodesWithinInto and BeaconPosition to the hello
 // snapshot: node 3 leaves the zone and node 4 enters it between beacons,
 // so until the next beacon each is placed where it last beaconed, on the
-// other side of the edge from its exact position.
+// other side of the edge from its exact position. BeaconDrift bounds how
+// far each has moved since.
 func TestNodesWithin(t *testing.T) {
 	mob := &movingModel{
 		start: []geo.Point{{X: 100, Y: 100}, {X: 200, Y: 200}, {X: 900, Y: 900}, {X: 490, Y: 250}, {X: 510, Y: 300}},
@@ -322,6 +323,12 @@ func TestNodesWithin(t *testing.T) {
 				if got, want := med.BeaconPosition(NodeID(id)), mob.Position(id, beacon); got != want {
 					t.Errorf("t=%v: BeaconPosition(%d) = %v, want %v", at, id, got, want)
 				}
+				if moved := med.PositionNow(NodeID(id)).Dist(med.BeaconPosition(NodeID(id))); moved > med.BeaconDrift() {
+					t.Errorf("t=%v: node %d moved %v from its beacon, BeaconDrift %v", at, id, moved, med.BeaconDrift())
+				}
+			}
+			if got, want := med.BeaconDrift(), mob.MaxSpeed()*(at-beacon); got != want {
+				t.Errorf("t=%v: BeaconDrift = %v, want %v", at, got, want)
 			}
 		})
 	}
