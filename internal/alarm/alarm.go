@@ -46,6 +46,8 @@ const disseminationRelays = 12
 type meta struct {
 	rec       *metrics.PacketRecord
 	completed bool
+	// timeout is the give-up timer, cancelled when the packet completes.
+	timeout sim.EventID
 }
 
 // Protocol is one ALARM instance.
@@ -123,6 +125,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 			return
 		}
 		m.completed = true
+		p.net.Eng.Cancel(m.timeout)
 		if pkt != nil {
 			rec.Hops = pkt.Hops
 			// Copy, never alias: the frame goes back to the router's
@@ -131,7 +134,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		}
 		p.col.Complete(rec, at, delivered)
 	}
-	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { finish(nil, 0, false) })
+	m.timeout = p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { finish(nil, 0, false) })
 	pkt := p.router.NewPacket()
 	pkt.Dest = entry.Pos
 	pkt.DeliverTo = dst

@@ -22,6 +22,7 @@ import (
 	"alertmanet/internal/metrics"
 	"alertmanet/internal/node"
 	"alertmanet/internal/rng"
+	"alertmanet/internal/sim"
 )
 
 // contentionDelay is the per-hop contention-phase delay in seconds
@@ -40,6 +41,8 @@ type meta struct {
 	rec       *metrics.PacketRecord
 	dst       medium.NodeID
 	completed bool
+	// timeout is the give-up timer, cancelled when the packet completes.
+	timeout sim.EventID
 }
 
 // Protocol is one AO2P instance.
@@ -140,7 +143,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		return rec, nil
 	}
 	m := &meta{rec: rec, dst: dst}
-	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
+	m.timeout = p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
 	vd := p.virtualDest(p.net.Med.BeaconPosition(src), entry.Pos)
 	pkt := p.router.NewPacket()
 	pkt.Dest = vd
@@ -185,6 +188,7 @@ func (p *Protocol) finish(m *meta, pkt *gpsr.Packet, at float64, delivered bool)
 		return
 	}
 	m.completed = true
+	p.net.Eng.Cancel(m.timeout)
 	if pkt != nil {
 		m.rec.Hops = pkt.Hops
 		// Copy, never alias: the frame goes back to the router's pool

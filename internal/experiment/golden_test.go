@@ -26,12 +26,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json from curre
 // ResultDigest hashes the full per-seed Result; StreamDigest hashes the
 // complete telemetry JSONL stream (all layers + registry snapshot), which is
 // sensitive to every event the run emits, in order. Sent/Delivered are
-// duplicated in the clear so a mismatch gives a human a first clue.
+// duplicated in the clear so a mismatch gives a human a first clue, and
+// Events, the engine's processed count, shows how many events a re-bless
+// moved.
 type goldenEntry struct {
 	ResultDigest string `json:"result_digest"`
 	StreamDigest string `json:"stream_digest"`
 	Sent         int    `json:"sent"`
 	Delivered    int    `json:"delivered"`
+	Events       uint64 `json:"events"`
 }
 
 const goldenPath = "testdata/golden.json"
@@ -68,6 +71,7 @@ func goldenRun(t *testing.T, proto ProtocolName) goldenEntry {
 		StreamDigest: hex.EncodeToString(h.Sum(nil)),
 		Sent:         res.Sent,
 		Delivered:    res.Delivered,
+		Events:       w.Eng.Processed(),
 	}
 }
 
@@ -115,6 +119,9 @@ func TestGoldenRuns(t *testing.T) {
 		if g.Sent != w.Sent || g.Delivered != w.Delivered {
 			t.Errorf("%s: sent/delivered %d/%d, golden %d/%d",
 				name, g.Sent, g.Delivered, w.Sent, w.Delivered)
+		}
+		if g.Events != w.Events {
+			t.Errorf("%s: %d events processed, golden %d", name, g.Events, w.Events)
 		}
 		if g.ResultDigest != w.ResultDigest {
 			t.Errorf("%s: Result digest %s, golden %s — run behaviour changed",

@@ -10,6 +10,7 @@ import (
 	"alertmanet/internal/medium"
 	"alertmanet/internal/metrics"
 	"alertmanet/internal/node"
+	"alertmanet/internal/sim"
 )
 
 // App is the GPSR baseline protocol instance.
@@ -52,15 +53,22 @@ func (a *App) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, 
 		a.col.Complete(rec, 0, false)
 		return rec, nil
 	}
-	completed := false
+	// The give-up timer writes off a packet that never completes; one that
+	// completes cancels it, so the queue holds no timer for a settled
+	// packet.
+	var st struct {
+		completed bool
+		timeout   sim.EventID
+	}
 	finish := func(at float64, delivered bool) {
-		if completed {
+		if st.completed {
 			return
 		}
-		completed = true
+		st.completed = true
+		a.net.Eng.Cancel(st.timeout)
 		a.col.Complete(rec, at, delivered)
 	}
-	a.net.Eng.Schedule(CompleteTimeout, func() { finish(0, false) })
+	st.timeout = a.net.Eng.Schedule(CompleteTimeout, func() { finish(0, false) })
 	pkt := a.router.NewPacket()
 	pkt.Dest = entry.Pos
 	pkt.DeliverTo = dst

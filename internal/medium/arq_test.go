@@ -234,6 +234,101 @@ func TestARQDuplicateAbsorbed(t *testing.T) {
 	}
 }
 
+// TestARQAckSettledOnLanding: on a lossless channel an ACK whose two ends
+// lie within range at its arrival instant cannot fail, so the send resolves
+// as its data frame lands, with no event left for it, and counts what the
+// ACK event would have counted.
+func TestARQAckSettledOnLanding(t *testing.T) {
+	type run struct {
+		outs       int
+		resolvedAt float64
+		pending    int
+		processed  uint64
+		c          Counters
+		txByNode   []uint64
+	}
+	send := func(loss float64) run {
+		par := noJitter()
+		par.LossRate = loss
+		eng, med := setup(newFixed(geo.Point{}, geo.Point{X: 100}), par)
+		med.Attach(1, func(NodeID, any, int) {})
+		var r run
+		med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) {
+			if o != SendDelivered {
+				t.Errorf("loss %g: outcome %v", loss, o)
+			}
+			r.outs++
+			r.resolvedAt = eng.Now()
+			r.pending = eng.Pending()
+		}))
+		eng.Run()
+		r.processed = eng.Processed()
+		r.c = med.Counters()
+		r.txByNode = med.TxByNode()
+		return r
+	}
+	par := noJitter()
+	d := 64 * 8 / par.Bitrate
+	a := float64(par.AckSize*8) / par.Bitrate
+
+	got := send(0)
+	if got.outs != 1 || got.resolvedAt != d || got.pending != 0 || got.processed != 1 {
+		t.Fatalf("lossless: sink fired %d times at %v with %d events pending after %d events; want once at landing %v, none pending, 1 event",
+			got.outs, got.resolvedAt, got.pending, got.processed, d)
+	}
+	// A loss rate above zero takes the ACK event; this one is too small
+	// for any draw to fall below it.
+	ref := send(math.SmallestNonzeroFloat64)
+	if ref.outs != 1 || ref.resolvedAt != d+a || ref.processed != 2 {
+		t.Fatalf("event path: sink fired %d times at %v after %d events; want once at %v after 2",
+			ref.outs, ref.resolvedAt, ref.processed, d+a)
+	}
+	if got.c != ref.c || !reflect.DeepEqual(got.txByNode, ref.txByNode) {
+		t.Fatalf("settled on landing counted %+v %v, the ACK event %+v %v",
+			got.c, got.txByNode, ref.c, ref.txByNode)
+	}
+	if c := got.c; c.AcksSent != 1 || c.AcksLost != 0 || c.TxBytes != 64+14 || c.RxBytes != 64+14 {
+		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestARQAckLostLeavingRange: on a lossless channel the receiver is in range
+// when the data frame lands but out of it when the ACK arrives, so the ACK
+// still arrives by its event, is lost there, and the sender retransmits
+// once after the backoff. The duplicate's ACK is then settled as the
+// retransmission lands.
+func TestARQAckLostLeavingRange(t *testing.T) {
+	par := noJitter()
+	d := 64 * 8 / par.Bitrate
+	a := float64(par.AckSize*8) / par.Bitrate
+	mob := &windowModel{
+		base: []geo.Point{{}, {X: 100}},
+		far:  geo.Point{X: 10000},
+		id:   1,
+		from: d + a/2, // during the first ACK's air time...
+		to:   d + 2*a, // ...and back before the retransmission leaves
+	}
+	eng := sim.NewEngine()
+	med := MustNew(eng, mob, par, rng.New(1))
+	got := 0
+	med.Attach(1, func(NodeID, any, int) { got++ })
+	var out SendOutcome
+	var at float64
+	outs := 0
+	med.UnicastSink(0, 1, "x", 64, sinkFunc(func(o SendOutcome) { out = o; at = eng.Now(); outs++ }))
+	eng.Run()
+	if got != 1 || outs != 1 || out != SendDelivered {
+		t.Fatalf("handler fired %d times, sink %d times with %v", got, outs, out)
+	}
+	c := med.Counters()
+	if c.AcksLost != 1 || c.Retransmissions != 1 || c.AcksSent != 2 || c.Duplicates != 1 {
+		t.Fatalf("counters = %+v", c)
+	}
+	if want := d + a + par.RetryBackoff + d; math.Abs(at-want) > 1e-12 {
+		t.Fatalf("resolved at %v, want %v", at, want)
+	}
+}
+
 // arqTraceEvent is one observed fact of a lossy run, for determinism
 // comparison.
 type arqTraceEvent struct {

@@ -438,8 +438,10 @@ func MustNew(eng *sim.Engine, mob mobility.Model, par Params, src *rng.Source) *
 // Params returns the channel configuration.
 func (m *Medium) Params() Params { return m.par }
 
-// SetLossRate changes the random-loss probability mid-run; experiments use
-// it to inject failure windows (e.g. jamming intervals).
+// SetLossRate changes the random-loss probability mid-run. Only tests call
+// it, to open or close a loss window. The new rate governs every frame that
+// lands after the call, ACKs included; an ACK that a lossless channel
+// settles as its data frame lands (see sendAck) counts as landing then.
 func (m *Medium) SetLossRate(p float64) { m.par.LossRate = p }
 
 // Compromise marks a node as adversary-controlled in the packet-sinking
@@ -555,7 +557,9 @@ type OutcomeSink interface {
 // data frame and the sender retransmits on silence, so a send only counts as
 // lost after the whole retry budget fails. The sink fires exactly once, when
 // the ARQ resolves: at ACK reception or retry exhaustion (Retries > 0), or
-// at first-attempt resolution (Retries = 0). The handler fires at most once
+// at first-attempt resolution (Retries = 0). An ACK that cannot fail — a
+// lossless channel, both ends in range at its arrival — is received as its
+// data frame lands, so the sink fires then. The handler fires at most once
 // per send — duplicate data receptions are absorbed by the ARQ. Returns the
 // scheduled first-attempt delivery time.
 func (m *Medium) UnicastSink(from, to NodeID, payload any, size int, sink OutcomeSink) float64 {
@@ -729,6 +733,13 @@ func (s *arqSend) arrive() {
 // eavesdropping) and are not sunk by compromised receivers — the DoS
 // attacker of Section 2.1 sinks the packets it should forward, not the
 // MAC's own control responses, which would unmask it to its neighbors.
+//
+// On a lossless channel an ACK whose two ends lie within Range at its
+// arrival instant cannot fail, so it is settled here, as its data frame
+// lands, instead of by an event at that instant: the sender's sink fires
+// now. Mobility models answer any query order, so asking for the arrival
+// instant's positions early changes no trajectory. Every other ACK arrives
+// by an event, which keeps a lossy channel's loss draw in event order.
 func (s *arqSend) sendAck() {
 	m := s.m
 	m.counters.AcksSent++
@@ -737,8 +748,16 @@ func (s *arqSend) sendAck() {
 	if m.tap != nil {
 		m.tap.AckTx(m.eng.Now(), int(s.to), int(s.from), telemetry.TraceOf(s.payload))
 	}
+	delay := m.par.TxDelay(m.par.AckSize, m.src)
+	if m.par.LossRate <= 0 {
+		at := m.eng.Now() + delay
+		if m.mob.Position(int(s.to), at).Within(m.mob.Position(int(s.from), at), m.par.Range) {
+			s.ackReceived()
+			return
+		}
+	}
 	s.phase = arqPhaseAck
-	m.eng.ScheduleRunner(m.par.TxDelay(m.par.AckSize, m.src), s)
+	m.eng.ScheduleRunner(delay, s)
 }
 
 // ackArrive is the ACK frame reaching (or missing) the original sender.
@@ -755,7 +774,12 @@ func (s *arqSend) ackArrive() {
 		s.retryOrFail()
 		return
 	}
-	m.counters.RxBytes += uint64(m.par.AckSize)
+	s.ackReceived()
+}
+
+// ackReceived is the sender hearing the ACK: the send is delivered.
+func (s *arqSend) ackReceived() {
+	s.m.counters.RxBytes += uint64(s.m.par.AckSize)
 	s.resolve(SendDelivered)
 }
 

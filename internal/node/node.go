@@ -6,6 +6,9 @@
 package node
 
 import (
+	"cmp"
+	"slices"
+
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
@@ -105,18 +108,62 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
 	return net
 }
 
-// RotatePseudonyms schedules every node's pseudonym rotation every
-// PseudonymLifetime seconds, each from its own random start so rotations do
-// not all fire at once. Until it is called nodes keep their initial
-// pseudonyms, and an engine with no other tickers drains.
+// RotatePseudonyms rotates every node's pseudonym every PseudonymLifetime
+// seconds, each from its own random start so rotations do not all fire at
+// once. Until it is called nodes keep their initial pseudonyms, and an
+// engine with no other events drains.
+//
+// Each node's start is drawn from its own stream, in node order. The whole
+// network then shares one pending event, which rotates the node that is due
+// and re-arms at the next one's instant: the instants, their order and the
+// pseudonyms are those of one sim.Engine.Ticker per node, which held N
+// events in the queue for the whole run.
 func (net *Network) RotatePseudonyms() {
-	for _, nd := range net.Nodes {
-		nd := nd
-		start := nd.rnd.Uniform(0, PseudonymLifetime)
-		net.Eng.Ticker(start, PseudonymLifetime, func(sim.Time) {
-			nd.rotatePseudonym()
-		})
+	if len(net.Nodes) == 0 {
+		return
 	}
+	r := &rotation{eng: net.Eng, due: make([]rotationDue, len(net.Nodes))}
+	for i, nd := range net.Nodes {
+		r.due[i] = rotationDue{at: nd.rnd.Uniform(0, PseudonymLifetime), nd: nd}
+	}
+	slices.SortFunc(r.due, func(a, b rotationDue) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.nd.ID, b.nd.ID)
+	})
+	r.eng.AtRunner(r.due[0].at, r)
+}
+
+// rotation is the network's pseudonym-rotation schedule: the nodes in the
+// order they first rotate, each with its next rotation instant, and the
+// index of the one due next. Every node's period is the same, and adding
+// it to two instants never reverses their order, so the nodes stay due in
+// this cyclic order for the whole run, and nodes whose instants meet rotate
+// in the order their per-node tickers would have.
+type rotation struct {
+	eng  *sim.Engine
+	due  []rotationDue
+	next int
+}
+
+// rotationDue is one node's next rotation instant.
+type rotationDue struct {
+	at sim.Time
+	nd *Node
+}
+
+// RunEvent implements sim.Runner: rotate the node that is due, move its
+// instant one lifetime on (accumulated as the ticker it replaces did), and
+// re-arm at the next node's instant.
+func (r *rotation) RunEvent() {
+	d := &r.due[r.next]
+	d.nd.rotatePseudonym()
+	d.at += PseudonymLifetime
+	if r.next++; r.next == len(r.due) {
+		r.next = 0
+	}
+	r.eng.AtRunner(r.due[r.next].at, r)
 }
 
 func (n *Node) rotatePseudonym() {

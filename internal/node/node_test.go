@@ -148,3 +148,76 @@ func TestCryptoOpCounters(t *testing.T) {
 		t.Fatalf("Pub ops = %d, want 2", net.Ops.Pub)
 	}
 }
+
+// rotationEvent is one observed pseudonym rotation.
+type rotationEvent struct {
+	at        sim.Time
+	id        medium.NodeID
+	pseudonym crypt.Pseudonym
+}
+
+// stepRotations executes the engine's events up to horizon and returns
+// every rotation in the order it happened. Only rotations are scheduled,
+// so each event rotates exactly one node; check runs after every event.
+func stepRotations(t *testing.T, eng *sim.Engine, net *Network, horizon sim.Time, check func()) []rotationEvent {
+	t.Helper()
+	updates := make([]int, net.N())
+	for i, nd := range net.Nodes {
+		updates[i] = nd.PseudonymUpdates
+	}
+	var got []rotationEvent
+	for eng.Now() < horizon && eng.Step() {
+		check()
+		rotated := 0
+		for i, nd := range net.Nodes {
+			if nd.PseudonymUpdates != updates[i] {
+				updates[i] = nd.PseudonymUpdates
+				rotated++
+				got = append(got, rotationEvent{at: eng.Now(), id: nd.ID, pseudonym: nd.Pseudonym})
+			}
+		}
+		if rotated != 1 {
+			t.Fatalf("event at t=%v rotated %d nodes, want 1", eng.Now(), rotated)
+		}
+	}
+	return got
+}
+
+// TestRotationMatchesPerNodeTickers: the network's one rotation event
+// rotates the nodes at the instants, in the order and to the pseudonyms
+// that one Engine.Ticker per node, each started from a draw on that node's
+// stream in node order, produces, while keeping one event pending, not N.
+func TestRotationMatchesPerNodeTickers(t *testing.T) {
+	const n = 50
+	const horizon = 3.5 * PseudonymLifetime
+
+	refEng, refNet := newTestNetwork(t, n, false)
+	for _, nd := range refNet.Nodes {
+		nd := nd
+		start := nd.rnd.Uniform(0, PseudonymLifetime)
+		refEng.Ticker(start, PseudonymLifetime, func(sim.Time) { nd.rotatePseudonym() })
+	}
+	want := stepRotations(t, refEng, refNet, horizon, func() {})
+
+	eng, net := newTestNetwork(t, n, true)
+	if eng.Pending() != 1 {
+		t.Fatalf("RotatePseudonyms left %d events pending, want 1", eng.Pending())
+	}
+	got := stepRotations(t, eng, net, horizon, func() {
+		if eng.Pending() != 1 {
+			t.Fatalf("%d events pending at t=%v, want 1", eng.Pending(), eng.Now())
+		}
+	})
+
+	if len(want) < 3*n {
+		t.Fatalf("reference rotated %d times, want at least three lifetimes of %d nodes", len(want), n)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rotations, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rotation %d: %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"alertmanet/internal/metrics"
 	"alertmanet/internal/node"
 	"alertmanet/internal/rng"
+	"alertmanet/internal/sim"
 )
 
 // Config tunes the ZAP model. The zero value is the paper's ZAP, with no
@@ -53,6 +54,8 @@ type meta struct {
 	completed bool
 	delivered bool
 	relayed   map[medium.NodeID]bool
+	// timeout is the give-up timer, cancelled when the packet completes.
+	timeout sim.EventID
 }
 
 // Protocol is one ZAP instance.
@@ -142,7 +145,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 		zone:    p.zoneFor(entry.Pos, side),
 		relayed: make(map[medium.NodeID]bool),
 	}
-	p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, 0, false) })
+	m.timeout = p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, 0, false) })
 	anchor := m.zone.Center()
 	pkt := p.router.NewPacket()
 	pkt.Dest = anchor
@@ -208,5 +211,6 @@ func (p *Protocol) finish(m *meta, at float64, delivered bool) {
 		return
 	}
 	m.completed = true
+	p.net.Eng.Cancel(m.timeout)
 	p.col.Complete(m.rec, at, delivered)
 }
