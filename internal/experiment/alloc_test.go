@@ -47,8 +47,8 @@ func buildLineProto(t *testing.T, name ProtocolName) (*sim.Engine, Proto) {
 	eng := sim.NewEngine()
 	src := rng.New(11)
 	med := medium.MustNew(eng, &lineModel{n: 10}, medium.DefaultParams(), src)
-	// No RotatePseudonyms: the rotation ticker is
-	// unbounded, and each send must drain the engine completely.
+	// No RotatePseudonyms: the rotation event re-arms without end, and
+	// each send must drain the engine completely.
 	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
 	loc := locservice.New(net, false)
 	switch name {

@@ -11,8 +11,9 @@ import (
 // packet's give-up timer is cancelled, and a lossless ACK that cannot fail
 // is settled as its data frame lands, so through the send horizon the
 // queue never holds more than a few events per flow. With one rotation
-// ticker per node and live give-up timers it held over 200 at the paper
-// default and over 3 600 on a 2 000-node field.
+// ticker per node and the give-up timers of completed packets still
+// pending, it held over 200 at the paper default and over 3 600 on a
+// 2 000-node field.
 //
 // The depth is sampled every sampleStep. Parked dead work stays in the
 // queue for seconds (a give-up timer for CompleteTimeout, a rotation ticker
@@ -32,7 +33,8 @@ func TestEventQueueDepth(t *testing.T) {
 		sc.Protocol = proto
 		runs = append(runs, run{string(proto), sc})
 	}
-	// The benchmark's 2 000-node GPSR field at the paper's density.
+	// sim-gpsr-large's scenario (bench/sim.go): 2 000 GPSR nodes at the
+	// paper's density.
 	large := DefaultScenario()
 	large.Protocol = GPSR
 	large.N = 2000

@@ -115,8 +115,8 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
 //
 // Each node's start is drawn from its own stream, in node order. The whole
 // network then shares one pending event, which rotates the node that is due
-// and re-arms at the next one's instant: the instants, their order and the
-// pseudonyms are those of one sim.Engine.Ticker per node, which held N
+// and re-arms at the next one's instant. The instants, their order and the
+// pseudonyms are those of one sim.Engine.Ticker per node, without keeping N
 // events in the queue for the whole run.
 func (net *Network) RotatePseudonyms() {
 	if len(net.Nodes) == 0 {
