@@ -119,12 +119,18 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite *crypt.FastSuite,
 // pseudonyms are those of one sim.Engine.Ticker per node, without keeping N
 // events in the queue for the whole run.
 func (net *Network) RotatePseudonyms() {
+	net.rotateFrom(func(nd *Node) sim.Time { return nd.rnd.Uniform(0, PseudonymLifetime) })
+}
+
+// rotateFrom arms the rotation schedule, each node first rotating at
+// start(node), called in node order.
+func (net *Network) rotateFrom(start func(*Node) sim.Time) {
 	if len(net.Nodes) == 0 {
 		return
 	}
 	r := &rotation{eng: net.Eng, due: make([]rotationDue, len(net.Nodes))}
 	for i, nd := range net.Nodes {
-		r.due[i] = rotationDue{at: nd.rnd.Uniform(0, PseudonymLifetime), nd: nd}
+		r.due[i] = rotationDue{at: start(nd), nd: nd}
 	}
 	slices.SortFunc(r.due, func(a, b rotationDue) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {

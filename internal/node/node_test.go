@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"testing"
 
 	"alertmanet/internal/crypt"
@@ -183,6 +184,16 @@ func stepRotations(t *testing.T, eng *sim.Engine, net *Network, horizon sim.Time
 	return got
 }
 
+// referenceRotation arms one Engine.Ticker per node, in node order, each
+// first firing at start(node): the per-node schedule the network's one
+// rotation event must reproduce.
+func referenceRotation(eng *sim.Engine, net *Network, start func(*Node) sim.Time) {
+	for _, nd := range net.Nodes {
+		nd := nd
+		eng.Ticker(start(nd), PseudonymLifetime, func(sim.Time) { nd.rotatePseudonym() })
+	}
+}
+
 // TestRotationMatchesPerNodeTickers: the network's one rotation event
 // rotates the nodes at the instants, in the order and to the pseudonyms
 // that one Engine.Ticker per node, each started from a draw on that node's
@@ -192,11 +203,7 @@ func TestRotationMatchesPerNodeTickers(t *testing.T) {
 	const horizon = 3.5 * PseudonymLifetime
 
 	refEng, refNet := newTestNetwork(t, n, false)
-	for _, nd := range refNet.Nodes {
-		nd := nd
-		start := nd.rnd.Uniform(0, PseudonymLifetime)
-		refEng.Ticker(start, PseudonymLifetime, func(sim.Time) { nd.rotatePseudonym() })
-	}
+	referenceRotation(refEng, refNet, func(nd *Node) sim.Time { return nd.rnd.Uniform(0, PseudonymLifetime) })
 	want := stepRotations(t, refEng, refNet, horizon, func() {})
 
 	eng, net := newTestNetwork(t, n, true)
@@ -213,6 +220,39 @@ func TestRotationMatchesPerNodeTickers(t *testing.T) {
 		t.Fatalf("reference rotated %d times, want at least three lifetimes of %d nodes", len(want), n)
 	}
 	if len(got) != len(want) {
+		t.Fatalf("%d rotations, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rotation %d: %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRotationTiesMatchPerNodeTickers: nodes whose instants meet rotate in
+// the order per-node tickers would. Equal starts go in node order. Two
+// distinct starts that adding one lifetime rounds to the same instant go
+// in the order they first rotated, which for nodes 0 and 2 here is not
+// their id order.
+func TestRotationTiesMatchPerNodeTickers(t *testing.T) {
+	a := 0.1
+	b := math.Nextafter(a, 1)
+	if a+PseudonymLifetime != b+PseudonymLifetime {
+		t.Fatalf("%v and %v stay apart after one lifetime", a, b)
+	}
+	starts := []sim.Time{b, 5, a, 5, 5}
+	start := func(nd *Node) sim.Time { return starts[nd.ID] }
+	const horizon = 3.5 * PseudonymLifetime
+
+	refEng, refNet := newTestNetwork(t, len(starts), false)
+	referenceRotation(refEng, refNet, start)
+	want := stepRotations(t, refEng, refNet, horizon, func() {})
+
+	eng, net := newTestNetwork(t, len(starts), false)
+	net.rotateFrom(start)
+	got := stepRotations(t, eng, net, horizon, func() {})
+
+	if len(got) != len(want) || len(want) < 3*len(starts) {
 		t.Fatalf("%d rotations, reference %d", len(got), len(want))
 	}
 	for i := range want {
