@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint allowlist race cover bench bench-test bench-pairs figures campaign-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test vet lint allowlist deadcode race cover bench bench-test bench-pairs figures campaign-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -25,6 +25,13 @@ lint:
 # reason — the audit trail for the lint contracts.
 allowlist:
 	$(GO) run ./cmd/alertlint -allowlist .
+
+# Fail on any function that no cmd/*, examples/* or bench program reaches
+# unless scripts/deadcode.allow lists it with a reason, and on any listed
+# function that is reached or no longer declared. Builds into a temporary
+# directory with inlining off; see scripts/deadcode.sh.
+deadcode:
+	sh scripts/deadcode.sh
 
 test:
 	$(GO) test ./...
@@ -71,10 +78,11 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Alternating before/after pairs of the repository benchmark, the checkout
-# against PARENT (a git revision): pair i runs seed SEED+i on both sides,
-# alternating which runs first, and the summary prints each end-to-end
-# metric's medians, quartiles, ratio and wins. Results stay under
-# .bench_build/pairs/. See scripts/bench-pairs.sh.
+# against PARENT (a git revision, checked out as a shared clone in
+# .bench_build/parent/ so its build is stamped with its own revision): pair
+# i runs seed SEED+i on both sides, alternating which runs first, and the
+# summary prints each end-to-end metric's medians, quartiles, ratio and
+# wins. Results stay under .bench_build/pairs/. See scripts/bench-pairs.sh.
 WORKLOAD ?= sim-alert
 PAIRS ?= 10
 SEED ?= 1

@@ -31,19 +31,11 @@ package alert
 import (
 	"fmt"
 
-	"alertmanet/internal/campaign"
-	"alertmanet/internal/core"
 	"alertmanet/internal/experiment"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
-	"alertmanet/internal/stats"
 	"alertmanet/internal/trace"
 )
-
-// sum converts an internal stats summary into the public Summary.
-func sum(s stats.Summary) Summary {
-	return Summary{N: s.N, Mean: s.Mean, StdDev: s.StdDev, CI95: s.CI95}
-}
 
 // Protocol selects the routing protocol under test.
 type Protocol string
@@ -218,36 +210,6 @@ func (c Config) scenario() experiment.Scenario {
 	return sc
 }
 
-// PresetInfo describes one named scenario preset.
-type PresetInfo struct {
-	Name        string
-	Description string
-}
-
-// ListPresets returns the built-in scenario presets.
-func ListPresets() []PresetInfo {
-	var out []PresetInfo
-	for _, p := range experiment.Presets() {
-		out = append(out, PresetInfo{Name: p.Name, Description: p.Description})
-	}
-	return out
-}
-
-// RunPreset executes a named preset under the given seed.
-func RunPreset(name string, seed int64) (Result, error) {
-	p, err := experiment.FindPreset(name)
-	if err != nil {
-		return Result{}, err
-	}
-	sc := p.Scenario
-	sc.Seed = seed
-	r, err := experiment.Run(sc)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultFrom(r), nil
-}
-
 // Result summarizes one run with the paper's metrics.
 type Result struct {
 	// PacketsSent is the number of application packets issued.
@@ -302,53 +264,6 @@ func Run(cfg Config) (Result, error) {
 	return resultFrom(r), nil
 }
 
-// Summary is a mean with spread over independent seeded runs.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	// CI95 is the 95% Student-t confidence half-width (the paper's
-	// "I"-shaped intervals over 30 runs).
-	CI95 float64
-}
-
-// Aggregate holds multi-run summaries of each metric.
-type Aggregate struct {
-	DeliveryRate         Summary
-	MeanLatencySeconds   Summary
-	HopsPerPacket        Summary
-	MeanRandomForwarders Summary
-	ParticipatingNodes   Summary
-	RouteSimilarity      Summary
-}
-
-// RunSeeds runs the workload under seeds 1..seeds (the paper uses 30), as
-// one batch on a campaign engine, and aggregates the metrics.
-func RunSeeds(cfg Config, seeds int) (Aggregate, error) {
-	sc := cfg.scenario()
-	if err := sc.Validate(); err != nil {
-		return Aggregate{}, err
-	}
-	cells := make([]experiment.Scenario, seeds)
-	for i := range cells {
-		cells[i] = sc
-		cells[i].Seed = int64(i + 1)
-	}
-	results, err := (&campaign.Engine{}).RunBatch(cells)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	a := experiment.AggregateResults(results)
-	return Aggregate{
-		DeliveryRate:         sum(a.DeliveryRate),
-		MeanLatencySeconds:   sum(a.MeanLatency),
-		HopsPerPacket:        sum(a.HopsPerPacket),
-		MeanRandomForwarders: sum(a.MeanRFs),
-		ParticipatingNodes:   sum(a.Participants),
-		RouteSimilarity:      sum(a.RouteJaccard),
-	}, nil
-}
-
 // Delivery reports one application-level delivery at the destination.
 type Delivery struct {
 	Src, Dst int
@@ -388,15 +303,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 // Nodes returns the network size.
 func (n *Network) Nodes() int { return n.w.Net.N() }
 
-// Now returns the current simulated time in seconds.
-func (n *Network) Now() float64 { return n.w.Eng.Now() }
-
 // OnDeliver registers a callback for application deliveries (ALERT only).
 func (n *Network) OnDeliver(fn func(Delivery)) { n.onDeliver = fn }
 
 // Send routes one message from node src to node dst with the configured
 // protocol. It returns an error for invalid node ids; the transmission
-// itself is asynchronous — advance time with RunFor or RunUntil.
+// itself is asynchronous — advance time with RunFor.
 func (n *Network) Send(src, dst int, data []byte) error {
 	if src < 0 || src >= n.Nodes() || dst < 0 || dst >= n.Nodes() {
 		return fmt.Errorf("alert: node id out of range [0, %d)", n.Nodes())
@@ -408,40 +320,8 @@ func (n *Network) Send(src, dst int, data []byte) error {
 	return err
 }
 
-// OnRequest sets the destination-side request handler: when a request
-// reaches a destination, the handler's return value is routed back
-// anonymously to the source zone (ALERT only; Section 2.2's
-// request/response interaction).
-func (n *Network) OnRequest(fn func(dst int, query []byte) []byte) {
-	if n.w.Alert == nil || fn == nil {
-		return
-	}
-	n.w.Alert.OnRequest = func(dst medium.NodeID, query []byte) []byte {
-		return fn(int(dst), query)
-	}
-}
-
-// Request sends a query from src to dst and invokes onReply at the source
-// when the destination's response arrives (requires OnRequest to be set).
-func (n *Network) Request(src, dst int, query []byte, onReply func(data []byte, at float64)) error {
-	if src < 0 || src >= n.Nodes() || dst < 0 || dst >= n.Nodes() {
-		return fmt.Errorf("alert: node id out of range [0, %d)", n.Nodes())
-	}
-	if src == dst {
-		return fmt.Errorf("alert: source and destination are the same node")
-	}
-	if n.w.Alert == nil {
-		return fmt.Errorf("alert: request/reply requires the ALERT protocol")
-	}
-	_, err := n.w.Alert.Request(medium.NodeID(src), medium.NodeID(dst), query, onReply)
-	return err
-}
-
 // RunFor advances the simulation by d simulated seconds.
 func (n *Network) RunFor(d float64) { n.w.Eng.RunUntil(n.w.Eng.Now() + d) }
-
-// RunUntil advances the simulation to absolute time t.
-func (n *Network) RunUntil(t float64) { n.w.Eng.RunUntil(t) }
 
 // Position returns a node's current true position in meters.
 func (n *Network) Position(id int) (x, y float64) {
@@ -483,27 +363,6 @@ func (n *Network) RouteMap(w, h int) (string, error) {
 	return "", nil
 }
 
-// RouteSVG renders the most recent delivered packet's route as an SVG
-// document (see RouteMap for the ASCII form). Returns "" before the first
-// delivery.
-func (n *Network) RouteSVG(width int, title string) string {
-	recs := n.w.Proto.Collector().Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if !r.Delivered {
-			continue
-		}
-		positions := make([]geo.Point, n.Nodes())
-		for id := range positions {
-			positions[id] = n.w.Med.PositionNow(medium.NodeID(id))
-		}
-		zd := experiment.ZoneOf(n.w, r.Dst)
-		return trace.RouteSVG(n.w.Net.Field(), positions, r.Path, r.Src, r.Dst,
-			zd, trace.SVGOptions{Width: width, Title: title})
-	}
-	return ""
-}
-
 // PartitionDepth returns ALERT's H for this network (0 for baselines).
 func (n *Network) PartitionDepth() int {
 	if n.w.Alert == nil {
@@ -511,6 +370,3 @@ func (n *Network) PartitionDepth() int {
 	}
 	return n.w.Alert.H()
 }
-
-// ALERTConfig exposes the full protocol configuration for advanced use.
-func ALERTConfig() core.Config { return core.DefaultConfig() }

@@ -1,6 +1,7 @@
-// Public access to the paper's Section 4 closed forms and Section 3 attack
-// experiments, so downstream users can reproduce the analytical figures and
-// the anonymity evaluations without touching internal packages.
+// Public access to the paper's Section 3 attack experiments and to
+// Equation (15), the destination zone's remaining nodes, so downstream
+// users can run the anonymity evaluations without touching internal
+// packages.
 
 package alert
 
@@ -9,31 +10,11 @@ import (
 	"alertmanet/internal/experiment"
 )
 
-// ExpectedRandomForwarders evaluates Equation (10): the expected number of
-// random forwarders on an ALERT route with h partitions (Fig. 7b's line).
-func ExpectedRandomForwarders(h int) float64 {
-	return analysis.ExpectedRFs(h)
-}
-
-// PossibleParticipatingNodes evaluates Equation (7): the expected number of
-// nodes that can take part in one S-D routing, for n nodes on a square
-// field of the given side length with h partitions (Fig. 7a).
-func PossibleParticipatingNodes(n, h int, fieldSide float64) float64 {
-	return analysis.PossibleParticipants(n, h, fieldSide, fieldSide)
-}
-
 // RemainingNodes evaluates Equation (15): the expected number of the
 // destination zone's original nodes still inside after t seconds, for n
 // nodes on a square field partitioned h times with node speed v (Fig. 9).
 func RemainingNodes(t float64, n, h int, fieldSide, speed float64) float64 {
 	return analysis.RemainingNodes(t, n, h, fieldSide, speed)
-}
-
-// RequiredDensity inverts Equation (15): the node count needed to keep
-// `remaining` nodes in the destination zone after t seconds at speed v
-// (Fig. 13b's analytical counterpart).
-func RequiredDensity(remaining, t float64, h int, fieldSide, speed float64) float64 {
-	return analysis.RequiredDensity(remaining, t, h, fieldSide, speed)
 }
 
 // IntersectionAttackResult reports a Section 3.3 attack session.
@@ -107,21 +88,4 @@ func RunDoSAttack(seed int64, protocol Protocol, packets, compromise int) DoSAtt
 func InterceptionProbability(seed int64, protocol Protocol, packets, compromised int) float64 {
 	return experiment.InterceptionExperiment(seed,
 		experiment.ProtocolName(protocol), packets, compromised)
-}
-
-// ZoneCoveragePercent evaluates Section 3.3's coverage expression for the
-// two-step multicast: the fraction of destination-zone nodes that receive a
-// packet when m of k nodes get step one and a fraction pc of the rest hear
-// the re-broadcast.
-func ZoneCoveragePercent(m, k int, pc float64) float64 {
-	return analysis.CoveragePercent(m, k, pc)
-}
-
-// SourceLocationError measures Section 2.1's triangulation risk: how far an
-// eavesdropper's estimate of the source position (the first transmission it
-// sees in the send window) lands from the true source, with or without
-// notify-and-go cover traffic. Returns a negative value if the observer saw
-// nothing.
-func SourceLocationError(seed int64, notifyAndGo bool) float64 {
-	return experiment.SourceLocationError(seed, notifyAndGo)
 }

@@ -35,11 +35,3 @@ func ExampleRunIntersectionAttack() {
 	// plain broadcast, D still a candidate: true
 	// two-step multicast, D still a candidate: false
 }
-
-// ExampleExpectedRandomForwarders evaluates Equation (10) for the paper's
-// default H = 5.
-func ExampleExpectedRandomForwarders() {
-	fmt.Printf("%.4f\n", alert.ExpectedRandomForwarders(5))
-	// Output:
-	// 1.5312
-}

@@ -124,9 +124,10 @@ func (c *TimingCorrelator) Score(tolerance float64) float64 {
 }
 
 // RouteTracker measures route predictability (Section 3.1): feed it the
-// relay sets of successive packets of one flow; MeanJaccard near 1 means
-// the flow always uses the same nodes (traceable, interceptable), near 0
-// means every packet takes a fresh route.
+// relay sets of successive packets of one flow, then ask how often a fixed
+// set of compromised nodes would capture a packet, or how spread the
+// routes are over the relays. (The mean Jaccard similarity of successive
+// routes is experiment's Result.RouteJaccard.)
 type RouteTracker struct {
 	routes []map[medium.NodeID]struct{}
 }
@@ -142,19 +143,6 @@ func (r *RouteTracker) AddRoute(path []medium.NodeID) {
 
 // Routes returns how many packets have been recorded.
 func (r *RouteTracker) Routes() int { return len(r.routes) }
-
-// MeanJaccard returns the average Jaccard similarity between consecutive
-// packets' relay sets.
-func (r *RouteTracker) MeanJaccard() float64 {
-	if len(r.routes) < 2 {
-		return 0
-	}
-	total := 0.0
-	for i := 1; i < len(r.routes); i++ {
-		total += jaccard(r.routes[i-1], r.routes[i])
-	}
-	return total / float64(len(r.routes)-1)
-}
 
 // InterceptionProbability returns how often a fixed set of compromised
 // nodes would capture a packet: the fraction of recorded routes containing
@@ -174,23 +162,6 @@ func (r *RouteTracker) InterceptionProbability(compromised []medium.NodeID) floa
 		}
 	}
 	return float64(hit) / float64(len(r.routes))
-}
-
-func jaccard(a, b map[medium.NodeID]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for id := range a {
-		if _, ok := b[id]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // RouteEntropy returns the Shannon entropy (bits) of the relay-usage

@@ -130,43 +130,14 @@ func TestTimingCorrelatorEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRouteTrackerJaccard(t *testing.T) {
-	var r RouteTracker
-	r.AddRoute([]medium.NodeID{1, 2, 3})
-	r.AddRoute([]medium.NodeID{1, 2, 3})
-	if !closeTo(r.MeanJaccard(), 1, 1e-9) {
-		t.Fatalf("identical routes Jaccard = %v", r.MeanJaccard())
-	}
-	var r2 RouteTracker
-	r2.AddRoute([]medium.NodeID{1, 2, 3})
-	r2.AddRoute([]medium.NodeID{4, 5, 6})
-	if r2.MeanJaccard() != 0 {
-		t.Fatalf("disjoint routes Jaccard = %v", r2.MeanJaccard())
-	}
-	var r3 RouteTracker
-	r3.AddRoute([]medium.NodeID{1, 2})
-	r3.AddRoute([]medium.NodeID{2, 3})
-	if !closeTo(r3.MeanJaccard(), 1.0/3, 1e-9) {
-		t.Fatalf("partial overlap Jaccard = %v, want 1/3", r3.MeanJaccard())
-	}
-	if r3.Routes() != 2 {
-		t.Fatal("Routes wrong")
-	}
-}
-
-func TestRouteTrackerSingleRoute(t *testing.T) {
-	var r RouteTracker
-	r.AddRoute([]medium.NodeID{1})
-	if r.MeanJaccard() != 0 {
-		t.Fatal("single route has no pairwise similarity")
-	}
-}
-
 func TestInterceptionProbability(t *testing.T) {
 	var r RouteTracker
 	r.AddRoute([]medium.NodeID{1, 2, 3})
 	r.AddRoute([]medium.NodeID{4, 5, 6})
 	r.AddRoute([]medium.NodeID{2, 7})
+	if r.Routes() != 3 {
+		t.Fatal("Routes wrong")
+	}
 	if p := r.InterceptionProbability([]medium.NodeID{2}); !closeTo(p, 2.0/3, 1e-9) {
 		t.Fatalf("interception = %v, want 2/3", p)
 	}

@@ -100,9 +100,6 @@ func (p *Protocol) disseminate() {
 	p.col.ExtraHops += uint64(p.net.N() * disseminationRelays)
 }
 
-// Rounds returns how many dissemination rounds have run.
-func (p *Protocol) Rounds() int { return p.rounds }
-
 // Collector returns the run's metrics.
 func (p *Protocol) Collector() *metrics.Collector { return p.col }
 
@@ -114,11 +111,7 @@ func (p *Protocol) Router() *gpsr.Router { return p.router }
 // Proto interface.
 func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, error) {
 	rec := p.col.Start(src, dst, p.net.Eng.Now())
-	entry, ok := p.loc.Lookup(dst)
-	if !ok {
-		p.col.Complete(rec, 0, false)
-		return rec, nil
-	}
+	entry := p.loc.Lookup(dst)
 	m := &meta{rec: rec}
 	finish := func(pkt *gpsr.Packet, at float64, delivered bool) {
 		if m.completed {

@@ -69,8 +69,8 @@ func TestDisseminationRounds(t *testing.T) {
 	cfg.DisseminationPeriod = 30
 	eng, _, p := build(3, 100, cfg)
 	eng.RunUntil(100)
-	if p.Rounds() != 3 {
-		t.Fatalf("rounds = %d in 100 s with 30 s period, want 3", p.Rounds())
+	if p.rounds != 3 {
+		t.Fatalf("rounds = %d in 100 s with 30 s period, want 3", p.rounds)
 	}
 	wantExtra := uint64(3 * 100 * disseminationRelays)
 	if p.Collector().ExtraHops != wantExtra {
@@ -83,7 +83,7 @@ func TestDisseminationDisabled(t *testing.T) {
 	cfg.DisseminationPeriod = 0
 	eng, _, p := build(4, 50, cfg)
 	eng.RunUntil(100)
-	if p.Rounds() != 0 || p.Collector().ExtraHops != 0 {
+	if p.rounds != 0 || p.Collector().ExtraHops != 0 {
 		t.Fatal("dissemination should be off")
 	}
 }
@@ -134,21 +134,3 @@ func (p *pinned) Position(id int, _ float64) geo.Point { return p.pos[id] }
 func (p *pinned) N() int                               { return len(p.pos) }
 func (p *pinned) Field() geo.Rect                      { return field }
 func (p *pinned) MaxSpeed() float64                    { return 0 }
-
-func TestLocServiceFailure(t *testing.T) {
-	eng := sim.NewEngine()
-	src := rng.New(7)
-	mob := mobility.NewStatic(field, 30, src)
-	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, true)
-	p := New(net, loc, DefaultConfig(), 512)
-	for i := 0; i < loc.NumServers(); i++ {
-		loc.FailServer(i)
-	}
-	rec, _ := p.Send(0, 5, []byte("x"))
-	eng.RunUntil(5)
-	if rec.Delivered || p.Collector().Completed() != 1 {
-		t.Fatal("send without location service should fail fast")
-	}
-}

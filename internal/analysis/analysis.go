@@ -136,19 +136,6 @@ func RemainingNodes(t float64, n, h int, lA, speed float64) float64 {
 	return RemainProb(t, halfSide, speed) * a * b * rho
 }
 
-// RequiredDensity inverts Equation (15) for Fig. 13b: the node count (per
-// lA x lA field) needed so that `remaining` nodes are still in the
-// destination zone after time t at the given speed.
-func RequiredDensity(remaining, t float64, h int, lA, speed float64) float64 {
-	a, b := SideLengths(h, lA, lA)
-	halfSide := math.Sqrt(a*b) / 2
-	p := RemainProb(t, halfSide, speed)
-	if p <= 0 || a*b <= 0 {
-		return math.Inf(1)
-	}
-	return remaining / p / (a * b) * (lA * lA)
-}
-
 // Series is a labeled sequence of (x, y) points, the unit all figure
 // generators produce. Err, when non-nil, holds the 95% confidence
 // half-width per point (the paper's "I"-shaped intervals).
@@ -261,23 +248,4 @@ func appendInt(b []byte, v int) []byte {
 		v /= 10
 	}
 	return append(b, digits[p:]...)
-}
-
-// CoveragePercent is Section 3.3's coverage expression for the two-step
-// multicast: with m of the k zone nodes receiving step one and a fraction
-// p_c of the remaining k-m nodes hearing the step-two re-broadcasts, the
-// fraction of Z_D that receives the packet is
-//
-//	m/k + (1 - m/k) * p_c = p_c + m * (1 - p_c) / k.
-//
-// Guaranteed delivery requires p_c = 1, achievable with a moderate m for
-// the paper's transmission range (core sizes m automatically when M == 0).
-func CoveragePercent(m, k int, pc float64) float64 {
-	if k <= 0 || m < 0 {
-		return 0
-	}
-	if m > k {
-		m = k
-	}
-	return pc + float64(m)*(1-pc)/float64(k)
 }

@@ -210,21 +210,6 @@ func TestRemainingNodesShapes(t *testing.T) {
 	}
 }
 
-func TestRequiredDensityInverts(t *testing.T) {
-	// Fig. 13b: RequiredDensity is the inverse of RemainingNodes in N.
-	for _, v := range []float64{1, 2, 4, 8} {
-		n := RequiredDensity(5, 10, 5, 1000, v)
-		back := RemainingNodes(10, int(math.Round(n)), 5, 1000, v)
-		if !close(back, 5, 0.1) {
-			t.Fatalf("v=%v: density %v gives back %v remaining, want 5", v, n, back)
-		}
-	}
-	// Faster movement requires higher density.
-	if RequiredDensity(5, 10, 5, 1000, 8) <= RequiredDensity(5, 10, 5, 1000, 2) {
-		t.Fatal("required density should grow with speed")
-	}
-}
-
 func TestFig7aSeries(t *testing.T) {
 	series := Fig7aPossibleParticipants([]int{100, 200, 400}, 7, 1000)
 	if len(series) != 3 {
@@ -316,37 +301,5 @@ func TestQuickRemainingBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCoveragePercent(t *testing.T) {
-	// Both algebraic forms of the Section 3.3 expression agree.
-	for _, c := range []struct {
-		m, k int
-		pc   float64
-	}{
-		{3, 6, 0.5}, {1, 6, 0.9}, {6, 6, 0}, {0, 6, 0.7},
-	} {
-		got := CoveragePercent(c.m, c.k, c.pc)
-		want := float64(c.m)/float64(c.k) + (1-float64(c.m)/float64(c.k))*c.pc
-		if !close(got, want, 1e-12) {
-			t.Fatalf("m=%d k=%d pc=%v: %v != %v", c.m, c.k, c.pc, got, want)
-		}
-	}
-	// p_c = 1 guarantees full coverage regardless of m.
-	if !close(CoveragePercent(1, 6, 1), 1, 1e-12) {
-		t.Fatal("pc=1 should give full coverage")
-	}
-	// m = k covers everyone in step one alone.
-	if !close(CoveragePercent(6, 6, 0), 1, 1e-12) {
-		t.Fatal("m=k should give full coverage")
-	}
-	// Degenerate inputs.
-	if CoveragePercent(3, 0, 0.5) != 0 || CoveragePercent(-1, 6, 0.5) != 0 {
-		t.Fatal("degenerate inputs should be 0")
-	}
-	// m > k clamps.
-	if !close(CoveragePercent(9, 6, 0), 1, 1e-12) {
-		t.Fatal("m > k should clamp to full coverage")
 	}
 }

@@ -137,11 +137,7 @@ func (p *Protocol) virtualDest(s, d geo.Point) geo.Point {
 // interface.
 func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, error) {
 	rec := p.col.Start(src, dst, p.net.Eng.Now())
-	entry, ok := p.loc.Lookup(dst)
-	if !ok {
-		p.col.Complete(rec, 0, false)
-		return rec, nil
-	}
+	entry := p.loc.Lookup(dst)
 	m := &meta{rec: rec, dst: dst}
 	m.timeout = p.net.Eng.Schedule(gpsr.CompleteTimeout, func() { p.finish(m, nil, 0, false) })
 	vd := p.virtualDest(p.net.Med.BeaconPosition(src), entry.Pos)

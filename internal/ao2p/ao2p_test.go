@@ -138,21 +138,3 @@ func (p *pinned) Position(id int, _ float64) geo.Point { return p.pos[id] }
 func (p *pinned) N() int                               { return len(p.pos) }
 func (p *pinned) Field() geo.Rect                      { return field }
 func (p *pinned) MaxSpeed() float64                    { return 0 }
-
-func TestLocServiceFailure(t *testing.T) {
-	eng := sim.NewEngine()
-	src := rng.New(7)
-	mob := mobility.NewStatic(field, 20, src)
-	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
-	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.ZeroCostModel(), src)
-	loc := locservice.New(net, true)
-	p := New(net, loc, 512, src)
-	for i := 0; i < loc.NumServers(); i++ {
-		loc.FailServer(i)
-	}
-	rec, _ := p.Send(0, 5, []byte("x"))
-	eng.RunUntil(5)
-	if rec.Delivered || p.Collector().Completed() != 1 {
-		t.Fatal("send without location service should fail fast")
-	}
-}

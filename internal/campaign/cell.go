@@ -55,14 +55,6 @@ func (c Cell) Key() string {
 	return c.Rem.Hash()
 }
 
-// Seed returns the cell's random seed.
-func (c Cell) Seed() int64 {
-	if c.Kind == KindRun {
-		return c.Run.Seed
-	}
-	return c.Rem.Seed
-}
-
 // Label renders the cell for progress lines and error messages.
 func (c Cell) Label() string {
 	if c.Kind == KindRun {

@@ -174,9 +174,6 @@ func (s *Store) Records() []*Record {
 	return out
 }
 
-// Dir returns the campaign directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close syncs and closes the underlying file.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -130,7 +130,6 @@ type Counters struct {
 	CoversHeard     uint64
 	Acks            uint64
 	NAKs            uint64
-	Replies         uint64
 	Resends         uint64
 	LegDrops        uint64
 }
@@ -149,9 +148,6 @@ type flight struct {
 	retryID    sim.EventID
 	hasTimeout bool
 	hasRetry   bool
-	// request/reply state
-	onReply ReplyFunc
-	replied bool // S has taken a copy of the reply
 }
 
 type sessKey struct {
@@ -208,10 +204,6 @@ type Protocol struct {
 
 	// OnDeliver, when set, observes every first delivery at D.
 	OnDeliver DeliverFunc
-	// OnRequest, when set, is the destination-side application handler:
-	// it produces the response to a delivered request (Section 2.2's
-	// "the destination responds with data").
-	OnRequest RequestHandler
 	// OnZoneRecipients, when set, observes zone delivery recipient sets.
 	OnZoneRecipients ZoneRecipientsFunc
 
@@ -267,16 +259,6 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int,
 	return p, nil
 }
 
-// MustNew is New for callers whose configuration is known good (tests and
-// presets); it panics on error.
-func MustNew(net *node.Network, loc *locservice.Service, cfg Config, packetSize int, src *rng.Source) *Protocol {
-	p, err := New(net, loc, cfg, packetSize, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // H returns the partition depth in use.
 func (p *Protocol) H() int { return p.hDef }
 
@@ -289,14 +271,6 @@ func (p *Protocol) Counters() Counters { return p.counts }
 // Router exposes the underlying GPSR router (its counters feed the
 // evaluation).
 func (p *Protocol) Router() *gpsr.Router { return p.router }
-
-// DestZoneFor returns the destination zone ALERT would compute for a node's
-// currently registered position — the paper's Z_D (experiments use it to
-// track remaining nodes).
-func (p *Protocol) DestZoneFor(dst medium.NodeID) geo.Rect {
-	e, _ := p.loc.Lookup(dst)
-	return geo.DestZone(p.field, e.Pos, p.hDef, geo.Vertical)
-}
 
 func (p *Protocol) session(src, dst medium.NodeID) *session {
 	k := sessKey{src, dst}

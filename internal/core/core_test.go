@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"alertmanet/internal/crypt"
@@ -527,21 +529,6 @@ func TestMeanRFsGrowsWithH(t *testing.T) {
 	}
 }
 
-func TestLocServiceFailureBlocksSend(t *testing.T) {
-	w := build(20, 50, 0, DefaultConfig())
-	for i := 0; i < w.loc.NumServers(); i++ {
-		w.loc.FailServer(i)
-	}
-	rec, _ := w.prot.Send(0, 10, []byte("x"))
-	w.eng.RunUntil(10)
-	if rec.Delivered {
-		t.Fatal("send should fail with no location service")
-	}
-	if w.prot.Collector().Completed() != 1 {
-		t.Fatal("record should complete immediately")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if KindData.String() != "data" || KindAck.String() != "ack" || KindNAK.String() != "nak" {
 		t.Fatal("kind strings wrong")
@@ -716,4 +703,29 @@ func TestCompletedFlightsAreRetired(t *testing.T) {
 	if w.prot.Collector().Completed() != 20 {
 		t.Fatalf("completed = %d", w.prot.Collector().Completed())
 	}
+}
+
+// decodeTTL parses an EncTTL plaintext.
+func decodeTTL(buf []byte) (int, error) {
+	if len(buf) != 2 {
+		return 0, errors.New("core: malformed TTL")
+	}
+	return int(binary.BigEndian.Uint16(buf)), nil
+}
+
+// DestZoneFor returns the destination zone ALERT would compute for a node's
+// currently registered position — the paper's Z_D (experiments use it to
+// track remaining nodes).
+func (p *Protocol) DestZoneFor(dst medium.NodeID) geo.Rect {
+	e := p.loc.Lookup(dst)
+	return geo.DestZone(p.field, e.Pos, p.hDef, geo.Vertical)
+}
+
+// MustNew is New for a configuration known good; it panics on error.
+func MustNew(net *node.Network, loc *locservice.Service, cfg Config, packetSize int, src *rng.Source) *Protocol {
+	p, err := New(net, loc, cfg, packetSize, src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -42,12 +42,12 @@ func twoClusters(t *testing.T) (*sim.Engine, *node.Network, *Protocol) {
 }
 
 // copiesHeard counts, per sequence number, the zone-delivery copies that
-// node at receives from distinct senders, replies or data as asked.
-func copiesHeard(med *medium.Medium, at medium.NodeID, replies bool) map[int]map[medium.NodeID]bool {
+// node at receives from distinct senders.
+func copiesHeard(med *medium.Medium, at medium.NodeID) map[int]map[medium.NodeID]bool {
 	heard := map[int]map[medium.NodeID]bool{}
 	med.TapRecv(func(r medium.Reception) {
 		zd, ok := r.Payload.(*ZoneDelivery)
-		if !ok || r.To != at || zd.Env.isReply != replies {
+		if !ok || r.To != at {
 			return
 		}
 		if heard[zd.Env.Seq] == nil {
@@ -61,13 +61,12 @@ func copiesHeard(med *medium.Medium, at medium.NodeID, replies bool) map[int]map
 // TestAddresseeOpensOnce: the destination hears every packet's zone
 // broadcast from the origin and from at least two relays, and opens one
 // copy of each — one symmetric open per packet and the session's two
-// public-key decryptions once, the cost model's DestCharge. The source of
-// a request opens each reply once in the same way.
+// public-key decryptions once, the cost model's DestCharge.
 func TestAddresseeOpensOnce(t *testing.T) {
 	const s, d, packets = 7, 17, 5
 	t.Run("data", func(t *testing.T) {
 		eng, net, prot := twoClusters(t)
-		heard := copiesHeard(net.Med, d, false)
+		heard := copiesHeard(net.Med, d)
 		for i := 0; i < packets; i++ {
 			eng.At(float64(2*i)+0.01, func() { prot.Send(s, d, []byte("x")) })
 		}
@@ -84,30 +83,6 @@ func TestAddresseeOpensOnce(t *testing.T) {
 		// source zone are sealed and opened once.
 		if net.Ops.Sym != 2*packets || net.Ops.Pub != 4 {
 			t.Fatalf("crypto ops sym %d pub %d, want %d and 4", net.Ops.Sym, net.Ops.Pub, 2*packets)
-		}
-	})
-	t.Run("reply", func(t *testing.T) {
-		eng, net, prot := twoClusters(t)
-		heard := copiesHeard(net.Med, s, true)
-		prot.OnRequest = func(_ medium.NodeID, q []byte) []byte { return q }
-		replies := make([]int, packets)
-		for i := 0; i < packets; i++ {
-			eng.At(float64(2*i)+0.01, func() {
-				prot.Request(s, d, []byte("q"), func([]byte, float64) { replies[i]++ })
-			})
-		}
-		eng.RunUntil(20)
-		for seq := 0; seq < packets; seq++ {
-			if len(heard[seq]) < 3 {
-				t.Fatalf("S heard reply %d from %d senders; the field must give it at least 3", seq, len(heard[seq]))
-			}
-			if replies[seq] != 1 {
-				t.Fatalf("reply %d delivered %d times", seq, replies[seq])
-			}
-		}
-		// Requests: S seals, D opens. Replies: D seals, S opens.
-		if net.Ops.Sym != 4*packets || net.Ops.Pub != 4 {
-			t.Fatalf("crypto ops sym %d pub %d, want %d and 4", net.Ops.Sym, net.Ops.Pub, 4*packets)
 		}
 	})
 }

@@ -36,7 +36,7 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 	// Intersection guard: pick m holder nodes from the neighbors inside
 	// Z_D (the last RF knows zone membership from hello beacons).
 	var candidates []medium.NodeID
-	if env.Kind == KindData && !env.isReply && p.cfg.IntersectionGuard {
+	if env.Kind == KindData && p.cfg.IntersectionGuard {
 		for _, nb := range p.net.Med.Neighbors(at) {
 			if env.LZD.Contains(nb.Pos) {
 				candidates = append(candidates, nb.ID)
@@ -48,9 +48,6 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 		// nobody else is visible in the zone.
 		if f != nil {
 			f.rec.Hops++
-		}
-		if f == nil && env.isReply {
-			env.replyHops++
 		}
 		p.counts.ZoneBroadcasts++
 		if env.relayed == nil {
@@ -207,10 +204,6 @@ func (p *Protocol) zoneMembers(at medium.NodeID, zone geo.Rect) []medium.Neighbo
 func (p *Protocol) recognize(at medium.NodeID, env *Envelope) {
 	switch env.Kind {
 	case KindData:
-		if env.isReply {
-			p.deliverReply(at, env)
-			return
-		}
 		nd := p.net.Node(at)
 		if env.PD == nd.Pseudonym || env.PD == nd.RegisteredPseudonym {
 			p.deliverData(at, env)
@@ -316,9 +309,6 @@ func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 		p.complete(f, now, true)
 		if p.OnDeliver != nil {
 			p.OnDeliver(f.src, f.dst, env.Seq, plain, now)
-		}
-		if env.isRequest {
-			p.respond(at, env, sess, plain)
 		}
 		p.destFeedback(at, env, sess, f)
 	})

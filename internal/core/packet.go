@@ -83,7 +83,8 @@ type Envelope struct {
 	PS, PD crypt.Pseudonym
 	Partition
 	// EncLZS is the source zone position encrypted under the
-	// destination's public key (only D can learn where to send replies).
+	// destination's public key (only D can learn where to send
+	// confirmations and NAKs).
 	EncLZS []byte
 	// DPub is the destination's public key, carried so the last random
 	// forwarder can encrypt the Bitmap under K_pub^D (Section 3.3). A
@@ -109,15 +110,6 @@ type Envelope struct {
 	// during the Z_D zone broadcast, so the one-round in-zone relay
 	// terminates (sim bookkeeping; real nodes dedup by packet id).
 	relayed map[medium.NodeID]bool
-	// isRequest marks an RREQ expecting a response; isReply marks the
-	// RREP carrying it. replyFor links a reply to its request's flight
-	// (in a real deployment the link is the session key + sequence
-	// number, both inside encrypted fields). replyHops accumulates the
-	// reply leg's transmissions for the request record's hop count.
-	isRequest bool
-	isReply   bool
-	replyFor  *flight
-	replyHops int
 
 	// flight is simulation bookkeeping (metrics record, retry state);
 	// it stands outside the wire format.
@@ -140,7 +132,7 @@ type ZoneDelivery struct {
 }
 
 // envTrace returns the telemetry packet id an envelope's events attribute
-// to: its flight's metrics sequence number, or NoTrace for reply/ack/NAK
+// to: its flight's metrics sequence number, or NoTrace for ack/NAK
 // envelopes that have no flight of their own.
 func envTrace(env *Envelope) int {
 	if env.flight != nil {
@@ -192,12 +184,4 @@ func encodeTTL(ttl int) []byte {
 	var buf [2]byte
 	binary.BigEndian.PutUint16(buf[:], uint16(ttl))
 	return buf[:]
-}
-
-// decodeTTL parses an EncTTL plaintext.
-func decodeTTL(buf []byte) (int, error) {
-	if len(buf) != 2 {
-		return 0, errors.New("core: malformed TTL")
-	}
-	return int(binary.BigEndian.Uint16(buf)), nil
 }

@@ -27,12 +27,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	rec := p.col.Start(src, dst, now)
 	p.counts.DataSent++
 
-	entry, ok := p.loc.Lookup(dst)
-	if !ok {
-		// Location service unavailable: packet cannot even start.
-		p.col.Complete(rec, 0, false)
-		return rec, nil
-	}
+	entry := p.loc.Lookup(dst)
 
 	sess := p.session(src, dst)
 	chargeSetup := false
@@ -295,8 +290,6 @@ func (p *Protocol) route(at medium.NodeID, env *Envelope) {
 		if f != nil {
 			f.rec.Hops += gp.Hops
 			f.rec.Path = append(f.rec.Path, gp.Path...)
-		} else if env.isReply {
-			env.replyHops += gp.Hops
 		}
 		// Each leg rides its own frame; this one is finished regardless
 		// of how the leg ended (route() takes a fresh frame per leg).
@@ -392,12 +385,10 @@ func (p *Protocol) armRetry(f *flight) {
 // partition state (the new route will differ — ALERT's nonfixed paths).
 func (p *Protocol) resend(f *flight) {
 	env := f.env
-	lzd := env.LZD
 	// Refresh Z_D from the location service (positions may have moved).
-	if entry, ok := p.loc.Lookup(f.dst); ok {
-		lzd = geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)
-		env.PD = entry.Pseudonym
-	}
+	entry := p.loc.Lookup(f.dst)
+	env.PD = entry.Pseudonym
+	lzd := geo.DestZone(p.field, entry.Pos, p.hDef, geo.Vertical)
 	env.Partition = NewPartition(lzd, p.field, p.hDef, p.rnd)
 	p.armRetry(f)
 	p.net.NoteSym(1)

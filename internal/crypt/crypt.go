@@ -227,17 +227,6 @@ func NewBitmap(n, nBits int, src *rng.Source) Bitmap {
 	return m
 }
 
-// OnesCount returns how many bits the mask flips.
-func (m Bitmap) OnesCount() int {
-	total := 0
-	for _, b := range m {
-		for ; b != 0; b &= b - 1 {
-			total++
-		}
-	}
-	return total
-}
-
 // Apply XORs the mask into data (flipping the recorded bits); applying the
 // same mask twice restores the original. data and mask must be equal length.
 func (m Bitmap) Apply(data []byte) []byte {

@@ -295,3 +295,14 @@ func TestQuickBitmapInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// OnesCount returns how many bits the mask flips.
+func (m Bitmap) OnesCount() int {
+	total := 0
+	for _, b := range m {
+		for ; b != 0; b &= b - 1 {
+			total++
+		}
+	}
+	return total
+}

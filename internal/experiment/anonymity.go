@@ -371,16 +371,6 @@ func IntersectionRemedyCost(seed int64, packets int, alert bool) TradeoffResult 
 // node's registered position at the scenario's depth, which a baseline
 // world, running no ALERT, gets too.
 func ZoneOf(w *World, d medium.NodeID) geo.Rect {
-	e, _ := w.Loc.Lookup(d)
+	e := w.Loc.Lookup(d)
 	return geo.DestZone(w.Net.Field(), e.Pos, w.Scenario.Alert.Depth(w.Net.N()), geo.Vertical)
-}
-
-// SourceLocationError runs one send and returns how far an eavesdropper's
-// triangulated source estimate lands from the true source (-1 when it saw
-// nothing to triangulate). Without notify-and-go the first transmission
-// pinpoints S; with it, the covers drag the estimate toward the
-// neighborhood centroid.
-func SourceLocationError(seed int64, notifyAndGo bool) float64 {
-	_, e := sourceSend(seed, notifyAndGo)
-	return e
 }

@@ -197,30 +197,6 @@ func TestIntersectionRemedyCost(t *testing.T) {
 	}
 }
 
-// TestSourceLocationTriangulation: without cover traffic the attacker's
-// estimate lands essentially on the source; notify-and-go pushes it off by
-// a neighborhood-scale distance.
-func TestSourceLocationTriangulation(t *testing.T) {
-	var plainSum, coveredSum float64
-	const trials = 3
-	for seed := int64(1); seed <= trials; seed++ {
-		plain := SourceLocationError(seed, false)
-		covered := SourceLocationError(seed, true)
-		if plain < 0 || covered < 0 {
-			t.Fatalf("seed %d: no transmissions observed", seed)
-		}
-		plainSum += plain
-		coveredSum += covered
-	}
-	if plainSum/trials > 20 {
-		t.Fatalf("plain-send estimate off by %v m; should pinpoint S", plainSum/trials)
-	}
-	if coveredSum/trials < 3*plainSum/trials+20 {
-		t.Fatalf("covered estimate (%v m) should smear far beyond plain (%v m)",
-			coveredSum/trials, plainSum/trials)
-	}
-}
-
 // TestReplayDeterminismDeep: two runs of the same seed agree packet by
 // packet, not just in aggregate.
 func TestReplayDeterminismDeep(t *testing.T) {

@@ -51,9 +51,6 @@ type FigurePlan struct {
 	Remaining []RemainingSpec
 }
 
-// Cells returns the number of planned cells.
-func (p FigurePlan) Cells() int { return len(p.Runs) + len(p.Remaining) }
-
 // Figure is one registry entry.
 type Figure struct {
 	// Name is the CLI selector (fig7a ... fig17, energy, compare, table1,

@@ -130,9 +130,6 @@ func (n *Nearest) Dist() float64 {
 	return n.d
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
 // Lerp returns the point a fraction t of the way from p to q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -146,14 +143,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 // (Max.X, Min.Y) — the same rectangle.
 type Rect struct {
 	Min, Max Point
-}
-
-// NewRect builds the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
 }
 
 // Width returns the extent along X.
@@ -180,12 +169,6 @@ func (r Rect) Contains(p Point) bool {
 // ContainsRect reports whether s lies entirely within r.
 func (r Rect) ContainsRect(s Rect) bool {
 	return r.Contains(s.Min) && r.Contains(s.Max)
-}
-
-// Intersects reports whether the two closed rectangles share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Clamp returns p moved to the nearest point inside r.
@@ -339,22 +322,6 @@ func DestZone(field Rect, d Point, h int, first Direction) Rect {
 	return zone
 }
 
-// ZonePath returns the sequence of nested zones produced while computing
-// DestZone, including the field itself; ZonePath(...)[h] is the destination
-// zone. Used by tests and by the analysis package.
-func ZonePath(field Rect, d Point, h int, first Direction) []Rect {
-	path := make([]Rect, 0, h+1)
-	zone := field
-	path = append(path, zone)
-	dir := first
-	for i := 0; i < h; i++ {
-		zone = zone.Side(dir, d)
-		path = append(path, zone)
-		dir = dir.Flip()
-	}
-	return path
-}
-
 // SeparateResult is the outcome of one routing-partition step (Section 2.3).
 type SeparateResult struct {
 	// Separated reports whether the forwarder ended up in a different
@@ -373,24 +340,19 @@ type SeparateResult struct {
 	NextDir Direction
 }
 
-// Separate performs the forwarder's partition loop: bisect zone in
-// alternating directions, starting with dir, always recursing into the half
-// containing both the forwarder and Z_D, until the forwarder and Z_D fall
-// into different halves. Z_D's half is identified by its center (the
-// canonical hierarchy guarantees Z_D never straddles a cut when the phase
-// matches; the center rule keeps the step well-defined for any phase).
+// SeparateWithPolicy performs the forwarder's partition loop: bisect zone,
+// starting with dir, always recursing into the half containing both the
+// forwarder and Z_D, until the forwarder and Z_D fall into different
+// halves. Z_D's half is identified by its center (the canonical hierarchy
+// guarantees Z_D never straddles a cut when the phase matches; the center
+// rule keeps the step well-defined for any phase).
 //
-// maxCuts bounds the loop (use H - h, the divisions remaining); when the
-// bound is hit, or the zone has shrunk to Z_D itself, Separated is false.
-func Separate(zone Rect, self Point, zd Rect, dir Direction, maxCuts int) SeparateResult {
-	return SeparateWithPolicy(zone, self, zd, dir, maxCuts, true)
-}
-
-// SeparateWithPolicy is Separate with the cut-direction policy exposed:
 // alternate=true flips the direction after every cut (the paper's design,
 // which keeps zones squarish so each temporary destination approaches D);
 // alternate=false keeps cutting the same axis, producing ever-thinner slab
-// zones — the ablation DESIGN.md calls out.
+// zones — the ablation DESIGN.md calls out. maxCuts bounds the loop (use
+// H - h, the divisions remaining); when the bound is hit, or the zone has
+// shrunk to Z_D itself, Separated is false.
 func SeparateWithPolicy(zone Rect, self Point, zd Rect, dir Direction, maxCuts int,
 	alternate bool) SeparateResult {
 	res := SeparateResult{NextDir: dir}

@@ -125,13 +125,6 @@ func TestPointLerp(t *testing.T) {
 	}
 }
 
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(Point{5, 1}, Point{2, 7})
-	if r.Min != (Point{2, 1}) || r.Max != (Point{5, 7}) {
-		t.Fatalf("NewRect = %v", r)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := Rect{Point{0, 0}, Point{4, 2}}
 	if !almostEqual(r.Width(), 4) || !almostEqual(r.Height(), 2) || !almostEqual(r.Area(), 8) {
@@ -162,22 +155,6 @@ func TestRectClamp(t *testing.T) {
 	in := Point{4, 5}
 	if r.Clamp(in) != in {
 		t.Fatal("Clamp moved interior point")
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Rect{Point{0, 0}, Point{2, 2}}
-	b := Rect{Point{1, 1}, Point{3, 3}}
-	c := Rect{Point{2.5, 2.5}, Point{4, 4}}
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Fatal("overlapping rects not intersecting")
-	}
-	if a.Intersects(c) {
-		t.Fatal("disjoint rects intersect")
-	}
-	edge := Rect{Point{2, 0}, Point{3, 2}}
-	if !a.Intersects(edge) {
-		t.Fatal("edge-sharing rects should intersect (closed rects)")
 	}
 }
 
@@ -337,7 +314,7 @@ func TestSeparateBasic(t *testing.T) {
 	self := Point{900, 900}
 	d := Point{100, 100}
 	zd := DestZone(field, d, 5, Vertical)
-	res := Separate(field, self, zd, Vertical, 5)
+	res := SeparateWithPolicy(field, self, zd, Vertical, 5, true)
 	if !res.Separated {
 		t.Fatal("far-apart S and Z_D should separate in one cut")
 	}
@@ -361,7 +338,7 @@ func TestSeparateNeedsMultipleCuts(t *testing.T) {
 	self := Point{100, 900}
 	d := Point{100, 100}
 	zd := DestZone(field, d, 5, Vertical)
-	res := Separate(field, self, zd, Vertical, 5)
+	res := SeparateWithPolicy(field, self, zd, Vertical, 5, true)
 	if !res.Separated {
 		t.Fatal("should separate")
 	}
@@ -375,7 +352,7 @@ func TestSeparateRespectsMaxCuts(t *testing.T) {
 	self := Point{100.1, 100.1}
 	d := Point{100, 100}
 	zd := DestZone(field, d, 10, Vertical)
-	res := Separate(field, self, zd, Vertical, 3)
+	res := SeparateWithPolicy(field, self, zd, Vertical, 3, true)
 	if res.Cuts > 3 {
 		t.Fatalf("Cuts = %d exceeds maxCuts", res.Cuts)
 	}
@@ -390,7 +367,7 @@ func TestSeparateStopsAtZD(t *testing.T) {
 	if !zd.Contains(self) {
 		t.Fatal("test setup: self should be in Z_D")
 	}
-	res := Separate(zd, self, zd, Vertical, 10)
+	res := SeparateWithPolicy(zd, self, zd, Vertical, 10, true)
 	if res.Separated {
 		t.Fatal("must not separate once the zone is Z_D")
 	}
@@ -399,7 +376,7 @@ func TestSeparateStopsAtZD(t *testing.T) {
 	}
 }
 
-// Property: whenever Separate reports separation, the two half zones
+// Property: whenever SeparateWithPolicy reports separation, the two half zones
 // partition the bisected zone, self is in SelfZone, and Z_D's center is in
 // OtherZone.
 func TestQuickSeparateInvariants(t *testing.T) {
@@ -414,7 +391,7 @@ func TestQuickSeparateInvariants(t *testing.T) {
 			first = Horizontal
 		}
 		zd := DestZone(field, d, h, Vertical)
-		res := Separate(field, self, zd, first, h)
+		res := SeparateWithPolicy(field, self, zd, first, h, true)
 		if !res.Separated {
 			return true
 		}
@@ -452,7 +429,7 @@ func TestQuickDestZoneArea(t *testing.T) {
 	}
 }
 
-// Property: repeated Separate steps from random forwarder positions always
+// Property: repeated SeparateWithPolicy steps from random forwarder positions always
 // make progress toward Z_D: the other zone (which contains Z_D) has at most
 // half the area of the zone it came from.
 func TestQuickSeparateShrinks(t *testing.T) {
@@ -461,7 +438,7 @@ func TestQuickSeparateShrinks(t *testing.T) {
 		self := Point{math.Mod(float64(sx), 1000), math.Mod(float64(sy), 1000)}
 		d := Point{math.Mod(float64(dx), 1000), math.Mod(float64(dy), 1000)}
 		zd := DestZone(field, d, 5, Vertical)
-		res := Separate(field, self, zd, Vertical, 5)
+		res := SeparateWithPolicy(field, self, zd, Vertical, 5, true)
 		if !res.Separated {
 			return true
 		}
@@ -496,22 +473,10 @@ func TestSeparateWithPolicyFixedAxis(t *testing.T) {
 	}
 }
 
-func TestSeparateDelegatesToAlternating(t *testing.T) {
-	field := Rect{Point{0, 0}, Point{1000, 1000}}
-	self := Point{900, 900}
-	d := Point{100, 100}
-	zd := DestZone(field, d, 5, Vertical)
-	a := Separate(field, self, zd, Vertical, 5)
-	b := SeparateWithPolicy(field, self, zd, Vertical, 5, true)
-	if a != b {
-		t.Fatalf("Separate (%+v) != SeparateWithPolicy alternate (%+v)", a, b)
-	}
-}
-
-// TestSeparateReconstructsCanonicalHierarchy: walking Separate from the
-// whole field with the canonical phase (vertical first) visits exactly the
-// zones of ZonePath — the routing partition and the destination-zone
-// construction agree.
+// TestSeparateReconstructsCanonicalHierarchy: walking SeparateWithPolicy
+// (alternating) from the whole field with the canonical phase (vertical
+// first) visits exactly the zones of ZonePath — the routing partition and
+// the destination-zone construction agree.
 func TestSeparateReconstructsCanonicalHierarchy(t *testing.T) {
 	field := Rect{Point{0, 0}, Point{1000, 1000}}
 	src := rng.New(99)
@@ -521,7 +486,7 @@ func TestSeparateReconstructsCanonicalHierarchy(t *testing.T) {
 		const h = 5
 		zd := DestZone(field, d, h, Vertical)
 		path := ZonePath(field, d, h, Vertical)
-		res := Separate(field, self, zd, Vertical, h)
+		res := SeparateWithPolicy(field, self, zd, Vertical, h, true)
 		if !res.Separated {
 			// Self effectively shares Z_D's hierarchy down to the
 			// budget; nothing to check.
@@ -534,4 +499,20 @@ func TestSeparateReconstructsCanonicalHierarchy(t *testing.T) {
 				trial, res.OtherZone, path[res.Cuts], res.Cuts)
 		}
 	}
+}
+
+// ZonePath returns the sequence of nested zones produced while computing
+// DestZone, including the field itself; ZonePath(...)[h] is the destination
+// zone.
+func ZonePath(field Rect, d Point, h int, first Direction) []Rect {
+	path := make([]Rect, 0, h+1)
+	zone := field
+	path = append(path, zone)
+	dir := first
+	for i := 0; i < h; i++ {
+		zone = zone.Side(dir, d)
+		path = append(path, zone)
+		dir = dir.Flip()
+	}
+	return path
 }

@@ -48,11 +48,7 @@ func (a *App) Router() *Router { return a.router }
 // setup can fail.
 func (a *App) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, error) {
 	rec := a.col.Start(src, dst, a.net.Eng.Now())
-	entry, ok := a.loc.Lookup(dst)
-	if !ok {
-		a.col.Complete(rec, 0, false)
-		return rec, nil
-	}
+	entry := a.loc.Lookup(dst)
 	// The give-up timer writes off a packet that never completes; one that
 	// completes cancels it, so the queue holds no timer for a settled
 	// packet.

@@ -106,18 +106,6 @@ func TestAppStaleDestinationFails(t *testing.T) {
 	}
 }
 
-func TestAppLocServiceDown(t *testing.T) {
-	eng, _, loc, app := buildApp(4, 30, 0, true)
-	for i := 0; i < loc.NumServers(); i++ {
-		loc.FailServer(i)
-	}
-	rec, _ := app.Send(0, 5, []byte("x"))
-	eng.RunUntil(5)
-	if rec.Delivered || app.Collector().Completed() != 1 {
-		t.Fatal("send without location service should fail fast")
-	}
-}
-
 func TestAppUndeliveredCompletes(t *testing.T) {
 	eng := sim.NewEngine()
 	src := rng.New(5)

@@ -73,17 +73,6 @@ func NewCoordinator(w *experiment.World, nodes []*Daemon, timescale float64) *Co
 	}
 }
 
-// RunFleet is the one-call harness: spawn the scenario's fleet, run the
-// coordinator over it, tear the fleet down.
-func RunFleet(sc experiment.Scenario, timescale float64) (Summary, error) {
-	fl, err := SpawnFleet(sc, timescale)
-	if err != nil {
-		return Summary{}, err
-	}
-	defer fl.Close()
-	return NewCoordinator(fl.World, fl.Handles(), timescale).Run()
-}
-
 // DeriveFlows is the world's CBR schedule, experiment's CBRFlows: the fleet
 // sends exactly the simulator's packets.
 func DeriveFlows(w *experiment.World) ([]Flow, []byte, error) { return w.CBRFlows() }
@@ -112,7 +101,7 @@ func (c *Coordinator) Run() (Summary, error) {
 		if !ok || !okD {
 			return Summary{}, fmt.Errorf("live: flow %d references unknown node %d->%d", fl.ID, fl.Src, fl.Dst)
 		}
-		entry, _ := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
+		entry := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
 		spec := FlowSpec{
 			Flow: fl.ID,
 			Dest: DestEntry{
@@ -173,7 +162,7 @@ func (c *Coordinator) push(k int, flows []Flow) error {
 		}
 		for _, fl := range flows {
 			if fl.Src == d.ID() {
-				entry, _ := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
+				entry := c.w.Loc.Lookup(medium.NodeID(fl.Dst))
 				top.Dests = append(top.Dests, DestUpdate{Flow: fl.ID, Pos: entry.Pos})
 			}
 		}

@@ -440,3 +440,14 @@ func TestZoneRelayDecidesOnce(t *testing.T) {
 		t.Fatalf("%d relays after packet 3 on a lossy channel, want 2", d.counts.ZoneRelays)
 	}
 }
+
+// RunFleet is the one-call harness: spawn the scenario's fleet, run the
+// coordinator over it, tear the fleet down.
+func RunFleet(sc experiment.Scenario, timescale float64) (Summary, error) {
+	fl, err := SpawnFleet(sc, timescale)
+	if err != nil {
+		return Summary{}, err
+	}
+	defer fl.Close()
+	return NewCoordinator(fl.World, fl.Handles(), timescale).Run()
+}

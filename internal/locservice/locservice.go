@@ -16,11 +16,11 @@
 //     communication frequency F; the package counts the messages in those
 //     formulas so the claim can be checked numerically.
 //
-// Replicated servers may fail; lookups succeed while at least one replica
-// is alive (the paper assumes seamless switch-over between servers). The
-// signed request and sealed response of Section 2.2 are authentication,
-// which this reproduction leaves out: Lookup counts that exchange and
-// returns the entry directly.
+// Every lookup succeeds: the paper assumes seamless switch-over between
+// replicated servers, so no replica fails here. The signed request and
+// sealed response of Section 2.2 are authentication, which this
+// reproduction leaves out: Lookup counts that exchange and returns the
+// entry directly.
 package locservice
 
 import (
@@ -58,12 +58,11 @@ type Counters struct {
 // Service is the replicated location service. It always runs
 // N_L = ceil(sqrt(N)) replicated servers, per Section 4.3.
 type Service struct {
-	net     *node.Network
-	updates bool
-	entries []Entry
-	alive   []bool
-	counts  Counters
-	stop    func()
+	net        *node.Network
+	updates    bool
+	entries    []Entry
+	numServers int // N_L
+	counts     Counters
 }
 
 // New creates the service, registers every node's initial position and
@@ -72,12 +71,8 @@ type Service struct {
 // update" and "without destination update" runs.
 func New(net *node.Network, updates bool) *Service {
 	numServers := max(int(math.Ceil(math.Sqrt(float64(net.N())))), 1)
-	s := &Service{net: net, updates: updates}
+	s := &Service{net: net, updates: updates, numServers: numServers}
 	s.entries = make([]Entry, net.N())
-	s.alive = make([]bool, numServers)
-	for i := range s.alive {
-		s.alive[i] = true
-	}
 	now := net.Eng.Now()
 	for i, nd := range net.Nodes {
 		nd.RegisteredPseudonym = nd.Pseudonym
@@ -85,7 +80,7 @@ func New(net *node.Network, updates bool) *Service {
 			Pseudonym: nd.Pseudonym, UpdatedAt: now}
 	}
 	if updates {
-		s.stop = net.Eng.Ticker(UpdateInterval, UpdateInterval,
+		net.Eng.Ticker(UpdateInterval, UpdateInterval,
 			func(sim.Time) { s.updateAll() })
 	}
 	return s
@@ -100,62 +95,17 @@ func (s *Service) updateAll() {
 		s.entries[i].UpdatedAt = now
 		s.counts.Updates++
 	}
-	// Full-mesh replication among alive servers.
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
-		}
-	}
-	s.counts.Replications += uint64(n * (n - 1))
+	// Full-mesh replication among the servers.
+	s.counts.Replications += uint64(s.numServers * (s.numServers - 1))
 }
 
-// StopUpdates cancels the periodic update ticker (e.g. to freeze positions
-// mid-run).
-func (s *Service) StopUpdates() {
-	if s.stop != nil {
-		s.stop()
-		s.stop = nil
-	}
-}
-
-// Lookup returns the registered entry for a node. ok is false when every
-// server replica has failed. The query and encrypted response exchange with
-// the node's own location server is abstracted to a counter.
-func (s *Service) Lookup(id medium.NodeID) (Entry, bool) {
+// Lookup returns the registered entry for a node. The query and encrypted
+// response exchange with the node's own location server is abstracted to a
+// counter.
+func (s *Service) Lookup(id medium.NodeID) Entry {
 	s.counts.Lookups++
-	if !s.anyAlive() {
-		return Entry{}, false
-	}
-	return s.entries[id], true
+	return s.entries[id]
 }
-
-func (s *Service) anyAlive() bool {
-	for _, a := range s.alive {
-		if a {
-			return true
-		}
-	}
-	return false
-}
-
-// FailServer marks one server replica as failed. Lookups keep succeeding
-// while any replica lives.
-func (s *Service) FailServer(i int) {
-	if i >= 0 && i < len(s.alive) {
-		s.alive[i] = false
-	}
-}
-
-// RecoverServer brings a failed replica back.
-func (s *Service) RecoverServer(i int) {
-	if i >= 0 && i < len(s.alive) {
-		s.alive[i] = true
-	}
-}
-
-// NumServers returns N_L.
-func (s *Service) NumServers() int { return len(s.alive) }
 
 // Counters returns a snapshot of service traffic.
 func (s *Service) Counters() Counters { return s.counts }
@@ -175,7 +125,7 @@ func (s *Service) OverheadRatio(commFreq float64) float64 {
 	if !s.updates {
 		f = 0
 	}
-	nl := float64(len(s.alive))
+	nl := float64(s.numServers)
 	n := float64(s.net.N())
 	return (nl*(nl-1)*f + n*f) / (n * commFreq)
 }

@@ -457,9 +457,6 @@ func (m *Medium) Compromise(id NodeID) {
 	m.compromised[id] = true
 }
 
-// Restore returns a compromised node to normal operation.
-func (m *Medium) Restore(id NodeID) { delete(m.compromised, id) }
-
 // Compromised reports whether a node is currently sinking packets.
 func (m *Medium) Compromised(id NodeID) bool { return m.compromised[id] }
 
@@ -995,9 +992,6 @@ func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
 	}
 	return out
 }
-
-// Engine exposes the simulation engine (protocols schedule timers on it).
-func (m *Medium) Engine() *sim.Engine { return m.eng }
 
 // Mobility exposes the underlying mobility model.
 func (m *Medium) Mobility() mobility.Model { return m.mob }

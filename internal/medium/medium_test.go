@@ -400,7 +400,7 @@ func TestCompromisedNodeSinksFrames(t *testing.T) {
 		t.Fatalf("counters = %+v", med.Counters())
 	}
 	// Restored node transmits again.
-	med.Restore(0)
+	delete(med.compromised, 0)
 	med.Unicast(0, 1, "x", 64)
 	eng.Run()
 	if got != 1 {

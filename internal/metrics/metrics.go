@@ -136,18 +136,6 @@ func (c *Collector) Start(src, dst medium.NodeID, now float64) *PacketRecord {
 	return r
 }
 
-// AddParticipant marks a node as having taken part in routing.
-func (c *Collector) AddParticipant(id medium.NodeID) {
-	c.participants[id] = struct{}{}
-}
-
-// AddPath marks every node on a path as a participant.
-func (c *Collector) AddPath(path []medium.NodeID) {
-	for _, id := range path {
-		c.participants[id] = struct{}{}
-	}
-}
-
 // Complete finalizes a record (delivered or not) and snapshots the
 // cumulative participant count. Participating nodes are the forwarders and
 // random forwarders on the path — the endpoints themselves are not counted,

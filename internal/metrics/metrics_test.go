@@ -210,3 +210,15 @@ func TestRecordSlabReuse(t *testing.T) {
 		t.Fatalf("warmed slab allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// AddParticipant marks a node as having taken part in routing.
+func (c *Collector) AddParticipant(id medium.NodeID) {
+	c.participants[id] = struct{}{}
+}
+
+// AddPath marks every node on a path as a participant.
+func (c *Collector) AddPath(path []medium.NodeID) {
+	for _, id := range path {
+		c.participants[id] = struct{}{}
+	}
+}

@@ -304,21 +304,10 @@ func (g *GroupMobility) Field() geo.Rect { return g.field }
 // lengthens a move.
 func (g *GroupMobility) MaxSpeed() float64 { return 1.5 * math.Max(g.speed, 0) }
 
-// Groups returns the number of groups.
-func (g *GroupMobility) Groups() int { return len(g.refs) }
-
-// GroupOf returns the group index of a node.
-func (g *GroupMobility) GroupOf(id int) int { return g.groupOf[id] }
-
-// NodesIn returns the ids of all nodes of m located inside zone at time t.
-func NodesIn(m Model, zone geo.Rect, t float64) []int {
-	return NodesInInto(m, zone, t, nil)
-}
-
-// NodesInInto is NodesIn with a caller-reusable destination: ids are
-// appended to dst[:0] and the (possibly regrown) slice is returned, so a
-// loop over many zones reuses one backing array instead of regrowing a
-// fresh slice per query.
+// NodesInInto appends to dst[:0] the ids of all nodes of m located inside
+// zone at time t and returns the (possibly regrown) slice, so a loop over
+// many zones reuses one backing array instead of regrowing a fresh slice
+// per query.
 func NodesInInto(m Model, zone geo.Rect, t float64, dst []int) []int {
 	ids := dst[:0]
 	for id := 0; id < m.N(); id++ {

@@ -441,3 +441,14 @@ func TestMaxSpeedBoundsDisplacement(t *testing.T) {
 		}
 	}
 }
+
+// Groups returns the number of groups.
+func (g *GroupMobility) Groups() int { return len(g.refs) }
+
+// GroupOf returns the group index of a node.
+func (g *GroupMobility) GroupOf(id int) int { return g.groupOf[id] }
+
+// NodesIn returns the ids of all nodes of m located inside zone at time t.
+func NodesIn(m Model, zone geo.Rect, t float64) []int {
+	return NodesInInto(m, zone, t, nil)
+}

@@ -185,15 +185,6 @@ func (n *Node) PositionAt(t float64) geo.Point {
 	return n.net.Med.TruePosition(n.ID, t)
 }
 
-// Neighbors returns the node's (possibly stale) neighbor table.
-func (n *Node) Neighbors() []medium.Neighbor { return n.net.Med.Neighbors(n.ID) }
-
-// Rand returns the node's private random stream.
-func (n *Node) Rand() *rng.Source { return n.rnd }
-
-// Network returns the network the node belongs to.
-func (n *Node) Network() *Network { return n.net }
-
 // Node returns the node with the given id.
 func (net *Network) Node(id medium.NodeID) *Node { return net.Nodes[id] }
 

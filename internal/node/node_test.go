@@ -132,7 +132,7 @@ func TestNodeLookup(t *testing.T) {
 	if net.Node(2) != net.Nodes[2] {
 		t.Fatal("Node lookup wrong")
 	}
-	if net.Node(2).Network() != net {
+	if net.Node(2).net != net {
 		t.Fatal("Network backref wrong")
 	}
 }
@@ -261,3 +261,6 @@ func TestRotationTiesMatchPerNodeTickers(t *testing.T) {
 		}
 	}
 }
+
+// Neighbors returns the node's (possibly stale) neighbor table.
+func (n *Node) Neighbors() []medium.Neighbor { return n.net.Med.Neighbors(n.ID) }

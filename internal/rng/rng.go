@@ -30,9 +30,6 @@ func New(seed int64) *Source {
 	return &Source{Rand: rand.New(newLFSource(mix(seed))), seed: seed, name: ""}
 }
 
-// Seed returns the seed this source was derived from.
-func (s *Source) Seed() int64 { return s.seed }
-
 // Name returns the derivation path of this stream ("" for the root).
 func (s *Source) Name() string { return s.name }
 

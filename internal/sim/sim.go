@@ -268,10 +268,6 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// FreeEvents returns the current size of the event free pool (for the
-// pool-conservation tests).
-func (e *Engine) FreeEvents() int { return len(e.free) }
-
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event, or the zero EventID, is a no-op.
 func (e *Engine) Cancel(id EventID) {

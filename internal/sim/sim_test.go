@@ -400,12 +400,12 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetMaxEvents(1)
-	free := e.FreeEvents()
+	free := len(e.free)
 	e.Reset()
 	if e.Pending() != 0 || e.Now() != 0 || e.Processed() != 0 {
 		t.Fatalf("Reset left pending=%d now=%v processed=%d", e.Pending(), e.Now(), e.Processed())
 	}
-	if got := e.FreeEvents(); got != free+2 {
+	if got := len(e.free); got != free+2 {
 		t.Fatalf("Reset recycled %d pending events, want 2", got-free)
 	}
 	// A handle issued before the reset cancels nothing, before and after
@@ -453,13 +453,13 @@ func TestPoolConservation(t *testing.T) {
 		}
 	}
 	cycle()
-	base := e.FreeEvents()
+	base := len(e.free)
 	if base == 0 {
 		t.Fatal("warm-up cycle left an empty pool")
 	}
 	for i := 0; i < 50; i++ {
 		cycle()
-		if got := e.FreeEvents(); got != base {
+		if got := len(e.free); got != base {
 			t.Fatalf("cycle %d: free pool %d, want steady-state %d", i, got, base)
 		}
 	}

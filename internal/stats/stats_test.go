@@ -262,3 +262,6 @@ func TestWelchTSymmetry(t *testing.T) {
 		t.Fatalf("asymmetric: %+v vs %+v", r1, r2)
 	}
 }
+
+// AddAll appends many observations.
+func (s *Sample) AddAll(xs ...float64) { s.xs = append(s.xs, xs...) }

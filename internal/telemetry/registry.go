@@ -50,15 +50,6 @@ func (r *Registry) Observe(name string, v float64) {
 	h.observe(v)
 }
 
-// Hist returns a named histogram, or nil if nothing was observed under that
-// name.
-func (r *Registry) Hist(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
-}
-
 // histBuckets geometric buckets with ratio 4 starting at bucketBase cover
 // 1 µs up to ~4.6 days — wide enough for latencies in seconds and frame
 // sizes in bytes alike.
@@ -105,17 +96,3 @@ func (h *Histogram) observe(v float64) {
 	}
 	h.buckets[histBuckets-1]++
 }
-
-// Mean returns the histogram's mean sample (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Bucket returns the count in bucket i (0 ≤ i < Buckets()).
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return histBuckets }

@@ -481,3 +481,26 @@ func TestStampMemo(t *testing.T) {
 		t.Errorf("a line at a repeated instant allocates %v", allocs)
 	}
 }
+
+// Mean returns the histogram's mean sample (0 when empty).
+func (h *Histogram) Mean() float64 {
+	if h == nil || h.Count == 0 {
+		return 0
+	}
+	return h.Sum / float64(h.Count)
+}
+
+// Bucket returns the count in bucket i (0 ≤ i < Buckets()).
+func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
+
+// Buckets returns the number of buckets.
+func (h *Histogram) Buckets() int { return histBuckets }
+
+// Hist returns a named histogram, or nil if nothing was observed under that
+// name.
+func (r *Registry) Hist(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	return r.hists[name]
+}

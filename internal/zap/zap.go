@@ -130,11 +130,7 @@ func (p *Protocol) zoneFor(pos geo.Point, side float64) geo.Rect {
 // harness's Proto interface.
 func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, error) {
 	rec := p.col.Start(src, dst, p.net.Eng.Now())
-	entry, ok := p.loc.Lookup(dst)
-	if !ok {
-		p.col.Complete(rec, 0, false)
-		return rec, nil
-	}
+	entry := p.loc.Lookup(dst)
 	key := [2]medium.NodeID{src, dst}
 	n := p.sessions[key]
 	p.sessions[key] = n + 1

@@ -54,7 +54,7 @@ func TestZoneContainsDestination(t *testing.T) {
 	_, net, p := build(2, 100, Config{})
 	for i := 0; i < 50; i++ {
 		d := medium.NodeID(i % net.N())
-		e, _ := p.loc.Lookup(d)
+		e := p.loc.Lookup(d)
 		zone := p.zoneFor(e.Pos, zoneSide)
 		if !zone.Contains(e.Pos) {
 			t.Fatalf("zone %v does not contain D at %v", zone, e.Pos)
@@ -72,7 +72,7 @@ func TestZoneNotCenteredOnDestination(t *testing.T) {
 	centered := 0
 	for i := 0; i < 50; i++ {
 		d := medium.NodeID(i % net.N())
-		e, _ := p.loc.Lookup(d)
+		e := p.loc.Lookup(d)
 		zone := p.zoneFor(e.Pos, zoneSide)
 		if zone.Center().Dist(e.Pos) < 1 {
 			centered++
@@ -187,18 +187,6 @@ func (p *pinned) Position(id int, _ float64) geo.Point { return p.pos[id] }
 func (p *pinned) N() int                               { return len(p.pos) }
 func (p *pinned) Field() geo.Rect                      { return field }
 func (p *pinned) MaxSpeed() float64                    { return 0 }
-
-func TestLocServiceFailure(t *testing.T) {
-	eng, _, p := build(7, 30, Config{})
-	for i := 0; i < p.loc.NumServers(); i++ {
-		p.loc.FailServer(i)
-	}
-	rec, _ := p.Send(0, 5, []byte("x"))
-	eng.RunUntil(5)
-	if rec.Delivered || p.Collector().Completed() != 1 {
-		t.Fatal("send without location service should fail fast")
-	}
-}
 
 func TestMaxZoneSideCaps(t *testing.T) {
 	// 500 m of growth per packet passes the cap on the session's third

@@ -5,8 +5,13 @@
 #   make bench-pairs PARENT=<rev> WORKLOAD=<workload> PAIRS=10 SEED=<first seed>
 #   sh scripts/bench-pairs.sh <rev> <workload> <pairs> <first seed>
 #
-# The parent is git-archived into .bench_build/parent/ (its build cache
-# survives reruns). Pair i runs seed SEED+i on both sides, the checkout
+# The parent is checked out as a repository of its own in
+# .bench_build/parent/ (a shared clone, detached at the parent), so Go
+# stamps the parent's build with the parent's revision; an extracted tree
+# inside the checkout would be stamped from the checkout's .git, and a git
+# worktree has only a .git file, which Go's VCS stamping does not read. The
+# parent's build cache, .bench_build/parent/.bench_build/, survives reruns.
+# Pair i runs seed SEED+i on both sides, the checkout
 # first on even i and the parent first on odd i, each as
 # `bash bench/run.sh --workload <workload> --seed <seed> --seconds 15
 # --trace 0`. Every result line and stderr table is kept in
@@ -35,10 +40,19 @@ fi
 parent=$1 workload=$2 pairs=$3 seed=$4
 root=$(pwd)
 out=.bench_build/pairs/$workload
+rev=$(git rev-parse --verify "$parent^{commit}")
 
-mkdir -p .bench_build/parent "$out"
-find .bench_build/parent -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
-git archive "$parent" | tar -x -C .bench_build/parent
+mkdir -p "$out"
+if [ -d .bench_build/parent/.bench_build ]; then
+	rm -rf .bench_build/parent-cache
+	mv .bench_build/parent/.bench_build .bench_build/parent-cache
+fi
+rm -rf .bench_build/parent
+git clone -q --shared --no-checkout . .bench_build/parent
+git -C .bench_build/parent checkout -q --detach "$rev"
+if [ -d .bench_build/parent-cache ]; then
+	mv .bench_build/parent-cache .bench_build/parent/.bench_build
+fi
 rm -f "$out"/*.json "$out"/*.log
 
 # run <side> <seed>: one benchmark run, its last stdout line kept as JSON.
