@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
@@ -196,9 +197,14 @@ type Protocol struct {
 	held     map[medium.NodeID][]*heldItem
 	counts   Counters
 
-	// zoneIDs and zoneNbrs are zoneMembers' scratch. They live on the
+	// zone, zoneAt and zoneAll are zoneMembers' memo: zone's members
+	// with their beacons, gathered at instant zoneAt (NaN until the first
+	// gathering). zoneIDs and zoneNbrs are its scratch. They live on the
 	// Protocol, not at package level, because campaign cells run
 	// protocols concurrently.
+	zone     geo.Rect
+	zoneAt   float64
+	zoneAll  []medium.Neighbor
 	zoneIDs  []medium.NodeID
 	zoneNbrs []medium.Neighbor
 
@@ -237,6 +243,7 @@ func New(net *node.Network, loc *locservice.Service, cfg Config, packetSize int,
 		packetSize: packetSize,
 		sessions:   make(map[sessKey]*session),
 		held:       make(map[medium.NodeID][]*heldItem),
+		zoneAt:     math.NaN(),
 	}
 	p.hDef = cfg.Depth(net.N())
 	for i := 0; i < net.N(); i++ {

@@ -8,6 +8,8 @@
 package core
 
 import (
+	"slices"
+
 	"alertmanet/internal/crypt"
 	"alertmanet/internal/geo"
 	"alertmanet/internal/medium"
@@ -50,10 +52,7 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 			f.rec.Hops++
 		}
 		p.counts.ZoneBroadcasts++
-		if env.relayed == nil {
-			env.relayed = make(map[medium.NodeID]bool)
-		}
-		env.relayed[at] = true // the origin never re-relays its own broadcast
+		p.markRelayed(env, at) // the origin never re-relays its own broadcast
 		if p.OnZoneRecipients != nil && env.LZD.Contains(p.net.Med.BeaconPosition(at)) {
 			// A zone member holds the packet it broadcasts, whether or
 			// not a relay's copy reaches it again.
@@ -164,11 +163,7 @@ func (p *Protocol) handleZone(at, from medium.NodeID, zdl *ZoneDelivery) {
 	if env.Kind == KindData && zdl.Step == 1 && !p.cfg.IntersectionGuard {
 		med := p.net.Med
 		self := med.BeaconPosition(at)
-		if env.LZD.Contains(self) && !env.relayed[at] {
-			if env.relayed == nil {
-				env.relayed = make(map[medium.NodeID]bool)
-			}
-			env.relayed[at] = true
+		if env.LZD.Contains(self) && p.markRelayed(env, at) {
 			par := med.Params()
 			members := func() []medium.Neighbor { return p.zoneMembers(at, env.LZD) }
 			if RelayAddsReach(self, med.BeaconPosition(from), from, members, env.LZD, par, par.Range-2*med.BeaconDrift()) {
@@ -183,16 +178,42 @@ func (p *Protocol) handleZone(at, from medium.NodeID, zdl *ZoneDelivery) {
 	p.recognize(at, env)
 }
 
+// markRelayed adds at to env's relay set, the broadcast's origin and the
+// Z_D members that heard it, and reports whether at was new to it. Z_D
+// holds about k nodes, so the set is a short slice, allocated once with
+// room for 2k (at the paper default, k = 6, it ends with 8 ids on
+// average).
+func (p *Protocol) markRelayed(env *Envelope, at medium.NodeID) bool {
+	if slices.Contains(env.relayed, at) {
+		return false
+	}
+	if env.relayed == nil {
+		env.relayed = make([]medium.NodeID, 0, 2*p.cfg.K)
+	}
+	env.relayed = append(env.relayed, at)
+	return true
+}
+
 // zoneMembers returns the nodes other than at whose hello-snapshot
 // position lies in zone, with those positions, in the Protocol's scratch
-// slices: valid until the next call.
+// slices: valid until the next call. All the members deciding on one
+// broadcast ask at its delivery instant about its zone, so the members
+// are gathered once per zone and instant, and each call only leaves at
+// out of them.
 func (p *Protocol) zoneMembers(at medium.NodeID, zone geo.Rect) []medium.Neighbor {
 	med := p.net.Med
-	p.zoneIDs = med.NodesWithinInto(zone, p.zoneIDs)
+	if now := p.net.Eng.Now(); zone != p.zone || now != p.zoneAt { //lint:allowfloatcompare the clock's own value, stored unchanged: same instant, same snapshot
+		p.zoneIDs = med.NodesWithinInto(zone, p.zoneIDs)
+		p.zoneAll = p.zoneAll[:0]
+		for _, id := range p.zoneIDs {
+			p.zoneAll = append(p.zoneAll, medium.Neighbor{ID: id, Pos: med.BeaconPosition(id)})
+		}
+		p.zone, p.zoneAt = zone, now
+	}
 	p.zoneNbrs = p.zoneNbrs[:0]
-	for _, id := range p.zoneIDs {
-		if id != at {
-			p.zoneNbrs = append(p.zoneNbrs, medium.Neighbor{ID: id, Pos: med.BeaconPosition(id)})
+	for _, c := range p.zoneAll {
+		if c.ID != at {
+			p.zoneNbrs = append(p.zoneNbrs, c)
 		}
 	}
 	return p.zoneNbrs

@@ -106,10 +106,11 @@ type Envelope struct {
 	Payload []byte
 	// Seq is the session sequence number.
 	Seq int
-	// relayed tracks which zone nodes already re-broadcast this envelope
-	// during the Z_D zone broadcast, so the one-round in-zone relay
-	// terminates (sim bookkeeping; real nodes dedup by packet id).
-	relayed map[medium.NodeID]bool
+	// relayed lists the zone nodes that already decided whether to
+	// re-broadcast this envelope during the Z_D zone broadcast, the origin
+	// included, so the one-round in-zone relay terminates (sim
+	// bookkeeping; real nodes dedup by packet id).
+	relayed []medium.NodeID
 
 	// flight is simulation bookkeeping (metrics record, retry state);
 	// it stands outside the wire format.

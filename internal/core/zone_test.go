@@ -225,7 +225,7 @@ func TestZoneRelayAllowsForDrift(t *testing.T) {
 		med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
 		net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
 		prot := MustNew(net, locservice.New(net, true), DefaultConfig(), 512, src)
-		env := &Envelope{Kind: KindData, PD: crypt.Pseudonym{1}, relayed: map[medium.NodeID]bool{0: true}}
+		env := &Envelope{Kind: KindData, PD: crypt.Pseudonym{1}, relayed: []medium.NodeID{0}}
 		env.LZD = geo.Rect{Min: geo.Point{X: 50, Y: 450}, Max: geo.Point{X: 450, Y: 550}}
 		eng.At(0.9, func() { prot.handleZone(1, 0, &ZoneDelivery{Step: 1, Env: env}) })
 		eng.RunUntil(2)
@@ -233,6 +233,50 @@ func TestZoneRelayAllowsForDrift(t *testing.T) {
 			t.Errorf("node 2 at %v m/s: %d zone relays, want %d", tc.speed, got, tc.relays)
 		}
 	}
+}
+
+// TestZoneMembersMemo: zoneMembers gathers a zone's members once per zone
+// and instant and leaves each caller out. Two zones asked about at one
+// instant, in turn, each get their own members, and so does one zone
+// asked about on either side of a hello tick: node 3 beacons left of
+// x = 500 at 0 s and right of it at 1 s.
+func TestZoneMembersMemo(t *testing.T) {
+	mob := &drifting{
+		start: []geo.Point{{X: 100, Y: 100}, {X: 200, Y: 200}, {X: 700, Y: 700}, {X: 490, Y: 300}},
+		vel:   []geo.Point{{}, {}, {}, {X: 20}},
+	}
+	eng := sim.NewEngine()
+	src := rng.New(1)
+	med := medium.MustNew(eng, mob, medium.DefaultParams(), src)
+	net := node.NewNetwork(eng, med, crypt.NewFastSuite(src), crypt.DefaultCostModel(), src)
+	prot := MustNew(net, locservice.New(net, true), DefaultConfig(), 512, src)
+	left := geo.Rect{Max: geo.Point{X: 500, Y: 1000}}
+	right := geo.Rect{Min: geo.Point{X: 500}, Max: geo.Point{X: 1000, Y: 1000}}
+	expect := func(at medium.NodeID, zone geo.Rect, want ...medium.NodeID) {
+		t.Helper()
+		var got []medium.NodeID
+		for _, c := range prot.zoneMembers(at, zone) {
+			if c.Pos != med.BeaconPosition(c.ID) {
+				t.Errorf("t=%v: member %d at %v, beacon %v", eng.Now(), c.ID, c.Pos, med.BeaconPosition(c.ID))
+			}
+			got = append(got, c.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("t=%v: node %d asks about %v: members %v, want %v", eng.Now(), at, zone, got, want)
+		}
+	}
+	eng.At(0.9, func() {
+		expect(0, left, 1, 3)
+		expect(1, left, 0, 3)
+		expect(0, right, 2)
+		expect(2, right)
+		expect(3, left, 0, 1)
+	})
+	eng.At(1.1, func() {
+		expect(0, left, 1)
+		expect(0, right, 2, 3)
+	})
+	eng.RunUntil(2)
 }
 
 // TestZoneRelayOnLossyChannel: where each receiver draws its own loss, a

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"alertmanet/internal/alarm"
@@ -634,22 +635,26 @@ func routeJaccard(col *metrics.Collector, pairs []Pair) float64 {
 	return total / float64(n)
 }
 
+// jaccardIDs is the Jaccard similarity of two paths' id sets, 1 when both
+// are empty. Paths are a few hops long, so it counts distinct and shared
+// ids by scanning the paths themselves: an id counts at its first
+// occurrence in its path.
 func jaccardIDs(a, b []medium.NodeID) float64 {
-	sa := map[medium.NodeID]struct{}{}
-	for _, id := range a {
-		sa[id] = struct{}{}
-	}
-	sb := map[medium.NodeID]struct{}{}
-	for _, id := range b {
-		sb[id] = struct{}{}
-	}
-	inter := 0
-	for id := range sa {
-		if _, ok := sb[id]; ok {
-			inter++
+	da, db, inter := 0, 0, 0
+	for i, id := range a {
+		if !slices.Contains(a[:i], id) {
+			da++
+			if slices.Contains(b, id) {
+				inter++
+			}
 		}
 	}
-	union := len(sa) + len(sb) - inter
+	for i, id := range b {
+		if !slices.Contains(b[:i], id) {
+			db++
+		}
+	}
+	union := da + db - inter
 	if union == 0 {
 		return 1
 	}

@@ -13,6 +13,7 @@ import (
 	"alertmanet/internal/gpsr"
 	"alertmanet/internal/medium"
 	"alertmanet/internal/metrics"
+	"alertmanet/internal/rng"
 	"alertmanet/internal/sim"
 	"alertmanet/internal/stats"
 )
@@ -586,6 +587,65 @@ func TestGini(t *testing.T) {
 	b := gini([]uint64{1, 1, 4, 4})
 	if a <= 0 || b <= 0 || a >= 1 || b >= 1 {
 		t.Fatalf("gini out of range: %v %v", a, b)
+	}
+}
+
+// jaccardRef is the Jaccard similarity of two paths' id sets, built as
+// maps: the reference jaccardIDs must reproduce.
+func jaccardRef(a, b []medium.NodeID) float64 {
+	sa, sb := map[medium.NodeID]bool{}, map[medium.NodeID]bool{}
+	for _, id := range a {
+		sa[id] = true
+	}
+	for _, id := range b {
+		sb[id] = true
+	}
+	inter := 0
+	for id := range sa {
+		if sb[id] {
+			inter++
+		}
+	}
+	if union := len(sa) + len(sb) - inter; union > 0 {
+		return float64(inter) / float64(union)
+	}
+	return 1
+}
+
+// TestJaccardIDs holds jaccardIDs to the map-based reference, bit for
+// bit, on random paths over few ids, so repeats within and across paths
+// are common, and on empty paths: two empty paths (union 0) are
+// identical, an empty and a non-empty one share nothing.
+func TestJaccardIDs(t *testing.T) {
+	empty := []medium.NodeID{}
+	for _, tc := range []struct {
+		a, b []medium.NodeID
+		want float64
+	}{
+		{nil, nil, 1},
+		{empty, nil, 1},
+		{nil, []medium.NodeID{3, 3}, 0},
+		{[]medium.NodeID{4}, empty, 0},
+		{[]medium.NodeID{1, 2, 2, 1}, []medium.NodeID{2, 1, 1}, 1},
+		{[]medium.NodeID{1, 2, 3, 3}, []medium.NodeID{3, 4, 4}, 0.25},
+	} {
+		if got := jaccardIDs(tc.a, tc.b); got != tc.want {
+			t.Errorf("jaccardIDs(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+	src := rng.New(9)
+	path := func() []medium.NodeID {
+		p := make([]medium.NodeID, src.Intn(12))
+		for i := range p {
+			p[i] = medium.NodeID(src.Intn(10))
+		}
+		return p
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := path(), path()
+		if got, want := jaccardIDs(a, b), jaccardRef(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("jaccardIDs(%v, %v) = %v, map reference %v", a, b, got, want)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ const withinBand = 1e-9
 // Within reports whether q lies within distance r of p, with exactly the
 // answer of p.Dist(q) <= r but without the math.Hypot call away from the
 // boundary. It is BandOf(r).Within(p, q); a loop testing many pairs against
-// one radius hoists the band instead.
+// one radius hoists the band and pre-tests each pair with Band.Sure.
 func (p Point) Within(q Point, r float64) bool {
 	return BandOf(r).Within(p, q)
 }
@@ -61,14 +61,19 @@ func BandOf(r float64) Band {
 
 // Within reports p.Dist(q) <= r, exactly.
 func (b Band) Within(p, q Point) bool {
-	d2 := p.Dist2(q)
-	if d2 < b.in2 {
-		return true
-	}
-	if d2 > b.out2 {
-		return false
+	if in, sure := b.Sure(p.Dist2(q)); sure {
+		return in
 	}
 	return p.Dist(q) <= b.r
+}
+
+// Sure is Within's pre-test on the squared distance d2 = p.Dist2(q) alone:
+// sure reports that d2 lies outside the band, where in is Within's answer.
+// Inside the band (sure false, NaN included) only Within decides. Within
+// calls math.Hypot and so is a call; Sure inlines, so a loop that tests
+// d2 first pays that call only for the rare pair inside the band.
+func (b Band) Sure(d2 float64) (in, sure bool) {
+	return d2 < b.in2, d2 < b.in2 || d2 > b.out2
 }
 
 // Nearest tracks which of the points offered to it in turn lies nearest a
@@ -110,7 +115,7 @@ func (n *Nearest) Offer(c Point) bool {
 		n.take(c, d2)
 		return true
 	}
-	if d2 > n.out2 {
+	if n.Farther(d2) {
 		return false
 	}
 	d := c.Dist(n.target)
@@ -121,6 +126,13 @@ func (n *Nearest) Offer(c Point) bool {
 	}
 	return false
 }
+
+// Farther is Offer's pre-test on a candidate's squared distance d2 =
+// c.Dist2(target) alone: true means d2 lies above the incumbent's band, so
+// Offer(c) would return false and change nothing. False decides nothing.
+// Offer is a call; Farther inlines, so a loop over candidates that tests
+// d2 first calls Offer only for those that may win.
+func (n *Nearest) Farther(d2 float64) bool { return d2 > n.out2 }
 
 // Dist returns the incumbent's distance to the target.
 func (n *Nearest) Dist() float64 {

@@ -25,16 +25,30 @@ func TestPointDist(t *testing.T) {
 // p.Within(q, r) == (p.Dist(q) <= r) for every input, the boundary
 // included. The radii are the paper's 250 m range and GPSR's safe greedy
 // range (SafeRangeFactor 0.9 of it, computed the way gpsr.Step does).
+// Wherever the band's pre-test Sure decides a pair, its answer must be
+// Within's; the nudged pairs on the two radio circles must include pairs
+// it leaves undecided, or the test would pass without the band.
 func TestWithinMatchesDist(t *testing.T) {
 	rangeM, safeFactor := 250.0, 0.9
 	radii := []float64{rangeM, rangeM * safeFactor}
+	undecided := map[float64]int{}
 	check := func(p, q Point, r float64) {
 		t.Helper()
 		if got, want := p.Within(q, r), p.Dist(q) <= r; got != want {
 			t.Fatalf("%v.Within(%v, %v) = %v, Dist = %v (<= r is %v)",
 				p, q, r, got, p.Dist(q), want)
 		}
+		if !checkSure(t, BandOf(r), p, q) {
+			undecided[r]++
+		}
 	}
+	defer func() {
+		for _, r := range radii {
+			if undecided[r] == 0 {
+				t.Errorf("r=%v: Sure decided every pair, the band is untested", r)
+			}
+		}
+	}()
 
 	src := rng.New(7)
 	for i := 0; i < 20000; i++ {

@@ -21,16 +21,35 @@ func argminDist(target, incumbent Point, cands []Point) (int, float64) {
 	return best, bd
 }
 
+// checkSure requires band's pre-test, where it decides the pair (p, q),
+// to give Within's answer, and reports whether it decided.
+func checkSure(t *testing.T, band Band, p, q Point) bool {
+	t.Helper()
+	in, sure := band.Sure(p.Dist2(q))
+	if sure && in != band.Within(p, q) {
+		t.Fatalf("%+v %v %v: Sure decided %v, Within %v", band, p, q, in, band.Within(p, q))
+	}
+	return sure
+}
+
 // checkNearest offers cands in order and requires Nearest's choice and
-// final distance to be argminDist's, bit for bit (NaN matching NaN). It
+// final distance to be argminDist's, bit for bit (NaN matching NaN), and
+// Offer to refuse every candidate that Farther rejected before it. It
 // reports whether comparing Dist2 alone, with no band, would have chosen
-// differently.
-func checkNearest(t *testing.T, target, incumbent Point, cands []Point) bool {
+// differently, and how many candidates Farther rejected.
+func checkNearest(t *testing.T, target, incumbent Point, cands []Point) (discord bool, rejected int) {
 	t.Helper()
 	n := NewNearest(target, incumbent)
 	got := -1
 	for i, c := range cands {
+		farther := n.Farther(c.Dist2(target))
+		if farther {
+			rejected++
+		}
 		if n.Offer(c) {
+			if farther {
+				t.Fatalf("target %v incumbent %v: Farther rejected candidate %d %v, Offer took it", target, incumbent, i, c)
+			}
 			got = i
 		}
 	}
@@ -45,7 +64,7 @@ func checkNearest(t *testing.T, target, incumbent Point, cands []Point) bool {
 			sq, sd2 = i, d2
 		}
 	}
-	return sq != want
+	return sq != want, rejected
 }
 
 // TestNearestMatchesDist holds Nearest to the Dist loop on the inputs where
@@ -54,10 +73,11 @@ func checkNearest(t *testing.T, target, incumbent Point, cands []Point) bool {
 // tie, candidates on the target, and distances whose squares are
 // subnormal, underflow to zero or overflow. The near-ties must include
 // cases where Dist2 alone orders the candidates differently, or the test
-// would pass without the band.
+// would pass without the band, and Farther must reject some candidates, or
+// its check against Offer would check nothing.
 func TestNearestMatchesDist(t *testing.T) {
 	src := rng.New(11)
-	discord := 0
+	discord, rejected := 0, 0
 	for _, scale := range []float64{250, 1, 3e-160, 1e-300, 5e-320, 1e150, 1e300} {
 		for i := 0; i < 3000; i++ {
 			target := Point{src.Uniform(-2, 2) * scale, src.Uniform(-2, 2) * scale}
@@ -79,15 +99,20 @@ func TestNearestMatchesDist(t *testing.T) {
 			for _, incumbent := range []Point{on, mirror, nudged, target, {on.X * 2, on.Y * 2}} {
 				for k := range cands {
 					rot := append(append([]Point{}, cands[k:]...), cands[:k]...)
-					if checkNearest(t, target, incumbent, rot) {
+					d, r := checkNearest(t, target, incumbent, rot)
+					if d {
 						discord++
 					}
+					rejected += r
 				}
 			}
 		}
 	}
 	if discord == 0 {
 		t.Fatal("no near-tie where Dist2 alone chooses differently: the band is untested")
+	}
+	if rejected == 0 {
+		t.Fatal("Farther rejected no candidate: the pre-test is untested")
 	}
 
 	// Candidates on the target, and an incumbent on it.
@@ -122,6 +147,7 @@ func TestBandHoisted(t *testing.T) {
 			if got, want := b.Within(p, q), p.Dist(q) <= r; got != want || got != p.Within(q, r) {
 				t.Fatalf("r=%v %v %v: band %v, Dist %v, Within %v", r, p, q, got, want, p.Within(q, r))
 			}
+			checkSure(t, b, p, q)
 		}
 	}
 }
@@ -129,8 +155,9 @@ func TestBandHoisted(t *testing.T) {
 // FuzzNearest drives Nearest and Band with arbitrary coordinates: a target,
 // an incumbent and two candidates, plus copies of the second candidate
 // nudged one math.Nextafter step per axis, so near-ties are the common
-// case. The choice must be the Dist loop's, and the band must agree with
-// Within and Dist for a radius taken from the first candidate's distance.
+// case. The choice must be the Dist loop's, Offer must refuse what Farther
+// rejects, and the band and its pre-test Sure must agree with Within and
+// Dist for a radius taken from the first candidate's distance.
 func FuzzNearest(f *testing.F) {
 	f.Add(500.0, 500.0, 700.0, 500.0, 600.0, 400.0, 400.0, 600.0)
 	f.Add(0.0, 0.0, 1e-160, 0.0, 5e-324, 0.0, 0.0, 5e-324)
@@ -151,6 +178,7 @@ func FuzzNearest(f *testing.F) {
 				if got, want := band.Within(target, q), target.Dist(q) <= rr; got != want || got != target.Within(q, rr) {
 					t.Fatalf("r=%v %v %v: band %v, Dist %v", rr, target, q, got, want)
 				}
+				checkSure(t, band, target, q)
 			}
 		}
 	})

@@ -73,18 +73,24 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 		// Prefer links comfortably inside the radio range: beacon
 		// positions are up to a hello interval stale, so a neighbor at
 		// the very fringe may have drifted out by delivery time
-		// (SafeRangeFactor).
+		// (SafeRangeFactor). The inlined pre-tests decide most
+		// neighbors from squared distances: one surely no nearer than
+		// the best so far is skipped, and the exact Within and Offer
+		// calls run only where the pre-tests cannot decide.
 		safe := geo.BandOf(rangeM * SafeRangeFactor)
 		near := geo.NewNearest(dest, selfPos)
 		best := NoDeliverTo
 		for _, nb := range nbrs {
-			if safe.Within(selfPos, nb.Pos) && near.Offer(nb.Pos) {
+			if near.Farther(nb.Pos.Dist2(dest)) {
+				continue
+			}
+			if in, sure := safe.Sure(selfPos.Dist2(nb.Pos)); (in || !sure && safe.Within(selfPos, nb.Pos)) && near.Offer(nb.Pos) {
 				best = nb.ID
 			}
 		}
 		if best == NoDeliverTo {
 			for _, nb := range nbrs {
-				if near.Offer(nb.Pos) {
+				if !near.Farther(nb.Pos.Dist2(dest)) && near.Offer(nb.Pos) {
 					best = nb.ID
 				}
 			}

@@ -17,6 +17,7 @@ package medium
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"alertmanet/internal/geo"
 	"alertmanet/internal/mobility"
@@ -351,7 +352,9 @@ func (b *beaconCache) rebuild(mob mobility.Model, at float64) {
 // snapshot, band being that radius's geo.Band. It reads the 3x3 cell block
 // covering every candidate within one cell side of id, column by column
 // and each column's rows in one run; the fixed cell order plus ascending
-// ids within cells keeps the order deterministic.
+// ids within cells keeps the order deterministic. The band's inlined
+// pre-test decides each candidate from its squared distance, and only one
+// inside the band's rounding margin takes the exact Within call.
 func (b *beaconCache) scan(id NodeID, band geo.Band, dst []int32) []int32 {
 	self := b.pos[id]
 	c := int(b.cellOf[id])
@@ -360,7 +363,8 @@ func (b *beaconCache) scan(id NodeID, band geo.Band, dst []int32) []int32 {
 	for x := max(col-1, 0); x <= min(col+1, b.cols-1); x++ {
 		run := b.ids[b.start[x*b.rows+lo]:b.start[x*b.rows+hi+1]]
 		for _, other := range run {
-			if other != int32(id) && band.Within(self, b.pos[other]) {
+			q := b.pos[other]
+			if in, sure := band.Sure(self.Dist2(q)); (in || !sure && band.Within(self, q)) && other != int32(id) {
 				dst = append(dst, other)
 			}
 		}
@@ -982,14 +986,29 @@ func (m *Medium) BeaconDrift() float64 {
 
 // NodesWithinInto appends to dst[:0] the ids of every node whose beacon
 // position lies in zone, in ascending id order, and returns the (possibly
-// regrown) slice: the zone's members as routing sees them.
+// regrown) slice: the zone's members as routing sees them. It reads only
+// the grid cells from the one zone.Min falls in to the one zone.Max falls
+// in: a coordinate's cell index never decreases as the coordinate grows,
+// so every node inside the zone lies in one of them. A zone with Min above
+// Max on an axis, or a NaN bound, contains no node, whatever cells it
+// reads. Ids ascend within each cell, not across cells, so the few hits
+// are sorted.
 func (m *Medium) NodesWithinInto(zone geo.Rect, dst []NodeID) []NodeID {
+	b := m.beaconsNow()
 	out := dst[:0]
-	for id, p := range m.beaconsNow().pos {
-		if zone.Contains(p) {
-			out = append(out, NodeID(id))
+	lo, hi := b.cell(zone.Min), b.cell(zone.Max)
+	row0, row1 := lo%b.rows, hi%b.rows
+	if row0 > row1 {
+		return out
+	}
+	for x := lo / b.rows; x <= hi/b.rows; x++ {
+		for _, id := range b.ids[b.start[x*b.rows+row0]:b.start[x*b.rows+row1+1]] {
+			if zone.Contains(b.pos[id]) {
+				out = append(out, NodeID(id))
+			}
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

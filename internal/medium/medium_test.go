@@ -553,6 +553,122 @@ func checkNeighborsGrid(t *testing.T, mob mobility.Model) {
 	}
 }
 
+// checkNodesWithin requires NodesWithinInto to return exactly the nodes a
+// pass over every node's position at the current beacon finds in zone, in
+// ascending id order, written over dst's old contents.
+func checkNodesWithin(t testing.TB, med *Medium, mob mobility.Model, zone geo.Rect) {
+	t.Helper()
+	beacon := float64(med.helloTick()) * med.par.HelloInterval
+	var want []NodeID
+	for id := 0; id < mob.N(); id++ {
+		if zone.Contains(mob.Position(id, beacon)) {
+			want = append(want, NodeID(id))
+		}
+	}
+	if got := med.NodesWithinInto(zone, []NodeID{7, -1, 7}); !slices.Equal(got, want) {
+		t.Fatalf("t=%v zone %v: NodesWithinInto = %v, a pass over every node finds %v", med.eng.Now(), zone, got, want)
+	}
+}
+
+// TestNodesWithinGridMatchesBruteForce holds the grid-backed
+// NodesWithinInto to a pass over every node, order included, on a moving
+// 200-node field and on nodes placed on cell boundaries, on the field's
+// Max edges and outside Field(), across several hello ticks. The zones
+// straddle cells, lie on cell boundaries, lie partly or wholly outside the
+// field, shrink to a point (on a node, too), are inverted, and have NaN or
+// infinite bounds.
+func TestNodesWithinGridMatchesBruteForce(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rect := func(x0, y0, x1, y1 float64) geo.Rect {
+		return geo.Rect{Min: geo.Point{X: x0, Y: y0}, Max: geo.Point{X: x1, Y: y1}}
+	}
+	zones := []geo.Rect{
+		field,
+		rect(240, 240, 510, 760), rect(0, 0, 125, 250), rect(875, 750, 1000, 1000), // straddling cells
+		rect(250, 250, 500, 500), rect(250, 0, 250, 1000), // on cell boundaries
+		rect(-100, 900, 300, 1300), rect(990, -50, 1100, 40), // partly outside
+		rect(-500, -500, -100, -100), rect(1100, 0, 1500, 1000), rect(-60, 0, -59, 1000), // wholly outside
+		rect(250, 250, 250, 250), rect(1000, 500, 1000, 500), rect(600, 600, 600, 600), // points
+		rect(600, 600, 400, 400), rect(400, 600, 600, 400), rect(600, 400, 400, 600), // inverted
+		rect(100, 900, 900, 100), rect(900, 100, 100, 900), rect(1e9, 1e9, -1e9, -1e9), // inverted across cells
+		rect(nan, 0, 1000, 1000), rect(0, nan, 1000, 1000), rect(0, 0, nan, 1000), rect(0, 0, 1000, nan),
+		rect(-inf, -inf, inf, inf), rect(-inf, 0, 500, inf), rect(inf, inf, inf, inf),
+		rect(-inf, -inf, -inf, -inf), rect(inf, 0, -inf, 1000),
+	}
+	for _, mc := range []struct {
+		name string
+		mob  mobility.Model
+	}{
+		{"rwp", mobility.NewRandomWaypoint(field, 200, 3, nil, rng.New(81))},
+		{"edges", gridEdgeModel()},
+	} {
+		t.Run(mc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			med := MustNew(eng, mc.mob, DefaultParams(), rng.New(82))
+			src := rng.New(83)
+			check := func() {
+				for _, z := range zones {
+					checkNodesWithin(t, med, mc.mob, z)
+				}
+				for i := 0; i < 300; i++ {
+					lo := geo.Point{X: src.Uniform(-300, 1300), Y: src.Uniform(-300, 1300)}
+					checkNodesWithin(t, med, mc.mob, geo.Rect{Min: lo, Max: geo.Point{X: lo.X + src.Uniform(0, 600), Y: lo.Y + src.Uniform(0, 600)}})
+				}
+				for id := 0; id < mc.mob.N(); id++ {
+					p := med.BeaconPosition(NodeID(id))
+					checkNodesWithin(t, med, mc.mob, geo.Rect{Min: p, Max: p})
+				}
+			}
+			check()
+			for _, until := range []float64{0.5, 1, 7.5, 13, 21.4} { // crosses several hello ticks
+				eng.RunUntil(until)
+				check()
+			}
+		})
+	}
+}
+
+// FuzzNodesWithin holds NodesWithinInto to a pass over every node on
+// random fields and rectangles: the seed places 1 to 256 nodes in and
+// around the 1000 m field, a quarter of them at an x that is a multiple of
+// the range (a cell boundary where cells are range-sized) and a quarter on
+// the field's Max.X edge; the radio range sets the grid's cell side (wider
+// cells above 256 cells an axis, one cell when it is infinite); the
+// rectangle's bounds are arbitrary, so it may be inverted, a point, or
+// have NaN or infinite bounds.
+func FuzzNodesWithin(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(int64(1), uint8(199), 250.0, 100.0, 200.0, 600.0, 450.0)
+	f.Add(int64(2), uint8(30), 1.0, -50.0, -50.0, 1200.0, 1200.0)
+	f.Add(int64(3), uint8(255), 333.0, 500.0, 500.0, 500.0, 500.0)
+	f.Add(int64(4), uint8(10), 250.0, 700.0, 0.0, 300.0, 1000.0)
+	f.Add(int64(5), uint8(99), inf, -inf, nan, inf, 3.0)
+	f.Add(int64(6), uint8(64), 1e300, -1e300, -1e300, 1e-300, 1e300)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, rangeM, x0, y0, x1, y1 float64) {
+		par := DefaultParams()
+		par.Range = rangeM
+		src := rng.New(seed)
+		pos := make([]geo.Point, 1+int(n))
+		for i := range pos {
+			p := geo.Point{X: src.Uniform(-200, 1200), Y: src.Uniform(-200, 1200)}
+			switch i % 4 {
+			case 1:
+				p.X = math.Floor(p.X/rangeM) * rangeM
+			case 2:
+				p.X = field.Max.X
+				p.Y = math.Min(p.Y, field.Max.Y)
+			}
+			pos[i] = p
+		}
+		mob := newFixed(pos...)
+		med, err := New(sim.NewEngine(), mob, par, rng.New(1))
+		if err != nil {
+			t.Skip("medium.New refuses the range")
+		}
+		checkNodesWithin(t, med, mob, geo.Rect{Min: geo.Point{X: x0, Y: y0}, Max: geo.Point{X: x1, Y: y1}})
+	})
+}
+
 // BenchmarkNeighborsGrid times the beacon grid at evaluation scale: each
 // op advances the clock one hello interval, so the snapshot is rebuilt,
 // and queries all 200 nodes once, so every query scans the grid (a query
