@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -275,6 +276,66 @@ func TestRunMarkdownFigures(t *testing.T) {
 		t.Fatalf("%d simulation figures in the registry, want fig10a through fig17 (13)", len(want))
 	}
 	checkMarkdown(t, want)
+}
+
+var update = flag.Bool("update", false, "rewrite "+storeKeysPath+" from current behaviour")
+
+// storeKeysPath pins the order of `campaign run -seeds 2 all`'s store.
+const storeKeysPath = "testdata/store_keys_golden.json"
+
+// TestStoreOrder pins the sequence of cell keys `campaign run -seeds 2 all`
+// appends to its store: the drive order over the registry's plans, and
+// within each plan its grid's cell order. The values are the figure
+// goldens' to pin; a grid whose axis loops swap, in its cells and its
+// reduction alike, renders the same figures and fails only here. Re-bless
+// with -update.
+func TestStoreOrder(t *testing.T) {
+	dir := t.TempDir()
+	if err := dispatch("run", []string{"-dir", dir, "-seeds", "2", "-quiet",
+		"-o", filepath.Join(dir, "figs"), "all"}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var got []string
+	for _, line := range bytes.Split(bytes.TrimSpace(readResults(t, dir)), []byte("\n")) {
+		var rec struct {
+			Key string `json:"key"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("store record: %v", err)
+		}
+		got = append(got, rec.Key)
+	}
+
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(storeKeysPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(storeKeysPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("re-blessed %s (%d keys)", storeKeysPath, len(got))
+		return
+	}
+	data, err := os.ReadFile(storeKeysPath)
+	if err != nil {
+		t.Fatalf("read store-order golden (run with -update to create): %v", err)
+	}
+	var want []string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parse %s: %v", storeKeysPath, err)
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("record %d has key %.12s, golden %.12s: the store order changed", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("store holds %d records, golden %d", len(got), len(want))
+	}
 }
 
 // TestRejectsBadFlags: a seed count below 1 or an unknown format fails

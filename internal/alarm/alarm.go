@@ -44,8 +44,7 @@ const disseminationRelays = 12
 
 // meta travels inside the gpsr packet payload.
 type meta struct {
-	rec       *metrics.PacketRecord
-	completed bool
+	rec *metrics.PacketRecord
 	// timeout is the give-up timer, cancelled when the packet completes.
 	timeout sim.EventID
 }
@@ -114,10 +113,9 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	entry := p.loc.Lookup(dst)
 	m := &meta{rec: rec}
 	finish := func(pkt *gpsr.Packet, at float64, delivered bool) {
-		if m.completed {
+		if rec.Done() {
 			return
 		}
-		m.completed = true
 		p.net.Eng.Cancel(m.timeout)
 		if pkt != nil {
 			rec.Hops = pkt.Hops

@@ -38,9 +38,8 @@ const (
 
 // meta travels inside the gpsr packet payload.
 type meta struct {
-	rec       *metrics.PacketRecord
-	dst       medium.NodeID
-	completed bool
+	rec *metrics.PacketRecord
+	dst medium.NodeID
 	// timeout is the give-up timer, cancelled when the packet completes.
 	timeout sim.EventID
 }
@@ -180,10 +179,9 @@ func (p *Protocol) deliver(at medium.NodeID, m *meta, pkt *gpsr.Packet) {
 }
 
 func (p *Protocol) finish(m *meta, pkt *gpsr.Packet, at float64, delivered bool) {
-	if m.completed {
+	if m.rec.Done() {
 		return
 	}
-	m.completed = true
 	p.net.Eng.Cancel(m.timeout)
 	if pkt != nil {
 		m.rec.Hops = pkt.Hops

@@ -136,19 +136,18 @@ type Counters struct {
 }
 
 // flight is the in-simulation bookkeeping for one application packet.
+// A flight is complete when its record is (rec.Done), and its timers are
+// cancelled without checking: cancelling a zero, fired or cancelled handle
+// is a no-op.
 type flight struct {
-	env        *Envelope
-	rec        *metrics.PacketRecord
-	src, dst   medium.NodeID
-	completed  bool
-	taken      bool // D has taken a copy; every later one is a duplicate
-	delivered  bool
-	acked      bool
-	retries    int
-	timeoutID  sim.EventID
-	retryID    sim.EventID
-	hasTimeout bool
-	hasRetry   bool
+	env       *Envelope
+	rec       *metrics.PacketRecord
+	src, dst  medium.NodeID
+	taken     bool // D has taken a copy; every later one is a duplicate
+	acked     bool
+	retries   int
+	timeoutID sim.EventID
+	retryID   sim.EventID
 }
 
 type sessKey struct {

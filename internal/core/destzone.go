@@ -316,14 +316,13 @@ func (p *Protocol) deliverData(at medium.NodeID, env *Envelope) {
 	charge := DestCharge(p.net.Costs, setup && p.cfg.ChargeSessionSetup, guarded)
 
 	p.net.Eng.Schedule(charge, func() {
-		if f.completed {
+		if f.rec.Done() {
 			return // written off as undelivered
 		}
 		plain, err := sess.dest.OpenData(p.net.Suite, nd.Priv, env.EncSymKey, env.EncLZS, env.EncBitmap, env.Payload)
 		if err != nil {
 			return // not actually for us
 		}
-		f.delivered = true
 		f.rec.Path = append(f.rec.Path, at)
 		now := p.net.Eng.Now()
 		p.counts.Delivered++
@@ -379,10 +378,7 @@ func (p *Protocol) destFeedback(at medium.NodeID, env *Envelope, sess *session, 
 func (p *Protocol) handleAck(env *Envelope) {
 	f := env.ackFor
 	f.acked = true
-	if f.hasRetry {
-		p.net.Eng.Cancel(f.retryID)
-		f.hasRetry = false
-	}
+	p.net.Eng.Cancel(f.retryID)
 }
 
 // handleNAK runs at the source: resend every sequence number the
@@ -390,7 +386,7 @@ func (p *Protocol) handleAck(env *Envelope) {
 func (p *Protocol) handleNAK(env *Envelope) {
 	sess := p.session(env.ackFor.src, env.ackFor.dst)
 	for _, seq := range env.nakSeqs {
-		if fl, ok := sess.flights[seq]; ok && !fl.delivered && !fl.completed {
+		if fl, ok := sess.flights[seq]; ok && !fl.rec.Done() {
 			p.counts.Resends++
 			p.resend(fl)
 		}

@@ -67,11 +67,7 @@ func (p *Protocol) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRec
 	sess.flights[env.Seq] = f
 
 	if p.cfg.CompleteTimeout > 0 {
-		f.timeoutID = p.net.Eng.Schedule(p.cfg.CompleteTimeout, func() {
-			f.hasTimeout = false
-			p.complete(f, 0, false)
-		})
-		f.hasTimeout = true
+		f.timeoutID = p.net.Eng.Schedule(p.cfg.CompleteTimeout, func() { p.complete(f, 0, false) })
 	}
 
 	delay := SourceCharge(p.net.Costs, chargeSetup)
@@ -339,18 +335,11 @@ func (p *Protocol) failLeg(env *Envelope) {
 // it, so long sessions hold state proportional to the in-flight window
 // rather than to their lifetime.
 func (p *Protocol) complete(f *flight, at float64, delivered bool) {
-	if f == nil || f.completed {
+	if f == nil || f.rec.Done() {
 		return
 	}
-	f.completed = true
-	if f.hasTimeout {
-		p.net.Eng.Cancel(f.timeoutID)
-		f.hasTimeout = false
-	}
-	if f.hasRetry {
-		p.net.Eng.Cancel(f.retryID)
-		f.hasRetry = false
-	}
+	p.net.Eng.Cancel(f.timeoutID)
+	p.net.Eng.Cancel(f.retryID)
 	p.col.Complete(f.rec, at, delivered)
 	if !p.cfg.NAKs || delivered {
 		// NAK recovery can still resurrect an undelivered flight; keep
@@ -362,23 +351,19 @@ func (p *Protocol) complete(f *flight, at float64, delivered bool) {
 
 // armRetry schedules a retransmission if no confirmation arrives in time.
 func (p *Protocol) armRetry(f *flight) {
-	if f.hasRetry {
-		p.net.Eng.Cancel(f.retryID)
-	}
+	p.net.Eng.Cancel(f.retryID)
 	f.retryID = p.net.Eng.Schedule(confirmTimeout, func() {
-		f.hasRetry = false
-		if f.acked || f.completed {
+		if f.acked || f.rec.Done() {
 			return
 		}
 		if f.retries >= maxRetries {
-			p.complete(f, 0, f.delivered)
+			p.complete(f, 0, false)
 			return
 		}
 		f.retries++
 		p.counts.Resends++
 		p.resend(f)
 	})
-	f.hasRetry = true
 }
 
 // resend relaunches a flight's envelope from the source with a fresh

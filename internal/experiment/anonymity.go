@@ -41,14 +41,6 @@ func IntersectionAttack(seed int64, packets int, guard bool) IntersectionResult 
 	sc.Speed = 2
 	sc.Alert.IntersectionGuard = guard
 	sc.Alert.HoldRelease = 1.5
-	// The send horizon covers the manual session; DrainTime lets the last
-	// packets finish, matching Run's policy.
-	sc.Duration = float64(packets) * sc.Interval
-	w := MustBuild(sc)
-
-	// One fixed pair makes the session worth attacking.
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
 
 	// The attacker attributes each packet's step-one receivers to that
 	// packet and — per Section 3.3 — monitors "the change of the members
@@ -57,26 +49,23 @@ func IntersectionAttack(seed int64, packets int, guard bool) IntersectionResult 
 	// time-mixed with the next packet and cannot be attributed (the
 	// mechanism's point), so they are not part of any per-packet set.
 	waves := map[int]map[medium.NodeID]struct{}{}
-	w.Alert.OnZoneRecipients = func(seq, step int, zone geo.Rect, rs []medium.NodeID, t float64) {
-		if step != 1 {
-			return
-		}
-		set := waves[seq]
-		if set == nil {
-			set = map[medium.NodeID]struct{}{}
-			waves[seq] = set
-		}
-		for _, id := range rs {
-			if zone.Contains(w.Med.TruePosition(id, t)) {
-				set[id] = struct{}{}
+	_, _, d := attackedSession(sc, packets, func(w *World, _, _ medium.NodeID) {
+		w.Alert.OnZoneRecipients = func(seq, step int, zone geo.Rect, rs []medium.NodeID, t float64) {
+			if step != 1 {
+				return
+			}
+			set := waves[seq]
+			if set == nil {
+				set = map[medium.NodeID]struct{}{}
+				waves[seq] = set
+			}
+			for _, id := range rs {
+				if zone.Contains(w.Med.TruePosition(id, t)) {
+					set[id] = struct{}{}
+				}
 			}
 		}
-	}
-	for i := 0; i < packets; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("session")) })
-	}
-	w.Drain()
+	})
 
 	// Intersect all observed sets.
 	var cand map[medium.NodeID]struct{}
@@ -160,29 +149,21 @@ func TimingAttackScore(seed int64, proto ProtocolName, packets int) float64 {
 	sc := DefaultScenario()
 	sc.Seed = seed
 	sc.Protocol = proto
-	sc.Duration = float64(packets) * sc.Interval
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
-
 	var corr adversary.TimingCorrelator
-	sPos := w.Med.PositionNow(s)
-	rangeM := w.Med.Params().Range
-	w.Med.TapSend(func(tx medium.Transmission) {
-		if tx.From == s && tx.FromPos.Within(sPos, rangeM) {
-			corr.AddSend(tx.At)
-		}
+	attackedSession(sc, packets, func(w *World, s, d medium.NodeID) {
+		sPos := w.Med.PositionNow(s)
+		rangeM := w.Med.Params().Range
+		w.Med.TapSend(func(tx medium.Transmission) {
+			if tx.From == s && tx.FromPos.Within(sPos, rangeM) {
+				corr.AddSend(tx.At)
+			}
+		})
+		w.Med.TapRecv(func(rx medium.Reception) {
+			if rx.To == d {
+				corr.AddRecv(rx.At)
+			}
+		})
 	})
-	w.Med.TapRecv(func(rx medium.Reception) {
-		if rx.To == d {
-			corr.AddRecv(rx.At)
-		}
-	})
-	for i := 0; i < packets; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("x")) })
-	}
-	w.Drain()
 	return corr.Score(2e-3)
 }
 
@@ -194,15 +175,7 @@ func InterceptionExperiment(seed int64, proto ProtocolName, packets, compromised
 	sc.Seed = seed
 	sc.Protocol = proto
 	sc.Mobility = Static // the attacker's best case: a frozen topology
-	sc.Duration = float64(packets) * sc.Interval
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
-	for i := 0; i < packets; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("x")) })
-	}
-	w.Drain()
+	w, s, d := attackedSession(sc, packets, nil)
 
 	var tracker adversary.RouteTracker
 	recs := w.Proto.Collector().Records()
@@ -244,43 +217,32 @@ func DoSAttack(seed int64, proto ProtocolName, packets, compromise int) DoSResul
 	sc.Seed = seed
 	sc.Protocol = proto
 	sc.Mobility = Static
-	sc.Duration = float64(packets) * sc.Interval
 	sc.DrainTime = 20 // the post-compromise phase needs longer to settle
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
 
-	// Phase one: half the packets, clean network.
+	// Phase one sends the first half of the packets on a clean network;
+	// between the phases the adversary compromises the first delivered
+	// route's relays; phase two sends the rest through them.
 	half := packets / 2
-	for i := 0; i < half; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("x")) })
-	}
-	// Between phases: compromise the first delivered route's relays.
 	res := DoSResult{}
-	w.Eng.At(float64(half)*sc.Interval-0.5, func() {
-		for _, r := range w.Proto.Collector().Records() {
-			if !r.Delivered {
-				continue
-			}
-			for _, id := range relaysOnly(r.Path, s, d) {
-				if res.Compromised >= compromise {
-					break
+	w, _, _ := attackedSession(sc, packets, func(w *World, s, d medium.NodeID) {
+		w.Eng.At(float64(half)*sc.Interval-0.5, func() {
+			for _, r := range w.Proto.Collector().Records() {
+				if !r.Delivered {
+					continue
 				}
-				if !w.Med.Compromised(id) {
-					w.Med.Compromise(id)
-					res.Compromised++
+				for _, id := range relaysOnly(r.Path, s, d) {
+					if res.Compromised >= compromise {
+						break
+					}
+					if !w.Med.Compromised(id) {
+						w.Med.Compromise(id)
+						res.Compromised++
+					}
 				}
+				break
 			}
-			break
-		}
+		})
 	})
-	// Phase two: the remaining packets, relays subverted.
-	for i := half; i < packets; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("x")) })
-	}
-	w.Drain()
 
 	recs := w.Proto.Collector().Records()
 	var del1, del2, n1, n2 int
@@ -304,6 +266,27 @@ func DoSAttack(seed int64, proto ProtocolName, packets, compromise int) DoSResul
 		res.UnderAttackDelivery = float64(del2) / float64(n2)
 	}
 	return res
+}
+
+// attackedSession runs the session every attack watches: it builds sc's
+// world with a send horizon of `packets` packets (DrainTime lets the last
+// ones finish, matching Run's policy), lets mount set the adversary up on
+// the first pair (S, D), sends S's packets to D one every Interval from
+// 0.01 s, and drains the run.
+func attackedSession(sc Scenario, packets int, mount func(w *World, s, d medium.NodeID)) (*World, medium.NodeID, medium.NodeID) {
+	sc.Duration = float64(packets) * sc.Interval
+	w := MustBuild(sc)
+	pair := w.ChoosePairs()[0] // one fixed pair makes the session worth attacking
+	s, d := pair.S, pair.D
+	if mount != nil {
+		mount(w, s, d)
+	}
+	for i := 0; i < packets; i++ {
+		at := float64(i) * sc.Interval
+		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("session")) })
+	}
+	w.Drain()
+	return w, s, d
 }
 
 func relaysOnly(path []medium.NodeID, s, d medium.NodeID) []medium.NodeID {
@@ -344,15 +327,7 @@ func IntersectionRemedyCost(seed int64, packets int, alert bool) TradeoffResult 
 		sc.Protocol = ZAP
 		sc.Zap.EnlargePerPacket = 40
 	}
-	sc.Duration = float64(packets) * sc.Interval
-	w := MustBuild(sc)
-	pairs := w.ChoosePairs()[:1]
-	s, d := pairs[0].S, pairs[0].D
-	for i := 0; i < packets; i++ {
-		at := float64(i) * sc.Interval
-		w.Eng.At(at+0.01, func() { w.Proto.Send(s, d, []byte("session")) })
-	}
-	w.Drain()
+	w, _, _ := attackedSession(sc, packets, nil)
 	recs := w.Proto.Collector().Records()
 	var res TradeoffResult
 	if len(recs) < 6 {

@@ -3,10 +3,12 @@
 // the Welch comparisons and the Section 3 attacks. Each entry has a name,
 // the title printed above it, an optional Plan that enumerates the cells it
 // needs up front, and either a Render that reduces executed cells into
-// series or a Text for the two outputs that are not series. The split is
-// what lets cmd/campaign run the union of all entries' cells as one
-// deduplicated, resumable campaign and report per-entry completion without
-// executing anything.
+// series or a Text for the two outputs that are not series. A simulation
+// entry's Plan and its output come from one cells function (runsEntry,
+// remainingEntry, compareAll), so they cannot name different cells. The
+// split is what lets cmd/campaign run the union of all entries' cells as
+// one deduplicated, resumable campaign and report per-entry completion
+// without executing anything.
 
 package experiment
 
@@ -105,60 +107,16 @@ func Figures() []Figure {
 			Title:  "Section 4.3: location service overhead ratio (N_L(N_L-1)f + Nf)/(NF) vs F, paper default",
 			Render: func(Runner, int) ([]analysis.Series, error) { return overheadSeries() },
 		},
-		{
-			Name:  "fig10a",
-			Title: "Fig. 10a: cumulative actual participating nodes vs packets",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: fig10aCells(defaultPackets, seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig10a(r, defaultPackets, seeds)
-			},
-		},
-		{
-			Name:  "fig10b",
-			Title: "Fig. 10b: participating nodes after 20 packets vs network size",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: fig10bCells(defaultPackets, seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig10b(r, defaultPackets, seeds)
-			},
-		},
-		{
-			Name:  "fig11",
-			Title: "Fig. 11: random forwarders vs partitions (simulated; cf. Fig. 7b)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: fig11Cells(defaultHMax, seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				s, err := Fig11(r, defaultHMax, seeds)
-				if err != nil {
-					return nil, err
-				}
-				return []analysis.Series{s}, nil
-			},
-		},
-		{
-			Name:  "fig12",
-			Title: "Fig. 12: remaining nodes in Z_D vs time by density (H=5, v=2)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Remaining: fig12Cells(defaultTimes(), seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig12(r, defaultTimes(), seeds)
-			},
-		},
-		{
-			Name:  "fig13a",
-			Title: "Fig. 13a: remaining nodes vs time by H and speed (N=200)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Remaining: fig13aCells(defaultTimes(), seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig13a(r, defaultTimes(), seeds)
-			},
-		},
+		runsEntry("fig10a", "Fig. 10a: cumulative actual participating nodes vs packets",
+			func(seeds int) figureBatch { return fig10a(defaultPackets, seeds) }),
+		runsEntry("fig10b", "Fig. 10b: participating nodes after 20 packets vs network size",
+			func(seeds int) figureBatch { return fig10b(defaultPackets, seeds) }),
+		runsEntry("fig11", "Fig. 11: random forwarders vs partitions (simulated; cf. Fig. 7b)",
+			func(seeds int) figureBatch { return fig11(defaultHMax, seeds) }),
+		remainingEntry("fig12", "Fig. 12: remaining nodes in Z_D vs time by density (H=5, v=2)",
+			func(seeds int) remainingGrid { return fig12(defaultTimes(), seeds) }),
+		remainingEntry("fig13a", "Fig. 13a: remaining nodes vs time by H and speed (N=200)",
+			func(seeds int) remainingGrid { return fig13a(defaultTimes(), seeds) }),
 		{
 			Name:  "fig13b",
 			Title: "Fig. 13b: required density vs speed (4 nodes remaining at t=10s)",
@@ -172,94 +130,20 @@ func Figures() []Figure {
 				return []analysis.Series{s}, nil
 			},
 		},
-		{
-			Name:  "fig14a",
-			Title: "Fig. 14a: latency per packet (s) vs number of nodes",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: sizeSweepCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig14a(r, seeds)
-			},
-		},
-		{
-			Name:  "fig14b",
-			Title: "Fig. 14b: latency per packet (s) vs node speed",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: append(updSweepCells(seeds), fig14bTailCells(seeds)...)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig14b(r, seeds)
-			},
-		},
-		{
-			Name:  "fig15a",
-			Title: "Fig. 15a: hops per packet vs number of nodes",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: fig15aCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig15a(r, seeds)
-			},
-		},
-		{
-			Name:  "fig15b",
-			Title: "Fig. 15b: hops per packet vs node speed",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: updSweepCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig15b(r, seeds)
-			},
-		},
-		{
-			Name:  "fig16a",
-			Title: "Fig. 16a: delivery rate vs number of nodes",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: sizeSweepCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig16a(r, seeds)
-			},
-		},
-		{
-			Name:  "fig16b",
-			Title: "Fig. 16b: delivery rate vs node speed (with/without destination update)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: updSweepCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig16b(r, seeds)
-			},
-		},
-		{
-			Name:  "fig17",
-			Title: "Fig. 17: ALERT delay (s) under different movement models",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: fig17Cells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return Fig17(r, seeds)
-			},
-		},
-		{
-			Name:  "energy",
-			Title: "Energy per delivered packet (J, transmission + cryptography)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: protocolCells(seeds)}
-			},
-			Render: func(r Runner, seeds int) ([]analysis.Series, error) {
-				return EnergySummary(r, seeds)
-			},
-		},
+		runsEntry("fig14a", "Fig. 14a: latency per packet (s) vs number of nodes", fig14a),
+		runsEntry("fig14b", "Fig. 14b: latency per packet (s) vs node speed", fig14b),
+		runsEntry("fig15a", "Fig. 15a: hops per packet vs number of nodes", fig15a),
+		runsEntry("fig15b", "Fig. 15b: hops per packet vs node speed", fig15b),
+		runsEntry("fig16a", "Fig. 16a: delivery rate vs number of nodes", fig16a),
+		runsEntry("fig16b", "Fig. 16b: delivery rate vs node speed (with/without destination update)", fig16b),
+		runsEntry("fig17", "Fig. 17: ALERT delay (s) under different movement models", fig17),
+		runsEntry("energy", "Energy per delivered packet (J, transmission + cryptography)", energy),
 		{
 			// After energy, whose cells these are: `all` stores nothing new.
 			Name:  "compare",
 			Title: "Pairwise protocol comparisons (Welch's t-test, 95%)",
-			Plan: func(seeds int) FigurePlan {
-				return FigurePlan{Runs: protocolCells(seeds)}
-			},
-			Text: compareText,
+			Plan:  func(seeds int) FigurePlan { return FigurePlan{Runs: compareAll(seeds).cells} },
+			Text:  func(r Runner, seeds int) (string, error) { return compareAll(seeds).run(r) },
 		},
 		{
 			Name:  "table1",
@@ -312,6 +196,24 @@ func FindFigure(name string) (Figure, bool) {
 	return Figure{}, false
 }
 
+// runsEntry is a simulation entry whose Plan and Render both come from
+// one cells function: Plan lists the batch's cells, and Render reduces
+// exactly those cells' results.
+func runsEntry(name, title string, cells func(seeds int) figureBatch) Figure {
+	return Figure{Name: name, Title: title,
+		Plan:   func(seeds int) FigurePlan { return FigurePlan{Runs: cells(seeds).cells} },
+		Render: func(r Runner, seeds int) ([]analysis.Series, error) { return cells(seeds).run(r) },
+	}
+}
+
+// remainingEntry is runsEntry for a grid of remaining-nodes cells.
+func remainingEntry(name, title string, cells func(seeds int) remainingGrid) Figure {
+	return Figure{Name: name, Title: title,
+		Plan:   func(seeds int) FigurePlan { return FigurePlan{Remaining: cells(seeds).cells} },
+		Render: func(r Runner, seeds int) ([]analysis.Series, error) { return cells(seeds).run(r) },
+	}
+}
+
 // point is a one-point series, the shape of the energy and attack entries.
 func point(label string, y float64) analysis.Series {
 	return analysis.Series{Label: label, X: []float64{0}, Y: []float64{y}}
@@ -347,23 +249,26 @@ func overheadSeries() ([]analysis.Series, error) {
 	return []analysis.Series{s}, nil
 }
 
-// compareText runs the Welch comparisons over protocolCells and prints
-// one line per protocol pair and metric.
-func compareText(r Runner, seeds int) (string, error) {
-	results, err := r.RunBatch(protocolCells(seeds))
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, c := range compareResults(results, protosAll, seeds) {
-		verdict := "not significant"
-		if c.Welch.Significant {
-			verdict = "SIGNIFICANT"
+// compareAll is the compare entry's batch: the Welch comparisons over the
+// energy summary's cells, one line per protocol pair and metric.
+func compareAll(seeds int) batch[string] {
+	cmp := compare(protosAll, seeds, sweepSeconds)
+	return batch[string]{cmp.cells, func(results []Result) (string, error) {
+		cs, err := cmp.reduce(results)
+		if err != nil {
+			return "", err
 		}
-		fmt.Fprintf(&b, "  %-17s %-6s %10.4f  vs  %-6s %10.4f   t=%7.2f df=%-3d %s\n",
-			c.Metric, c.A, c.MeanA, c.B, c.MeanB, c.Welch.T, c.Welch.DF, verdict)
-	}
-	return b.String(), nil
+		var b strings.Builder
+		for _, c := range cs {
+			verdict := "not significant"
+			if c.Welch.Significant {
+				verdict = "SIGNIFICANT"
+			}
+			fmt.Fprintf(&b, "  %-17s %-6s %10.4f  vs  %-6s %10.4f   t=%7.2f df=%-3d %s\n",
+				c.Metric, c.A, c.MeanA, c.B, c.MeanB, c.Welch.T, c.Welch.DF, verdict)
+		}
+		return b.String(), nil
+	}}
 }
 
 // intersectionSeries mounts the Section 3.3 intersection attack on plain

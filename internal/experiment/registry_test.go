@@ -3,9 +3,10 @@ package experiment
 // The registry contract: every entry of Figures() renders, in every output
 // format, and an entry's Plan names exactly the cells its render asks the
 // runner for — so a campaign that executes the planned grids leaves every
-// render a memo hit, and a Plan that drifts from its figure's grid fails
-// here. The attack entries' values are pinned in
-// testdata/attacks_golden.json.
+// render a memo hit. Simulation entries take both from one cells function,
+// so what this still catches is a render that asks for cells outside its
+// batch, and an entry without a Plan that runs cells. The attack entries'
+// values are pinned in testdata/attacks_golden.json.
 
 import (
 	"crypto/sha256"

@@ -51,20 +51,14 @@ func (a *App) Send(src, dst medium.NodeID, data []byte) (*metrics.PacketRecord, 
 	entry := a.loc.Lookup(dst)
 	// The give-up timer writes off a packet that never completes; one that
 	// completes cancels it, so the queue holds no timer for a settled
-	// packet.
-	var st struct {
-		completed bool
-		timeout   sim.EventID
-	}
+	// packet. The record completes once, and cancelling a fired or
+	// cancelled timer is a no-op, so finish needs no flag of its own.
+	var timeout sim.EventID
 	finish := func(at float64, delivered bool) {
-		if st.completed {
-			return
-		}
-		st.completed = true
-		a.net.Eng.Cancel(st.timeout)
+		a.net.Eng.Cancel(timeout)
 		a.col.Complete(rec, at, delivered)
 	}
-	st.timeout = a.net.Eng.Schedule(CompleteTimeout, func() { finish(0, false) })
+	timeout = a.net.Eng.Schedule(CompleteTimeout, func() { finish(0, false) })
 	pkt := a.router.NewPacket()
 	pkt.Dest = entry.Pos
 	pkt.DeliverTo = dst

@@ -157,15 +157,10 @@ type Counters struct {
 // Planarization selects the planar subgraph used in perimeter mode.
 type Planarization uint8
 
-// The two planarizations of the original GPSR paper.
-const (
-	// GabrielGraph keeps edge (u,v) unless a witness sits inside the
-	// circle with diameter uv. Router and the live daemon route with it.
-	GabrielGraph Planarization = iota
-	// RelativeNeighborhood keeps (u,v) unless a witness is closer to
-	// both u and v than they are to each other; a sparser subgraph.
-	RelativeNeighborhood
-)
+// GabrielGraph keeps edge (u,v) unless a witness sits inside the circle
+// with diameter uv. It is the only planarization: Router and the live
+// daemon route with it.
+const GabrielGraph Planarization = 0
 
 // Router routes packets over a network. It is stateless per the GPSR
 // design: all routing state lives in the packet.
@@ -458,32 +453,6 @@ func planarize(dst []medium.Neighbor, self geo.Point, nbrs []medium.Neighbor) []
 				continue
 			}
 			if w.Pos.Dist2(mid) < radius2 {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// planarizeRNG appends to dst the neighbors kept by the Relative
-// Neighborhood Graph test: u survives unless some witness w is strictly
-// closer to both endpoints than they are to each other (the "lune" test).
-// RNG is a subgraph of the Gabriel graph — sparser faces, longer perimeter
-// walks — and is the other planarization the original GPSR paper evaluates.
-func planarizeRNG(dst []medium.Neighbor, self geo.Point, nbrs []medium.Neighbor) []medium.Neighbor {
-	out := dst
-	for _, u := range nbrs {
-		d2 := self.Dist2(u.Pos)
-		keep := true
-		for _, w := range nbrs {
-			if w.ID == u.ID {
-				continue
-			}
-			if w.Pos.Dist2(self) < d2 && w.Pos.Dist2(u.Pos) < d2 {
 				keep = false
 				break
 			}

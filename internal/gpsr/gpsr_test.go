@@ -501,67 +501,3 @@ func TestNextGreedyMatchesStep(t *testing.T) {
 		t.Fatalf("path = %v, first relay should be NextGreedy's %v", pkt.Path, next)
 	}
 }
-
-func TestPlanarizeRNGSubsetOfGabriel(t *testing.T) {
-	// RNG is a known subgraph of the Gabriel graph.
-	src := rng.New(31)
-	for trial := 0; trial < 200; trial++ {
-		n := src.Intn(15) + 2
-		self := geo.Point{X: src.Uniform(0, 250), Y: src.Uniform(0, 250)}
-		nbrs := make([]medium.Neighbor, n)
-		for i := range nbrs {
-			nbrs[i] = medium.Neighbor{
-				ID:  medium.NodeID(i + 1),
-				Pos: geo.Point{X: src.Uniform(0, 250), Y: src.Uniform(0, 250)},
-			}
-		}
-		gg := map[medium.NodeID]bool{}
-		for _, nb := range planarize(nil, self, nbrs) {
-			gg[nb.ID] = true
-		}
-		for _, nb := range planarizeRNG(nil, self, nbrs) {
-			if !gg[nb.ID] {
-				t.Fatalf("trial %d: RNG kept edge %d that Gabriel removed", trial, nb.ID)
-			}
-		}
-	}
-}
-
-func TestRNGPlanarizationStillDelivers(t *testing.T) {
-	// The concave-void topology must still route with RNG perimeter mode:
-	// walk it hop by hop through Step, over exact neighbour tables.
-	pos := []geo.Point{
-		{X: 0, Y: 500}, {X: 200, Y: 500}, {X: 200, Y: 300},
-		{X: 450, Y: 300}, {X: 600, Y: 500},
-	}
-	rangeM := medium.DefaultParams().Range
-	st := NewForwardState()
-	var scratch []medium.Neighbor
-	cur, perimeter := medium.NodeID(0), false
-	for hops := 0; cur != 4; hops++ {
-		if hops == 10 {
-			t.Fatal("RNG perimeter walk exhausted a 10-hop budget")
-		}
-		var nbrs []medium.Neighbor
-		for id, p := range pos {
-			if medium.NodeID(id) != cur && pos[cur].Within(p, rangeM) {
-				nbrs = append(nbrs, medium.Neighbor{ID: medium.NodeID(id), Pos: p})
-			}
-		}
-		var prevPos geo.Point
-		if st.Prev != NoDeliverTo {
-			prevPos = pos[st.Prev]
-		}
-		next, verdict, entered, s := Step(cur, pos[cur], prevPos, pos[4], false, rangeM,
-			RelativeNeighborhood, nbrs, scratch, &st)
-		scratch = s
-		if verdict != StepForward {
-			t.Fatalf("hop %d at node %d: verdict %v with RNG planarization", hops, cur, verdict)
-		}
-		perimeter = perimeter || entered
-		st.Prev, cur = cur, next
-	}
-	if !perimeter {
-		t.Fatal("the walk never entered perimeter mode; the void no longer tests RNG")
-	}
-}

@@ -55,6 +55,7 @@ const (
 //     edge); it is read only when st.Prev != NoDeliverTo.
 //   - closestTerminates selects ALERT's rule: a greedy dead end terminates
 //     routing at the locally-closest holder instead of entering recovery.
+//   - planarization is GabrielGraph, the only planarization there is.
 //   - scratch is the planarization work buffer, returned possibly grown so
 //     callers can reuse it allocation-free across hops.
 //
@@ -110,12 +111,7 @@ func Step(cur medium.NodeID, selfPos, prevPos, dest geo.Point,
 	}
 
 	// Perimeter forwarding over the planar subgraph.
-	var planar []medium.Neighbor
-	if planarization == RelativeNeighborhood {
-		planar = planarizeRNG(scratch[:0], selfPos, nbrs)
-	} else {
-		planar = planarize(scratch[:0], selfPos, nbrs)
-	}
+	planar := planarize(scratch[:0], selfPos, nbrs)
 	if len(planar) == 0 {
 		return NoDeliverTo, StepDeadEnd, entered, planar
 	}

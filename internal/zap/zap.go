@@ -51,7 +51,6 @@ type meta struct {
 	rec       *metrics.PacketRecord
 	dst       medium.NodeID
 	zone      geo.Rect
-	completed bool
 	delivered bool
 	relayed   map[medium.NodeID]bool
 	// timeout is the give-up timer, cancelled when the packet completes.
@@ -203,10 +202,6 @@ func (p *Protocol) receive(at medium.NodeID, m *meta) {
 }
 
 func (p *Protocol) finish(m *meta, at float64, delivered bool) {
-	if m.completed {
-		return
-	}
-	m.completed = true
 	p.net.Eng.Cancel(m.timeout)
 	p.col.Complete(m.rec, at, delivered)
 }
