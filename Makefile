@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/rng -fuzz FuzzSource -fuzztime 30s -run NONE
 	$(GO) test ./internal/geo -fuzz FuzzNearest -fuzztime 30s -run NONE
 	$(GO) test ./internal/medium -fuzz FuzzNodesWithin -fuzztime 30s -run NONE
+	$(GO) test ./internal/medium -fuzz FuzzNeighbors -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzUnmarshal -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzOpenData -fuzztime 30s -run NONE
 	$(GO) test ./internal/core -fuzz FuzzZoneReach -fuzztime 30s -run NONE

@@ -267,6 +267,39 @@ func TestStoreStreamsAsCellsFinish(t *testing.T) {
 	}
 }
 
+// TestProgressCountsDistinctCells pins the progress event's two rules: a
+// memo hit (a re-request of a cell resolved earlier) leaves Done where it
+// was, and a cell beyond the announced plan raises Total as it arrives,
+// so no event reports more cells done than the total. Stats still count
+// every resolution, memo hits included.
+func TestProgressCountsDistinctCells(t *testing.T) {
+	cells := smallCells(3)
+	type step struct {
+		source      string
+		done, total int
+	}
+	var got []step
+	eng := &Engine{Jobs: 1}
+	eng.OnCell = func(ev CellEvent) { got = append(got, step{ev.Source, ev.Done, ev.Total}) }
+	eng.Expect(2)
+	for _, batch := range [][]experiment.Scenario{cells[:2], cells[:2], cells} {
+		if _, err := eng.RunBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []step{
+		{"run", 1, 2}, {"run", 2, 2}, // the plan
+		{"memo", 2, 2}, {"memo", 2, 2}, // a render's re-requests
+		{"memo", 2, 2}, {"memo", 2, 2}, {"run", 3, 3}, // one cell beyond the plan
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("progress events %v, want %v", got, want)
+	}
+	if st := eng.Snapshot(); st != (Stats{Cells: 7, Executed: 3, MemoHits: 4}) {
+		t.Fatalf("stats %+v, want 7 cells: 3 executed, 4 memo hits", st)
+	}
+}
+
 // TestStoreRecoversTruncatedLine: a store whose file ends mid-record (the
 // other way a kill can land) reopens cleanly, keeps every complete record,
 // and appends from the cut point.

@@ -40,8 +40,11 @@ type Stats struct {
 
 // CellEvent reports one cell's resolution to the progress callback.
 type CellEvent struct {
-	// Done is the cumulative number of distinct cells resolved so far and
-	// Total the expected campaign size (0 when not announced via Expect).
+	// Done is the number of distinct cells resolved so far, not counting
+	// memo hits: a memo hit re-requests a cell this engine already
+	// resolved, which its first resolution counted. Total is the expected
+	// campaign size (0 when not announced via Expect), raised to Done
+	// once cells beyond the plan arrive, so Done never exceeds it.
 	Done  int
 	Total int
 	// Label and Key identify the cell.
@@ -377,8 +380,9 @@ func (e *Engine) note(p *pending) {
 	if p.err != nil {
 		e.stats.Failed++
 	}
+	done := e.stats.Cells - e.stats.MemoHits
 	ev := CellEvent{
-		Done: e.stats.Cells, Total: e.total,
+		Done: done, Total: max(e.total, done),
 		Label: p.cell.Label(), Key: p.key, Source: p.source,
 		Seconds: p.seconds, Err: p.err,
 	}

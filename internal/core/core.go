@@ -206,6 +206,9 @@ type Protocol struct {
 	zoneAll  []medium.Neighbor
 	zoneIDs  []medium.NodeID
 	zoneNbrs []medium.Neighbor
+	// nbrs holds the neighbor table that notifyAndGo and the guard's
+	// candidate gather read, refilled by each read.
+	nbrs []medium.Neighbor
 
 	// OnDeliver, when set, observes every first delivery at D.
 	OnDeliver DeliverFunc

@@ -39,7 +39,8 @@ func (p *Protocol) zoneDeliver(at medium.NodeID, env *Envelope) {
 	// Z_D (the last RF knows zone membership from hello beacons).
 	var candidates []medium.NodeID
 	if env.Kind == KindData && p.cfg.IntersectionGuard {
-		for _, nb := range p.net.Med.Neighbors(at) {
+		p.nbrs = p.net.Med.NeighborsInto(at, p.nbrs)
+		for _, nb := range p.nbrs {
 			if env.LZD.Contains(nb.Pos) {
 				candidates = append(candidates, nb.ID)
 			}

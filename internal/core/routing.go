@@ -199,7 +199,8 @@ func NewPartition(lzd, field geo.Rect, h int, rnd *rng.Source) Partition {
 // transmissions.
 func (p *Protocol) notifyAndGo(src medium.NodeID, extraDelay float64, launch func()) {
 	t, t0 := p.cfg.NotifyT, p.cfg.NotifyT0
-	for _, nb := range p.net.Med.Neighbors(src) {
+	p.nbrs = p.net.Med.NeighborsInto(src, p.nbrs)
+	for _, nb := range p.nbrs {
 		nb := nb
 		wait := p.rnd.Uniform(t, t+t0)
 		p.net.Eng.Schedule(wait, func() {

@@ -76,6 +76,32 @@ func (b Band) Sure(d2 float64) (in, sure bool) {
 	return d2 < b.in2, d2 < b.in2 || d2 > b.out2
 }
 
+// Bounds returns the squared bounds Sure tests d2 against: d2 < in2 is
+// surely within the radius, d2 > out2 surely beyond it, and anything
+// between them, NaN included, is Within's to decide. An empty band's are
+// −1 and +Inf. A loop that sorts many squared distances with Sift instead
+// of a branch per pair reads them here.
+func (b Band) Bounds() (in2, out2 float64) { return b.in2, b.out2 }
+
+// Sift decides a squared distance d2 against squared bounds in2 < out2,
+// such as a Band's, without a branch, for a loop that keeps candidates by
+// arithmetic: keep is 0 when d2 > out2, surely out, and 1 otherwise, NaN
+// included; in is 1 when d2 < in2, surely in, and 0 otherwise. A
+// candidate with keep 1 and in 0 is the exact test's to decide.
+func Sift(d2, in2, out2 float64) (keep, in int) {
+	return b2i(!(d2 > out2)), b2i(d2 < in2)
+}
+
+// b2i is 1 for true and 0 for false; the compiler sets it from the flags,
+// without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
 // Nearest tracks which of the points offered to it in turn lies nearest a
 // target, starting from an incumbent. A candidate replaces the incumbent
 // only when it is strictly nearer, so of tied candidates the first wins:

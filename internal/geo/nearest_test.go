@@ -22,12 +22,21 @@ func argminDist(target, incumbent Point, cands []Point) (int, float64) {
 }
 
 // checkSure requires band's pre-test, where it decides the pair (p, q),
-// to give Within's answer, and reports whether it decided.
+// to give Within's answer, and Bounds with Sift to sort the pair as Sure
+// does: kept unless surely beyond, in when surely within. It reports
+// whether Sure decided.
 func checkSure(t *testing.T, band Band, p, q Point) bool {
 	t.Helper()
-	in, sure := band.Sure(p.Dist2(q))
+	d2 := p.Dist2(q)
+	in, sure := band.Sure(d2)
 	if sure && in != band.Within(p, q) {
 		t.Fatalf("%+v %v %v: Sure decided %v, Within %v", band, p, q, in, band.Within(p, q))
+	}
+	in2, out2 := band.Bounds()
+	keep, sifted := Sift(d2, in2, out2)
+	if in != (d2 < in2) || sure != (d2 < in2 || d2 > out2) || keep != b2i(in || !sure) || sifted != b2i(in) {
+		t.Fatalf("%+v %v %v: Sure says in %v sure %v; Bounds %v and %v, Sift keeps %d, in %d",
+			band, p, q, in, sure, in2, out2, keep, sifted)
 	}
 	return sure
 }

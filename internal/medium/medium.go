@@ -202,6 +202,9 @@ type Medium struct {
 	// unicast or broadcast allocates nothing.
 	arqFree   []*arqSend
 	bcastFree []*bcastSend
+	// sweep is the broadcast sweep's candidate list (bcastSend.RunEvent),
+	// kept across sweeps.
+	sweep []uint32
 	// txByNode counts transmissions per node (load-balance metrics).
 	txByNode []uint64
 	// tap, when non-nil, observes every frame/ACK transmission, reception
@@ -352,24 +355,56 @@ func (b *beaconCache) rebuild(mob mobility.Model, at float64) {
 // snapshot, band being that radius's geo.Band. It reads the 3x3 cell block
 // covering every candidate within one cell side of id, column by column
 // and each column's rows in one run; the fixed cell order plus ascending
-// ids within cells keeps the order deterministic. The band's inlined
-// pre-test decides each candidate from its squared distance, and only one
-// inside the band's rounding margin takes the exact Within call.
+// ids within cells keeps the order deterministic.
+//
+// No candidate takes a branch of its own: each is written at the end of
+// dst, and the end advances past it by the 0 or 1 that geo.Sift computes
+// from its squared distance against the band's bounds, unless it is id
+// itself.
+// The few candidates inside the band's rounding margin (or at a NaN
+// distance) are kept and counted; only when there are any does a second,
+// in-order pass over what this call appended keep exactly those the
+// band's Within keeps.
 func (b *beaconCache) scan(id NodeID, band geo.Band, dst []int32) []int32 {
-	self := b.pos[id]
+	pos := b.pos
+	self := pos[id]
 	c := int(b.cellOf[id])
 	col, row := c/b.rows, c%b.rows
 	lo, hi := max(row-1, 0), min(row+1, b.rows-1)
+	in2, out2 := band.Bounds()
+	first, n, unsure := len(dst), len(dst), 0
 	for x := max(col-1, 0); x <= min(col+1, b.cols-1); x++ {
 		run := b.ids[b.start[x*b.rows+lo]:b.start[x*b.rows+hi+1]]
+		dst = slices.Grow(dst[:n], len(run))[:n+len(run)]
 		for _, other := range run {
-			q := b.pos[other]
-			if in, sure := band.Sure(self.Dist2(q)); (in || !sure && band.Within(self, q)) && other != int32(id) {
-				dst = append(dst, other)
-			}
+			keep, in := geo.Sift(self.Dist2(pos[other]), in2, out2)
+			dst[n] = other
+			n += keep & b2i(other != int32(id))
+			unsure += keep - in
 		}
 	}
-	return dst
+	dst = dst[:n]
+	if unsure == 0 {
+		return dst
+	}
+	n = first
+	for _, other := range dst[first:] {
+		if band.Within(self, pos[other]) {
+			dst[n] = other
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler sets it from the flags,
+// without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // driftSlack widens every bound the snapshot decides by, relatively, far
@@ -857,8 +892,16 @@ type bcastSend struct {
 // outside the [2^-500, 2^500] where its square is exact, decides nothing;
 // an unbounded speed makes both radii so. Skipping a Position query
 // changes no trajectory, so receivers, their order, loss draws and
-// counters are those of the exact sweep. The sweep stays serial even on
-// large fields: forking its few ns of work per node costs more than it
+// counters are those of the exact sweep.
+//
+// The sweep runs in two passes. The first sifts every node but the sender
+// by its beacon, with no branch per node, into the medium's sweep list:
+// ids in ascending order, each marked when it is surely in range, the ones
+// surely out left off. The second runs the receiver body over that list
+// alone: the exact test for the unmarked, then the loss draw, counters,
+// taps and handler. A handler's Broadcast only schedules, so no sweep runs
+// inside another and one list serves them all. The sweep stays serial even
+// on large fields: forking its few ns of work per node costs more than it
 // saves (see EXPERIMENTS.md, "Parallel sweeps").
 func (b *bcastSend) RunEvent() {
 	m := b.m
@@ -873,16 +916,22 @@ func (b *bcastSend) RunEvent() {
 	if r := (m.par.Range + beacons.drift) * (1 + driftSlack); r >= 0x1p-500 && r <= 0x1p500 {
 		out2 = r * r
 	}
-	for id := range m.handlers {
-		if NodeID(id) == from {
-			continue
-		}
-		if d2 := pf.Dist2(beacons.pos[id]); !(d2 < in2) &&
-			(d2 > out2 || !pf.Within(m.mob.Position(id, now), m.par.Range)) {
-			// Out-of-range receivers of a broadcast are physics, not
-			// loss: emitting one event per distant node would add
-			// ~N lines per broadcast with no diagnostic value, so
-			// the tap deliberately stays silent here.
+	list := slices.Grow(m.sweep[:0], len(beacons.pos))[:len(beacons.pos)]
+	n := 0
+	for id, q := range beacons.pos {
+		keep, in := geo.Sift(pf.Dist2(q), in2, out2)
+		list[n] = uint32(id)<<1 | uint32(in)
+		n += keep & b2i(NodeID(id) != from)
+	}
+	m.sweep = list
+	// Out-of-range receivers of a broadcast are physics, not loss:
+	// emitting one event per distant node would add ~N lines per broadcast
+	// with no diagnostic value, so the tap deliberately stays silent on
+	// them.
+	m.counters.DroppedRange += uint64(len(list) - 1 - n)
+	for _, c := range list[:n] {
+		id := int(c >> 1)
+		if c&1 == 0 && !pf.Within(m.mob.Position(id, now), m.par.Range) {
 			m.counters.DroppedRange++
 			continue
 		}

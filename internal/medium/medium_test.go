@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -478,79 +479,98 @@ func gridEdgeModel() *movingModel {
 	return m
 }
 
+// TestNeighborsGridMatchesBruteForce holds NeighborsInto to neighborsRef,
+// order included, on a moving field, on nodes placed on cell boundaries,
+// on the field's Max edges and outside Field(), and on the tight ring,
+// whose nodes on the range circle make the scan's in-band pass run. Every
+// node's first query in a tick scans the grid; its second, in another
+// order, copies the memoised table into dst[:0].
 func TestNeighborsGridMatchesBruteForce(t *testing.T) {
-	// The grid-accelerated Neighbors must agree exactly with an O(N^2)
-	// scan, including on cell boundaries, on the field's Max edges and for
-	// nodes outside Field(). A node queried again within the tick must get
-	// the uncached grid scan entry for entry, order included, copied into
-	// dst[:0].
+	tight, undecided := tightRing(), 0
+	band := geo.BandOf(DefaultParams().Range)
+	for _, p := range tight.pos[1:] {
+		if _, sure := band.Sure(tight.pos[0].Dist2(p)); !sure {
+			undecided++
+		}
+	}
+	if undecided == 0 {
+		t.Fatal("tight ring: every node's squared distance decides, the in-band pass is untested")
+	}
 	for _, mc := range []struct {
 		name string
 		mob  mobility.Model
 	}{
 		{"rwp", mobility.NewRandomWaypoint(field, 150, 3, nil, rng.New(77))},
 		{"edges", gridEdgeModel()},
+		{"tight", tight},
 	} {
 		t.Run(mc.name, func(t *testing.T) {
-			checkNeighborsGrid(t, mc.mob)
+			eng := sim.NewEngine()
+			med := MustNew(eng, mc.mob, DefaultParams(), rng.New(78))
+			shuffle := rng.New(79)
+			var dst []Neighbor
+			check := func() {
+				beacons := beaconPositions(med, mc.mob)
+				for _, id := range shuffle.Perm(mc.mob.N()) {
+					checkNeighbors(t, med, beacons, NodeID(id), nil)
+				}
+				for _, id := range shuffle.Perm(mc.mob.N()) {
+					dst = checkNeighbors(t, med, beacons, NodeID(id), append(dst[:0], Neighbor{ID: -1}, Neighbor{ID: 7, Pos: geo.Point{X: 1, Y: 2}}))
+				}
+			}
+			check()
+			if mc.mob.MaxSpeed() == 0 {
+				return // a static field's tables are the same at every tick
+			}
+			for _, until := range []float64{7.5, 8, 8.9, 13, 21.4} { // crosses several hello ticks
+				eng.RunUntil(until)
+				check()
+			}
 		})
 	}
 }
 
-func checkNeighborsGrid(t *testing.T, mob mobility.Model) {
-	eng := sim.NewEngine()
-	med := MustNew(eng, mob, DefaultParams(), rng.New(78))
-	shuffle := rng.New(79)
-	n := mob.N()
-	var dst []Neighbor
-	check := func() {
-		tNow := float64(med.helloTick()) * med.par.HelloInterval
-		for id := 0; id < n; id++ {
-			got := med.Neighbors(NodeID(id))
-			gotSet := map[NodeID]geo.Point{}
-			for _, nb := range got {
-				gotSet[nb.ID] = nb.Pos
-			}
-			self := mob.Position(id, tNow)
-			want := 0
-			for other := 0; other < n; other++ {
-				if other == id {
-					continue
-				}
-				p := mob.Position(other, tNow)
-				if self.Dist(p) <= med.Params().Range {
-					want++
-					if gp, ok := gotSet[NodeID(other)]; !ok || gp != p {
-						t.Fatalf("t=%v node %d at %v: neighbor %d at %v missing or wrong pos", tNow, id, self, other, p)
-					}
-				}
-			}
-			if want != len(got) {
-				t.Fatalf("t=%v node %d: %d neighbors, want %d", tNow, id, len(got), want)
-			}
-		}
-		b := &med.beacons
-		for _, id := range append(shuffle.Perm(n), shuffle.Perm(n)...) {
-			dst = append(dst[:0], Neighbor{ID: -1}, Neighbor{ID: 7, Pos: geo.Point{X: 1, Y: 2}})
-			got := med.NeighborsInto(NodeID(id), dst)
-			want := b.scan(NodeID(id), geo.BandOf(med.Params().Range), nil)
-			if len(got) != len(want) {
-				t.Fatalf("t=%v node %d: %d neighbors, uncached scan has %d", tNow, id, len(got), len(want))
-			}
-			for i, other := range want {
-				if got[i] != (Neighbor{ID: NodeID(other), Pos: b.pos[other]}) {
-					t.Fatalf("t=%v node %d: entry %d = %+v, uncached scan has %d at %v",
-						tNow, id, i, got[i], other, b.pos[other])
-				}
-			}
-			dst = got
+// neighborsRef is node id's neighbor table at the current beacon found
+// without the grid scan: every other node whose beacon lies within Range
+// of id's by Dist, with that beacon, ordered by the snapshot's grid
+// column, then its grid row, then id. The order is a contract: routing
+// draws, permutes and breaks ties in table order. beacons holds every
+// node's position at the beacon instant, taken from the model.
+func neighborsRef(med *Medium, beacons []geo.Point, id NodeID) []Neighbor {
+	b := med.beaconsNow()
+	var want []Neighbor
+	for other, p := range beacons {
+		if other != int(id) && beacons[id].Dist(p) <= med.par.Range {
+			want = append(want, Neighbor{ID: NodeID(other), Pos: p})
 		}
 	}
-	check()
-	for _, until := range []float64{7.5, 8, 8.9, 13, 21.4} { // crosses several hello ticks
-		eng.RunUntil(until)
-		check()
+	slices.SortFunc(want, func(x, y Neighbor) int {
+		cx, cy := int(b.cellOf[x.ID]), int(b.cellOf[y.ID])
+		return cmp.Or(cmp.Compare(cx/b.rows, cy/b.rows), cmp.Compare(cx%b.rows, cy%b.rows), cmp.Compare(x.ID, y.ID))
+	})
+	return want
+}
+
+// beaconPositions asks the model for every node's position at the current
+// beacon instant.
+func beaconPositions(med *Medium, mob mobility.Model) []geo.Point {
+	at := float64(med.helloTick()) * med.par.HelloInterval
+	pos := make([]geo.Point, mob.N())
+	for id := range pos {
+		pos[id] = mob.Position(id, at)
 	}
+	return pos
+}
+
+// checkNeighbors requires NeighborsInto(id, dst) to return neighborsRef's
+// table exactly, order included, and returns it for reuse as dst.
+func checkNeighbors(t testing.TB, med *Medium, beacons []geo.Point, id NodeID, dst []Neighbor) []Neighbor {
+	t.Helper()
+	got := med.NeighborsInto(id, dst)
+	if want := neighborsRef(med, beacons, id); !slices.Equal(got, want) {
+		t.Fatalf("t=%v node %d at %v: NeighborsInto = %v, want %v", med.eng.Now(), id, beacons[id], got, want)
+	}
+	return got
 }
 
 // checkNodesWithin requires NodesWithinInto to return exactly the nodes a
@@ -669,23 +689,72 @@ func FuzzNodesWithin(f *testing.F) {
 	})
 }
 
-// BenchmarkNeighborsGrid times the beacon grid at evaluation scale: each
-// op advances the clock one hello interval, so the snapshot is rebuilt,
-// and queries all 200 nodes once, so every query scans the grid (a query
-// repeated within the tick would only copy its memoised table).
+// FuzzNeighbors holds NeighborsInto to neighborsRef, order included, for
+// every node of random static fields: the seed places 1 to 256 nodes in
+// and around the 1000 m field, a quarter of them at an x that is a
+// multiple of the range (a cell boundary where cells are range-sized) and
+// a quarter on the field's Max.X edge; the radio range is arbitrary, so
+// the grid's cells may be tiny, wider than the range (above 256 cells an
+// axis) or one infinite cell.
+func FuzzNeighbors(f *testing.F) {
+	f.Add(int64(1), uint8(199), 250.0)
+	f.Add(int64(2), uint8(30), 1.0)
+	f.Add(int64(3), uint8(255), 333.0)
+	f.Add(int64(4), uint8(99), math.Inf(1))
+	f.Add(int64(5), uint8(64), 1e-300)
+	f.Add(int64(6), uint8(128), 1e300)
+	f.Add(int64(7), uint8(0), 250.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, rangeM float64) {
+		par := DefaultParams()
+		par.Range = rangeM
+		src := rng.New(seed)
+		pos := make([]geo.Point, 1+int(n))
+		for i := range pos {
+			p := geo.Point{X: src.Uniform(-200, 1200), Y: src.Uniform(-200, 1200)}
+			switch i % 4 {
+			case 1:
+				p.X = math.Floor(p.X/rangeM) * rangeM
+			case 2:
+				p.X = field.Max.X
+				p.Y = math.Min(p.Y, field.Max.Y)
+			}
+			pos[i] = p
+		}
+		mob := newFixed(pos...)
+		med, err := New(sim.NewEngine(), mob, par, rng.New(1))
+		if err != nil {
+			t.Skip("medium.New refuses the range")
+		}
+		var dst []Neighbor
+		for id := range pos {
+			dst = checkNeighbors(t, med, pos, NodeID(id), dst)
+		}
+	})
+}
+
+// BenchmarkNeighborsGrid times the beacon grid on the paper-default field:
+// 200 random-waypoint nodes at 2 m/s over 1000 m x 1000 m, 250 m range.
+// Each op advances the clock one hello interval, so the snapshot is
+// rebuilt from positions that moved, and queries all 200 nodes once, so
+// every query scans the grid (a query repeated within the tick would only
+// copy its memoised table). The field moves so that no two ticks repeat
+// the same candidate outcomes. The ns/scan metric divides the time, the
+// rebuilds' share included, by the scans.
 func BenchmarkNeighborsGrid(b *testing.B) {
+	const n = 200
 	eng := sim.NewEngine()
-	mob := mobility.NewStatic(field, 200, rng.New(1))
+	mob := mobility.NewRandomWaypoint(field, n, 2, nil, rng.New(1))
 	med := MustNew(eng, mob, DefaultParams(), rng.New(2))
 	var dst []Neighbor
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.RunUntil(float64(i+1) * med.par.HelloInterval)
-		for id := 0; id < 200; id++ {
+		for id := 0; id < n; id++ {
 			dst = med.NeighborsInto(NodeID(id), dst)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/scan")
 }
 
 // BenchmarkBroadcastSweep times one broadcast delivery sweep per op on the
